@@ -9,6 +9,7 @@ import argparse
 import datetime
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -16,7 +17,8 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .data import (SynthConfig, generate_synthetic, load_dataset, save_dataset, split)
-from .errors import ContractError, DatasetFormatError, CheckpointError, TrainingDivergedError
+from .errors import (CheckpointError, ContractError, DatasetFormatError,
+                     DegenerateInputError, TrainingDivergedError)
 from .losses import LossWeights, combined_loss
 from .model import ModelConfig, embed
 from .retrieval import (build_index, evaluate_cross_modal, metrics_to_csv,
@@ -164,6 +166,17 @@ def cmd_train(args):
 _SPLIT_INDEX = {"train": 0, "val": 1, "test": 2}
 
 
+def _parse_direction(text, num_modalities):
+    """'both' is every ordered pair of distinct modalities; else exactly 'SRC->TGT'."""
+    if text == "both":
+        return [(src, tgt) for src in range(num_modalities)
+                for tgt in range(num_modalities) if src != tgt]
+    match = re.fullmatch(r"(\d+)->(\d+)", text)
+    if match is None:
+        raise ContractError(f"--direction expects 'both' or SRC->TGT, got {text!r}")
+    return [(int(match[1]), int(match[2]))]
+
+
 def cmd_evaluate(args):
     started = _now()
     params, _, _, _ = load_checkpoint(args.checkpoint)
@@ -173,11 +186,7 @@ def cmd_evaluate(args):
     index_ds = parts[_SPLIT_INDEX[args.index_split]]
     index = build_index(params, index_ds)
 
-    if args.direction == "both":
-        directions = [(0, 1), (1, 0)]
-    else:
-        src, tgt = (int(x) for x in args.direction.split("->"))
-        directions = [(src, tgt)]
+    directions = _parse_direction(args.direction, index.num_modalities)
     reports = [evaluate_cross_modal(params, index, query_ds, src, tgt, k=args.k)
                for src, tgt in directions]
     _ensure_out_dir(args.out, args.mkdirs)
@@ -199,6 +208,9 @@ def cmd_retrieve(args):
     by_id = {g[0].tuple_id: g for g in ds.tuples}
     if args.query_id not in by_id:
         raise ContractError(f"tuple_id {args.query_id} not in dataset")
+    for flag, m in (("--src", args.src), ("--tgt", args.tgt)):
+        if not 0 <= m < ds.num_modalities:
+            raise ContractError(f"{flag} {m} outside [0, {ds.num_modalities})")
     rec = by_id[args.query_id][args.src]
     q = embed(params, args.src, rec.features[None, :]).data[0]
     index = build_index(params, ds)
@@ -326,7 +338,8 @@ def main(argv=None):
     except (ContractError, DatasetFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CheckpointError, TrainingDivergedError, ArithmeticError) as exc:
+    except (CheckpointError, DegenerateInputError, TrainingDivergedError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -2,12 +2,20 @@
 
 Scores are cosine similarities (dot products of unit vectors). Search is a
 full scan: archives here are small and exactness keeps runs reproducible.
-Pair-level F1 is the Dice overlap of label sets; NDCG gain is the Jaccard
-overlap.
+Each modality of the index is one contiguous (N, D) matrix of unit-norm rows
+with an int64 id array beside it, the flat inner-product layout of FAISS
+(Johnson, Douze, Jegou, arXiv:1702.08734). Queries are scored in blocks of
+_BLOCK rows with ``np.vecdot``, which rounds every score exactly as the
+one-row dot product ``row @ q`` does, whatever the block; a BLAS matrix
+product would not, and would move near-ties. Each row is then ordered with
+``np.lexsort`` on (-score, tuple_id), so equal scores come back by ascending
+tuple_id. Pair-level F1 is the Dice overlap of label sets; NDCG gain is the
+Jaccard overlap.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,44 +23,73 @@ from .errors import ContractError
 from .model import embed
 from .data import stack_features
 
+# Queries scored per vectorized pass: the (block, N) score matrix stays small.
+_BLOCK = 128
+_MIN_NORM = 1e-12
 
-@dataclass
-class IndexEntry:
+
+class IndexEntry(NamedTuple):
+    """One row of the index, built on demand by ``EmbeddingIndex.entries``."""
     tuple_id: int
     embedding: np.ndarray
     labels: frozenset
 
 
+def _norms(rows):
+    """Euclidean norm of each row, bit-identical to ``np.linalg.norm`` of that row."""
+    return np.sqrt(np.vecdot(rows, rows))
+
+
 class EmbeddingIndex:
-    """Per-modality store of unit-normalized embeddings with labels."""
+    """Per-modality (N, D) matrix of unit-normalized embeddings, with ids and labels."""
 
     def __init__(self, num_modalities, embedding_dim):
         self.num_modalities = num_modalities
         self.embedding_dim = embedding_dim
-        self._entries = [[] for _ in range(num_modalities)]
-        self._ids = [set() for _ in range(num_modalities)]
+        self._vectors = [np.empty((0, embedding_dim)) for _ in range(num_modalities)]
+        self._ids = [np.empty(0, dtype=np.int64) for _ in range(num_modalities)]
+        self._labels = [[] for _ in range(num_modalities)]
 
-    def insert(self, modality, tuple_id, embedding, labels):
+    def add(self, modality, tuple_ids, embeddings, labels):
+        """Append rows to one modality; each row is stored divided by its norm."""
         if not 0 <= modality < self.num_modalities:
             raise ContractError(f"unknown modality {modality}")
-        embedding = np.asarray(embedding, dtype=np.float64)
-        if embedding.shape != (self.embedding_dim,):
+        embeddings = np.ascontiguousarray(embeddings, dtype=np.float64)
+        if embeddings.ndim != 2 or embeddings.shape[1:] != (self.embedding_dim,):
             raise ContractError(
-                f"embedding shape {embedding.shape} != ({self.embedding_dim},)")
-        if tuple_id in self._ids[modality]:
-            raise ContractError(f"duplicate tuple_id {tuple_id} in modality {modality}")
-        norm = np.linalg.norm(embedding)
-        if norm <= 1e-12:
-            raise ContractError(f"zero-norm embedding for tuple {tuple_id}")
-        self._ids[modality].add(tuple_id)
-        self._entries[modality].append(
-            IndexEntry(int(tuple_id), embedding / norm, frozenset(labels)))
+                f"embedding shape {embeddings.shape[1:]} != ({self.embedding_dim},)")
+        ids = np.asarray(tuple_ids, dtype=np.int64)
+        labels = [frozenset(s) for s in labels]
+        if not len(ids) == len(embeddings) == len(labels):
+            raise ContractError(f"{len(ids)} tuple ids, {len(embeddings)} embeddings "
+                                f"and {len(labels)} label sets")
+        all_ids = np.concatenate([self._ids[modality], ids])
+        unique, counts = np.unique(all_ids, return_counts=True)
+        if (counts > 1).any():
+            raise ContractError(f"duplicate tuple_id {unique[counts > 1][0]} "
+                                f"in modality {modality}")
+        norms = _norms(embeddings)
+        zero = np.flatnonzero(norms <= _MIN_NORM)
+        if len(zero):
+            raise ContractError(f"zero-norm embedding for tuple {ids[zero[0]]}")
+        self._vectors[modality] = np.concatenate(
+            [self._vectors[modality], embeddings / norms[:, None]])
+        self._ids[modality] = all_ids
+        self._labels[modality].extend(labels)
+
+    def insert(self, modality, tuple_id, embedding, labels):
+        """Append one row; see ``add``."""
+        self.add(modality, [tuple_id], np.asarray(embedding, dtype=np.float64)[None],
+                 [labels])
 
     def entries(self, modality):
-        return self._entries[modality]
+        """The rows of one modality as (tuple_id, embedding, labels) records."""
+        return [IndexEntry(int(tid), row, labels) for tid, row, labels
+                in zip(self._ids[modality], self._vectors[modality],
+                       self._labels[modality])]
 
     def size(self, modality):
-        return len(self._entries[modality])
+        return len(self._ids[modality])
 
 
 @dataclass
@@ -87,37 +124,63 @@ class MetricsReport:
 
 
 def build_index(params, ds) -> EmbeddingIndex:
-    """Embed every record of the dataset and insert it normalized."""
+    """Embed every record of the dataset and add each modality normalized, in one call."""
     if ds.input_dim != params.config.input_dim:
         raise ContractError("dataset and model disagree on input dimension")
     index = EmbeddingIndex(ds.num_modalities, params.config.embedding_dim)
     if not ds.tuples:
         return index
     for m in range(ds.num_modalities):
-        z = embed(params, m, stack_features(ds.tuples, m)).data
-        for group, row in zip(ds.tuples, z):
-            rec = group[m]
-            index.insert(m, rec.tuple_id, row, rec.labels)
+        records = [group[m] for group in ds.tuples]
+        index.add(m, [rec.tuple_id for rec in records],
+                  embed(params, m, stack_features(ds.tuples, m)).data,
+                  [rec.labels for rec in records])
     return index
+
+
+def _unit_queries(queries, dim):
+    """(Q, dim) query rows divided by their norms; a zero-norm row is an error."""
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1:] != (dim,):
+        raise ContractError(f"query embedding shape {queries.shape[1:]} != ({dim},)")
+    norms = _norms(queries)
+    if (norms <= _MIN_NORM).any():
+        raise ContractError("zero-norm query embedding")
+    return queries / norms[:, None]
+
+
+def _top_k(index, unit_queries, target, k, exclude_ids):
+    """Per query row, the k best [(tuple_id, score), ...] of one modality, best first.
+
+    Scores come from ``np.vecdot`` over blocks of _BLOCK queries; each row is
+    ordered by descending score, then ascending tuple_id. ``exclude_ids[i]``
+    (None for no exclusion) is left out of query i's ranking.
+    """
+    if k < 1:
+        raise ContractError("k must be >= 1")
+    if not 0 <= target < index.num_modalities:
+        raise ContractError(f"unknown target modality {target}")
+    vectors, ids = index._vectors[target], index._ids[target]
+    results = []
+    for start in range(0, len(unit_queries), _BLOCK):
+        scores = np.vecdot(unit_queries[start:start + _BLOCK, None, :], vectors[None, :, :])
+        # one spare place per row, for the excluded id
+        order = np.lexsort((np.broadcast_to(ids, scores.shape), -scores), axis=-1)[:, :k + 1]
+        ranked_ids = ids[order].tolist()
+        ranked_scores = np.take_along_axis(scores, order, axis=-1).tolist()
+        for tids, row, exclude in zip(ranked_ids, ranked_scores,
+                                      exclude_ids[start:start + _BLOCK]):
+            results.append([(tid, score) for tid, score in zip(tids, row)
+                            if tid != exclude][:k])
+    return results
 
 
 def retrieve(index: EmbeddingIndex, query_embedding, target_modality, k,
              exclude_tuple_id=None, query_id=-1, query_modality=-1) -> RankedResult:
     """Exact top-k by cosine score; ties ordered by ascending tuple_id."""
-    if k < 1:
-        raise ContractError("k must be >= 1")
-    if not 0 <= target_modality < index.num_modalities:
-        raise ContractError(f"unknown target modality {target_modality}")
-    q = np.asarray(query_embedding, dtype=np.float64)
-    norm = np.linalg.norm(q)
-    if norm <= 1e-12:
-        raise ContractError("zero-norm query embedding")
-    q = q / norm
-    candidates = [e for e in index.entries(target_modality)
-                  if e.tuple_id != exclude_tuple_id]
-    scored = sorted(((float(e.embedding @ q), e.tuple_id) for e in candidates),
-                    key=lambda t: (-t[0], t[1]))
-    items = [(tid, score) for score, tid in scored[:k]]
+    query = np.asarray(query_embedding, dtype=np.float64)[None]
+    items = _top_k(index, _unit_queries(query, index.embedding_dim), target_modality, k,
+                   [exclude_tuple_id])[0]
     return RankedResult(query_id=query_id, query_modality=query_modality,
                         target_modality=target_modality, items=items, k=k,
                         short=len(items) < k)
@@ -159,27 +222,32 @@ def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
                          exclude_self_tuple=True) -> MetricsReport:
     """Mean F1@K / NDCG@K over all queries of one retrieval direction.
 
-    Queries are embedded from their src-modality features; candidates come
-    from the prebuilt index (normally a different split).
+    Queries are embedded from their src-modality features and ranked together,
+    block by block; candidates come from the prebuilt index (normally a
+    different split).
     """
+    for m in (src_modality, tgt_modality):
+        if not 0 <= m < index.num_modalities:
+            raise ContractError(
+                f"modality {m} outside [0, {index.num_modalities})")
     if src_modality == tgt_modality:
         raise ContractError("cross-modal evaluation needs distinct modalities")
     if not query_split.tuples:
         raise ContractError("empty query set")
-    q_embeddings = embed(params, src_modality,
-                         stack_features(query_split.tuples, src_modality)).data
-    rows = []
-    labels_by_id = {e.tuple_id: e.labels for e in index.entries(tgt_modality)}
-    for group, q in zip(query_split.tuples, q_embeddings):
-        rec = group[src_modality]
+    records = [group[src_modality] for group in query_split.tuples]
+    for rec in records:
         if not rec.labels:
             raise ContractError(f"query tuple {rec.tuple_id} has no labels")
-        exclude = rec.tuple_id if exclude_self_tuple else None
-        result = retrieve(index, q, tgt_modality, k, exclude_tuple_id=exclude,
-                          query_id=rec.tuple_id, query_modality=src_modality)
-        f1 = float(np.mean([pair_f1(rec.labels, labels_by_id[tid])
-                            for tid, _ in result.items]))
-        rel = [jaccard(rec.labels, labels_by_id[tid]) for tid, _ in result.items]
+    queries = _unit_queries(embed(params, src_modality,
+                                  stack_features(query_split.tuples, src_modality)).data,
+                            index.embedding_dim)
+    exclude = [rec.tuple_id if exclude_self_tuple else None for rec in records]
+    ranked = _top_k(index, queries, tgt_modality, k, exclude)
+    labels_by_id = dict(zip(index._ids[tgt_modality].tolist(), index._labels[tgt_modality]))
+    rows = []
+    for rec, items in zip(records, ranked):
+        f1 = float(np.mean([pair_f1(rec.labels, labels_by_id[tid]) for tid, _ in items]))
+        rel = [jaccard(rec.labels, labels_by_id[tid]) for tid, _ in items]
         rows.append(QueryRow(rec.tuple_id, f1, ndcg_at_k(rel, k)))
     return MetricsReport(src_modality=src_modality, tgt_modality=tgt_modality, k=k,
                          mean_f1=float(np.mean([r.f1_at_k for r in rows])),

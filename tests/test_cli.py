@@ -2,17 +2,38 @@
 
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import xmodal
 from xmodal.cli import main
-from xmodal.data import load_dataset
+from xmodal.data import load_dataset, save_dataset
 from xmodal.trainer import load_checkpoint
 from xmodal.model import init_params
 
 
 def run(args):
     return main(args)
+
+
+def run_process(args):
+    """(exit code, stderr lines) of `python -m xmodal.cli ARGS` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xmodal.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "xmodal.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr.splitlines()
+
+
+@pytest.fixture()
+def trained(dataset_file, tmp_path):
+    out = tmp_path / "run"
+    assert run(["train", "--dataset", str(dataset_file), "--out-dir", str(out),
+                "--epochs", "1", "--batch-size", "16"]) == 0
+    return dataset_file, out / "checkpoint_epoch0.ckpt"
 
 
 @pytest.fixture()
@@ -117,6 +138,20 @@ class TestEvaluateCommand:
                     "--out", str(tmp_path / "m.csv")]) == 2
 
 
+    @pytest.mark.parametrize("direction, message", [
+        ("0-1", "--direction expects 'both' or SRC->TGT, got '0-1'"),
+        ("0->5", "modality 5 outside [0, 2)"),
+    ])
+    def test_bad_direction_one_line(self, trained, tmp_path, direction, message):
+        dataset, ckpt = trained
+        code, err = run_process(["evaluate", "--checkpoint", str(ckpt),
+                                 "--dataset", str(dataset), "--out", str(tmp_path / "m.csv"),
+                                 "--direction", direction])
+        assert code == 1
+        assert err == [f"error: {message}"]
+        assert not (tmp_path / "m.csv").exists()
+
+
 class TestRetrieveCommand:
     def test_dump_format(self, dataset_file, tmp_path, capsys):
         out = tmp_path / "run"
@@ -129,6 +164,14 @@ class TestRetrieveCommand:
         assert len(lines) == 3
         first = lines[0].split(",")
         assert first[0] == "5" and first[1] == "1"
+
+
+    def test_src_out_of_range_one_line(self, trained):
+        dataset, ckpt = trained
+        code, err = run_process(["retrieve", "--checkpoint", str(ckpt),
+                                 "--dataset", str(dataset), "--query-id", "5", "--src", "5"])
+        assert code == 1
+        assert err == ["error: --src 5 outside [0, 2)"]
 
 
 class TestGradcheckCommand:
@@ -151,3 +194,14 @@ class TestExitCodes:
     def test_missing_file_is_one(self, tmp_path):
         assert run(["train", "--dataset", str(tmp_path / "nope.txt"),
                     "--out-dir", str(tmp_path / "out")]) == 1
+
+    def test_degenerate_features_is_two(self, dataset_file, tmp_path):
+        ds = load_dataset(dataset_file)
+        ds.tuples = [[type(rec)(rec.tuple_id, rec.modality, np.zeros_like(rec.features),
+                                rec.labels) for rec in group] for group in ds.tuples]
+        zeros = tmp_path / "zeros.txt"
+        save_dataset(ds, zeros)
+        code, err = run_process(["train", "--dataset", str(zeros),
+                                 "--out-dir", str(tmp_path / "out"), "--epochs", "1"])
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and "zero-norm" in err[0]

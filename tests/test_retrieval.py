@@ -8,9 +8,10 @@ import pytest
 from xmodal.data import SynthConfig, generate_synthetic, split
 from xmodal.errors import ContractError
 from xmodal.model import ModelConfig, init_params
-from xmodal.retrieval import (EmbeddingIndex, build_index, evaluate_cross_modal,
-                              jaccard, metrics_to_csv, ndcg_at_k, pair_f1,
-                              retrieve, summary_table)
+from xmodal.model import embed
+from xmodal.retrieval import (_BLOCK, EmbeddingIndex, QueryRow, build_index,
+                              evaluate_cross_modal, jaccard, metrics_to_csv, ndcg_at_k,
+                              pair_f1, retrieve, summary_table)
 
 MODEL = ModelConfig(input_dim=12, backbone_hidden_dims=(8,), feature_dim=6,
                     embedding_dim=6, seed=0)
@@ -55,6 +56,35 @@ class TestBuildIndex:
         index.insert(0, 1, np.ones(3), {0})
         with pytest.raises(ContractError):
             index.insert(0, 1, np.ones(3), {0})
+
+
+    def test_batch_add_equals_row_inserts(self):
+        rng = np.random.default_rng(11)
+        z = rng.normal(size=(30, 4))
+        ids = rng.permutation(100)[:30]
+        labels = [{int(rng.integers(5))} for _ in range(30)]
+        batch, rows = EmbeddingIndex(1, 4), EmbeddingIndex(1, 4)
+        batch.add(0, ids, z, labels)
+        for tid, row, lab in zip(ids, z, labels):
+            rows.insert(0, tid, row, lab)
+        for a, b, row in zip(batch.entries(0), rows.entries(0), z):
+            assert a.tuple_id == b.tuple_id and a.labels == b.labels
+            np.testing.assert_array_equal(a.embedding, b.embedding)
+            np.testing.assert_array_equal(a.embedding, row / np.linalg.norm(row))
+
+    def test_add_rejects_id_repeated_within_batch(self):
+        index = EmbeddingIndex(1, 3)
+        with pytest.raises(ContractError, match="duplicate tuple_id 4 in modality 0"):
+            index.add(0, [2, 4, 6, 4], np.ones((4, 3)), [{0}] * 4)
+        assert index.size(0) == 0
+
+    def test_add_rejects_zero_norm_row_naming_it(self):
+        index = EmbeddingIndex(1, 3)
+        z = np.ones((3, 3))
+        z[1] = 0.0
+        with pytest.raises(ContractError, match="zero-norm embedding for tuple 8"):
+            index.add(0, [5, 8, 9], z, [{0}] * 3)
+        assert index.size(0) == 0
 
 
 class TestRetrieve:
@@ -198,6 +228,41 @@ class TestEvaluateCrossModal:
         a = evaluate_cross_modal(params, index, tr, 0, 1, k=4)
         b = evaluate_cross_modal(params, index, tr, 1, 0, k=4)
         assert a.direction == "0->1" and b.direction == "1->0"
+
+    def test_rows_equal_per_query_retrieve_loop(self):
+        # more queries than one block, the query tuples themselves in the index
+        # (self-exclusion matters) and runs of exactly equal embeddings whose
+        # tie order changes F1 and NDCG
+        ds = generate_synthetic(SynthConfig(num_classes=6, num_tuples=2 * _BLOCK + 30,
+                                            input_dim=12, latent_dim=6, noise_sigma=0.3,
+                                            multi_label=True, seed=12))
+        for i in range(1, len(ds.tuples), 3):
+            prev = ds.tuples[i - 1]
+            ds.tuples[i] = [type(rec)(rec.tuple_id, rec.modality, src.features, rec.labels)
+                            for rec, src in zip(ds.tuples[i], prev)]
+        params = init_params(MODEL)
+        index = build_index(params, ds)
+        assert len(ds) > _BLOCK
+        for src, tgt in ((0, 1), (1, 0)):
+            rep = evaluate_cross_modal(params, index, ds, src, tgt, k=5)
+            labels = {e.tuple_id: e.labels for e in index.entries(tgt)}
+            queries = embed(params, src, np.stack([g[src].features for g in ds.tuples])).data
+            expected = []
+            for group, q in zip(ds.tuples, queries):
+                rec = group[src]
+                items = retrieve(index, q, tgt, 5, exclude_tuple_id=rec.tuple_id).items
+                assert rec.tuple_id not in [tid for tid, _ in items]
+                f1 = float(np.mean([pair_f1(rec.labels, labels[tid]) for tid, _ in items]))
+                rel = [jaccard(rec.labels, labels[tid]) for tid, _ in items]
+                expected.append(QueryRow(rec.tuple_id, f1, ndcg_at_k(rel, 5)))
+            assert rep.rows == expected
+
+    def test_modality_out_of_range_rejected(self, small_ds):
+        params = init_params(MODEL)
+        index = build_index(params, small_ds)
+        for src, tgt in ((0, 5), (5, 0), (-1, 1)):
+            with pytest.raises(ContractError, match="outside"):
+                evaluate_cross_modal(params, index, small_ds, src, tgt)
 
     def test_same_modality_rejected(self, small_ds):
         params = init_params(MODEL)
