@@ -87,7 +87,11 @@ def _ensure_out_dir(path, mkdirs):
 
 
 def _split_dataset(ds, fractions_str, seed):
-    fractions = tuple(float(f) for f in fractions_str.split(","))
+    try:
+        fractions = tuple(float(f) for f in fractions_str.split(","))
+    except ValueError:
+        raise ContractError(f"--split expects comma-separated fractions, "
+                            f"got {fractions_str!r}") from None
     return split(ds, fractions, seed)
 
 
@@ -143,8 +147,8 @@ def cmd_train(args):
         train_values["learning_rate"] = str(args.lr)
     train_config = TrainConfig.from_mapping(train_values)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     ds_train, ds_val, _ = _split_dataset(ds, args.split, args.split_seed)
+    os.makedirs(args.out_dir, exist_ok=True)
     params, report = train(ds_train, ds_val, model_config, train_config,
                            out_dir=args.out_dir, resume_from=args.resume_from)
     csv_path = os.path.join(args.out_dir, "train_report.csv")
@@ -232,24 +236,25 @@ def cmd_gradcheck(args):
     worst = {"mim": 0.0, "mde": 0.0, "msp": 0.0, "combined": 0.0}
     weights = LossWeights(alpha=0.7, beta=0.4, tau=0.2)
 
-    def check(name, f, x0):
-        x = T.Tensor(x0, grad_enabled=True)
-        loss = f(x)
-        T.backward(loss)
-        analytic = x.grad
-        numeric = T.finite_diff_grad(lambda t: f(t), x0, h=1e-5).data
-        worst[name] = max(worst[name], T.rel_error(analytic, numeric))
+    def check(name, f, a0, b0):
+        """Gradients of f(a, b) for both operands against finite differences."""
+        a, b = T.Tensor(a0, grad_enabled=True), T.Tensor(b0, grad_enabled=True)
+        T.backward(f(a, b))
+        for analytic, x0, f_x in ((a.grad, a0, lambda t: f(t, T.Tensor(b0))),
+                                  (b.grad, b0, lambda t: f(T.Tensor(a0), t))):
+            numeric = T.finite_diff_grad(f_x, x0, h=1e-5).data
+            worst[name] = max(worst[name], T.rel_error(analytic, numeric))
 
     for _ in range(args.trials):
         z_j = rng.normal(size=(t_batch, dim))
         z_k = rng.normal(size=(t_batch, dim))
         y_k = rng.normal(size=(t_batch, dim))
-        check("mim", lambda x: loss_mim(x, T.Tensor(z_k), 0.2), z_j)
-        check("mde", lambda x: loss_mde(x, T.Tensor(y_k)), z_j)
-        check("msp", lambda x: loss_msp(x, T.Tensor(y_k)), z_j)
+        check("mim", lambda a, b: loss_mim(a, b, 0.2), z_j, z_k)
+        check("mde", loss_mde, z_j, y_k)
+        check("msp", loss_msp, z_j, y_k)
+        # a and b each feed an embedding and a feature slot of every loss
         check("combined",
-              lambda x: combined_loss(x, T.Tensor(z_k), x, T.Tensor(y_k),
-                                      weights).total_node, z_j)
+              lambda a, b: combined_loss(a, b, a, b, weights).total_node, z_j, y_k)
     failed = [name for name, err in worst.items() if err >= 1e-4]
     for name, err in worst.items():
         status = "FAIL" if name in failed else "ok"

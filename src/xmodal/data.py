@@ -218,7 +218,11 @@ def load_dataset(path) -> TupleDataset:
         meta = {}
         for tokenfield in header[len(FORMAT_HEADER):].split():
             key, _, value = tokenfield.partition("=")
-            meta[key] = int(value)
+            try:
+                meta[key] = int(value)
+            except ValueError:
+                raise DatasetFormatError(f"header field {tokenfield!r} is not key=integer",
+                                         line_number=1) from None
         for key in ("N", "dim", "labels"):
             if key not in meta:
                 raise DatasetFormatError(f"header missing {key}=", line_number=1)

@@ -1,10 +1,27 @@
 """The three training losses and their scheduled combination.
 
 All three are cosine-based: a temperature-scaled contrastive term over the
-cross-modal embeddings z, a negative-softplus alignment term over aligned
-modal feature pairs y, and a within-modality nearest-neighbor cosine term.
-The contrastive denominator sums only over the other tuples of the batch
-(the positive pair is excluded); a flag exposes the variant that includes it.
+cross-modal embeddings z, a negative-softplus alignment term that pulls each
+aligned pair of modal features y together, and a within-modality
+nearest-neighbor cosine term over each modality's y. The contrastive
+denominator sums only over the other tuples of the batch (the positive pair
+is excluded); a flag exposes the variant that includes it.
+
+Each loss is one fused autodiff node (``tensor.node``): the value is computed
+with NumPy and one closure returns the hand-derived gradients of both
+operands, skipping an operand that is not grad-enabled. With a batch of T
+rows and s a cosine similarity:
+
+- loss_mim: on the logits S = U_j U_k^T / tau of the row-normalised
+  batches, dL/dS = (P_row + P_col - 2I) / (2T), where P_row and P_col are the
+  row- and column-softmax over the denominator's entries; it is taken back
+  through S and through U = Z / |Z| row by row.
+- loss_mde: dL/ds_i = -sigmoid(s_i) / T, times the cosine gradient of pair i.
+- loss_msp: dL/ds_i = -1 / (2T), times the cosine gradient, whose neighbor
+  half is scatter-added onto the chosen neighbors.
+
+Each loss computes its operands' squared row norms once and rejects a
+(near-)zero-norm row with DegenerateInputError before anything else.
 """
 
 from dataclasses import dataclass
@@ -39,118 +56,141 @@ class LossBreakdown:
     total_node: T.Tensor = None  # differentiable scalar; None for detached evaluation
 
 
-def _check_rows_nondegenerate(y, name):
-    norms = np.linalg.norm(y.data, axis=1)
-    if np.any(norms <= T.NORM_EPS):
-        raise DegenerateInputError(f"{name}: zero-norm row in batch")
+def _operands(a, b, name, min_rows=1):
+    """Both operands as Tensors of one (T, D) shape, with their squared row norms."""
+    a = a if isinstance(a, T.Tensor) else T.Tensor(a)
+    b = b if isinstance(b, T.Tensor) else T.Tensor(b)
+    if a.data.shape != b.data.shape:
+        raise ContractError(f"{name}: batch shapes differ")
+    if a.data.shape[0] < min_rows:
+        raise ContractError(f"{name}: need batch size >= {min_rows}")
+    squares = []
+    for x in (a, b):
+        sq = np.sum(x.data * x.data, axis=1)
+        if np.any(np.sqrt(sq) <= T.NORM_EPS):
+            raise DegenerateInputError(f"{name}: zero-norm row in batch")
+        squares.append(sq)
+    return a, b, squares[0], squares[1]
 
 
-def _pair_similarity_matrix(z_src, z_tgt):
-    """T x T matrix of cosine similarities between rows of the two batches."""
-    return T.matmul(T.rows_l2_normalize(z_src), T.transpose(T.rows_l2_normalize(z_tgt)))
+def _cosine_grads(a, b, s, denom, saa, sbb):
+    """ds/da and ds/db of the row cosines s = <a, b> / sqrt(|a|^2 |b|^2)."""
+    return (b / denom[:, None] - s[:, None] * a / saa[:, None],
+            a / denom[:, None] - s[:, None] * b / sbb[:, None])
 
 
-def nt_xent_term(i, z_src, z_tgt, tau, include_positive_in_denominator=False):
-    """Contrastive term for anchor i of the source batch against the target batch.
-
-    -log( exp(S_ii / tau) / sum_{q != i} exp(S_iq / tau) ), via a stable
-    log-sum-exp. With the flag set, q = i is kept in the denominator
-    (the standard NT-Xent form).
-    """
-    z_src = z_src if isinstance(z_src, T.Tensor) else T.Tensor(z_src)
-    z_tgt = z_tgt if isinstance(z_tgt, T.Tensor) else T.Tensor(z_tgt)
-    n = z_src.data.shape[0]
-    if n < 2:
-        raise ContractError("nt_xent_term: need batch size >= 2")
-    if not 0 <= i < n:
-        raise ContractError(f"nt_xent_term: anchor index {i} out of range")
-    _check_rows_nondegenerate(z_src, "nt_xent_term")
-    _check_rows_nondegenerate(z_tgt, "nt_xent_term")
-    sims = T.scale(_pair_similarity_matrix(z_src, z_tgt), 1.0 / tau)
-    row = T.gather_rows(sims, [i])
-    mask = np.ones((1, n), dtype=bool)
-    if not include_positive_in_denominator:
-        mask[0, i] = False
-    lse = T.masked_row_logsumexp(row, mask)
-    pos = T.gather_rows(T.diag_part(sims), [i])
-    return T.tsum(T.sub(lse, pos))
+def _unit_rows_backward(grad_u, u, norms):
+    """Gradient through u = x / |x| row by row, given the gradient at u."""
+    return (grad_u - np.sum(grad_u * u, axis=1, keepdims=True) * u) / norms[:, None]
 
 
 def loss_mim(z_j, z_k, tau, include_positive_in_denominator=False):
-    """Symmetric contrastive loss over both retrieval directions, averaged over tuples."""
-    z_j = z_j if isinstance(z_j, T.Tensor) else T.Tensor(z_j)
-    z_k = z_k if isinstance(z_k, T.Tensor) else T.Tensor(z_k)
-    if z_j.data.shape != z_k.data.shape:
-        raise ContractError("loss_mim: batch shapes differ")
+    """Symmetric contrastive loss over both retrieval directions, averaged over tuples.
+
+    Per tuple i and direction j->k: -log(exp(S_ii) / sum_q exp(S_iq)) with
+    S = cos / tau, the sum over q != i unless the positive is included (the
+    NT-Xent form); k->j is the same on the columns of S.
+    """
+    z_j, z_k, sq_j, sq_k = _operands(z_j, z_k, "loss_mim", min_rows=2)
     n = z_j.data.shape[0]
-    if n < 2:
-        raise ContractError("loss_mim: need batch size >= 2")
-    _check_rows_nondegenerate(z_j, "loss_mim")
-    _check_rows_nondegenerate(z_k, "loss_mim")
-    sims = T.scale(_pair_similarity_matrix(z_j, z_k), 1.0 / tau)
-    mask = np.ones((n, n), dtype=bool)
+    norms_j, norms_k = np.sqrt(sq_j), np.sqrt(sq_k)
+    u_j = z_j.data / norms_j[:, None]
+    u_k = z_k.data / norms_k[:, None]
+    logits = (u_j @ u_k.T) * (1.0 / tau)
+    masked = logits
     if not include_positive_in_denominator:
-        np.fill_diagonal(mask, False)
-    # direction j->k reads rows of sims; k->j reads rows of its transpose
-    lse_jk = T.masked_row_logsumexp(sims, mask)
-    lse_kj = T.masked_row_logsumexp(T.transpose(sims), mask)
-    pos = T.tsum(T.diag_part(sims))
-    return T.scale(T.sub(T.add(T.tsum(lse_jk), T.tsum(lse_kj)), T.scale(pos, 2.0)),
-                   1.0 / (2 * n))
+        masked = logits.copy()
+        np.fill_diagonal(masked, -np.inf)
+    # direction j->k reads the rows of the logits; k->j reads the columns
+    row_max = masked.max(axis=1, keepdims=True)
+    exp_row = np.exp(masked - row_max)
+    row_sum = exp_row.sum(axis=1, keepdims=True)
+    col_max = masked.max(axis=0, keepdims=True)
+    exp_col = np.exp(masked - col_max)
+    col_sum = exp_col.sum(axis=0, keepdims=True)
+    lse = np.sum(row_max + np.log(row_sum)) + np.sum(col_max + np.log(col_sum))
+    value = (lse - 2.0 * np.trace(logits)) * (1.0 / (2 * n))
+
+    def backward(grad):
+        g_logits = exp_row / row_sum + exp_col / col_sum
+        g_logits.flat[::n + 1] -= 2.0  # the positives
+        g_logits *= float(grad) / (2 * n * tau)
+        return (_unit_rows_backward(g_logits @ u_k, u_j, norms_j) if z_j.grad_enabled else None,
+                _unit_rows_backward(g_logits.T @ u_j, u_k, norms_k) if z_k.grad_enabled else None)
+
+    return T.node(value, (z_j, z_k), backward)
 
 
 def loss_mde(y_j, y_k):
     """Negative mean softplus of aligned-pair cosine similarity.
 
     Bounded in [-ln(1+e), -ln(1+1/e)]; minimized when every aligned pair is
-    perfectly aligned (cosine 1).
+    perfectly aligned (cosine 1), so it pulls each pair together.
     """
-    y_j = y_j if isinstance(y_j, T.Tensor) else T.Tensor(y_j)
-    y_k = y_k if isinstance(y_k, T.Tensor) else T.Tensor(y_k)
-    if y_j.data.shape != y_k.data.shape:
-        raise ContractError("loss_mde: batch shapes differ")
-    _check_rows_nondegenerate(y_j, "loss_mde")
-    _check_rows_nondegenerate(y_k, "loss_mde")
+    y_j, y_k, saa, sbb = _operands(y_j, y_k, "loss_mde")
     n = y_j.data.shape[0]
-    s = T.rowwise_cosine(y_j, y_k)
-    return T.scale(T.div_scalar(T.tsum(T.softplus(s)), n), -1.0)
+    a, b = y_j.data, y_k.data
+    denom = np.sqrt(saa * sbb)
+    s = np.sum(a * b, axis=1) / denom
+    value = -(np.sum(np.logaddexp(0.0, s)) / n)
+
+    def backward(grad):
+        g_s = (-float(grad) / n) * (1.0 / (1.0 + np.exp(-s)))  # times sigmoid(s)
+        ga, gb = _cosine_grads(a, b, s, denom, saa, sbb)
+        return (g_s[:, None] * ga if y_j.grad_enabled else None,
+                g_s[:, None] * gb if y_k.grad_enabled else None)
+
+    return T.node(value, (y_j, y_k), backward)
 
 
-def _nearest_neighbor_indices(y_data):
+def _nearest_neighbor_indices(y_data, sq):
     """Index of each row's within-batch Euclidean nearest neighbor (self excluded).
 
-    Ties break to the lowest index via argmin. The selection is a constant of
-    the batch: no gradient flows through the choice itself.
+    sq holds the squared row norms. Ties break to the lowest index via
+    argmin. The selection is a constant of the batch: no gradient flows
+    through the choice itself.
     """
-    sq = np.sum(y_data * y_data, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (y_data @ y_data.T)
     np.fill_diagonal(d2, np.inf)
     return np.argmin(d2, axis=1)
 
 
+def _neighbor_cosines(y, sq):
+    """Cosine of each row to its nearest neighbor, and the closure for its gradient."""
+    idx = _nearest_neighbor_indices(y, sq)
+    nb, sq_nb = y[idx], sq[idx]
+    denom = np.sqrt(sq * sq_nb)
+    s = np.sum(y * nb, axis=1) / denom
+
+    def grad(g_s):
+        g_row, g_nb = _cosine_grads(y, nb, s, denom, sq, sq_nb)
+        out = g_s * g_row
+        np.add.at(out, idx, g_s * g_nb)
+        return out
+
+    return s, grad
+
+
 def loss_msp(y_j, y_k):
     """Negative mean cosine similarity of each row to its nearest within-modality neighbor."""
-    y_j = y_j if isinstance(y_j, T.Tensor) else T.Tensor(y_j)
-    y_k = y_k if isinstance(y_k, T.Tensor) else T.Tensor(y_k)
-    if y_j.data.shape != y_k.data.shape:
-        raise ContractError("loss_msp: batch shapes differ")
+    y_j, y_k, sq_j, sq_k = _operands(y_j, y_k, "loss_msp", min_rows=2)
     n = y_j.data.shape[0]
-    if n < 2:
-        raise ContractError("loss_msp: need batch size >= 2")
-    _check_rows_nondegenerate(y_j, "loss_msp")
-    _check_rows_nondegenerate(y_k, "loss_msp")
-    total = None
-    for y in (y_j, y_k):
-        idx = _nearest_neighbor_indices(y.data)
-        s = T.rowwise_cosine(y, T.gather_rows(y, idx))
-        part = T.tsum(s)
-        total = part if total is None else T.add(total, part)
-    return T.scale(T.div_scalar(total, 2 * n), -1.0)
+    s_j, grad_j = _neighbor_cosines(y_j.data, sq_j)
+    s_k, grad_k = _neighbor_cosines(y_k.data, sq_k)
+    value = -((np.sum(s_j) + np.sum(s_k)) / (2 * n))
+
+    def backward(grad):
+        g_s = -float(grad) / (2 * n)
+        return (grad_j(g_s) if y_j.grad_enabled else None,
+                grad_k(g_s) if y_k.grad_enabled else None)
+
+    return T.node(value, (y_j, y_k), backward)
 
 
 def msp_neighbor_indices(y_data):
     """Expose the neighbor selection for oracle tests."""
-    return _nearest_neighbor_indices(np.asarray(y_data, dtype=np.float64))
+    y_data = np.asarray(y_data, dtype=np.float64)
+    return _nearest_neighbor_indices(y_data, np.sum(y_data * y_data, axis=1))
 
 
 def combined_loss(z_j, z_k, y_j, y_k, weights: LossWeights,

@@ -5,22 +5,27 @@ operation keeps references to its parents and a closure that propagates the
 upstream gradient to them. ``backward`` walks the graph in reverse
 topological order, so every node is visited exactly once and fan-out is
 accumulated by summation.
+
+Only grad-enabled tensors take part in the reverse pass. ``backward`` never
+visits a constant parent, and a closure may return None in a constant
+operand's slot: ``matmul`` does, so a backbone's first layer forms no
+``grad @ W.T`` for the raw feature batch it multiplies.
+
+The primitives here are the ones the model needs. A computation with a
+hand-derived backward, such as each training loss in ``losses``, is one
+``node``: its value is computed with NumPy and one closure returns the
+gradients of all its operands.
 """
 
 import itertools
-import warnings
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, DomainError, ShapeMismatchError
+from .errors import ContractError, ShapeMismatchError
 
 NORM_EPS = 1e-12
 
 _node_counter = itertools.count()
-
-
-class DegenerateVectorWarning(UserWarning):
-    """Raised when l2_normalize receives a (near-)zero vector."""
 
 
 class Tensor:
@@ -51,12 +56,8 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _tracked(*tensors):
-    return any(t.grad_enabled for t in tensors)
-
-
 def _make(data, parents, backward_fn):
-    if _tracked(*parents):
+    if any(p.grad_enabled for p in parents):
         return Tensor(data, grad_enabled=True, _parents=tuple(parents), _backward=backward_fn)
     return Tensor(data)
 
@@ -65,8 +66,18 @@ def _make(data, parents, backward_fn):
 # primitives
 # ---------------------------------------------------------------------------
 
+def node(data, parents, backward_fn):
+    """One graph node whose value was computed outside this module.
+
+    ``parents`` are Tensors; ``backward_fn(grad)`` returns one gradient per
+    parent, in order, and may return None for a parent that is not
+    grad-enabled.
+    """
+    return _make(data, parents, backward_fn)
+
+
 def matmul(a, b):
-    """Matrix product with recorded gradients."""
+    """Matrix product with recorded gradients (none formed for a constant operand)."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatchError(
@@ -74,42 +85,18 @@ def matmul(a, b):
     out_data = a.data @ b.data
 
     def backward(grad):
-        return grad @ b.data.T, a.data.T @ grad
+        return (grad @ b.data.T if a.grad_enabled else None,
+                a.data.T @ grad if b.grad_enabled else None)
 
     return _make(out_data, (a, b), backward)
 
 
-def transpose(a):
-    a = _as_tensor(a)
-
-    def backward(grad):
-        return (grad.T,)
-
-    return _make(a.data.T, (a,), backward)
-
-
-def _require_same_shape(a, b, op):
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatchError(
-            f"{op}: operand shapes {a.data.shape} != {b.data.shape}")
-
-
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape(a, b, "add")
+    if a.data.shape != b.data.shape:
+        raise ShapeMismatchError(
+            f"add: operand shapes {a.data.shape} != {b.data.shape}")
     return _make(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape(a, b, "sub")
-    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape(a, b, "mul")
-    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def scale(a, c):
@@ -131,85 +118,10 @@ def relu(a):
     return _make(np.where(pos, a.data, 0.0), (a,), lambda g: (g * pos,))
 
 
-def softplus(a):
-    """log(1 + e^x), computed stably."""
-    a = _as_tensor(a)
-    out = np.logaddexp(0.0, a.data)
-
-    def backward(grad):
-        sig = 1.0 / (1.0 + np.exp(-a.data))
-        return (grad * sig,)
-
-    return _make(out, (a,), backward)
-
-
-def exp(a):
-    a = _as_tensor(a)
-    e = np.exp(a.data)
-    return _make(e, (a,), lambda g: (g * e,))
-
-
-def log(a):
-    a = _as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: non-positive input")
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "scale": scale,
-                "tanh": tanh, "relu": relu, "softplus": softplus,
-                "exp": exp, "log": log}
-
-
-def elementwise(op_kind, *args):
-    """Dispatch an elementwise primitive by name."""
-    try:
-        fn = _ELEMENTWISE[op_kind]
-    except KeyError:
-        raise ContractError(f"unknown elementwise op {op_kind!r}") from None
-    return fn(*args)
-
-
 def tsum(a):
     """Sum of all elements, as a scalar tensor."""
     a = _as_tensor(a)
     return _make(np.sum(a.data), (a,), lambda g: (np.full(a.data.shape, float(g)),))
-
-
-def dot(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeMismatchError(
-            f"dot: need equal-length vectors, got {a.data.shape} and {b.data.shape}")
-    return _make(a.data @ b.data, (a, b), lambda g: (float(g) * b.data, float(g) * a.data))
-
-
-def diag_part(a):
-    """Diagonal of a square matrix as a vector."""
-    a = _as_tensor(a)
-    n = a.data.shape[0]
-    if a.data.ndim != 2 or a.data.shape[1] != n:
-        raise ShapeMismatchError(f"diag_part: need square matrix, got {a.data.shape}")
-
-    def backward(grad):
-        out = np.zeros_like(a.data)
-        np.fill_diagonal(out, grad)
-        return (out,)
-
-    return _make(np.diagonal(a.data).copy(), (a,), backward)
-
-
-def gather_rows(a, indices):
-    """Select rows by index; the gradient scatter-adds back."""
-    a = _as_tensor(a)
-    indices = np.asarray(indices, dtype=np.intp)
-
-    def backward(grad):
-        out = np.zeros_like(a.data)
-        np.add.at(out, indices, grad)
-        return (out,)
-
-    return _make(a.data[indices], (a,), backward)
 
 
 def add_rowvec(a, b):
@@ -221,145 +133,6 @@ def add_rowvec(a, b):
     return _make(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0)))
 
 
-def l2_normalize(v):
-    """Scale a vector to unit norm; near-zero vectors pass through with a warning.
-
-    Vectors already within rounding of unit norm are returned unchanged, which
-    makes normalization bit-exactly idempotent.
-    """
-    v = _as_tensor(v)
-    if v.data.ndim != 1:
-        raise ShapeMismatchError(f"l2_normalize: need a vector, got {v.data.shape}")
-    n = float(np.linalg.norm(v.data))
-    if n <= NORM_EPS:
-        warnings.warn("l2_normalize: degenerate (near-zero) vector left unchanged",
-                      DegenerateVectorWarning, stacklevel=2)
-        return _make(v.data.copy(), (v,), lambda g: (g,))
-    u = v.data.copy() if abs(n - 1.0) < 1e-13 else v.data / n
-
-    def backward(grad):
-        return ((grad - (grad @ u) * u) / n,)
-
-    return _make(u, (v,), backward)
-
-
-def rows_l2_normalize(a):
-    """Normalize each row of a matrix to unit norm (degenerate rows pass through)."""
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeMismatchError(f"rows_l2_normalize: need a matrix, got {a.data.shape}")
-    norms = np.linalg.norm(a.data, axis=1)
-    safe = np.where(norms > NORM_EPS, norms, 1.0)
-    u = a.data / safe[:, None]
-
-    def backward(grad):
-        proj = np.sum(grad * u, axis=1)
-        out = (grad - proj[:, None] * u) / safe[:, None]
-        degenerate = norms <= NORM_EPS
-        if np.any(degenerate):
-            out[degenerate] = grad[degenerate]
-        return (out,)
-
-    return _make(u, (a,), backward)
-
-
-def div_scalar(a, c):
-    """Divide by a python scalar constant (exactly rounded, unlike scale(a, 1/c))."""
-    a = _as_tensor(a)
-    c = float(c)
-    if c == 0.0:
-        raise DomainError("div_scalar: division by zero")
-    return _make(a.data / c, (a,), lambda g: (g / c,))
-
-
-def rowwise_cosine(a, b):
-    """Cosine similarity of matching rows of two equal-shape matrices.
-
-    Uses dot / sqrt(|a|^2 |b|^2), which evaluates to exactly 1.0 for
-    bit-identical rows in IEEE double precision.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape(a, b, "rowwise_cosine")
-    d = np.sum(a.data * b.data, axis=1)
-    saa = np.sum(a.data * a.data, axis=1)
-    sbb = np.sum(b.data * b.data, axis=1)
-    if np.any(saa <= NORM_EPS ** 2) or np.any(sbb <= NORM_EPS ** 2):
-        raise DegenerateInputError("rowwise_cosine: zero-norm row")
-    denom = np.sqrt(saa * sbb)
-    out = d / denom
-
-    def backward(grad):
-        ga = (b.data / denom[:, None] - out[:, None] * a.data / saa[:, None])
-        gb = (a.data / denom[:, None] - out[:, None] * b.data / sbb[:, None])
-        return grad[:, None] * ga, grad[:, None] * gb
-
-    return _make(out, (a, b), backward)
-
-
-def rowwise_dot(a, b):
-    """Dot product of matching rows of two equal-shape matrices, as a vector."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape(a, b, "rowwise_dot")
-    out = np.sum(a.data * b.data, axis=1)
-    return _make(out, (a, b),
-                 lambda g: (g[:, None] * b.data, g[:, None] * a.data))
-
-
-def masked_row_logsumexp(a, mask):
-    """Per-row log-sum-exp over entries where mask is True, numerically stable.
-
-    mask is a constant boolean array of the same shape; every row must keep at
-    least one entry.
-    """
-    a = _as_tensor(a)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.data.shape:
-        raise ShapeMismatchError("masked_row_logsumexp: mask shape mismatch")
-    if not mask.any(axis=1).all():
-        raise ContractError("masked_row_logsumexp: row with no unmasked entries")
-    neg_inf = np.where(mask, a.data, -np.inf)
-    row_max = neg_inf.max(axis=1)
-    shifted = np.where(mask, np.exp(a.data - row_max[:, None]), 0.0)
-    sums = shifted.sum(axis=1)
-    out = row_max + np.log(sums)
-
-    def backward(grad):
-        softmax = shifted / sums[:, None]
-        return (grad[:, None] * softmax,)
-
-    return _make(out, (a,), backward)
-
-
-def cosine_similarity(u, v):
-    """Cosine of the angle between two vectors; rejects near-zero inputs."""
-    u, v = _as_tensor(u), _as_tensor(v)
-    if u.data.shape != v.data.shape or u.data.ndim != 1:
-        raise ShapeMismatchError(
-            f"cosine_similarity: need equal-length vectors, got {u.data.shape} and {v.data.shape}")
-    if np.linalg.norm(u.data) <= NORM_EPS or np.linalg.norm(v.data) <= NORM_EPS:
-        raise DegenerateInputError("cosine_similarity: zero-norm input")
-    return dot(l2_normalize(u), l2_normalize(v))
-
-
-def euclidean_distance(u, v):
-    """Euclidean distance between two vectors (subgradient 0 at coincidence)."""
-    u, v = _as_tensor(u), _as_tensor(v)
-    if u.data.shape != v.data.shape or u.data.ndim != 1:
-        raise ShapeMismatchError(
-            f"euclidean_distance: need equal-length vectors, got {u.data.shape} and {v.data.shape}")
-    diff = u.data - v.data
-    d = float(np.linalg.norm(diff))
-
-    def backward(grad):
-        if d == 0.0:
-            z = np.zeros_like(diff)
-            return z, z.copy()
-        g = float(grad) * diff / d
-        return g, -g
-
-    return _make(d, (u, v), backward)
-
-
 # ---------------------------------------------------------------------------
 # reverse pass
 # ---------------------------------------------------------------------------
@@ -367,8 +140,9 @@ def euclidean_distance(u, v):
 def backward(loss):
     """Backpropagate from a scalar tensor.
 
-    Sets ``.grad`` on every tensor reached and returns a map
-    node_id -> gradient array for every grad_enabled leaf.
+    Sets ``.grad`` on every grad-enabled tensor reached (and on ``loss``) and
+    returns a map node_id -> gradient array for every grad_enabled leaf.
+    Constant tensors are neither visited nor given a gradient.
     """
     if not isinstance(loss, Tensor) or loss.data.ndim != 0:
         raise ContractError("backward: loss must be a scalar Tensor")
@@ -386,7 +160,7 @@ def backward(loss):
         seen.add(node.node_id)
         stack.append((node, True))
         for p in node._parents:
-            if p.node_id not in seen:
+            if p.grad_enabled and p.node_id not in seen:
                 stack.append((p, False))
 
     grads = {loss.node_id: np.array(1.0)}
@@ -395,6 +169,8 @@ def backward(loss):
         if g is None or node._backward is None:
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
+            if not parent.grad_enabled:
+                continue
             if parent.node_id in grads:
                 grads[parent.node_id] = grads[parent.node_id] + pg
             else:

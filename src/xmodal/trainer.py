@@ -190,6 +190,10 @@ def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig
         if ckpt_config.to_dict() != model_config.to_dict():
             raise CheckpointError("checkpoint model config differs from requested config")
         start_epoch = completed + 1
+        if start_epoch >= train_config.epochs:
+            raise ContractError(
+                f"{resume_from}: checkpoint already completed the {train_config.epochs} "
+                f"requested epochs (its last epoch is {completed})")
     else:
         params = init_params(model_config)
         adam_state = AdamState(params)
@@ -288,15 +292,23 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
     off += header_len
-    config = ModelConfig.from_dict(header["model_config"])
+    try:
+        config = ModelConfig.from_dict(header["model_config"])
+        completed, step = int(header["epoch"]), int(header["adam_step"])
+        manifest = [(e["name"], e["kind"], [int(d) for d in e["shape"]])
+                    for e in header["tensors"]]
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: header lacks {exc.args[0]}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {exc}") from None
     arrays = []
-    for entry in header["tensors"]:
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+    for name, _, shape in manifest:
+        count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if len(blob) < off + nbytes:
-            raise CheckpointError(f"{path}: truncated tensor data at {entry['name']}")
+            raise CheckpointError(f"{path}: truncated tensor data at {name}")
         arrays.append(np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-                      .reshape(entry["shape"]).astype(np.float64))
+                      .reshape(shape).astype(np.float64))
         off += nbytes
     if off != len(blob):
         raise CheckpointError(f"{path}: trailing bytes")
@@ -305,9 +317,8 @@ def load_checkpoint(path):
     expected = {name for name, _ in params.named_tensors()}
     tensors = dict(params.named_tensors())
     adam_state = AdamState(params)
-    adam_state.step = int(header["adam_step"])
-    for entry, arr in zip(header["tensors"], arrays):
-        name, kind = entry["name"], entry["kind"]
+    adam_state.step = step
+    for (name, kind, _), arr in zip(manifest, arrays):
         if name not in expected:
             raise CheckpointError(f"{path}: unknown tensor {name}")
         if kind == "param":
@@ -320,4 +331,4 @@ def load_checkpoint(path):
             adam_state.v[name] = arr
         else:
             raise CheckpointError(f"{path}: unknown tensor kind {kind}")
-    return params, adam_state, int(header["epoch"]), config
+    return params, adam_state, completed, config

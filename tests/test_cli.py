@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -150,6 +151,57 @@ class TestEvaluateCommand:
         assert code == 1
         assert err == [f"error: {message}"]
         assert not (tmp_path / "m.csv").exists()
+
+
+class TestBadInputOneLine:
+    """Malformed inputs exit with their documented code and one stderr line."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    def test_split_not_numeric(self, trained, tmp_path, command):
+        dataset, ckpt = trained
+        args = (["evaluate", "--checkpoint", str(ckpt), "--out", str(tmp_path / "m.csv")]
+                if command == "evaluate" else ["train", "--out-dir", str(tmp_path / "run2")])
+        code, err = run_process([*args, "--dataset", str(dataset), "--split", "0.5,abc"])
+        assert code == 1
+        assert err == ["error: --split expects comma-separated fractions, got '0.5,abc'"]
+        assert not (tmp_path / "m.csv").exists() and not (tmp_path / "run2").exists()
+
+    def test_dataset_header_not_integer(self, dataset_file, tmp_path):
+        bad = tmp_path / "bad.txt"
+        lines = dataset_file.read_text().splitlines(keepends=True)
+        bad.write_text(lines[0].replace("N=2", "N=abc") + "".join(lines[1:]))
+        code, err = run_process(["train", "--dataset", str(bad),
+                                 "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert err == ["error: line 1: header field 'N=abc' is not key=integer"]
+
+    @pytest.mark.parametrize("key", ["adam_step", "tensors"])
+    def test_checkpoint_header_missing_key(self, trained, tmp_path, key):
+        dataset, ckpt = trained
+        blob = ckpt.read_bytes()
+        off = len(b"XMSSL1")
+        version, header_len = struct.unpack_from("<II", blob, off)
+        header = json.loads(blob[off + 8:off + 8 + header_len])
+        del header[key]
+        raw = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:off] + struct.pack("<II", version, len(raw)) + raw
+                        + blob[off + 8 + header_len:])
+        code, err = run_process(["evaluate", "--checkpoint", str(bad), "--dataset",
+                                 str(dataset), "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert err == [f"error: {bad}: header lacks {key}"]
+
+    def test_resume_from_finished_run(self, trained, tmp_path):
+        dataset, ckpt = trained
+        out = tmp_path / "resumed"
+        code, err = run_process(["train", "--dataset", str(dataset), "--out-dir", str(out),
+                                 "--epochs", "1", "--batch-size", "16",
+                                 "--resume-from", str(ckpt)])
+        assert code == 1
+        assert err == [f"error: {ckpt}: checkpoint already completed the 1 requested "
+                       "epochs (its last epoch is 0)"]
+        assert not (out / "train_report.csv").exists()
 
 
 class TestRetrieveCommand:

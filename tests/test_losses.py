@@ -8,8 +8,7 @@ import pytest
 from xmodal import tensor as T
 from xmodal.errors import ContractError, DegenerateInputError
 from xmodal.losses import (LossBreakdown, LossWeights, combined_loss, loss_mde,
-                           loss_mim, loss_msp, msp_neighbor_indices, nt_xent_term,
-                           schedule_weight)
+                           loss_mim, loss_msp, msp_neighbor_indices, schedule_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -59,40 +58,12 @@ def naive_msp(y_j, y_k):
     return -total / (2 * n)
 
 
-class TestNtXentTerm:
-    def test_all_identical_closed_form(self):
-        z = np.tile(np.random.default_rng(0).normal(size=6), (9, 1))
-        val = nt_xent_term(0, T.Tensor(z), T.Tensor(z), 0.2).item()
-        assert val == pytest.approx(math.log(8), abs=1e-9)
-
-    def test_t2_closed_form(self):
-        rng = np.random.default_rng(1)
-        z_src, z_tgt = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
-        tau = 0.2
-        expected = (cos(z_src[0], z_tgt[1]) - cos(z_src[0], z_tgt[0])) / tau
-        assert nt_xent_term(0, T.Tensor(z_src), T.Tensor(z_tgt), tau).item() == \
-            pytest.approx(expected, abs=1e-10)
-
-    def test_matches_naive_t8(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            z_src, z_tgt = rng.normal(size=(8, 6)), rng.normal(size=(8, 6))
-            for i in range(8):
-                stable = nt_xent_term(i, T.Tensor(z_src), T.Tensor(z_tgt), 0.2).item()
-                assert stable == pytest.approx(naive_nt_xent(i, z_src, z_tgt, 0.2),
-                                               abs=1e-10)
-
-    def test_include_positive_variant(self):
-        rng = np.random.default_rng(3)
-        z_src, z_tgt = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-        got = nt_xent_term(1, T.Tensor(z_src), T.Tensor(z_tgt), 0.2,
-                           include_positive_in_denominator=True).item()
-        assert got == pytest.approx(
-            naive_nt_xent(1, z_src, z_tgt, 0.2, include_positive=True), abs=1e-10)
-
-    def test_t1_rejected(self):
-        with pytest.raises(ContractError):
-            nt_xent_term(0, T.Tensor(np.ones((1, 4))), T.Tensor(np.ones((1, 4))), 0.2)
+def assert_gradients_match(f, a0, b0, tol=1e-4):
+    """Analytic gradients of f(a, b) for both operands against finite differences."""
+    a, b = T.Tensor(a0, grad_enabled=True), T.Tensor(b0, grad_enabled=True)
+    T.backward(f(a, b))
+    assert T.rel_error(a.grad, T.finite_diff_grad(lambda x: f(x, T.Tensor(b0)), a0).data) < tol
+    assert T.rel_error(b.grad, T.finite_diff_grad(lambda x: f(T.Tensor(a0), x), b0).data) < tol
 
 
 class TestLossMim:
@@ -141,6 +112,74 @@ class TestLossMim:
         T.backward(f(x))
         assert T.rel_error(x.grad, T.finite_diff_grad(f, z_j).data) < 1e-4
 
+    def test_t2_closed_form(self):
+        # each anchor's denominator holds only the other tuple:
+        # loss = (S_01 + S_10 - S_00 - S_11) / 2 with S = cos / tau
+        rng = np.random.default_rng(1)
+        z_j, z_k = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
+        tau = 0.2
+        expected = (cos(z_j[0], z_k[1]) + cos(z_j[1], z_k[0])
+                    - cos(z_j[0], z_k[0]) - cos(z_j[1], z_k[1])) / (2 * tau)
+        assert loss_mim(T.Tensor(z_j), T.Tensor(z_k), tau).item() == \
+            pytest.approx(expected, abs=1e-10)
+
+    def test_matches_naive_t8(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            z_j, z_k = rng.normal(size=(8, 6)), rng.normal(size=(8, 6))
+            assert loss_mim(T.Tensor(z_j), T.Tensor(z_k), 0.2).item() == \
+                pytest.approx(naive_mim(z_j, z_k, 0.2), abs=1e-10)
+
+    def test_include_positive_variant(self):
+        rng = np.random.default_rng(3)
+        z_j, z_k = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+        expected = sum(naive_nt_xent(i, z_j, z_k, 0.2, include_positive=True)
+                       + naive_nt_xent(i, z_k, z_j, 0.2, include_positive=True)
+                       for i in range(4)) / 8
+        got = loss_mim(T.Tensor(z_j), T.Tensor(z_k), 0.2,
+                       include_positive_in_denominator=True).item()
+        assert got == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("include_positive", [False, True])
+    def test_small_tau_stable(self, include_positive):
+        # logits up to 1/tau = 1000 overflow exp(); the log-sum-exp must not
+        rng = np.random.default_rng(34)
+        z_j, z_k = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+        tau = 1e-3
+        u_j = z_j / np.linalg.norm(z_j, axis=1, keepdims=True)
+        u_k = z_k / np.linalg.norm(z_k, axis=1, keepdims=True)
+        s = u_j @ u_k.T / tau
+        total = 0.0
+        for logits in (s, s.T):
+            for i in range(6):
+                others = [logits[i, q] for q in range(6) if include_positive or q != i]
+                total += np.logaddexp.reduce(others) - logits[i, i]
+        got = loss_mim(T.Tensor(z_j), T.Tensor(z_k), tau,
+                       include_positive_in_denominator=include_positive).item()
+        assert np.isfinite(got)
+        assert got == pytest.approx(total / 12, rel=1e-12)
+
+    def test_t1_rejected(self):
+        with pytest.raises(ContractError):
+            loss_mim(T.Tensor(np.ones((1, 4))), T.Tensor(np.ones((1, 4))), 0.2)
+
+    @pytest.mark.parametrize("operand", [0, 1])
+    def test_zero_norm_row_rejected(self, operand):
+        ok, bad = np.ones((3, 4)), np.ones((3, 4))
+        bad[2] = 0.0
+        args = (ok, bad) if operand else (bad, ok)
+        with pytest.raises(DegenerateInputError, match="loss_mim: zero-norm row"):
+            loss_mim(T.Tensor(args[0]), T.Tensor(args[1]), 0.2)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("include_positive", [False, True])
+    def test_gradient_both_operands(self, n, include_positive):
+        rng = np.random.default_rng(35 + n)
+        z_j, z_k = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
+        assert_gradients_match(
+            lambda a, b: loss_mim(a, b, 0.2, include_positive_in_denominator=include_positive),
+            z_j, z_k)
+
 
 class TestLossMde:
     def test_identical_rows_lower_bound(self):
@@ -185,6 +224,19 @@ class TestLossMde:
         x = T.Tensor(y_j, grad_enabled=True)
         T.backward(f(x))
         assert T.rel_error(x.grad, T.finite_diff_grad(f, y_j).data) < 1e-4
+
+    def test_gradient_is_sigmoid_times_cosine_gradient(self):
+        # one orthogonal unit pair: s = 0, ds/dy_j = y_k, so dL/dy_j = -sigmoid(0) y_k
+        y_j, y_k = T.Tensor([[1.0, 0.0]], grad_enabled=True), T.Tensor([[0.0, 1.0]], grad_enabled=True)
+        T.backward(loss_mde(y_j, y_k))
+        np.testing.assert_allclose(y_j.grad, [[0.0, -0.5]], atol=1e-15)
+        np.testing.assert_allclose(y_k.grad, [[-0.5, 0.0]], atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_gradient_both_operands(self, n):
+        rng = np.random.default_rng(40 + n)
+        y_j, y_k = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
+        assert_gradients_match(loss_mde, y_j, y_k)
 
 
 class TestLossMsp:
@@ -232,6 +284,27 @@ class TestLossMsp:
         x = T.Tensor(y_j, grad_enabled=True)
         T.backward(f(x))
         assert T.rel_error(x.grad, T.finite_diff_grad(f, y_j).data) < 1e-4
+
+    @pytest.mark.parametrize("operand", [0, 1])
+    def test_zero_norm_row_rejected(self, operand):
+        ok, bad = np.eye(3), np.eye(3)
+        bad[1] = 0.0
+        args = (ok, bad) if operand else (bad, ok)
+        with pytest.raises(DegenerateInputError, match="loss_msp: zero-norm row"):
+            loss_msp(T.Tensor(args[0]), T.Tensor(args[1]))
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_gradient_both_operands(self, n):
+        rng = np.random.default_rng(50 + n)
+        y_j, y_k = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
+        assert_gradients_match(loss_msp, y_j, y_k)
+
+    def test_shared_neighbor_gradient_scatter_adds(self):
+        # rows 0 and 2 both pick row 1, so row 1 collects two neighbor terms
+        y = np.array([[1.0, 0.1, 0.0], [1.0, 0.0, 0.2], [1.1, -0.1, 0.3], [-1.0, 0.5, 0.0]])
+        y_k = np.random.default_rng(52).normal(size=(4, 3))
+        np.testing.assert_array_equal(msp_neighbor_indices(y), [1, 2, 1, 0])
+        assert_gradients_match(loss_msp, y, y_k)
 
 
 class TestCombinedLoss:
