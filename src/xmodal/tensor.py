@@ -11,21 +11,28 @@ visits a constant parent, and a closure may return None in a constant
 operand's slot: ``matmul`` does, so a backbone's first layer forms no
 ``grad @ W.T`` for the raw feature batch it multiplies.
 
-The primitives here are the ones the model needs. A computation with a
-hand-derived backward, such as each training loss in ``losses``, is one
-``node``: its value is computed with NumPy and one closure returns the
-gradients of all its operands.
+A computation with a hand-derived backward, such as each training loss in
+``losses``, is one ``node``: its value is computed with NumPy and one closure
+returns the gradients of all its operands. The model itself uses ``matmul``,
+``add_rowvec``, ``tanh``, ``relu``, ``add`` and ``scale``; the other
+elementwise and vector primitives are general building blocks, each tested
+against finite differences.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 
-from .errors import ContractError, ShapeMismatchError
+from .errors import ContractError, DegenerateInputError, DomainError, ShapeMismatchError
 
 NORM_EPS = 1e-12
 
 _node_counter = itertools.count()
+
+
+class DegenerateVectorWarning(UserWarning):
+    """Raised when l2_normalize receives a (near-)zero vector."""
 
 
 class Tensor:
@@ -91,12 +98,28 @@ def matmul(a, b):
     return _make(out_data, (a, b), backward)
 
 
-def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+def _require_same_shape(a, b, op):
     if a.data.shape != b.data.shape:
         raise ShapeMismatchError(
-            f"add: operand shapes {a.data.shape} != {b.data.shape}")
+            f"{op}: operand shapes {a.data.shape} != {b.data.shape}")
+
+
+def add(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    _require_same_shape(a, b, "add")
     return _make(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def sub(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    _require_same_shape(a, b, "sub")
+    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
+
+
+def mul(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    _require_same_shape(a, b, "mul")
+    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def scale(a, c):
@@ -118,10 +141,57 @@ def relu(a):
     return _make(np.where(pos, a.data, 0.0), (a,), lambda g: (g * pos,))
 
 
+def softplus(a):
+    """log(1 + e^x), computed stably."""
+    a = _as_tensor(a)
+    out = np.logaddexp(0.0, a.data)
+
+    def backward(grad):
+        sig = 1.0 / (1.0 + np.exp(-a.data))
+        return (grad * sig,)
+
+    return _make(out, (a,), backward)
+
+
+def exp(a):
+    a = _as_tensor(a)
+    e = np.exp(a.data)
+    return _make(e, (a,), lambda g: (g * e,))
+
+
+def log(a):
+    a = _as_tensor(a)
+    if np.any(a.data <= 0.0):
+        raise DomainError("log: non-positive input")
+    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "scale": scale,
+                "tanh": tanh, "relu": relu, "softplus": softplus,
+                "exp": exp, "log": log}
+
+
+def elementwise(op_kind, *args):
+    """Dispatch an elementwise primitive by name."""
+    try:
+        fn = _ELEMENTWISE[op_kind]
+    except KeyError:
+        raise ContractError(f"unknown elementwise op {op_kind!r}") from None
+    return fn(*args)
+
+
 def tsum(a):
     """Sum of all elements, as a scalar tensor."""
     a = _as_tensor(a)
     return _make(np.sum(a.data), (a,), lambda g: (np.full(a.data.shape, float(g)),))
+
+
+def dot(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
+        raise ShapeMismatchError(
+            f"dot: need equal-length vectors, got {a.data.shape} and {b.data.shape}")
+    return _make(a.data @ b.data, (a, b), lambda g: (float(g) * b.data, float(g) * a.data))
 
 
 def add_rowvec(a, b):
@@ -131,6 +201,39 @@ def add_rowvec(a, b):
         raise ShapeMismatchError(
             f"add_rowvec: shapes {a.data.shape} and {b.data.shape}")
     return _make(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0)))
+
+
+def l2_normalize(v):
+    """Scale a vector to unit norm; near-zero vectors pass through with a warning.
+
+    Vectors already within rounding of unit norm are returned unchanged, which
+    makes normalization bit-exactly idempotent.
+    """
+    v = _as_tensor(v)
+    if v.data.ndim != 1:
+        raise ShapeMismatchError(f"l2_normalize: need a vector, got {v.data.shape}")
+    n = float(np.linalg.norm(v.data))
+    if n <= NORM_EPS:
+        warnings.warn("l2_normalize: degenerate (near-zero) vector left unchanged",
+                      DegenerateVectorWarning, stacklevel=2)
+        return _make(v.data.copy(), (v,), lambda g: (g,))
+    u = v.data.copy() if abs(n - 1.0) < 1e-13 else v.data / n
+
+    def backward(grad):
+        return ((grad - (grad @ u) * u) / n,)
+
+    return _make(u, (v,), backward)
+
+
+def cosine_similarity(u, v):
+    """Cosine of the angle between two vectors; rejects near-zero inputs."""
+    u, v = _as_tensor(u), _as_tensor(v)
+    if u.data.shape != v.data.shape or u.data.ndim != 1:
+        raise ShapeMismatchError(
+            f"cosine_similarity: need equal-length vectors, got {u.data.shape} and {v.data.shape}")
+    if np.linalg.norm(u.data) <= NORM_EPS or np.linalg.norm(v.data) <= NORM_EPS:
+        raise DegenerateInputError("cosine_similarity: zero-norm input")
+    return dot(l2_normalize(u), l2_normalize(v))
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,47 @@ def assert_gradients_match(f, a0, b0, tol=1e-4):
     assert T.rel_error(b.grad, T.finite_diff_grad(lambda x: f(T.Tensor(a0), x), b0).data) < tol
 
 
+class TestNtXentTerm:
+    """The NT-Xent term of each anchor, checked through loss_mim, which fuses both directions."""
+
+    def test_all_identical_closed_form(self):
+        z = np.tile(np.random.default_rng(0).normal(size=6), (9, 1))
+        val = loss_mim(T.Tensor(z), T.Tensor(z), 0.2).item()
+        assert val == pytest.approx(math.log(8), abs=1e-9)
+
+    def test_t2_closed_form(self):
+        # each anchor's denominator holds only the other tuple:
+        # loss = (S_01 + S_10 - S_00 - S_11) / 2 with S = cos / tau
+        rng = np.random.default_rng(1)
+        z_j, z_k = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
+        tau = 0.2
+        expected = (cos(z_j[0], z_k[1]) + cos(z_j[1], z_k[0])
+                    - cos(z_j[0], z_k[0]) - cos(z_j[1], z_k[1])) / (2 * tau)
+        assert loss_mim(T.Tensor(z_j), T.Tensor(z_k), tau).item() == \
+            pytest.approx(expected, abs=1e-10)
+
+    def test_matches_naive_t8(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            z_j, z_k = rng.normal(size=(8, 6)), rng.normal(size=(8, 6))
+            assert loss_mim(T.Tensor(z_j), T.Tensor(z_k), 0.2).item() == \
+                pytest.approx(naive_mim(z_j, z_k, 0.2), abs=1e-10)
+
+    def test_include_positive_variant(self):
+        rng = np.random.default_rng(3)
+        z_j, z_k = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+        expected = sum(naive_nt_xent(i, z_j, z_k, 0.2, include_positive=True)
+                       + naive_nt_xent(i, z_k, z_j, 0.2, include_positive=True)
+                       for i in range(4)) / 8
+        got = loss_mim(T.Tensor(z_j), T.Tensor(z_k), 0.2,
+                       include_positive_in_denominator=True).item()
+        assert got == pytest.approx(expected, abs=1e-10)
+
+    def test_t1_rejected(self):
+        with pytest.raises(ContractError):
+            loss_mim(T.Tensor(np.ones((1, 4))), T.Tensor(np.ones((1, 4))), 0.2)
+
+
 class TestLossMim:
     def test_symmetric_in_modalities(self):
         rng = np.random.default_rng(4)
@@ -112,34 +153,6 @@ class TestLossMim:
         T.backward(f(x))
         assert T.rel_error(x.grad, T.finite_diff_grad(f, z_j).data) < 1e-4
 
-    def test_t2_closed_form(self):
-        # each anchor's denominator holds only the other tuple:
-        # loss = (S_01 + S_10 - S_00 - S_11) / 2 with S = cos / tau
-        rng = np.random.default_rng(1)
-        z_j, z_k = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
-        tau = 0.2
-        expected = (cos(z_j[0], z_k[1]) + cos(z_j[1], z_k[0])
-                    - cos(z_j[0], z_k[0]) - cos(z_j[1], z_k[1])) / (2 * tau)
-        assert loss_mim(T.Tensor(z_j), T.Tensor(z_k), tau).item() == \
-            pytest.approx(expected, abs=1e-10)
-
-    def test_matches_naive_t8(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            z_j, z_k = rng.normal(size=(8, 6)), rng.normal(size=(8, 6))
-            assert loss_mim(T.Tensor(z_j), T.Tensor(z_k), 0.2).item() == \
-                pytest.approx(naive_mim(z_j, z_k, 0.2), abs=1e-10)
-
-    def test_include_positive_variant(self):
-        rng = np.random.default_rng(3)
-        z_j, z_k = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-        expected = sum(naive_nt_xent(i, z_j, z_k, 0.2, include_positive=True)
-                       + naive_nt_xent(i, z_k, z_j, 0.2, include_positive=True)
-                       for i in range(4)) / 8
-        got = loss_mim(T.Tensor(z_j), T.Tensor(z_k), 0.2,
-                       include_positive_in_denominator=True).item()
-        assert got == pytest.approx(expected, abs=1e-10)
-
     @pytest.mark.parametrize("include_positive", [False, True])
     def test_small_tau_stable(self, include_positive):
         # logits up to 1/tau = 1000 overflow exp(); the log-sum-exp must not
@@ -158,10 +171,6 @@ class TestLossMim:
                        include_positive_in_denominator=include_positive).item()
         assert np.isfinite(got)
         assert got == pytest.approx(total / 12, rel=1e-12)
-
-    def test_t1_rejected(self):
-        with pytest.raises(ContractError):
-            loss_mim(T.Tensor(np.ones((1, 4))), T.Tensor(np.ones((1, 4))), 0.2)
 
     @pytest.mark.parametrize("operand", [0, 1])
     def test_zero_norm_row_rejected(self, operand):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from xmodal import tensor as T
-from xmodal.errors import ContractError, ShapeMismatchError
+from xmodal.errors import (ContractError, DegenerateInputError, DomainError,
+                           ShapeMismatchError)
 
 
 def grad_of(f, x0):
@@ -56,13 +57,36 @@ class TestMatmul:
 
 
 class TestElementwise:
+    def test_softplus_at_zero(self):
+        assert T.softplus(T.Tensor(0.0)).item() == pytest.approx(np.log(2), abs=1e-12)
+
     def test_tanh_at_zero(self):
         assert T.tanh(T.Tensor(0.0)).item() == 0.0
 
+    def test_softplus_gradient_is_sigmoid(self):
+        g = grad_of(lambda x: T.tsum(T.softplus(x)), np.array([1.0]))
+        sigmoid1 = 1 / (1 + np.exp(-1.0))
+        assert g[0] == pytest.approx(sigmoid1, abs=1e-10)
+        assert T.rel_error(g, fd_of(lambda x: T.tsum(T.softplus(x)), np.array([1.0]))) < 1e-8
+
+    def test_log_domain_error(self):
+        with pytest.raises(DomainError):
+            T.log(T.Tensor([-1.0]))
+
+    def test_dispatch(self):
+        out = T.elementwise("add", T.Tensor([1.0]), T.Tensor([2.0]))
+        assert out.data[0] == 3.0
+        with pytest.raises(ContractError):
+            T.elementwise("nope", T.Tensor([1.0]))
+
     @pytest.mark.parametrize("name,f", [
         ("add", lambda x: T.tsum(T.add(x, T.Tensor(np.full(5, 0.3))))),
+        ("sub", lambda x: T.tsum(T.sub(x, T.Tensor(np.full(5, 0.3))))),
+        ("mul", lambda x: T.tsum(T.mul(x, T.Tensor(np.linspace(-1, 1, 5))))),
         ("scale", lambda x: T.tsum(T.scale(x, 2.5))),
         ("tanh", lambda x: T.tsum(T.tanh(x))),
+        ("softplus", lambda x: T.tsum(T.softplus(x))),
+        ("exp", lambda x: T.tsum(T.exp(x))),
     ])
     def test_gradients_100_random_points(self, name, f):
         rng = np.random.default_rng(hash(name) % 2**32)
@@ -78,6 +102,84 @@ class TestElementwise:
             x0[np.abs(x0) < 1e-3] = 0.5  # finite differences straddle the kink
             assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-5
 
+    def test_log_gradient(self):
+        rng = np.random.default_rng(2)
+        f = lambda x: T.tsum(T.log(x))
+        for _ in range(100):
+            x0 = rng.uniform(0.1, 3.0, size=5)
+            assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-5
+
+
+class TestL2Normalize:
+    def test_closed_form(self):
+        out = T.l2_normalize(T.Tensor([3.0, 4.0]))
+        np.testing.assert_allclose(out.data, [0.6, 0.8], atol=1e-15)
+
+    def test_unit_vector_unchanged(self):
+        v = np.array([1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(T.l2_normalize(T.Tensor(v)).data, v)
+
+    def test_unit_norm_random(self):
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=16)
+        assert abs(np.linalg.norm(T.l2_normalize(T.Tensor(v)).data) - 1.0) < 1e-12
+
+    def test_idempotent_bit_exact(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            v = rng.normal(size=8)
+            once = T.l2_normalize(T.Tensor(v)).data
+            twice = T.l2_normalize(T.Tensor(once)).data
+            np.testing.assert_array_equal(once, twice)
+
+    def test_degenerate_passthrough_warns(self):
+        v = np.zeros(4)
+        with pytest.warns(T.DegenerateVectorWarning):
+            out = T.l2_normalize(T.Tensor(v))
+        np.testing.assert_array_equal(out.data, v)
+
+    def test_gradient_with_dot(self):
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=6)
+        f = lambda x: T.dot(T.l2_normalize(x), T.Tensor(w))
+        x0 = rng.normal(size=6)
+        assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-6
+
+
+class TestCosineSimilarity:
+    def test_self_similarity(self):
+        v = np.array([1.0, 2.0, -3.0])
+        assert T.cosine_similarity(T.Tensor(v), T.Tensor(v)).item() == pytest.approx(1.0, abs=1e-12)
+
+    def test_orthogonal(self):
+        s = T.cosine_similarity(T.Tensor([1.0, 0.0]), T.Tensor([0.0, 1.0]))
+        assert s.item() == pytest.approx(0.0, abs=1e-15)
+
+    def test_closed_form(self):
+        s = T.cosine_similarity(T.Tensor([1.0, 1.0]), T.Tensor([1.0, 0.0]))
+        assert s.item() == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+
+    def test_zero_norm_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            T.cosine_similarity(T.Tensor([0.0, 0.0]), T.Tensor([1.0, 0.0]))
+
+    def test_bounds_and_symmetry(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            u, v = rng.normal(size=7), rng.normal(size=7)
+            s_uv = T.cosine_similarity(T.Tensor(u), T.Tensor(v)).item()
+            s_vu = T.cosine_similarity(T.Tensor(v), T.Tensor(u)).item()
+            assert -1 - 1e-12 <= s_uv <= 1 + 1e-12
+            assert s_uv == pytest.approx(s_vu, abs=1e-14)
+
+    def test_gradient(self):
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=6)
+        f = lambda x: T.cosine_similarity(x, T.Tensor(v))
+        for _ in range(10):
+            u0 = rng.normal(size=6)
+            assert T.rel_error(grad_of(f, u0), fd_of(f, u0)) < 1e-5
+
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
@@ -91,20 +193,20 @@ class TestBackward:
             T.backward(x)
 
     def test_fanout_accumulates(self):
-        # y = sum(tanh(x)) + sum(x): x feeds two consumers
+        # y = sum(x*x) + sum(x): x feeds two consumers
         def f(x):
-            return T.add(T.tsum(T.tanh(x)), T.tsum(x))
+            return T.add(T.tsum(T.mul(x, x)), T.tsum(x))
         rng = np.random.default_rng(10)
         x0 = rng.normal(size=6)
-        np.testing.assert_allclose(grad_of(f, x0), 2 - np.tanh(x0) ** 2, atol=1e-12)
+        np.testing.assert_allclose(grad_of(f, x0), 2 * x0 + 1, atol=1e-12)
         assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-6
 
     def test_leaf_gradient_map(self):
-        x = T.Tensor([[2.0]], grad_enabled=True)
-        y = T.Tensor([[3.0]], grad_enabled=True)
-        leaf = T.backward(T.tsum(T.matmul(x, y)))
-        np.testing.assert_array_equal(leaf[x.node_id], [[3.0]])
-        np.testing.assert_array_equal(leaf[y.node_id], [[2.0]])
+        x = T.Tensor([2.0], grad_enabled=True)
+        y = T.Tensor([3.0], grad_enabled=True)
+        leaf = T.backward(T.tsum(T.mul(x, y)))
+        np.testing.assert_array_equal(leaf[x.node_id], [3.0])
+        np.testing.assert_array_equal(leaf[y.node_id], [2.0])
 
     def test_custom_node_skips_constant_parent(self):
         # a node's closure may leave a constant operand's slot empty
@@ -126,16 +228,16 @@ class TestAuxiliaryPrimitives:
 
 class TestFiniteDiff:
     def test_sum_of_squares_closed_form(self):
-        g = fd_of(lambda x: float(np.sum(x.data * x.data)), np.array([1.0, 2.0]))
+        g = fd_of(lambda x: T.tsum(T.mul(x, x)), np.array([1.0, 2.0]))
         np.testing.assert_allclose(g, [2.0, 4.0], atol=1e-8)
 
     def test_h_must_be_positive(self):
         with pytest.raises(ContractError):
             T.finite_diff_grad(lambda x: T.tsum(x), np.ones(2), h=0.0)
 
-    def test_matches_tanh_on_random_vectors(self):
+    def test_matches_softplus_on_random_vectors(self):
         rng = np.random.default_rng(14)
-        f = lambda x: T.tsum(T.tanh(x))
+        f = lambda x: T.tsum(T.softplus(x))
         for _ in range(10):
             x0 = rng.normal(size=6)
             assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-6
