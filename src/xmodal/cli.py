@@ -6,6 +6,7 @@ config error, 2 runtime/numeric failure.
 """
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -19,7 +20,7 @@ from . import tensor as T
 from .data import (SynthConfig, generate_synthetic, load_dataset, save_dataset, split)
 from .errors import (CheckpointError, ContractError, DatasetFormatError,
                      DegenerateInputError, TrainingDivergedError)
-from .losses import LossWeights, combined_loss
+from .losses import LossWeights, combined_loss, loss_mde, loss_mim, loss_msp
 from .model import ModelConfig, embed
 from .retrieval import (build_index, evaluate_cross_modal, metrics_to_csv,
                         retrieve, summary_table)
@@ -30,28 +31,65 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 
-def _parse_kv_file(path):
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ContractError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (p.strip() for p in line.split("=", 1))
-            values[key] = value
-    return values
+def read_kv(path, sets):
+    """{key: value text} of a key=value file, then of the --set items over it.
 
-
-def _parse_sets(pairs):
+    In the file, blank lines and lines starting with '#' are skipped. Keys
+    and values are stripped of surrounding whitespace.
+    """
+    items = []
+    if path:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    items.append((line, f"{path}:{lineno}: expected key=value"))
+    items += [(item, "--set expects key=value") for item in sets or []]
     values = {}
-    for item in pairs or []:
+    for item, problem in items:
         if "=" not in item:
-            raise ContractError(f"--set expects key=value, got {item!r}")
+            raise ContractError(f"{problem}, got {item!r}")
         key, value = item.split("=", 1)
         values[key.strip()] = value.strip()
     return values
+
+
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _cast(text, kind):
+    if kind is bool:
+        return _BOOLS[text.lower()]
+    if kind is tuple:
+        return tuple(int(part) for part in text.split(","))
+    return kind(text)
+
+
+def typed_config(cls, values):
+    """cls(**values), each string value cast by the type of its dataclass field.
+
+    int, float and str cast directly; tuple reads comma-separated ints; bool
+    reads true/false/yes/no/1/0 in any case. A field whose default is None
+    also reads none (any case) or an empty value as None. Values that are not
+    strings, such as those of typed flags, pass through unchanged.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in values.items():
+        if key not in fields:
+            raise ContractError(f"unknown {cls.__name__} key {key!r}")
+        field = fields[key]
+        if not isinstance(value, str):
+            kwargs[key] = value
+        elif field.default is None and value.lower() in ("", "none"):
+            kwargs[key] = None
+        else:
+            try:
+                kwargs[key] = _cast(value, field.type)
+            except (KeyError, ValueError):
+                raise ContractError(f"{cls.__name__} {key}={value!r} is not a valid "
+                                    f"{field.type.__name__}") from None
+    return cls(**kwargs)
 
 
 def _write_manifest(out_dir, command, config, inputs, outputs, seed, started):
@@ -101,51 +139,33 @@ def _split_dataset(ds, fractions_str, seed):
 
 def cmd_gen_data(args):
     started = _now()
-    overrides = _parse_sets(args.set)
+    values = read_kv(args.config, args.set)
     if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.config:
-        config = SynthConfig.from_file(args.config, overrides)
-    else:
-        config = SynthConfig.from_mapping(overrides)
+        values["seed"] = args.seed
+    config = typed_config(SynthConfig, values)
     _ensure_out_dir(args.out, args.mkdirs)
     ds = generate_synthetic(config)
     save_dataset(ds, args.out)
     out_dir = os.path.dirname(args.out) or "."
-    _write_manifest(out_dir, "gen-data", config.__dict__ | {"labels_per_tuple":
-                    list(config.labels_per_tuple)},
+    _write_manifest(out_dir, "gen-data", dataclasses.asdict(config),
                     {"config_file": args.config}, {"dataset": args.out},
                     config.seed, started)
     print(f"wrote {len(ds)} tuples x {ds.num_modalities} modalities to {args.out}")
     return EXIT_OK
 
 
-def _model_config_from_args(args, input_dim):
-    values = {"input_dim": input_dim}
-    if args.model_config:
-        raw = _parse_kv_file(args.model_config)
-        casts = {"num_modalities": int, "input_dim": int, "feature_dim": int,
-                 "embedding_dim": int, "activation": str, "seed": int,
-                 "backbone_hidden_dims": lambda s: tuple(int(x) for x in s.split(","))}
-        for key, value in raw.items():
-            if key not in casts:
-                raise ContractError(f"unknown model config key {key!r}")
-            values[key] = casts[key](value)
-    return ModelConfig(**values)
-
-
 def cmd_train(args):
     started = _now()
     ds = load_dataset(args.dataset)
-    model_config = _model_config_from_args(args, ds.input_dim)
-    train_values = _parse_kv_file(args.train_config) if args.train_config else {}
-    train_values.update(_parse_sets(args.set))
-    for flag in ("epochs", "batch_size", "seed"):
-        if getattr(args, flag) is not None:
-            train_values[flag] = str(getattr(args, flag))
-    if args.lr is not None:
-        train_values["learning_rate"] = str(args.lr)
-    train_config = TrainConfig.from_mapping(train_values)
+    # the --model-config file overrides the dataset's input_dim, so train
+    # rejects a mismatch; typed flags override --set, which overrides the file
+    model_config = typed_config(ModelConfig, {"input_dim": ds.input_dim,
+                                              **read_kv(args.model_config, None)})
+    train_values = read_kv(args.train_config, args.set)
+    flags = {"epochs": args.epochs, "batch_size": args.batch_size,
+             "learning_rate": args.lr, "seed": args.seed}
+    train_values.update((key, value) for key, value in flags.items() if value is not None)
+    train_config = typed_config(TrainConfig, train_values)
 
     ds_train, ds_val, _ = _split_dataset(ds, args.split, args.split_seed)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -156,7 +176,8 @@ def cmd_train(args):
     final = report.epochs[-1]
     ckpt = os.path.join(args.out_dir, f"checkpoint_epoch{final.epoch}.ckpt")
     _write_manifest(args.out_dir, "train",
-                    {"model": model_config.to_dict(), "train": train_config.to_dict(),
+                    {"model": dataclasses.asdict(model_config),
+                     "train": dataclasses.asdict(train_config),
                      "split": args.split, "split_seed": args.split_seed},
                     {"dataset": args.dataset},
                     {"report_csv": csv_path, "checkpoint": ckpt},
@@ -226,9 +247,6 @@ def cmd_retrieve(args):
 
 
 def cmd_gradcheck(args):
-    from .model import init_params, forward_backbone, forward_encoder
-    from .losses import loss_mim, loss_mde, loss_msp
-
     if args.trials < 1:
         raise ContractError("gradcheck needs at least one trial")
     rng = np.random.default_rng(args.seed)

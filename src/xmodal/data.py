@@ -82,52 +82,19 @@ class SynthConfig:
             raise ContractError("noise_sigma must be >= 0")
         if self.num_modalities < 2:
             raise ContractError("num_modalities must be >= 2")
+        for name in ("input_dim", "latent_dim"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1")
         object.__setattr__(self, "labels_per_tuple", tuple(self.labels_per_tuple))
-
-    @classmethod
-    def from_file(cls, path, overrides=None):
-        """Read a flat key=value config file; '#' starts a comment line."""
-        values = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ContractError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                values[key] = value
-        if overrides:
-            values.update(overrides)
-        return cls.from_mapping(values)
-
-    @classmethod
-    def from_mapping(cls, values):
-        kwargs = {}
-        casts = {"num_classes": int, "multi_label": _parse_bool,
-                 "labels_per_tuple": _parse_int_pair, "latent_dim": int,
-                 "input_dim": int, "noise_sigma": float, "num_tuples": int,
-                 "num_modalities": int, "seed": int}
-        for key, value in values.items():
-            if key not in casts:
-                raise ContractError(f"unknown config key {key!r}")
-            kwargs[key] = casts[key](value) if isinstance(value, str) else value
-        return cls(**kwargs)
-
-
-def _parse_bool(s):
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise ContractError(f"not a boolean: {s!r}")
-
-
-def _parse_int_pair(s):
-    parts = [int(p) for p in s.split(",")]
-    if len(parts) != 2:
-        raise ContractError(f"labels_per_tuple needs two integers, got {s!r}")
-    return tuple(parts)
+        if len(self.labels_per_tuple) != 2 or not all(
+                isinstance(n, int) for n in self.labels_per_tuple):
+            raise ContractError(f"labels_per_tuple must be two ints, "
+                                f"got {self.labels_per_tuple}")
+        lo, hi = self.labels_per_tuple
+        # generate_synthetic draws lo..hi distinct labels only under multi_label
+        if self.multi_label and not 1 <= lo <= hi <= self.num_classes:
+            raise ContractError(f"multi_label needs 1 <= labels_per_tuple {lo},{hi} "
+                                f"<= num_classes {self.num_classes}")
 
 
 def generate_synthetic(config: SynthConfig) -> TupleDataset:

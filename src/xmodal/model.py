@@ -35,18 +35,6 @@ class ModelConfig:
         object.__setattr__(self, "backbone_hidden_dims",
                            tuple(int(d) for d in self.backbone_hidden_dims))
 
-    def to_dict(self):
-        return {"num_modalities": self.num_modalities, "input_dim": self.input_dim,
-                "backbone_hidden_dims": list(self.backbone_hidden_dims),
-                "feature_dim": self.feature_dim, "embedding_dim": self.embedding_dim,
-                "activation": self.activation, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["backbone_hidden_dims"] = tuple(d.get("backbone_hidden_dims", (64,)))
-        return cls(**d)
-
 
 @dataclass
 class ModelParams:

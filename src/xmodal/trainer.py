@@ -9,15 +9,15 @@ import json
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .data import batch_iter, stack_features
 from .errors import CheckpointError, ContractError, TrainingDivergedError
-from .losses import LossWeights, combined_loss, schedule_weight
-from .model import ModelConfig, ModelParams
+from .losses import LossBreakdown, LossWeights, combined_loss, schedule_weight
+from .model import ModelConfig, ModelParams, forward_backbone, forward_encoder, init_params
 
 CHECKPOINT_MAGIC = b"XMSSL1"
 CHECKPOINT_VERSION = 1
@@ -49,24 +49,6 @@ class TrainConfig:
         for name, w0 in (("alpha0", self.alpha0), ("beta0", self.beta0)):
             if not 0 < w0 <= 1:
                 raise ContractError(f"{name} must be in (0, 1]")
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_mapping(cls, values):
-        casts = {"epochs": int, "batch_size": int, "learning_rate": float,
-                 "tau": float, "alpha0": float, "beta0": float, "adam_b1": float,
-                 "adam_b2": float, "adam_eps": float, "seed": int,
-                 "checkpoint_every": int,
-                 "fixed_alpha": lambda s: None if s in (None, "", "none") else float(s),
-                 "fixed_beta": lambda s: None if s in (None, "", "none") else float(s)}
-        kwargs = {}
-        for key, value in values.items():
-            if key not in casts:
-                raise ContractError(f"unknown config key {key!r}")
-            kwargs[key] = casts[key](value) if isinstance(value, str) else value
-        return cls(**kwargs)
 
 
 class AdamState:
@@ -131,8 +113,6 @@ def _batch_loss(params, batch, weights, include_positive=False):
     With more than two modalities the loss is averaged over all unordered
     pairs; the default configuration has exactly one pair.
     """
-    from .model import forward_backbone, forward_encoder
-
     n = params.config.num_modalities
     ys = [forward_backbone(params, m, stack_features(batch, m)) for m in range(n)]
     zs = [forward_encoder(params, y) for y in ys]
@@ -148,7 +128,6 @@ def _batch_loss(params, batch, weights, include_positive=False):
         total = T.add(total, b.total_node)
     total = T.scale(total, 1.0 / len(breakdowns))
     mean = lambda key: sum(getattr(b, key) for b in breakdowns) / len(breakdowns)
-    from .losses import LossBreakdown
     return LossBreakdown(mim=mean("mim"), mde=mean("mde"), msp=mean("msp"),
                          total=total.item(), alpha=weights.alpha, beta=weights.beta,
                          total_node=total)
@@ -177,8 +156,6 @@ def _validation_loss(params, ds_val, train_config):
 def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig,
           out_dir=None, resume_from=None):
     """Full training run; returns the final parameters and the per-epoch report."""
-    from .model import init_params
-
     if ds_train.num_modalities != model_config.num_modalities:
         raise ContractError("dataset and model disagree on modality count")
     if ds_train.input_dim != model_config.input_dim:
@@ -187,7 +164,7 @@ def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig
     start_epoch = 0
     if resume_from is not None:
         params, adam_state, completed, ckpt_config = load_checkpoint(resume_from)
-        if ckpt_config.to_dict() != model_config.to_dict():
+        if ckpt_config != model_config:
             raise CheckpointError("checkpoint model config differs from requested config")
         start_epoch = completed + 1
         if start_epoch >= train_config.epochs:
@@ -254,7 +231,7 @@ def save_checkpoint(params: ModelParams, adam_state: AdamState, epoch, path):
             arr = table[name].data if kind == "param" else table[name]
             manifest.append({"name": name, "kind": kind, "shape": list(arr.shape)})
             payloads.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    header = json.dumps({"model_config": params.config.to_dict(), "epoch": int(epoch),
+    header = json.dumps({"model_config": asdict(params.config), "epoch": int(epoch),
                          "adam_step": int(adam_state.step), "tensors": manifest},
                         sort_keys=True).encode("utf-8")
     path = os.fspath(path)
@@ -274,8 +251,6 @@ def load_checkpoint(path):
     The whole file is validated before any state is constructed, so a
     truncated checkpoint never yields partial state.
     """
-    from .model import init_params
-
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) + 8 or not blob.startswith(CHECKPOINT_MAGIC):
@@ -293,7 +268,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
     off += header_len
     try:
-        config = ModelConfig.from_dict(header["model_config"])
+        config = ModelConfig(**header["model_config"])
         completed, step = int(header["epoch"]), int(header["adam_step"])
         manifest = [(e["name"], e["kind"], [int(d) for d in e["shape"]])
                     for e in header["tensors"]]

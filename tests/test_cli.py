@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 import xmodal
-from xmodal.cli import main
-from xmodal.data import load_dataset, save_dataset
-from xmodal.trainer import load_checkpoint
-from xmodal.model import init_params
+from xmodal.cli import main, typed_config
+from xmodal.data import SynthConfig, load_dataset, save_dataset
+from xmodal.errors import ContractError
+from xmodal.trainer import TrainConfig, load_checkpoint
+from xmodal.model import ModelConfig, init_params
 
 
 def run(args):
@@ -43,6 +45,44 @@ def dataset_file(tmp_path):
     assert run(["gen-data", "--out", str(path), "--seed", "7",
                 "--set", "num_tuples=120", "--set", "num_classes=5"]) == 0
     return path
+
+
+BOOL_SPELLINGS = [("true", True), ("TRUE", True), ("yes", True), ("Yes", True), ("1", True),
+                  ("false", False), ("False", False), ("no", False), ("NO", False),
+                  ("0", False)]
+
+
+@pytest.mark.parametrize("cls, values, expected", [
+    (TrainConfig, {"epochs": "3"}, {"epochs": 3}),
+    (TrainConfig, {"learning_rate": "1e-2"}, {"learning_rate": 0.01}),
+    (ModelConfig, {"activation": "relu"}, {"activation": "relu"}),
+    (ModelConfig, {"backbone_hidden_dims": "8, 4"}, {"backbone_hidden_dims": (8, 4)}),
+    (SynthConfig, {"labels_per_tuple": "2,3"}, {"labels_per_tuple": (2, 3)}),
+    *[(SynthConfig, {"multi_label": text}, {"multi_label": value})
+      for text, value in BOOL_SPELLINGS],
+    (TrainConfig, {"fixed_alpha": "none"}, {"fixed_alpha": None}),
+    (TrainConfig, {"fixed_beta": ""}, {"fixed_beta": None}),
+    (TrainConfig, {"fixed_beta": "None"}, {"fixed_beta": None}),
+    (TrainConfig, {"fixed_alpha": "0.5"}, {"fixed_alpha": 0.5}),
+    (TrainConfig, {"epochs": 2, "learning_rate": 0.25}, {"epochs": 2, "learning_rate": 0.25}),
+    (TrainConfig, {"epoch": "3"}, "unknown TrainConfig key 'epoch'"),
+    (TrainConfig, {"epochs": "abc"}, "TrainConfig epochs='abc' is not a valid int"),
+    (TrainConfig, {"tau": "x"}, "TrainConfig tau='x' is not a valid float"),
+    (TrainConfig, {"fixed_alpha": "x"}, "TrainConfig fixed_alpha='x' is not a valid float"),
+    (SynthConfig, {"multi_label": "maybe"}, "SynthConfig multi_label='maybe' is not a valid bool"),
+    (ModelConfig, {"backbone_hidden_dims": "8,x"},
+     "ModelConfig backbone_hidden_dims='8,x' is not a valid tuple"),
+])
+def test_typed_config(cls, values, expected):
+    """Strings cast by field type; other values pass through; bad keys and values named."""
+    if isinstance(expected, str):
+        with pytest.raises(ContractError, match=f"^{re.escape(expected)}$"):
+            typed_config(cls, values)
+    else:
+        config = typed_config(cls, values)
+        # repr tells 3 from 3.0 and True from 1
+        assert {key: repr(getattr(config, key)) for key in expected} == \
+            {key: repr(value) for key, value in expected.items()}
 
 
 class TestGenData:
@@ -96,6 +136,18 @@ class TestTrainCommand:
         fresh = init_params(config)
         for (_, a), (_, b) in zip(params.named_tensors(), fresh.named_tensors()):
             assert (a.data == b.data).all()
+
+    def test_config_precedence(self, dataset_file, tmp_path):
+        """--train-config file < --set < typed flags."""
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("epochs = 9\nbatch_size = 8\ntau = 0.3\n")
+        out = tmp_path / "run"
+        assert run(["train", "--dataset", str(dataset_file), "--out-dir", str(out),
+                    "--train-config", str(cfg), "--set", "epochs=5",
+                    "--set", "batch_size=16", "--epochs", "1"]) == 0
+        train = json.loads((out / "manifest_train.json").read_text())["config"]["train"]
+        assert (train["epochs"], train["batch_size"], train["tau"]) == (1, 16, 0.3)
+        assert len((out / "train_report.csv").read_text().splitlines()) == 2
 
     def test_rerun_identical_outputs(self, dataset_file, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -165,6 +217,28 @@ class TestBadInputOneLine:
         assert code == 1
         assert err == ["error: --split expects comma-separated fractions, got '0.5,abc'"]
         assert not (tmp_path / "m.csv").exists() and not (tmp_path / "run2").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-data", "--set", "num_tuples=abc"],
+         "SynthConfig num_tuples='abc' is not a valid int"),
+        (["gen-data", "--set", "multi_label=true", "--set", "labels_per_tuple=3,1"],
+         "multi_label needs 1 <= labels_per_tuple 3,1 <= num_classes 8"),
+        (["gen-data", "--set", "input_dim=0"], "input_dim must be >= 1"),
+        (["train", "--set", "epochs=abc"], "TrainConfig epochs='abc' is not a valid int"),
+        (["train", "--model-config", "{model_config}"],
+         "ModelConfig embedding_dim='abc' is not a valid int"),
+    ])
+    def test_bad_config_value(self, dataset_file, tmp_path, argv, message):
+        model_config = tmp_path / "model.cfg"
+        model_config.write_text("embedding_dim = abc\n")
+        out = tmp_path / "out"
+        where = (["--out", str(out / "ds.txt"), "--mkdirs"] if argv[0] == "gen-data"
+                 else ["--dataset", str(dataset_file), "--out-dir", str(out)])
+        code, err = run_process([*(a.format(model_config=model_config) for a in argv),
+                                 *where])
+        assert code == 1
+        assert err == [f"error: {message}"]
+        assert not out.exists()
 
     def test_dataset_header_not_integer(self, dataset_file, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -6,6 +6,7 @@ import pytest
 from xmodal.data import (SampleRecord, SynthConfig, TupleDataset, batch_iter,
                          generate_synthetic, load_dataset, save_dataset, split,
                          stack_features)
+from xmodal.cli import read_kv, typed_config
 from xmodal.errors import ContractError, DatasetFormatError
 
 CFG = SynthConfig(num_classes=5, num_tuples=100, input_dim=12, latent_dim=6,
@@ -194,14 +195,14 @@ class TestSynthConfig:
     def test_from_file_with_overrides(self, tmp_path):
         cfg_file = tmp_path / "synth.cfg"
         cfg_file.write_text("# comment\nnum_classes = 6\nnum_tuples = 40\nseed = 2\n")
-        cfg = SynthConfig.from_file(cfg_file, {"seed": "5"})
+        cfg = typed_config(SynthConfig, read_kv(cfg_file, ["seed=5"]))
         assert cfg.num_classes == 6 and cfg.num_tuples == 40 and cfg.seed == 5
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "synth.cfg"
         cfg_file.write_text("numclasses=6\n")
         with pytest.raises(ContractError, match="numclasses"):
-            SynthConfig.from_file(cfg_file)
+            typed_config(SynthConfig, read_kv(cfg_file, None))
 
     def test_validation(self):
         with pytest.raises(ContractError):
@@ -210,3 +211,12 @@ class TestSynthConfig:
             SynthConfig(num_tuples=5)
         with pytest.raises(ContractError):
             SynthConfig(noise_sigma=-0.1)
+        for bad in ({"input_dim": 0}, {"latent_dim": 0}, {"labels_per_tuple": (1, 2, 3)},
+                    {"labels_per_tuple": (1.0, 2)},
+                    {"multi_label": True, "labels_per_tuple": (3, 1)},
+                    {"multi_label": True, "labels_per_tuple": (0, 2)},
+                    {"multi_label": True, "labels_per_tuple": (1, 40)}):
+            with pytest.raises(ContractError):
+                SynthConfig(**bad)
+        # the label range only bounds multi-label draws
+        assert SynthConfig(num_classes=2).labels_per_tuple == (1, 3)

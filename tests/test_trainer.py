@@ -160,7 +160,7 @@ class TestCheckpoint:
         save_checkpoint(params, state, 4, path)
         loaded, lstate, epoch, config = load_checkpoint(path)
         assert epoch == 4 and lstate.step == 7
-        assert config.to_dict() == MODEL.to_dict()
+        assert config == MODEL
         assert params_equal(params, loaded)
         for name in state.m:
             np.testing.assert_array_equal(state.m[name], lstate.m[name])
