@@ -18,8 +18,7 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .data import (SynthConfig, generate_synthetic, load_dataset, save_dataset, split)
-from .errors import (CheckpointError, ContractError, DatasetFormatError,
-                     DegenerateInputError, TrainingDivergedError)
+from .errors import ContractError, DatasetFormatError, ShapeMismatchError, XmodalError
 from .losses import LossWeights, combined_loss, loss_mde, loss_mim, loss_msp
 from .model import ModelConfig, embed
 from .retrieval import (build_index, evaluate_cross_modal, metrics_to_csv,
@@ -29,6 +28,9 @@ from .trainer import TrainConfig, load_checkpoint, train
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
+# Errors of usage, config or input files exit 1. Every other package error
+# (checkpoint, degenerate input, divergence, domain) and arithmetic failures exit 2.
+USAGE_ERRORS = (ContractError, DatasetFormatError, ShapeMismatchError, OSError)
 
 
 def read_kv(path, sets):
@@ -230,15 +232,15 @@ def cmd_evaluate(args):
 def cmd_retrieve(args):
     params, _, _, _ = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)
-    by_id = {g[0].tuple_id: g for g in ds.tuples}
-    if args.query_id not in by_id:
+    row = np.flatnonzero(ds.ids == args.query_id)
+    if not len(row):
         raise ContractError(f"tuple_id {args.query_id} not in dataset")
     for flag, m in (("--src", args.src), ("--tgt", args.tgt)):
         if not 0 <= m < ds.num_modalities:
             raise ContractError(f"{flag} {m} outside [0, {ds.num_modalities})")
-    rec = by_id[args.query_id][args.src]
-    q = embed(params, args.src, rec.features[None, :]).data[0]
-    index = build_index(params, ds)
+    # the target modality alone is indexed, after the input dimension is checked
+    index = build_index(params, ds, modalities=[args.tgt])
+    q = embed(params, args.src, ds.features[args.src][row]).data[0]
     result = retrieve(index, q, args.tgt, args.k, exclude_tuple_id=args.query_id,
                       query_id=args.query_id, query_modality=args.src)
     for rank, (tid, score) in enumerate(result.items, 1):
@@ -358,13 +360,9 @@ def main(argv=None):
         raise SystemExit(EXIT_USAGE if exc.code else EXIT_OK) from None
     try:
         return args.func(args)
-    except (ContractError, DatasetFormatError, FileNotFoundError) as exc:
+    except (XmodalError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CheckpointError, DegenerateInputError, TrainingDivergedError,
-            ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_USAGE if isinstance(exc, USAGE_ERRORS) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

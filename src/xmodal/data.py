@@ -4,9 +4,11 @@ Each tuple holds one record per modality over a shared semantic latent:
 the label set picks class prototype vectors, their sum (plus jitter) is
 pushed through a frozen per-modality linear map and tanh, then Gaussian
 noise is added. Labels belong to the tuple and are used only by evaluation.
+A dataset is held column-wise; record objects are built only when read.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,51 +16,67 @@ from .errors import ContractError, DatasetFormatError
 
 FORMAT_HEADER = "#xmodal-dataset v1"
 LATENT_JITTER = 0.1
+_CHUNK = 256    # lines whose feature fields load_dataset parses in one call
+_SEPARATORS = "\x1c\x1d\x1e\x1f"   # whitespace to np.loadtxt, not to float()
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(NamedTuple):
     tuple_id: int
     modality: int
     features: np.ndarray
     labels: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "labels", frozenset(int(x) for x in self.labels))
-        if not np.all(np.isfinite(self.features)):
-            raise ContractError(f"tuple {self.tuple_id}: non-finite features")
 
+class TupleView:
+    """Rows ``index`` of a dataset as [SampleRecord, ...] groups, each built when read;
+    ``stack_features`` gathers a modality's rows without building any."""
 
-@dataclass
-class TupleDataset:
-    num_modalities: int
-    tuples: list                # list of [SampleRecord, ...] ordered by modality
-    label_vocabulary: list
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        for group in self.tuples:
-            if len(group) != self.num_modalities:
-                raise ContractError(
-                    f"tuple {group[0].tuple_id}: expected {self.num_modalities} records, "
-                    f"got {len(group)}")
-            tid, labels = group[0].tuple_id, group[0].labels
-            for m, rec in enumerate(group):
-                if rec.modality != m or rec.tuple_id != tid or rec.labels != labels:
-                    raise ContractError(f"tuple {tid}: misaligned records")
+    def __init__(self, dataset, index):
+        self.dataset, self.index = dataset, index
 
     def __len__(self):
-        return len(self.tuples)
+        return len(self.index)
+
+    def __getitem__(self, i):  # an IndexError past the end also ends iteration
+        ds, row = self.dataset, self.index[i]
+        return [SampleRecord(int(ds.ids[row]), m, ds.features[m][row], ds.labels[row])
+                for m in range(ds.num_modalities)]
+
+
+class TupleDataset:
+    """Tuples column-wise: ``ids`` an ascending int64 array, ``features[m]`` one
+    C-contiguous (N, dim) float64 matrix per modality, ``labels`` a frozenset per tuple."""
+
+    def __init__(self, num_modalities, tuples, label_vocabulary):
+        """A dataset of record groups: one [SampleRecord, ...] per tuple, ordered by modality."""
+        self.num_modalities, self.label_vocabulary = num_modalities, list(label_vocabulary)
+        self.ids = np.array([g[0].tuple_id for g in tuples], dtype=np.int64)
+        self.features = [np.array([g[m].features for g in tuples], dtype=np.float64)
+                         for m in range(num_modalities)]
+        self.labels = [frozenset(g[0].labels) for g in tuples]
+
+    @classmethod
+    def from_columns(cls, num_modalities, ids, features, labels, label_vocabulary):
+        """A dataset of ascending tuple ids, one (N, dim) matrix per modality, N label sets."""
+        ds = cls(num_modalities, [], label_vocabulary)
+        ds.ids = np.asarray(ids, dtype=np.int64)
+        ds.features = [np.ascontiguousarray(f, dtype=np.float64) for f in features]
+        ds.labels = list(labels)
+        return ds
+
+    def __len__(self):
+        return len(self.ids)
 
     @property
     def input_dim(self):
-        return int(self.tuples[0][0].features.shape[0]) if self.tuples else 0
+        return self.features[0].shape[-1]  # 0 when built from no records
+
+    @property
+    def tuples(self):
+        return TupleView(self, np.arange(len(self)))
 
     def tuple_ids(self):
-        return [g[0].tuple_id for g in self.tuples]
+        return self.ids.tolist()
 
 
 @dataclass(frozen=True)
@@ -105,25 +123,22 @@ def generate_synthetic(config: SynthConfig) -> TupleDataset:
     maps = [rng.normal(size=(config.input_dim, config.latent_dim)) / np.sqrt(config.latent_dim)
             for _ in range(config.num_modalities)]
     lo, hi = config.labels_per_tuple
-    tuples = []
+    features = [np.empty((config.num_tuples, config.input_dim))
+                for _ in range(config.num_modalities)]
+    labels = []
     for tid in range(config.num_tuples):
-        if config.multi_label:
-            k = int(rng.integers(lo, hi + 1))
-        else:
-            k = 1
-        labels = frozenset(int(c) for c in
-                           rng.choice(config.num_classes, size=k, replace=False))
-        latent = prototypes[sorted(labels)].sum(axis=0)
+        k = int(rng.integers(lo, hi + 1)) if config.multi_label else 1
+        labels.append(frozenset(int(c) for c in
+                                rng.choice(config.num_classes, size=k, replace=False)))
+        latent = prototypes[sorted(labels[-1])].sum(axis=0)
         latent = latent + LATENT_JITTER * rng.normal(size=config.latent_dim)
-        group = []
         for m in range(config.num_modalities):
-            feats = np.tanh(maps[m] @ latent)
+            features[m][tid] = np.tanh(maps[m] @ latent)
             if config.noise_sigma > 0:
-                feats = feats + config.noise_sigma * rng.normal(size=config.input_dim)
-            group.append(SampleRecord(tid, m, feats, labels))
-        tuples.append(group)
+                features[m][tid] += config.noise_sigma * rng.normal(size=config.input_dim)
     vocab = [f"class_{c}" for c in range(config.num_classes)]
-    return TupleDataset(config.num_modalities, tuples, vocab)
+    return TupleDataset.from_columns(config.num_modalities, np.arange(config.num_tuples),
+                                     features, labels, vocab)
 
 
 def split(ds: TupleDataset, fractions, seed):
@@ -142,9 +157,10 @@ def split(ds: TupleDataset, fractions, seed):
         raise ContractError("split: a part would be empty")
     order = np.random.default_rng(seed).permutation(m)
     parts = (order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:])
-    return tuple(TupleDataset(ds.num_modalities, [ds.tuples[i] for i in sorted(p)],
-                              list(ds.label_vocabulary))
-                 for p in parts)
+    return tuple(TupleDataset.from_columns(ds.num_modalities, ds.ids[rows],
+                                           [f[rows] for f in ds.features],
+                                           [ds.labels[i] for i in rows], ds.label_vocabulary)
+                 for rows in map(np.sort, parts))
 
 
 def batch_iter(ds: TupleDataset, batch_size, seed, epoch):
@@ -156,28 +172,52 @@ def batch_iter(ds: TupleDataset, batch_size, seed, epoch):
         idx = order[start:start + batch_size]
         if len(idx) < 2:
             break
-        yield [ds.tuples[i] for i in idx]
+        yield TupleView(ds, idx)
 
 
-def stack_features(batch, modality):
-    """Batch features of one modality as a (T, dim) array."""
-    return np.stack([group[modality].features for group in batch])
+def stack_features(batch: TupleView, modality):
+    """Features of one modality for the rows of a view, gathered as a (T, dim) array."""
+    return batch.dataset.features[modality][batch.index]
 
 
 def save_dataset(ds: TupleDataset, path):
     """Line-delimited text format; floats carry 17 significant digits."""
+    row_format = ",".join(["%.17g"] * ds.input_dim)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{FORMAT_HEADER} N={ds.num_modalities} dim={ds.input_dim} "
                  f"labels={len(ds.label_vocabulary)}\n")
-        for group in ds.tuples:
-            for rec in group:
-                feats = ",".join(f"{v:.17g}" for v in rec.features)
-                labels = ",".join(str(l) for l in sorted(rec.labels))
-                fh.write(f"{rec.tuple_id}\t{rec.modality}\t{feats}\t{labels}\n")
+        for tid, labels, *rows in zip(ds.ids.tolist(), ds.labels,
+                                      *(f.tolist() for f in ds.features)):
+            label_text = ",".join(str(l) for l in sorted(labels))
+            fh.writelines(f"{tid}\t{m}\t{row_format % tuple(row)}\t{label_text}\n"
+                          for m, row in enumerate(rows))
 
 
 def load_dataset(path) -> TupleDataset:
-    """Strict parse of the line format; errors name the offending line."""
+    """Strict parse of the line format; errors name the offending line.
+
+    The line loop makes every check and parses the feature fields in bulk,
+    _CHUNK lines per ``np.loadtxt`` call, which reads a number as float()
+    does or rejects it (but for _SEPARATORS). If anything fails, the loop
+    runs again parsing each line's features in place, so the error raised is
+    the first one a line-by-line parse meets.
+    """
+    try:
+        return _load(path, bulk=True)
+    except (DatasetFormatError, ValueError):
+        return _load(path, bulk=False)
+
+
+def _parse_chunk(fields, dim):
+    block = np.loadtxt(fields, delimiter=",", comments=None, ndmin=2)
+    text = "".join(fields)
+    if (block.shape != (len(fields), dim) or not np.isfinite(block).all()
+            or any(c in text for c in _SEPARATORS)):
+        raise ValueError("a chunk of feature fields needs a line-by-line parse")
+    return block
+
+
+def _load(path, bulk):
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(FORMAT_HEADER):
@@ -193,7 +233,9 @@ def load_dataset(path) -> TupleDataset:
         for key in ("N", "dim", "labels"):
             if key not in meta:
                 raise DatasetFormatError(f"header missing {key}=", line_number=1)
-        records = {}
+        n, dim = meta["N"], meta["dim"]
+        slots = {}     # tuple id -> position of its line of each modality, or -1
+        line_labels, blocks, pending = [], [], []   # pending: fields of the next chunk
         last_good = 1
         for lineno, raw in enumerate(fh, 2):
             line = raw.rstrip("\n")
@@ -207,31 +249,47 @@ def load_dataset(path) -> TupleDataset:
             try:
                 tid = int(parts[0])
                 modality = int(parts[1])
-                feats = np.array([float(v) for v in parts[2].split(",")])
+                feats = None if bulk else np.array([float(v) for v in parts[2].split(",")])
                 labels = frozenset(int(v) for v in parts[3].split(",")) if parts[3] else frozenset()
             except ValueError as exc:
                 raise DatasetFormatError(
                     f"{exc} (last good line {last_good})", line_number=lineno) from None
-            if modality >= meta["N"]:
-                raise DatasetFormatError(f"modality {modality} >= N={meta['N']}",
+            if not 0 <= modality < n:
+                raise DatasetFormatError(f"modality {modality} " + (
+                    f">= N={n}" if modality >= 0 else "< 0"), line_number=lineno)
+            length = parts[2].count(",") + 1 if bulk else len(feats)
+            if length != dim or not parts[2]:  # np.loadtxt skips an empty field; float() fails
+                raise DatasetFormatError(f"feature length {length} != dim={dim}",
                                          line_number=lineno)
-            if feats.shape[0] != meta["dim"]:
-                raise DatasetFormatError(
-                    f"feature length {feats.shape[0]} != dim={meta['dim']}",
-                    line_number=lineno)
-            if any(l >= meta["labels"] for l in labels):
+            if any(not 0 <= l < meta["labels"] for l in labels):
                 raise DatasetFormatError("label id outside vocabulary", line_number=lineno)
-            records.setdefault(tid, {})[modality] = SampleRecord(tid, modality, feats, labels)
+            slot = slots.setdefault(tid, [-1] * n)
+            if slot[modality] >= 0:
+                raise DatasetFormatError(f"tuple {tid} modality {modality} given twice",
+                                         line_number=lineno)
+            if not bulk and not np.isfinite(feats).all():
+                raise ContractError(f"tuple {tid}: non-finite features")
+            slot[modality] = len(line_labels)
+            line_labels.append(labels)
             last_good = lineno
-    tuples = []
-    for tid in sorted(records):
-        group = records[tid]
-        if len(group) != meta["N"]:
+            if bulk:
+                pending.append(parts[2])
+                if len(pending) == _CHUNK:
+                    blocks.append(_parse_chunk(pending, dim))
+                    pending.clear()
+            else:
+                blocks.append(feats[None])
+        if pending:
+            blocks.append(_parse_chunk(pending, dim))
+    ids = sorted(slots)
+    for tid in ids:
+        if -1 in slots[tid]:
             raise DatasetFormatError(
-                f"tuple {tid} has {len(group)} of {meta['N']} modalities")
-        labels = group[0].labels
-        if any(group[m].labels != labels for m in range(meta["N"])):
+                f"tuple {tid} has {n - slots[tid].count(-1)} of {n} modalities")
+        if len({line_labels[p] for p in slots[tid]}) > 1:
             raise DatasetFormatError(f"tuple {tid} has mismatched label sets")
-        tuples.append([group[m] for m in range(meta["N"])])
+    order = np.array([slots[t] for t in ids], dtype=np.intp).reshape(len(ids), n)
+    rows = np.concatenate(blocks) if blocks else np.empty((0, dim))
     vocab = [f"class_{c}" for c in range(meta["labels"])]
-    return TupleDataset(meta["N"], tuples, vocab)
+    return TupleDataset.from_columns(n, ids, [rows[order[:, m]] for m in range(n)],
+                                     [line_labels[p] for p in order[:, 0]], vocab)

@@ -53,16 +53,6 @@ class ModelParams:
         yield "encoder.W", w
         yield "encoder.b", b
 
-    def copy(self):
-        """Deep copy with fresh grad-enabled tensors."""
-        backbones = [[(T.Tensor(w.data.copy(), grad_enabled=True),
-                       T.Tensor(b.data.copy(), grad_enabled=True))
-                      for w, b in layers] for layers in self.backbones]
-        w, b = self.encoder
-        encoder = (T.Tensor(w.data.copy(), grad_enabled=True),
-                   T.Tensor(b.data.copy(), grad_enabled=True))
-        return ModelParams(self.config, backbones, encoder)
-
 
 def _glorot(rng, fan_in, fan_out):
     s = np.sqrt(6.0 / (fan_in + fan_out))

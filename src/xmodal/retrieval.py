@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ContractError
 from .model import embed
-from .data import stack_features
 
 # Queries scored per vectorized pass: the (block, N) score matrix stays small.
 _BLOCK = 128
@@ -123,18 +122,13 @@ class MetricsReport:
         return f"{self.src_modality}->{self.tgt_modality}"
 
 
-def build_index(params, ds) -> EmbeddingIndex:
-    """Embed every record of the dataset and add each modality normalized, in one call."""
+def build_index(params, ds, modalities=None) -> EmbeddingIndex:
+    """Embed the dataset's modalities (all of them by default) and add each in one call."""
     if ds.input_dim != params.config.input_dim:
         raise ContractError("dataset and model disagree on input dimension")
     index = EmbeddingIndex(ds.num_modalities, params.config.embedding_dim)
-    if not ds.tuples:
-        return index
-    for m in range(ds.num_modalities):
-        records = [group[m] for group in ds.tuples]
-        index.add(m, [rec.tuple_id for rec in records],
-                  embed(params, m, stack_features(ds.tuples, m)).data,
-                  [rec.labels for rec in records])
+    for m in range(ds.num_modalities) if modalities is None else modalities:
+        index.add(m, ds.ids, embed(params, m, ds.features[m]).data, ds.labels)
     return index
 
 
@@ -232,23 +226,22 @@ def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
                 f"modality {m} outside [0, {index.num_modalities})")
     if src_modality == tgt_modality:
         raise ContractError("cross-modal evaluation needs distinct modalities")
-    if not query_split.tuples:
+    if not len(query_split):
         raise ContractError("empty query set")
-    records = [group[src_modality] for group in query_split.tuples]
-    for rec in records:
-        if not rec.labels:
-            raise ContractError(f"query tuple {rec.tuple_id} has no labels")
-    queries = _unit_queries(embed(params, src_modality,
-                                  stack_features(query_split.tuples, src_modality)).data,
+    ids = query_split.tuple_ids()
+    for tid, labels in zip(ids, query_split.labels):
+        if not labels:
+            raise ContractError(f"query tuple {tid} has no labels")
+    queries = _unit_queries(embed(params, src_modality, query_split.features[src_modality]).data,
                             index.embedding_dim)
-    exclude = [rec.tuple_id if exclude_self_tuple else None for rec in records]
+    exclude = ids if exclude_self_tuple else [None] * len(ids)
     ranked = _top_k(index, queries, tgt_modality, k, exclude)
     labels_by_id = dict(zip(index._ids[tgt_modality].tolist(), index._labels[tgt_modality]))
     rows = []
-    for rec, items in zip(records, ranked):
-        f1 = float(np.mean([pair_f1(rec.labels, labels_by_id[tid]) for tid, _ in items]))
-        rel = [jaccard(rec.labels, labels_by_id[tid]) for tid, _ in items]
-        rows.append(QueryRow(rec.tuple_id, f1, ndcg_at_k(rel, k)))
+    for tid, labels, items in zip(ids, query_split.labels, ranked):
+        f1 = float(np.mean([pair_f1(labels, labels_by_id[t]) for t, _ in items]))
+        rel = [jaccard(labels, labels_by_id[t]) for t, _ in items]
+        rows.append(QueryRow(tid, f1, ndcg_at_k(rel, k)))
     return MetricsReport(src_modality=src_modality, tgt_modality=tgt_modality, k=k,
                          mean_f1=float(np.mean([r.f1_at_k for r in rows])),
                          mean_ndcg=float(np.mean([r.ndcg_at_k for r in rows])),

@@ -12,10 +12,11 @@ import pytest
 
 import xmodal
 from xmodal.cli import main, typed_config
-from xmodal.data import SynthConfig, load_dataset, save_dataset
+from xmodal.data import SynthConfig, TupleDataset, load_dataset, save_dataset
 from xmodal.errors import ContractError
 from xmodal.trainer import TrainConfig, load_checkpoint
-from xmodal.model import ModelConfig, init_params
+from xmodal.model import ModelConfig, embed, init_params
+from xmodal.retrieval import build_index, retrieve
 
 
 def run(args):
@@ -277,6 +278,22 @@ class TestBadInputOneLine:
                        "epochs (its last epoch is 0)"]
         assert not (out / "train_report.csv").exists()
 
+    def test_dataset_is_a_directory(self, tmp_path):
+        out = tmp_path / "out"
+        code, err = run_process(["train", "--dataset", str(tmp_path), "--out-dir", str(out)])
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path) in err[0]
+        assert not out.exists()
+
+    def test_out_dir_is_a_file(self, dataset_file, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        code, err = run_process(["train", "--dataset", str(dataset_file), "--out-dir",
+                                 str(taken), "--epochs", "1"])
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and str(taken) in err[0]
+        assert taken.read_text() == "kept\n"
+
 
 class TestRetrieveCommand:
     def test_dump_format(self, dataset_file, tmp_path, capsys):
@@ -291,6 +308,29 @@ class TestRetrieveCommand:
         first = lines[0].split(",")
         assert first[0] == "5" and first[1] == "1"
 
+    @pytest.mark.parametrize("src, tgt", [(0, 1), (1, 0), (1, 1)])
+    def test_lines_equal_a_query_of_the_full_index(self, trained, capsys, src, tgt):
+        dataset, ckpt = trained
+        capsys.readouterr()
+        assert run(["retrieve", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                    "--query-id", "17", "--src", str(src), "--tgt", str(tgt),
+                    "--k", "6"]) == 0
+        params, _, _, _ = load_checkpoint(ckpt)
+        ds = load_dataset(dataset)
+        query = embed(params, src, ds.features[src][ds.tuple_ids().index(17)][None]).data[0]
+        items = retrieve(build_index(params, ds), query, tgt, 6, exclude_tuple_id=17).items
+        assert capsys.readouterr().out.splitlines() == \
+            [f"17,{rank},{tid},{score:.17g}" for rank, (tid, score) in enumerate(items, 1)]
+
+    def test_input_dim_mismatch_one_line(self, trained, tmp_path):
+        _, ckpt = trained
+        narrow = tmp_path / "narrow.txt"
+        assert run(["gen-data", "--out", str(narrow), "--set", "input_dim=16",
+                    "--set", "num_tuples=40"]) == 0
+        code, err = run_process(["retrieve", "--checkpoint", str(ckpt), "--dataset",
+                                 str(narrow), "--query-id", "5"])
+        assert code == 1
+        assert err == ["error: dataset and model disagree on input dimension"]
 
     def test_src_out_of_range_one_line(self, trained):
         dataset, ckpt = trained
@@ -323,8 +363,9 @@ class TestExitCodes:
 
     def test_degenerate_features_is_two(self, dataset_file, tmp_path):
         ds = load_dataset(dataset_file)
-        ds.tuples = [[type(rec)(rec.tuple_id, rec.modality, np.zeros_like(rec.features),
-                                rec.labels) for rec in group] for group in ds.tuples]
+        ds = TupleDataset.from_columns(ds.num_modalities, ds.ids,
+                                       [np.zeros_like(f) for f in ds.features], ds.labels,
+                                       ds.label_vocabulary)
         zeros = tmp_path / "zeros.txt"
         save_dataset(ds, zeros)
         code, err = run_process(["train", "--dataset", str(zeros),

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from xmodal.data import (SampleRecord, SynthConfig, TupleDataset, batch_iter,
-                         generate_synthetic, load_dataset, save_dataset, split,
+from xmodal.data import (FORMAT_HEADER, SampleRecord, SynthConfig, TupleDataset,
+                         batch_iter, generate_synthetic, load_dataset, save_dataset, split,
                          stack_features)
 from xmodal.cli import read_kv, typed_config
 from xmodal.errors import ContractError, DatasetFormatError
@@ -139,6 +139,32 @@ class TestFileRoundTrip:
                 np.testing.assert_array_equal(r1.features, r2.features)
                 assert r1.labels == r2.labels
 
+    def test_special_values_round_trip_bit_exact(self, tmp_path):
+        values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1])
+        ds = TupleDataset.from_columns(2, [3, 8], [np.stack([values, -values]),
+                                                  np.stack([values[::-1], values / 3])],
+                                       [frozenset({0}), frozenset({0, 1})], ["a", "b"])
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        assert "-0,4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001" \
+            in path.read_text()
+        loaded = load_dataset(path)
+        assert loaded.tuple_ids() == [3, 8] and loaded.labels == ds.labels
+        for a, b in zip(ds.features, loaded.features):
+            assert a.tobytes() == b.tobytes()
+
+    def test_loaded_floats_are_float_of_their_text(self, tmp_path):
+        # more lines than one bulk-parse chunk
+        ds = generate_synthetic(SynthConfig(num_tuples=300, input_dim=5, seed=4))
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        loaded = load_dataset(path)
+        for line in path.read_text().splitlines()[1:]:
+            tid, m, feats, _ = line.split("\t")
+            row = loaded.features[int(m)][loaded.tuple_ids().index(int(tid))]
+            assert row.tobytes() == np.array([float(v) for v in feats.split(",")]).tobytes()
+        assert all(f.flags.c_contiguous and f.dtype == np.float64 for f in loaded.features)
+
     def test_byte_identical_rewrites(self, tmp_path):
         ds = generate_synthetic(CFG)
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -189,6 +215,129 @@ class TestFileRoundTrip:
         path.write_text(text)
         with pytest.raises(DatasetFormatError, match="mismatched label"):
             load_dataset(path)
+
+
+def _set_field(lines, i, f, value):
+    parts = lines[i].split("\t")
+    parts[f] = value
+    lines[i] = "\t".join(parts)
+
+
+def _set_feature(lines, i, value):
+    parts = lines[i].split("\t")
+    parts[2] = ",".join([value, *parts[2].split(",")[1:]])
+    lines[i] = "\t".join(parts)
+
+
+def _append(lines, i, text):
+    lines[i] += text
+
+
+def _drop_feature(lines, i):
+    _set_field(lines, i, 2, lines[i].split("\t")[2].partition(",")[2])
+
+
+# ARCHIVE_CFG saved, as a list of lines: item i is line i + 1, tuple (i - 1) // 2,
+# modality (i - 1) % 2. Items 1..256 are the first chunk of the loader's bulk parse.
+ARCHIVE_CFG = SynthConfig(num_tuples=150, input_dim=3, num_classes=4, seed=1)
+# Each message is the one the per-record loader gave before the bulk parse.
+MALFORMED = [
+    pytest.param([(_append, 280, "\textra")], DatasetFormatError,
+                 "line 281: expected 4 tab-separated fields, got 5 (last good line 280)",
+                 id="field count"),
+    pytest.param([(_set_field, 10, 0, "x")], DatasetFormatError,
+                 "line 11: invalid literal for int() with base 10: 'x' (last good line 10)",
+                 id="tuple id"),
+    pytest.param([(_set_feature, 270, "abc")], DatasetFormatError,
+                 "line 271: could not convert string to float: 'abc' (last good line 270)",
+                 id="float"),
+    # np.loadtxt alone would read this number as 0.5
+    pytest.param([(_set_feature, 120, "0.5\x1c")], DatasetFormatError,
+                 "line 121: could not convert string to float: '0.5\\x1c' (last good line 120)",
+                 id="separator"),
+    pytest.param([(_drop_feature, 5)], DatasetFormatError,
+                 "line 6: feature length 2 != dim=3", id="feature length"),
+    pytest.param([(_set_field, 7, 1, "2")], DatasetFormatError,
+                 "line 8: modality 2 >= N=2", id="modality"),
+    pytest.param([(_set_field, 300, 3, "9")], DatasetFormatError,
+                 "line 301: label id outside vocabulary", id="label"),
+    pytest.param([(_set_feature, 261, "nan")], ContractError,
+                 "tuple 130: non-finite features", id="non-finite"),
+    pytest.param([(list.__delitem__, 101)], DatasetFormatError,
+                 "tuple 50 has 1 of 2 modalities", id="missing modality"),
+    pytest.param([(_set_field, 51, 3, "0,1")], DatasetFormatError,
+                 "tuple 25 has mismatched label sets", id="label sets"),
+    pytest.param([(_set_feature, 40, "inf"), (_set_feature, 200, "abc")], ContractError,
+                 "tuple 19: non-finite features", id="non-finite, then float"),
+    pytest.param([(_set_feature, 30, "1.5e"), (_append, 250, "\tx")], DatasetFormatError,
+                 "line 31: could not convert string to float: '1.5e' (last good line 30)",
+                 id="float, then field count"),
+    pytest.param([(_set_feature, 100, "-inf"), (_set_field, 280, 1, "7")], ContractError,
+                 "tuple 49: non-finite features", id="non-finite, then modality next chunk"),
+]
+
+
+class TestLoaderErrors:
+    @pytest.fixture(scope="class")
+    def archive_lines(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("archive") / "ds.txt"
+        save_dataset(generate_synthetic(ARCHIVE_CFG), path)
+        return path.read_text().splitlines()
+
+    @pytest.mark.parametrize("edits, error, message", MALFORMED)
+    def test_first_bad_line_named(self, archive_lines, tmp_path, edits, error, message):
+        lines = list(archive_lines)
+        for edit, *args in edits:
+            edit(lines, *args)
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error) as exc:
+            load_dataset(path)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_repeated_record_rejected(self, archive_lines, tmp_path):
+        # a second line for tuple 9, modality 0, after the first; it used to replace it
+        lines = list(archive_lines)
+        lines.insert(20, lines[19].replace(lines[19].split("\t")[2], "0,0,0"))
+        path = tmp_path / "dup.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError,
+                           match=r"^line 21: tuple 9 modality 0 given twice$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("modality, labels, message", [
+        ("-1", "0", "line 4: modality -1 < 0"),
+        ("0", "-1", "line 4: label id outside vocabulary"),
+    ])
+    def test_negative_modality_and_label_rejected(self, archive_lines, tmp_path,
+                                                  modality, labels, message):
+        lines = list(archive_lines)
+        _set_field(lines, 3, 1, modality)
+        _set_field(lines, 3, 3, labels)
+        path = tmp_path / "neg.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=f"^{message}$"):
+            load_dataset(path)
+
+    def test_empty_feature_fields(self, tmp_path, recwarn):
+        # one feature per record, every field empty: np.loadtxt would skip such lines
+        path = tmp_path / "empty.txt"
+        path.write_text(f"{FORMAT_HEADER} N=2 dim=1 labels=2\n0\t0\t\t1\n0\t1\t\t1\n")
+        with pytest.raises(DatasetFormatError, match=r"^line 2: could not convert string "
+                                                     r"to float: '' \(last good line 1\)$"):
+            load_dataset(path)
+        assert not recwarn.list
+
+    def test_values_float_accepts_but_bulk_parse_does_not(self, archive_lines, tmp_path):
+        # underscores and surrounding spaces are valid for float(): the archive
+        # loads, through the line-by-line parse, with float()'s values
+        lines = list(archive_lines)
+        _set_feature(lines, 3, "1_5")
+        _set_feature(lines, 200, " -2.5 ")
+        path = tmp_path / "odd.txt"
+        path.write_text("\n".join(lines) + "\n")
+        ds = load_dataset(path)
+        assert ds.features[0][1][0] == 15.0 and ds.features[1][99][0] == -2.5
 
 
 class TestSynthConfig:

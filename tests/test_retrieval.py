@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from xmodal.data import SynthConfig, generate_synthetic, split
+from xmodal.data import SynthConfig, TupleDataset, generate_synthetic, split
 from xmodal.errors import ContractError
 from xmodal.model import ModelConfig, init_params
 from xmodal.model import embed
@@ -199,9 +199,9 @@ class TestEvaluateCrossModal:
         uniform = generate_synthetic(SynthConfig(num_classes=2, num_tuples=30,
                                                  input_dim=12, latent_dim=6, seed=8))
         labels = frozenset({0})
-        for group in uniform.tuples:
-            for i, rec in enumerate(group):
-                group[i] = type(rec)(rec.tuple_id, rec.modality, rec.features, labels)
+        uniform = TupleDataset.from_columns(uniform.num_modalities, uniform.ids,
+                                            uniform.features, [labels] * len(uniform),
+                                            uniform.label_vocabulary)
         tr, _, te = split(uniform, (0.5, 0.25, 0.25), seed=0)
         index = build_index(params, te)
         rep = evaluate_cross_modal(params, index, tr, 0, 1, k=4)
@@ -236,10 +236,12 @@ class TestEvaluateCrossModal:
         ds = generate_synthetic(SynthConfig(num_classes=6, num_tuples=2 * _BLOCK + 30,
                                             input_dim=12, latent_dim=6, noise_sigma=0.3,
                                             multi_label=True, seed=12))
+        features = [f.copy() for f in ds.features]
         for i in range(1, len(ds.tuples), 3):
-            prev = ds.tuples[i - 1]
-            ds.tuples[i] = [type(rec)(rec.tuple_id, rec.modality, src.features, rec.labels)
-                            for rec, src in zip(ds.tuples[i], prev)]
+            for f in features:
+                f[i] = f[i - 1]
+        ds = TupleDataset.from_columns(ds.num_modalities, ds.ids, features, ds.labels,
+                                       ds.label_vocabulary)
         params = init_params(MODEL)
         index = build_index(params, ds)
         assert len(ds) > _BLOCK
