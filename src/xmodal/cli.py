@@ -117,13 +117,15 @@ def _now():
 
 
 def _ensure_out_dir(path, mkdirs):
-    directory = path if os.path.splitext(path)[1] == "" else os.path.dirname(path) or "."
+    """The directory of the output file ``path``; with mkdirs it is created if missing."""
+    directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         if mkdirs:
             os.makedirs(directory, exist_ok=True)
         else:
             raise ContractError(f"output directory {directory!r} does not exist "
                                 "(pass --mkdirs to create it)")
+    return directory
 
 
 def _split_dataset(ds, fractions_str, seed):
@@ -145,10 +147,9 @@ def cmd_gen_data(args):
     if args.seed is not None:
         values["seed"] = args.seed
     config = typed_config(SynthConfig, values)
-    _ensure_out_dir(args.out, args.mkdirs)
+    out_dir = _ensure_out_dir(args.out, args.mkdirs)
     ds = generate_synthetic(config)
     save_dataset(ds, args.out)
-    out_dir = os.path.dirname(args.out) or "."
     _write_manifest(out_dir, "gen-data", dataclasses.asdict(config),
                     {"config_file": args.config}, {"dataset": args.out},
                     config.seed, started)
@@ -216,9 +217,8 @@ def cmd_evaluate(args):
     directions = _parse_direction(args.direction, index.num_modalities)
     reports = [evaluate_cross_modal(params, index, query_ds, src, tgt, k=args.k)
                for src, tgt in directions]
-    _ensure_out_dir(args.out, args.mkdirs)
+    out_dir = _ensure_out_dir(args.out, args.mkdirs)
     metrics_to_csv(reports, args.out)
-    out_dir = os.path.dirname(args.out) or "."
     _write_manifest(out_dir, "evaluate",
                     {"k": args.k, "direction": args.direction,
                      "query_split": args.query_split, "index_split": args.index_split,
@@ -238,11 +238,10 @@ def cmd_retrieve(args):
     for flag, m in (("--src", args.src), ("--tgt", args.tgt)):
         if not 0 <= m < ds.num_modalities:
             raise ContractError(f"{flag} {m} outside [0, {ds.num_modalities})")
-    # the target modality alone is indexed, after the input dimension is checked
+    # the target modality alone is indexed, once the modality count and input dim are checked
     index = build_index(params, ds, modalities=[args.tgt])
     q = embed(params, args.src, ds.features[args.src][row]).data[0]
-    result = retrieve(index, q, args.tgt, args.k, exclude_tuple_id=args.query_id,
-                      query_id=args.query_id, query_modality=args.src)
+    result = retrieve(index, q, args.tgt, args.k, exclude_tuple_id=args.query_id)
     for rank, (tid, score) in enumerate(result.items, 1):
         print(f"{args.query_id},{rank},{tid},{score:.17g}")
     return EXIT_OK

@@ -4,11 +4,10 @@ Each tuple holds one record per modality over a shared semantic latent:
 the label set picks class prototype vectors, their sum (plus jitter) is
 pushed through a frozen per-modality linear map and tanh, then Gaussian
 noise is added. Labels belong to the tuple and are used only by evaluation.
-A dataset is held column-wise; record objects are built only when read.
+A dataset is held column-wise, and a batch is an array of its row indices.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,63 +19,27 @@ _CHUNK = 256    # lines whose feature fields load_dataset parses in one call
 _SEPARATORS = "\x1c\x1d\x1e\x1f"   # whitespace to np.loadtxt, not to float()
 
 
-class SampleRecord(NamedTuple):
-    tuple_id: int
-    modality: int
-    features: np.ndarray
-    labels: frozenset
-
-
-class TupleView:
-    """Rows ``index`` of a dataset as [SampleRecord, ...] groups, each built when read;
-    ``stack_features`` gathers a modality's rows without building any."""
-
-    def __init__(self, dataset, index):
-        self.dataset, self.index = dataset, index
-
-    def __len__(self):
-        return len(self.index)
-
-    def __getitem__(self, i):  # an IndexError past the end also ends iteration
-        ds, row = self.dataset, self.index[i]
-        return [SampleRecord(int(ds.ids[row]), m, ds.features[m][row], ds.labels[row])
-                for m in range(ds.num_modalities)]
-
-
 class TupleDataset:
     """Tuples column-wise: ``ids`` an ascending int64 array, ``features[m]`` one
-    C-contiguous (N, dim) float64 matrix per modality, ``labels`` a frozenset per tuple."""
+    C-contiguous (N, dim) float64 matrix per modality, ``labels`` a frozenset per
+    tuple, ``num_labels`` the size of the label id range."""
 
-    def __init__(self, num_modalities, tuples, label_vocabulary):
-        """A dataset of record groups: one [SampleRecord, ...] per tuple, ordered by modality."""
-        self.num_modalities, self.label_vocabulary = num_modalities, list(label_vocabulary)
-        self.ids = np.array([g[0].tuple_id for g in tuples], dtype=np.int64)
-        self.features = [np.array([g[m].features for g in tuples], dtype=np.float64)
-                         for m in range(num_modalities)]
-        self.labels = [frozenset(g[0].labels) for g in tuples]
-
-    @classmethod
-    def from_columns(cls, num_modalities, ids, features, labels, label_vocabulary):
-        """A dataset of ascending tuple ids, one (N, dim) matrix per modality, N label sets."""
-        ds = cls(num_modalities, [], label_vocabulary)
-        ds.ids = np.asarray(ids, dtype=np.int64)
-        ds.features = [np.ascontiguousarray(f, dtype=np.float64) for f in features]
-        ds.labels = list(labels)
-        return ds
+    def __init__(self, ids, features, labels, num_labels):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.features = [np.ascontiguousarray(f, dtype=np.float64) for f in features]
+        self.labels = list(labels)
+        self.num_labels = num_labels
 
     def __len__(self):
         return len(self.ids)
 
     @property
-    def input_dim(self):
-        return self.features[0].shape[-1]  # 0 when built from no records
+    def num_modalities(self):
+        return len(self.features)
 
     @property
-    def tuples(self):
-        return TupleView(self, np.arange(len(self)))
-
-    def tuple_ids(self):
-        return self.ids.tolist()
+    def input_dim(self):
+        return self.features[0].shape[-1]
 
 
 @dataclass(frozen=True)
@@ -136,9 +99,7 @@ def generate_synthetic(config: SynthConfig) -> TupleDataset:
             features[m][tid] = np.tanh(maps[m] @ latent)
             if config.noise_sigma > 0:
                 features[m][tid] += config.noise_sigma * rng.normal(size=config.input_dim)
-    vocab = [f"class_{c}" for c in range(config.num_classes)]
-    return TupleDataset.from_columns(config.num_modalities, np.arange(config.num_tuples),
-                                     features, labels, vocab)
+    return TupleDataset(np.arange(config.num_tuples), features, labels, config.num_classes)
 
 
 def split(ds: TupleDataset, fractions, seed):
@@ -157,14 +118,14 @@ def split(ds: TupleDataset, fractions, seed):
         raise ContractError("split: a part would be empty")
     order = np.random.default_rng(seed).permutation(m)
     parts = (order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:])
-    return tuple(TupleDataset.from_columns(ds.num_modalities, ds.ids[rows],
-                                           [f[rows] for f in ds.features],
-                                           [ds.labels[i] for i in rows], ds.label_vocabulary)
+    return tuple(TupleDataset(ds.ids[rows], [f[rows] for f in ds.features],
+                              [ds.labels[i] for i in rows], ds.num_labels)
                  for rows in map(np.sort, parts))
 
 
 def batch_iter(ds: TupleDataset, batch_size, seed, epoch):
-    """Tuple batches with an epoch-keyed reshuffle; trailing batch < 2 is dropped."""
+    """Row-index arrays of tuple batches with an epoch-keyed reshuffle; a trailing
+    batch of fewer than 2 rows is dropped."""
     if batch_size < 2:
         raise ContractError("batch_iter: batch size must be >= 2 (losses need a negative)")
     order = np.random.default_rng((seed, epoch)).permutation(len(ds))
@@ -172,12 +133,12 @@ def batch_iter(ds: TupleDataset, batch_size, seed, epoch):
         idx = order[start:start + batch_size]
         if len(idx) < 2:
             break
-        yield TupleView(ds, idx)
+        yield idx
 
 
-def stack_features(batch: TupleView, modality):
-    """Features of one modality for the rows of a view, gathered as a (T, dim) array."""
-    return batch.dataset.features[modality][batch.index]
+def stack_features(ds: TupleDataset, rows, modality):
+    """Features of one modality for the given rows, gathered as a (T, dim) array."""
+    return ds.features[modality][rows]
 
 
 def save_dataset(ds: TupleDataset, path):
@@ -185,7 +146,7 @@ def save_dataset(ds: TupleDataset, path):
     row_format = ",".join(["%.17g"] * ds.input_dim)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{FORMAT_HEADER} N={ds.num_modalities} dim={ds.input_dim} "
-                 f"labels={len(ds.label_vocabulary)}\n")
+                 f"labels={ds.num_labels}\n")
         for tid, labels, *rows in zip(ds.ids.tolist(), ds.labels,
                                       *(f.tolist() for f in ds.features)):
             label_text = ",".join(str(l) for l in sorted(labels))
@@ -218,7 +179,9 @@ def _parse_chunk(fields, dim):
 
 
 def _load(path, bulk):
-    with open(path, encoding="utf-8") as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate, which no field's parse
+    # accepts, so it is reported as a format error on its line
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(FORMAT_HEADER):
             raise DatasetFormatError(f"bad header {header!r}", line_number=1)
@@ -233,6 +196,10 @@ def _load(path, bulk):
         for key in ("N", "dim", "labels"):
             if key not in meta:
                 raise DatasetFormatError(f"header missing {key}=", line_number=1)
+        for key in ("N", "dim"):
+            if meta[key] < 1:
+                raise DatasetFormatError(f"header field {key}={meta[key]} must be >= 1",
+                                         line_number=1)
         n, dim = meta["N"], meta["dim"]
         slots = {}     # tuple id -> position of its line of each modality, or -1
         line_labels, blocks, pending = [], [], []   # pending: fields of the next chunk
@@ -290,6 +257,5 @@ def _load(path, bulk):
             raise DatasetFormatError(f"tuple {tid} has mismatched label sets")
     order = np.array([slots[t] for t in ids], dtype=np.intp).reshape(len(ids), n)
     rows = np.concatenate(blocks) if blocks else np.empty((0, dim))
-    vocab = [f"class_{c}" for c in range(meta["labels"])]
-    return TupleDataset.from_columns(n, ids, [rows[order[:, m]] for m in range(n)],
-                                     [line_labels[p] for p in order[:, 0]], vocab)
+    return TupleDataset(ids, [rows[order[:, m]] for m in range(n)],
+                        [line_labels[p] for p in order[:, 0]], meta["labels"])

@@ -193,15 +193,13 @@ def msp_neighbor_indices(y_data):
     return _nearest_neighbor_indices(y_data, np.sum(y_data * y_data, axis=1))
 
 
-def combined_loss(z_j, z_k, y_j, y_k, weights: LossWeights,
-                  include_positive_in_denominator=False) -> LossBreakdown:
+def combined_loss(z_j, z_k, y_j, y_k, weights: LossWeights) -> LossBreakdown:
     """Weighted sum of the three losses, differentiable end to end."""
     sizes = {np.asarray(a.data if isinstance(a, T.Tensor) else a).shape[0]
              for a in (z_j, z_k, y_j, y_k)}
     if len(sizes) != 1:
         raise ContractError(f"combined_loss: inconsistent batch sizes {sorted(sizes)}")
-    mim = loss_mim(z_j, z_k, weights.tau,
-                   include_positive_in_denominator=include_positive_in_denominator)
+    mim = loss_mim(z_j, z_k, weights.tau)
     mde = loss_mde(y_j, y_k)
     msp = loss_msp(y_j, y_k)
     total = T.add(mim, T.add(T.scale(mde, weights.alpha), T.scale(msp, weights.beta)))

@@ -49,7 +49,7 @@ class EmbeddingIndex:
         self._ids = [np.empty(0, dtype=np.int64) for _ in range(num_modalities)]
         self._labels = [[] for _ in range(num_modalities)]
 
-    def add(self, modality, tuple_ids, embeddings, labels):
+    def add(self, modality, ids, embeddings, labels):
         """Append rows to one modality; each row is stored divided by its norm."""
         if not 0 <= modality < self.num_modalities:
             raise ContractError(f"unknown modality {modality}")
@@ -57,7 +57,7 @@ class EmbeddingIndex:
         if embeddings.ndim != 2 or embeddings.shape[1:] != (self.embedding_dim,):
             raise ContractError(
                 f"embedding shape {embeddings.shape[1:]} != ({self.embedding_dim},)")
-        ids = np.asarray(tuple_ids, dtype=np.int64)
+        ids = np.asarray(ids, dtype=np.int64)
         labels = [frozenset(s) for s in labels]
         if not len(ids) == len(embeddings) == len(labels):
             raise ContractError(f"{len(ids)} tuple ids, {len(embeddings)} embeddings "
@@ -93,11 +93,7 @@ class EmbeddingIndex:
 
 @dataclass
 class RankedResult:
-    query_id: int
-    query_modality: int
-    target_modality: int
     items: list            # [(tuple_id, score), ...] scores non-increasing
-    k: int
     short: bool = False    # fewer candidates than requested
 
 
@@ -124,6 +120,8 @@ class MetricsReport:
 
 def build_index(params, ds, modalities=None) -> EmbeddingIndex:
     """Embed the dataset's modalities (all of them by default) and add each in one call."""
+    if ds.num_modalities != params.config.num_modalities:
+        raise ContractError("dataset and model disagree on modality count")
     if ds.input_dim != params.config.input_dim:
         raise ContractError("dataset and model disagree on input dimension")
     index = EmbeddingIndex(ds.num_modalities, params.config.embedding_dim)
@@ -170,14 +168,12 @@ def _top_k(index, unit_queries, target, k, exclude_ids):
 
 
 def retrieve(index: EmbeddingIndex, query_embedding, target_modality, k,
-             exclude_tuple_id=None, query_id=-1, query_modality=-1) -> RankedResult:
+             exclude_tuple_id=None) -> RankedResult:
     """Exact top-k by cosine score; ties ordered by ascending tuple_id."""
     query = np.asarray(query_embedding, dtype=np.float64)[None]
     items = _top_k(index, _unit_queries(query, index.embedding_dim), target_modality, k,
                    [exclude_tuple_id])[0]
-    return RankedResult(query_id=query_id, query_modality=query_modality,
-                        target_modality=target_modality, items=items, k=k,
-                        short=len(items) < k)
+    return RankedResult(items=items, short=len(items) < k)
 
 
 def pair_f1(query_labels, item_labels):
@@ -212,8 +208,7 @@ def ndcg_at_k(relevances, k):
 
 
 def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
-                         src_modality, tgt_modality, k=8,
-                         exclude_self_tuple=True) -> MetricsReport:
+                         src_modality, tgt_modality, k=8) -> MetricsReport:
     """Mean F1@K / NDCG@K over all queries of one retrieval direction.
 
     Queries are embedded from their src-modality features and ranked together,
@@ -228,14 +223,13 @@ def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
         raise ContractError("cross-modal evaluation needs distinct modalities")
     if not len(query_split):
         raise ContractError("empty query set")
-    ids = query_split.tuple_ids()
+    ids = query_split.ids.tolist()
     for tid, labels in zip(ids, query_split.labels):
         if not labels:
             raise ContractError(f"query tuple {tid} has no labels")
     queries = _unit_queries(embed(params, src_modality, query_split.features[src_modality]).data,
                             index.embedding_dim)
-    exclude = ids if exclude_self_tuple else [None] * len(ids)
-    ranked = _top_k(index, queries, tgt_modality, k, exclude)
+    ranked = _top_k(index, queries, tgt_modality, k, ids)
     labels_by_id = dict(zip(index._ids[tgt_modality].tolist(), index._labels[tgt_modality]))
     rows = []
     for tid, labels, items in zip(ids, query_split.labels, ranked):

@@ -107,20 +107,19 @@ def adam_step(params: ModelParams, grads, state: AdamState,
     return params, state
 
 
-def _batch_loss(params, batch, weights, include_positive=False):
-    """Forward both modalities of one pair and evaluate the combined loss.
+def _batch_loss(params, ds, rows, weights):
+    """Forward every modality of the given rows and evaluate the combined loss.
 
     With more than two modalities the loss is averaged over all unordered
     pairs; the default configuration has exactly one pair.
     """
     n = params.config.num_modalities
-    ys = [forward_backbone(params, m, stack_features(batch, m)) for m in range(n)]
+    ys = [forward_backbone(params, m, stack_features(ds, rows, m)) for m in range(n)]
     zs = [forward_encoder(params, y) for y in ys]
     breakdowns = []
     for j in range(n):
         for k in range(j + 1, n):
-            breakdowns.append(combined_loss(zs[j], zs[k], ys[j], ys[k], weights,
-                                            include_positive_in_denominator=include_positive))
+            breakdowns.append(combined_loss(zs[j], zs[k], ys[j], ys[k], weights))
     if len(breakdowns) == 1:
         return breakdowns[0]
     total = breakdowns[0].total_node
@@ -146,8 +145,8 @@ def _validation_loss(params, ds_val, train_config):
     """
     weights = LossWeights(alpha=1.0, beta=1.0, tau=train_config.tau)
     totals, count = 0.0, 0
-    for batch in batch_iter(ds_val, train_config.batch_size, train_config.seed, 0):
-        breakdown = _batch_loss(params, batch, weights)
+    for rows in batch_iter(ds_val, train_config.batch_size, train_config.seed, 0):
+        breakdown = _batch_loss(params, ds_val, rows, weights)
         totals += breakdown.total
         count += 1
     return totals / count if count else float("nan")
@@ -188,8 +187,8 @@ def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig
         weights = LossWeights(alpha=alpha, beta=beta, tau=cfg.tau)
         sums = np.zeros(4)
         count = 0
-        for bi, batch in enumerate(batch_iter(ds_train, cfg.batch_size, cfg.seed, epoch)):
-            breakdown = _batch_loss(params, batch, weights)
+        for bi, rows in enumerate(batch_iter(ds_train, cfg.batch_size, cfg.seed, epoch)):
+            breakdown = _batch_loss(params, ds_train, rows, weights)
             if not np.isfinite(breakdown.total):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {bi}: {breakdown.total}")

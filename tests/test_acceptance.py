@@ -185,10 +185,10 @@ def _neighbor_purity(params, ds, k=8):
     """Mean fraction of top-k same-modality neighbors sharing the query's label."""
     purities = []
     for m in range(ds.num_modalities):
-        feats = np.stack([g[m].features for g in ds.tuples])
+        feats = ds.features[m]
         z = embed(params, m, feats).data
         z = z / np.linalg.norm(z, axis=1, keepdims=True)
-        labels = [g[m].labels for g in ds.tuples]
+        labels = ds.labels
         sims = z @ z.T
         np.fill_diagonal(sims, -np.inf)
         for i in range(len(ds)):

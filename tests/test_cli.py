@@ -99,11 +99,12 @@ class TestGenData:
         assert a.read_bytes() == b.read_bytes()
 
     def test_missing_dir_needs_mkdirs(self, tmp_path):
-        out = tmp_path / "sub" / "ds.txt"
-        assert run(["gen-data", "--out", str(out), "--set", "num_tuples=50"]) == 1
-        assert run(["gen-data", "--out", str(out), "--set", "num_tuples=50",
-                    "--mkdirs"]) == 0
-        assert out.exists()
+        # a path without an extension names a file too
+        for out in (tmp_path / "sub" / "ds.txt", tmp_path / "other" / "ds"):
+            assert run(["gen-data", "--out", str(out), "--set", "num_tuples=50"]) == 1
+            assert run(["gen-data", "--out", str(out), "--set", "num_tuples=50",
+                        "--mkdirs"]) == 0
+            assert out.is_file()
 
     def test_bad_config_key_named(self, tmp_path, capsys):
         out = tmp_path / "ds.txt"
@@ -241,14 +242,41 @@ class TestBadInputOneLine:
         assert err == [f"error: {message}"]
         assert not out.exists()
 
-    def test_dataset_header_not_integer(self, dataset_file, tmp_path):
+    @pytest.mark.parametrize("pattern, replacement, message", [
+        (rb"N=2", b"N=abc", "line 1: header field 'N=abc' is not key=integer"),
+        (rb"N=2", b"N=0", "line 1: header field N=0 must be >= 1"),
+        (rb"N=2", b"N=-1", "line 1: header field N=-1 must be >= 1"),
+        (rb"dim=32", b"dim=0", "line 1: header field dim=0 must be >= 1"),
+        # the first feature of line 2 becomes the byte 0xff, which is not UTF-8
+        (rb"\n(\d+\t\d+\t)[^,]*", b"\n\\1\xff",
+         "line 2: could not convert string to float: '\\udcff' (last good line 1)"),
+    ], ids=["N=abc", "N=0", "N=-1", "dim=0", "byte 0xff"])
+    def test_dataset_header_not_integer(self, dataset_file, tmp_path, pattern, replacement,
+                                        message):
         bad = tmp_path / "bad.txt"
-        lines = dataset_file.read_text().splitlines(keepends=True)
-        bad.write_text(lines[0].replace("N=2", "N=abc") + "".join(lines[1:]))
+        bad.write_bytes(re.sub(pattern, replacement, dataset_file.read_bytes(), count=1))
         code, err = run_process(["train", "--dataset", str(bad),
                                  "--out-dir", str(tmp_path / "out")])
         assert code == 1
-        assert err == ["error: line 1: header field 'N=abc' is not key=integer"]
+        assert err == [f"error: {message}"]
+
+    @pytest.mark.parametrize("setting, argv, message", [
+        ("input_dim=16", ["retrieve", "--query-id", "5"], "input dimension"),
+        ("num_modalities=3", ["retrieve", "--query-id", "5", "--src", "2"], "modality count"),
+        ("num_modalities=3", ["evaluate", "--direction", "0->1", "--out", "{metrics}"],
+         "modality count"),
+    ], ids=["retrieve input_dim", "retrieve num_modalities", "evaluate num_modalities"])
+    def test_dataset_model_mismatch(self, trained, tmp_path, setting, argv, message):
+        _, ckpt = trained
+        other = tmp_path / "other.txt"
+        assert run(["gen-data", "--out", str(other), "--set", setting,
+                    "--set", "num_tuples=40"]) == 0
+        metrics = tmp_path / "m.csv"
+        code, err = run_process([*(a.format(metrics=metrics) for a in argv),
+                                 "--checkpoint", str(ckpt), "--dataset", str(other)])
+        assert code == 1
+        assert err == [f"error: dataset and model disagree on {message}"]
+        assert not metrics.exists()
 
     @pytest.mark.parametrize("key", ["adam_step", "tensors"])
     def test_checkpoint_header_missing_key(self, trained, tmp_path, key):
@@ -317,20 +345,10 @@ class TestRetrieveCommand:
                     "--k", "6"]) == 0
         params, _, _, _ = load_checkpoint(ckpt)
         ds = load_dataset(dataset)
-        query = embed(params, src, ds.features[src][ds.tuple_ids().index(17)][None]).data[0]
+        query = embed(params, src, ds.features[src][ds.ids.tolist().index(17)][None]).data[0]
         items = retrieve(build_index(params, ds), query, tgt, 6, exclude_tuple_id=17).items
         assert capsys.readouterr().out.splitlines() == \
             [f"17,{rank},{tid},{score:.17g}" for rank, (tid, score) in enumerate(items, 1)]
-
-    def test_input_dim_mismatch_one_line(self, trained, tmp_path):
-        _, ckpt = trained
-        narrow = tmp_path / "narrow.txt"
-        assert run(["gen-data", "--out", str(narrow), "--set", "input_dim=16",
-                    "--set", "num_tuples=40"]) == 0
-        code, err = run_process(["retrieve", "--checkpoint", str(ckpt), "--dataset",
-                                 str(narrow), "--query-id", "5"])
-        assert code == 1
-        assert err == ["error: dataset and model disagree on input dimension"]
 
     def test_src_out_of_range_one_line(self, trained):
         dataset, ckpt = trained
@@ -363,9 +381,8 @@ class TestExitCodes:
 
     def test_degenerate_features_is_two(self, dataset_file, tmp_path):
         ds = load_dataset(dataset_file)
-        ds = TupleDataset.from_columns(ds.num_modalities, ds.ids,
-                                       [np.zeros_like(f) for f in ds.features], ds.labels,
-                                       ds.label_vocabulary)
+        ds = TupleDataset(ds.ids, [np.zeros_like(f) for f in ds.features], ds.labels,
+                          ds.num_labels)
         zeros = tmp_path / "zeros.txt"
         save_dataset(ds, zeros)
         code, err = run_process(["train", "--dataset", str(zeros),

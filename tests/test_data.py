@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xmodal.data import (FORMAT_HEADER, SampleRecord, SynthConfig, TupleDataset,
+from xmodal.data import (FORMAT_HEADER, SynthConfig, TupleDataset,
                          batch_iter, generate_synthetic, load_dataset, save_dataset, split,
                          stack_features)
 from xmodal.cli import read_kv, typed_config
@@ -17,29 +17,28 @@ class TestGenerateSynthetic:
     def test_counts(self):
         ds = generate_synthetic(CFG)
         assert len(ds) == 100
-        assert sum(len(g) for g in ds.tuples) == 200
-        assert all(max(g[0].labels) < 5 for g in ds.tuples)
+        assert sum(len(f) for f in ds.features) == 200
+        assert all(max(labels) < 5 for labels in ds.labels)
 
     def test_same_seed_bit_identical(self):
         d1, d2 = generate_synthetic(CFG), generate_synthetic(CFG)
-        for g1, g2 in zip(d1.tuples, d2.tuples):
-            for r1, r2 in zip(g1, g2):
-                np.testing.assert_array_equal(r1.features, r2.features)
-                assert r1.labels == r2.labels
+        for f1, f2 in zip(d1.features, d2.features):
+            np.testing.assert_array_equal(f1, f2)
+        assert d1.labels == d2.labels
 
     def test_different_seed_differs(self):
         other = SynthConfig(**{**CFG.__dict__, "seed": 4})
         d1, d2 = generate_synthetic(CFG), generate_synthetic(other)
-        assert any(not np.array_equal(r1.features, r2.features)
-                   for g1, g2 in zip(d1.tuples, d2.tuples)
-                   for r1, r2 in zip(g1, g2))
+        assert any(not np.array_equal(r1, r2)
+                   for f1, f2 in zip(d1.features, d2.features)
+                   for r1, r2 in zip(f1, f2))
 
     def test_within_class_clustering_noiseless(self):
         cfg = SynthConfig(num_classes=4, num_tuples=80, input_dim=16, latent_dim=8,
                           noise_sigma=0.0, seed=5)
         ds = generate_synthetic(cfg)
-        feats = stack_features(ds.tuples, 0)
-        labels = [next(iter(g[0].labels)) for g in ds.tuples]
+        feats = stack_features(ds, np.arange(len(ds)), 0)
+        labels = [next(iter(labels)) for labels in ds.labels]
         within, cross = [], []
         for i in range(len(ds)):
             for j in range(i + 1, len(ds)):
@@ -51,14 +50,14 @@ class TestGenerateSynthetic:
         cfg = SynthConfig(num_classes=6, num_tuples=50, multi_label=True,
                           labels_per_tuple=(1, 3), seed=6)
         ds = generate_synthetic(cfg)
-        sizes = {len(g[0].labels) for g in ds.tuples}
+        sizes = {len(labels) for labels in ds.labels}
         assert sizes <= {1, 2, 3} and len(sizes) > 1
 
     def test_alignment_invariant(self):
         ds = generate_synthetic(CFG)
-        for group in ds.tuples:
-            assert group[0].labels == group[1].labels
-            assert group[0].tuple_id == group[1].tuple_id
+        # one row per tuple id in each modality's matrix and in the label list
+        assert all(len(f) == len(ds.ids) for f in ds.features)
+        assert len(ds.labels) == len(ds.ids)
 
 
 class TestSplit:
@@ -70,8 +69,8 @@ class TestSplit:
     def test_partition_property(self):
         ds = generate_synthetic(CFG)
         tr, va, te = split(ds, (0.5, 0.25, 0.25), seed=1)
-        ids = [set(p.tuple_ids()) for p in (tr, va, te)]
-        assert ids[0] | ids[1] | ids[2] == set(ds.tuple_ids())
+        ids = [set(p.ids.tolist()) for p in (tr, va, te)]
+        assert ids[0] | ids[1] | ids[2] == set(ds.ids.tolist())
         assert not (ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2])
 
     def test_remainder_goes_to_train(self):
@@ -91,7 +90,7 @@ class TestSplit:
         a = split(ds, (0.52, 0.24, 0.24), seed=9)
         b = split(ds, (0.52, 0.24, 0.24), seed=9)
         for pa, pb in zip(a, b):
-            assert pa.tuple_ids() == pb.tuple_ids()
+            assert pa.ids.tolist() == pb.ids.tolist()
 
 
 class TestBatchIter:
@@ -107,13 +106,13 @@ class TestBatchIter:
 
     def test_same_key_same_order(self):
         ds = generate_synthetic(CFG)
-        order = lambda e: [g[0].tuple_id for b in batch_iter(ds, 8, 1, e) for g in b]
+        order = lambda e: ds.ids[np.concatenate(list(batch_iter(ds, 8, 1, e)))].tolist()
         assert order(3) == order(3)
         assert order(3) != order(4)
 
     def test_epoch_covers_each_tuple_once(self):
         ds = generate_synthetic(CFG)
-        seen = [g[0].tuple_id for b in batch_iter(ds, 8, 0, 0) for g in b]
+        seen = ds.ids[np.concatenate(list(batch_iter(ds, 8, 0, 0)))].tolist()
         assert len(seen) == len(set(seen))
 
     def test_single_batch(self):
@@ -134,22 +133,21 @@ class TestFileRoundTrip:
         loaded = load_dataset(path)
         assert loaded.num_modalities == ds.num_modalities
         assert len(loaded) == len(ds)
-        for g1, g2 in zip(ds.tuples, loaded.tuples):
-            for r1, r2 in zip(g1, g2):
-                np.testing.assert_array_equal(r1.features, r2.features)
-                assert r1.labels == r2.labels
+        for f1, f2 in zip(ds.features, loaded.features):
+            np.testing.assert_array_equal(f1, f2)
+        assert loaded.labels == ds.labels
 
     def test_special_values_round_trip_bit_exact(self, tmp_path):
         values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1])
-        ds = TupleDataset.from_columns(2, [3, 8], [np.stack([values, -values]),
-                                                  np.stack([values[::-1], values / 3])],
-                                       [frozenset({0}), frozenset({0, 1})], ["a", "b"])
+        ds = TupleDataset([3, 8], [np.stack([values, -values]),
+                                   np.stack([values[::-1], values / 3])],
+                          [frozenset({0}), frozenset({0, 1})], 2)
         path = tmp_path / "ds.txt"
         save_dataset(ds, path)
         assert "-0,4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001" \
             in path.read_text()
         loaded = load_dataset(path)
-        assert loaded.tuple_ids() == [3, 8] and loaded.labels == ds.labels
+        assert loaded.ids.tolist() == [3, 8] and loaded.labels == ds.labels
         for a, b in zip(ds.features, loaded.features):
             assert a.tobytes() == b.tobytes()
 
@@ -161,7 +159,7 @@ class TestFileRoundTrip:
         loaded = load_dataset(path)
         for line in path.read_text().splitlines()[1:]:
             tid, m, feats, _ = line.split("\t")
-            row = loaded.features[int(m)][loaded.tuple_ids().index(int(tid))]
+            row = loaded.features[int(m)][loaded.ids.tolist().index(int(tid))]
             assert row.tobytes() == np.array([float(v) for v in feats.split(",")]).tobytes()
         assert all(f.flags.c_contiguous and f.dtype == np.float64 for f in loaded.features)
 
@@ -208,9 +206,9 @@ class TestFileRoundTrip:
             load_dataset(path)
 
     def test_mismatched_labels_rejected(self, tmp_path):
-        recs = [SampleRecord(0, 0, np.ones(2), {1}), SampleRecord(0, 1, np.ones(2), {1})]
         path = tmp_path / "ds.txt"
-        save_dataset(TupleDataset(2, [recs], ["a", "b"]), path)
+        save_dataset(TupleDataset([0], [np.ones((1, 2)), np.ones((1, 2))], [frozenset({1})], 2),
+                     path)
         text = path.read_text().replace("\t1\n", "\t0\n", 1)
         path.write_text(text)
         with pytest.raises(DatasetFormatError, match="mismatched label"):

@@ -199,9 +199,8 @@ class TestEvaluateCrossModal:
         uniform = generate_synthetic(SynthConfig(num_classes=2, num_tuples=30,
                                                  input_dim=12, latent_dim=6, seed=8))
         labels = frozenset({0})
-        uniform = TupleDataset.from_columns(uniform.num_modalities, uniform.ids,
-                                            uniform.features, [labels] * len(uniform),
-                                            uniform.label_vocabulary)
+        uniform = TupleDataset(uniform.ids, uniform.features, [labels] * len(uniform),
+                               uniform.num_labels)
         tr, _, te = split(uniform, (0.5, 0.25, 0.25), seed=0)
         index = build_index(params, te)
         rep = evaluate_cross_modal(params, index, tr, 0, 1, k=4)
@@ -237,26 +236,24 @@ class TestEvaluateCrossModal:
                                             input_dim=12, latent_dim=6, noise_sigma=0.3,
                                             multi_label=True, seed=12))
         features = [f.copy() for f in ds.features]
-        for i in range(1, len(ds.tuples), 3):
+        for i in range(1, len(ds), 3):
             for f in features:
                 f[i] = f[i - 1]
-        ds = TupleDataset.from_columns(ds.num_modalities, ds.ids, features, ds.labels,
-                                       ds.label_vocabulary)
+        ds = TupleDataset(ds.ids, features, ds.labels, ds.num_labels)
         params = init_params(MODEL)
         index = build_index(params, ds)
         assert len(ds) > _BLOCK
         for src, tgt in ((0, 1), (1, 0)):
             rep = evaluate_cross_modal(params, index, ds, src, tgt, k=5)
             labels = {e.tuple_id: e.labels for e in index.entries(tgt)}
-            queries = embed(params, src, np.stack([g[src].features for g in ds.tuples])).data
+            queries = embed(params, src, ds.features[src]).data
             expected = []
-            for group, q in zip(ds.tuples, queries):
-                rec = group[src]
-                items = retrieve(index, q, tgt, 5, exclude_tuple_id=rec.tuple_id).items
-                assert rec.tuple_id not in [tid for tid, _ in items]
-                f1 = float(np.mean([pair_f1(rec.labels, labels[tid]) for tid, _ in items]))
-                rel = [jaccard(rec.labels, labels[tid]) for tid, _ in items]
-                expected.append(QueryRow(rec.tuple_id, f1, ndcg_at_k(rel, 5)))
+            for tuple_id, query_labels, q in zip(ds.ids.tolist(), ds.labels, queries):
+                items = retrieve(index, q, tgt, 5, exclude_tuple_id=tuple_id).items
+                assert tuple_id not in [tid for tid, _ in items]
+                f1 = float(np.mean([pair_f1(query_labels, labels[tid]) for tid, _ in items]))
+                rel = [jaccard(query_labels, labels[tid]) for tid, _ in items]
+                expected.append(QueryRow(tuple_id, f1, ndcg_at_k(rel, 5)))
             assert rep.rows == expected
 
     def test_modality_out_of_range_rejected(self, small_ds):
