@@ -151,7 +151,8 @@ def cmd_gen_data(args):
     ds = generate_synthetic(config)
     save_dataset(ds, args.out)
     _write_manifest(out_dir, "gen-data", dataclasses.asdict(config),
-                    {"config_file": args.config}, {"dataset": args.out},
+                    {"config_file": args.config},
+                    {"dataset": args.out, "columns": args.out + ".cols"},
                     config.seed, started)
     print(f"wrote {len(ds)} tuples x {ds.num_modalities} modalities to {args.out}")
     return EXIT_OK

@@ -7,16 +7,21 @@ noise is added. Labels belong to the tuple and are used only by evaluation.
 A dataset is held column-wise, and a batch is an array of its row indices.
 """
 
+import hashlib
+import json
+import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DatasetFormatError
+from .errors import ContractError, DatasetFormatError, check_fields
 
 FORMAT_HEADER = "#xmodal-dataset v1"
 LATENT_JITTER = 0.1
-_CHUNK = 256    # lines whose feature fields load_dataset parses in one call
-_SEPARATORS = "\x1c\x1d\x1e\x1f"   # whitespace to np.loadtxt, not to float()
+COLUMNS_MAGIC = b"XMCOL1"
+COLUMNS_VERSION = 1
+COLUMNS_PREFIX = struct.Struct("<6sII")   # magic, version, header length
 
 
 class TupleDataset:
@@ -55,6 +60,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.num_classes < 2:
             raise ContractError("num_classes must be >= 2")
         if self.num_tuples < 10:
@@ -116,6 +122,8 @@ def split(ds: TupleDataset, fractions, seed):
     n_train = m - n_val - n_test
     if min(n_train, n_val, n_test) == 0:
         raise ContractError("split: a part would be empty")
+    if seed < 0:
+        raise ContractError(f"split: seed={seed} must be >= 0")
     order = np.random.default_rng(seed).permutation(m)
     parts = (order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:])
     return tuple(TupleDataset(ds.ids[rows], [f[rows] for f in ds.features],
@@ -142,43 +150,86 @@ def stack_features(ds: TupleDataset, rows, modality):
 
 
 def save_dataset(ds: TupleDataset, path):
-    """Line-delimited text format; floats carry 17 significant digits."""
+    """Line-delimited text format, floats with 17 significant digits; then, if
+    the text parse would return these very columns, the sidecar ``<path>.cols``."""
+    path = os.fspath(path)
     row_format = ",".join(["%.17g"] * ds.input_dim)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{FORMAT_HEADER} N={ds.num_modalities} dim={ds.input_dim} "
-                 f"labels={ds.num_labels}\n")
+    text_digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def write(text):
+            blob = text.encode("utf-8")
+            text_digest.update(blob)
+            fh.write(blob)
+        write(f"{FORMAT_HEADER} N={ds.num_modalities} dim={ds.input_dim} "
+              f"labels={ds.num_labels}\n")
         for tid, labels, *rows in zip(ds.ids.tolist(), ds.labels,
                                       *(f.tolist() for f in ds.features)):
             label_text = ",".join(str(l) for l in sorted(labels))
-            fh.writelines(f"{tid}\t{m}\t{row_format % tuple(row)}\t{label_text}\n"
-                          for m, row in enumerate(rows))
+            write("".join(f"{tid}\t{m}\t{row_format % tuple(row)}\t{label_text}\n"
+                          for m, row in enumerate(rows)))
+    sets = [sorted(labels) for labels in ds.labels]
+    flat = [l for labels in sets for l in labels]
+    if (any(type(v) is not int or not 0 <= v < 2**63 for v in (ds.num_labels, *flat))
+            or any(len(c) != len(ds) for c in (sets, *ds.features))):
+        return   # an int64 would not be the int() of its text, or zip() cut the text short
+    counts = [ds.num_modalities, ds.input_dim, ds.num_labels, len(ds), len(flat)]
+    payload = b"".join([np.array(counts, "<i8").tobytes(), ds.ids.astype("<i8").tobytes(),
+                        *(f.astype("<f8").tobytes() for f in ds.features),
+                        np.cumsum([0, *map(len, sets)]).astype("<i8").tobytes(),
+                        np.array(flat, "<i8").tobytes()])
+    header = json.dumps({"payload_sha256": hashlib.sha256(payload).hexdigest(),
+                         "text_sha256": text_digest.hexdigest()}).encode("utf-8")
+    with open(path + ".cols.tmp", "wb") as fh:
+        fh.write(COLUMNS_PREFIX.pack(COLUMNS_MAGIC, COLUMNS_VERSION, len(header)) + header)
+        fh.write(payload)
+    os.replace(path + ".cols.tmp", path + ".cols")
 
 
 def load_dataset(path) -> TupleDataset:
-    """Strict parse of the line format; errors name the offending line.
+    """The sidecar's columns if they are provably the text's, else a strict
+    parse of the text, whose errors name the offending line."""
+    return _load_columns(os.fspath(path)) or _load(path)   # a sidecar has rows
 
-    The line loop makes every check and parses the feature fields in bulk,
-    _CHUNK lines per ``np.loadtxt`` call, which reads a number as float()
-    does or rejects it (but for _SEPARATORS). If anything fails, the loop
-    runs again parsing each line's features in place, so the error raised is
-    the first one a line-by-line parse meets.
-    """
+
+def _load_columns(path):
+    """The columns in the sidecar ``<path>.cols``, or None unless they are what
+    the text parse of ``path`` returns. Layout: magic, version, a JSON header
+    with the SHA-256 of the text and of the payload, then the little-endian
+    payload: int64 counts (N, dim, labels, rows, label ids), the int64 ids, one
+    (rows, dim) float64 matrix per modality, int64 label offsets and label ids."""
     try:
-        return _load(path, bulk=True)
-    except (DatasetFormatError, ValueError):
-        return _load(path, bulk=False)
+        with open(path + ".cols", "rb") as fh:
+            blob = bytearray(fh.read())   # so that the feature arrays are writable
+        magic, version, header_len = COLUMNS_PREFIX.unpack_from(blob)
+        header = json.loads(blob[COLUMNS_PREFIX.size:COLUMNS_PREFIX.size + header_len])
+        digests = header["text_sha256"], header["payload_sha256"]
+        body = np.frombuffer(blob, "<i8", offset=COLUMNS_PREFIX.size + header_len)
+        n, dim, labels, rows, count = body[:5].tolist()
+        text_digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                text_digest.update(chunk)
+    except (OSError, struct.error, ValueError, KeyError, TypeError):
+        return None
+    if ((magic, version) != (COLUMNS_MAGIC, COLUMNS_VERSION)
+            or min(n, dim, rows) < 1 or count < 0
+            or len(body) != 5 + rows * (2 + n * dim) + 1 + count
+            or digests != (text_digest.hexdigest(), hashlib.sha256(body).hexdigest())):
+        return None
+    # save_dataset also writes columns that the text parse rejects; each fails a check
+    _, ids, *columns, offsets, label_ids = np.split(
+        body, np.cumsum([5, rows, *[rows * dim] * n, rows + 1]))
+    features = [c.view("<f8").reshape(rows, dim) for c in columns]
+    if not ((np.diff(ids) > 0).all() and all(np.isfinite(f).all() for f in features)
+            and offsets[0] == 0 and offsets[-1] == count and (np.diff(offsets) >= 0).all()
+            and ((label_ids >= 0) & (label_ids < labels)).all()):
+        return None
+    bounds, label_ids = offsets.tolist(), label_ids.tolist()
+    return TupleDataset(ids, features, [frozenset(label_ids[a:b])
+                                        for a, b in zip(bounds, bounds[1:])], labels)
 
 
-def _parse_chunk(fields, dim):
-    block = np.loadtxt(fields, delimiter=",", comments=None, ndmin=2)
-    text = "".join(fields)
-    if (block.shape != (len(fields), dim) or not np.isfinite(block).all()
-            or any(c in text for c in _SEPARATORS)):
-        raise ValueError("a chunk of feature fields needs a line-by-line parse")
-    return block
-
-
-def _load(path, bulk):
+def _load(path):
     # a byte that is not UTF-8 reads as a lone surrogate, which no field's parse
     # accepts, so it is reported as a format error on its line
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -202,7 +253,7 @@ def _load(path, bulk):
                                          line_number=1)
         n, dim = meta["N"], meta["dim"]
         slots = {}     # tuple id -> position of its line of each modality, or -1
-        line_labels, blocks, pending = [], [], []   # pending: fields of the next chunk
+        line_labels, line_features = [], []
         last_good = 1
         for lineno, raw in enumerate(fh, 2):
             line = raw.rstrip("\n")
@@ -216,7 +267,7 @@ def _load(path, bulk):
             try:
                 tid = int(parts[0])
                 modality = int(parts[1])
-                feats = None if bulk else np.array([float(v) for v in parts[2].split(",")])
+                feats = np.array([float(v) for v in parts[2].split(",")])
                 labels = frozenset(int(v) for v in parts[3].split(",")) if parts[3] else frozenset()
             except ValueError as exc:
                 raise DatasetFormatError(
@@ -224,9 +275,8 @@ def _load(path, bulk):
             if not 0 <= modality < n:
                 raise DatasetFormatError(f"modality {modality} " + (
                     f">= N={n}" if modality >= 0 else "< 0"), line_number=lineno)
-            length = parts[2].count(",") + 1 if bulk else len(feats)
-            if length != dim or not parts[2]:  # np.loadtxt skips an empty field; float() fails
-                raise DatasetFormatError(f"feature length {length} != dim={dim}",
+            if len(feats) != dim:
+                raise DatasetFormatError(f"feature length {len(feats)} != dim={dim}",
                                          line_number=lineno)
             if any(not 0 <= l < meta["labels"] for l in labels):
                 raise DatasetFormatError("label id outside vocabulary", line_number=lineno)
@@ -234,20 +284,12 @@ def _load(path, bulk):
             if slot[modality] >= 0:
                 raise DatasetFormatError(f"tuple {tid} modality {modality} given twice",
                                          line_number=lineno)
-            if not bulk and not np.isfinite(feats).all():
+            if not np.isfinite(feats).all():
                 raise ContractError(f"tuple {tid}: non-finite features")
             slot[modality] = len(line_labels)
             line_labels.append(labels)
             last_good = lineno
-            if bulk:
-                pending.append(parts[2])
-                if len(pending) == _CHUNK:
-                    blocks.append(_parse_chunk(pending, dim))
-                    pending.clear()
-            else:
-                blocks.append(feats[None])
-        if pending:
-            blocks.append(_parse_chunk(pending, dim))
+            line_features.append(feats)
     ids = sorted(slots)
     for tid in ids:
         if -1 in slots[tid]:
@@ -256,6 +298,6 @@ def _load(path, bulk):
         if len({line_labels[p] for p in slots[tid]}) > 1:
             raise DatasetFormatError(f"tuple {tid} has mismatched label sets")
     order = np.array([slots[t] for t in ids], dtype=np.intp).reshape(len(ids), n)
-    rows = np.concatenate(blocks) if blocks else np.empty((0, dim))
+    rows = np.array(line_features).reshape(len(line_features), dim)
     return TupleDataset(ids, [rows[order[:, m]] for m in range(n)],
                         [line_labels[p] for p in order[:, 0]], meta["labels"])

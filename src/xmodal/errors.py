@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field check the configs share."""
+
+import math
 
 
 class XmodalError(Exception):
@@ -37,3 +39,12 @@ class CheckpointError(XmodalError):
 
 class TrainingDivergedError(XmodalError):
     """Training produced a non-finite loss value."""
+
+
+def check_fields(config):
+    """ContractError for a float field that is not finite or a seed below 0."""
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ContractError(f"{type(config).__name__} {name}={value} must be finite")
+        if name == "seed" and value < 0:
+            raise ContractError(f"{type(config).__name__} seed={value} must be >= 0")

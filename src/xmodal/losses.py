@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DegenerateInputError
+from .errors import ContractError, DegenerateInputError, check_fields
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class LossWeights:
     tau: float = 0.2
 
     def __post_init__(self):
+        check_fields(self)
         if self.tau <= 0:
             raise ContractError("tau must be positive")
         if self.alpha < 0 or self.beta < 0:

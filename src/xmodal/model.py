@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeMismatchError
+from .errors import ContractError, ShapeMismatchError, check_fields
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.num_modalities < 2:
             raise ContractError("num_modalities must be >= 2")
         if self.input_dim <= 0 or self.feature_dim <= 0 or self.embedding_dim <= 0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import batch_iter, stack_features
-from .errors import CheckpointError, ContractError, TrainingDivergedError
+from .errors import CheckpointError, ContractError, TrainingDivergedError, check_fields
 from .losses import LossBreakdown, LossWeights, combined_loss, schedule_weight
 from .model import ModelConfig, ModelParams, forward_backbone, forward_encoder, init_params
 
@@ -40,8 +40,11 @@ class TrainConfig:
     fixed_beta: float = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.epochs < 1:
             raise ContractError("epochs must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ContractError("checkpoint_every must be >= 0")
         if self.batch_size < 2:
             raise ContractError("batch_size must be >= 2")
         if self.learning_rate < 0:

@@ -116,6 +116,9 @@ class TestGenData:
             (dataset_file.parent / "manifest_gen_data.json").read_text())
         assert manifest["command"] == "gen-data"
         assert manifest["seed"] == 7
+        assert manifest["outputs"] == {"dataset": str(dataset_file),
+                                       "columns": f"{dataset_file}.cols"}
+        assert os.path.isfile(manifest["outputs"]["columns"])
 
 
 class TestTrainCommand:
@@ -229,15 +232,31 @@ class TestBadInputOneLine:
         (["train", "--set", "epochs=abc"], "TrainConfig epochs='abc' is not a valid int"),
         (["train", "--model-config", "{model_config}"],
          "ModelConfig embedding_dim='abc' is not a valid int"),
+        # a negative seed used to end in NumPy's "expected non-negative integer"
+        (["train", "--seed", "-1"], "TrainConfig seed=-1 must be >= 0"),
+        (["train", "--split-seed", "-1"], "split: seed=-1 must be >= 0"),
+        (["evaluate", "--split-seed", "-1"], "split: seed=-1 must be >= 0"),
+        (["gen-data", "--seed", "-1"], "SynthConfig seed=-1 must be >= 0"),
+        (["train", "--model-config", "{seed_config}"], "ModelConfig seed=-1 must be >= 0"),
+        # each of these used to run, or to fail as a runtime error
+        (["train", "--lr", "nan"], "TrainConfig learning_rate=nan must be finite"),
+        (["gen-data", "--set", "noise_sigma=nan"], "SynthConfig noise_sigma=nan must be finite"),
+        (["train", "--set", "tau=nan"], "TrainConfig tau=nan must be finite"),
+        (["train", "--set", "fixed_alpha=nan"], "TrainConfig fixed_alpha=nan must be finite"),
+        (["train", "--set", "checkpoint_every=-1"], "checkpoint_every must be >= 0"),
     ])
-    def test_bad_config_value(self, dataset_file, tmp_path, argv, message):
-        model_config = tmp_path / "model.cfg"
+    def test_bad_config_value(self, trained, tmp_path, argv, message):
+        dataset_file, ckpt = trained
+        model_config, seed_config = tmp_path / "model.cfg", tmp_path / "seed.cfg"
         model_config.write_text("embedding_dim = abc\n")
+        seed_config.write_text("seed = -1\n")
         out = tmp_path / "out"
-        where = (["--out", str(out / "ds.txt"), "--mkdirs"] if argv[0] == "gen-data"
-                 else ["--dataset", str(dataset_file), "--out-dir", str(out)])
-        code, err = run_process([*(a.format(model_config=model_config) for a in argv),
-                                 *where])
+        where = {"gen-data": ["--out", str(out / "ds.txt"), "--mkdirs"],
+                 "evaluate": ["--dataset", str(dataset_file), "--checkpoint", str(ckpt),
+                              "--out", str(out / "m.csv"), "--mkdirs"]}.get(
+            argv[0], ["--dataset", str(dataset_file), "--out-dir", str(out)])
+        code, err = run_process([*(a.format(model_config=model_config, seed_config=seed_config)
+                                   for a in argv), *where])
         assert code == 1
         assert err == [f"error: {message}"]
         assert not out.exists()

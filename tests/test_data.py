@@ -1,9 +1,14 @@
 """Synthetic generation, splits, batching and the dataset file format."""
 
+import hashlib
+import json
+import os
+import struct
+
 import numpy as np
 import pytest
 
-from xmodal.data import (FORMAT_HEADER, SynthConfig, TupleDataset,
+from xmodal.data import (FORMAT_HEADER, SynthConfig, TupleDataset, _load_columns,
                          batch_iter, generate_synthetic, load_dataset, save_dataset, split,
                          stack_features)
 from xmodal.cli import read_kv, typed_config
@@ -125,11 +130,24 @@ class TestBatchIter:
             list(batch_iter(ds, 1, 0, 0))
 
 
+def _save(ds, path, sidecar):
+    """save_dataset, then the sidecar kept (and trusted) or removed, so that a
+    round trip tests the sidecar or the text parse."""
+    save_dataset(ds, path)
+    if sidecar == "removed":
+        os.remove(f"{path}.cols")
+    assert (_load_columns(str(path)) is not None) == (sidecar == "kept")
+
+
+SIDECAR = pytest.mark.parametrize("sidecar", ["kept", "removed"])
+
+
 class TestFileRoundTrip:
-    def test_save_load_value_identical(self, tmp_path):
+    @SIDECAR
+    def test_save_load_value_identical(self, tmp_path, sidecar):
         ds = generate_synthetic(CFG)
         path = tmp_path / "ds.txt"
-        save_dataset(ds, path)
+        _save(ds, path, sidecar)
         loaded = load_dataset(path)
         assert loaded.num_modalities == ds.num_modalities
         assert len(loaded) == len(ds)
@@ -137,13 +155,14 @@ class TestFileRoundTrip:
             np.testing.assert_array_equal(f1, f2)
         assert loaded.labels == ds.labels
 
-    def test_special_values_round_trip_bit_exact(self, tmp_path):
+    @SIDECAR
+    def test_special_values_round_trip_bit_exact(self, tmp_path, sidecar):
         values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1])
         ds = TupleDataset([3, 8], [np.stack([values, -values]),
                                    np.stack([values[::-1], values / 3])],
                           [frozenset({0}), frozenset({0, 1})], 2)
         path = tmp_path / "ds.txt"
-        save_dataset(ds, path)
+        _save(ds, path, sidecar)
         assert "-0,4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001" \
             in path.read_text()
         loaded = load_dataset(path)
@@ -151,11 +170,11 @@ class TestFileRoundTrip:
         for a, b in zip(ds.features, loaded.features):
             assert a.tobytes() == b.tobytes()
 
-    def test_loaded_floats_are_float_of_their_text(self, tmp_path):
-        # more lines than one bulk-parse chunk
+    @SIDECAR
+    def test_loaded_floats_are_float_of_their_text(self, tmp_path, sidecar):
         ds = generate_synthetic(SynthConfig(num_tuples=300, input_dim=5, seed=4))
         path = tmp_path / "ds.txt"
-        save_dataset(ds, path)
+        _save(ds, path, sidecar)
         loaded = load_dataset(path)
         for line in path.read_text().splitlines()[1:]:
             tid, m, feats, _ = line.split("\t")
@@ -236,9 +255,9 @@ def _drop_feature(lines, i):
 
 
 # ARCHIVE_CFG saved, as a list of lines: item i is line i + 1, tuple (i - 1) // 2,
-# modality (i - 1) % 2. Items 1..256 are the first chunk of the loader's bulk parse.
+# modality (i - 1) % 2. Items 1..256 were the first chunk of an earlier bulk parse.
 ARCHIVE_CFG = SynthConfig(num_tuples=150, input_dim=3, num_classes=4, seed=1)
-# Each message is the one the per-record loader gave before the bulk parse.
+# Each message is the one the line-by-line parse gives.
 MALFORMED = [
     pytest.param([(_append, 280, "\textra")], DatasetFormatError,
                  "line 281: expected 4 tab-separated fields, got 5 (last good line 280)",
@@ -336,6 +355,132 @@ class TestLoaderErrors:
         path.write_text("\n".join(lines) + "\n")
         ds = load_dataset(path)
         assert ds.features[0][1][0] == 15.0 and ds.features[1][99][0] == -2.5
+
+
+def _outcome(path):
+    """What load_dataset gives: the dataset's columns, or the error's type and message."""
+    try:
+        ds = load_dataset(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ds.ids.tobytes(), [f.tobytes() for f in ds.features], ds.labels, ds.num_labels
+
+
+def _rows(*rows):
+    return np.array(rows, dtype=np.float64)
+
+
+def _small(ids=(0, 1, 2), value=0.5, labels=(frozenset({0}), frozenset({1}), frozenset())):
+    return TupleDataset(list(ids), [_rows([1.0, 2.0], [value, -1.0], [3.0, 4.0]),
+                                    _rows([0.0, 1.0], [2.0, 3.0], [-2.0, 5.0])], labels, 2)
+
+
+def _edit_text(edit, *args):
+    def mutate(path):
+        lines = path.read_text().splitlines()
+        edit(lines, *args)
+        path.write_text("\n".join(lines) + "\n")
+    return mutate
+
+
+def _edit_sidecar(change):
+    def mutate(path):
+        with open(f"{path}.cols", "r+b") as fh:
+            blob = change(fh.read())
+            fh.seek(0)
+            fh.truncate()
+            fh.write(blob)
+    return mutate
+
+
+def _forge(change):
+    """Changes the int64 words of the sidecar's payload and writes their digest, so
+    that only the structural checks can reject it. _small()'s payload: counts 0-4,
+    ids 5-7, features 8-19, label offsets 20-23 ([0, 1, 2, 2]), label ids 24-25."""
+    def forged(blob):
+        magic, version, size = struct.unpack_from("<6sII", blob)
+        header = json.loads(blob[14:14 + size])
+        words = change(np.frombuffer(blob, "<i8", offset=14 + size).copy()).tobytes()
+        header["payload_sha256"] = hashlib.sha256(words).hexdigest()
+        raw = json.dumps(header).encode()
+        return struct.pack("<6sII", magic, version, len(raw)) + raw + words
+    return _edit_sidecar(forged)
+
+
+def _set_words(start, *values):
+    def change(words):
+        words[start:start + len(values)] = values
+        return words
+    return change
+
+
+SIDECAR_EQUALS_TEXT = {
+    "extreme values": TupleDataset(
+        [3, 8], [_rows([-0.0, 5e-324, 1.7976931348623157e308], [-5e-324, 0.1, -0.0]),
+                 _rows([1.7976931348623157e308, -0.0, 2.5],
+                       [5e-324, -1.7976931348623157e308, 1.0])],
+        [frozenset({0}), frozenset({0, 1})], 2),
+    "empty label set": _small(),
+    "3 modalities": generate_synthetic(SynthConfig(
+        num_tuples=30, num_modalities=3, input_dim=5, multi_label=True, num_classes=6,
+        seed=6)),
+}
+
+SIDECAR_REJECTED = [
+    pytest.param(_small(), _edit_text(_set_feature, 1, "0.25"), id="text value changed"),
+    pytest.param(_small(), _edit_text(_append, 2, "\textra"), id="text line malformed"),
+    pytest.param(_small(), _edit_sidecar(lambda b: b[:len(b) // 2]), id="sidecar truncated"),
+    # the lowest byte of the last feature: a finite value one ulp away
+    pytest.param(_small(), _edit_sidecar(lambda b: b[:-56] + bytes([b[-56] ^ 1]) + b[-55:]),
+                 id="payload byte flipped"),
+    pytest.param(_small(), _edit_sidecar(lambda b: b"Y" + b[1:]), id="wrong magic"),
+    pytest.param(_small(), lambda path: path.unlink(), id="text missing"),
+    pytest.param(_small(), _forge(_set_words(20, 1, 1)), id="label offsets not from 0"),
+    pytest.param(_small(), _forge(_set_words(22, 1, 1)), id="label offsets short of the end"),
+    pytest.param(_small(), _forge(_set_words(21, 2, 1)), id="label offsets decreasing"),
+    pytest.param(_small(), _forge(lambda words: np.append(words, 0)), id="a word too many"),
+    pytest.param(_small(ids=(4, 1, 2)), None, id="unsorted ids"),
+    pytest.param(_small(ids=(1, 1, 2)), None, id="repeated id"),
+    pytest.param(_small(value=np.nan), None, id="NaN feature"),
+    pytest.param(TupleDataset([0, 1], [np.empty((2, 0))] * 2, [frozenset()] * 2, 1), None,
+                 id="zero dim"),
+    pytest.param(_small(labels=(frozenset({0}), frozenset({2}), frozenset())), None,
+                 id="label outside [0, labels)"),
+]
+
+
+class TestSidecar:
+    """The sidecar <archive>.cols is used only when it is provably the text's columns."""
+
+    @pytest.mark.parametrize("ds", SIDECAR_EQUALS_TEXT.values(), ids=SIDECAR_EQUALS_TEXT.keys())
+    def test_sidecar_loads_as_the_text(self, tmp_path, ds):
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        assert _load_columns(str(path)) is not None
+        assert all(f.flags.writeable for f in load_dataset(path).features)
+        from_sidecar = _outcome(path)
+        os.remove(f"{path}.cols")
+        assert from_sidecar == _outcome(path)
+
+    @pytest.mark.parametrize("ds, mutate", SIDECAR_REJECTED)
+    def test_rejected_sidecar_gives_the_text_outcome(self, tmp_path, ds, mutate):
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        assert os.path.isfile(f"{path}.cols")
+        if mutate:
+            mutate(path)
+        assert _load_columns(str(path)) is None
+        with_sidecar = _outcome(path)
+        os.remove(f"{path}.cols")
+        assert with_sidecar == _outcome(path)
+
+    def test_no_sidecar_for_a_label_whose_text_is_not_its_int(self, tmp_path):
+        # "1.0" fails the text parse; an int64 column would read it as 1
+        path = tmp_path / "ds.txt"
+        save_dataset(_small(labels=(frozenset({0}), frozenset({1.0}), frozenset())), path)
+        assert not os.path.exists(f"{path}.cols")
+        with pytest.raises(DatasetFormatError, match=r"^line 4: invalid literal for int"):
+            load_dataset(path)
 
 
 class TestSynthConfig:

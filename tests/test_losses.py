@@ -401,3 +401,10 @@ class TestLossWeights:
             LossWeights(alpha=-0.1)
         with pytest.raises(ContractError):
             LossWeights(tau=0.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "tau"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        # NaN passes every comparison the range checks make
+        with pytest.raises(ContractError, match=f"^LossWeights {field}={value} must be finite$"):
+            LossWeights(**{field: value})
