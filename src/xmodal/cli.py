@@ -249,8 +249,8 @@ def cmd_retrieve(args):
 
 
 def cmd_gradcheck(args):
-    if args.trials < 1:
-        raise ContractError("gradcheck needs at least one trial")
+    if args.trials < 1 or args.dims < 1 or args.batch < 2 or args.seed < 0:
+        raise ContractError("gradcheck needs --trials >= 1, --dims >= 1, --batch >= 2, --seed >= 0")
     rng = np.random.default_rng(args.seed)
     t_batch, dim = args.batch, args.dims
     worst = {"mim": 0.0, "mde": 0.0, "msp": 0.0, "combined": 0.0}

@@ -7,14 +7,23 @@ with an int64 id array beside it, the flat inner-product layout of FAISS
 (Johnson, Douze, Jegou, arXiv:1702.08734). Queries are scored in blocks of
 _BLOCK rows with ``np.vecdot``, which rounds every score exactly as the
 one-row dot product ``row @ q`` does, whatever the block; a BLAS matrix
-product would not, and would move near-ties. Each row is then ordered with
-``np.lexsort`` on (-score, tuple_id), so equal scores come back by ascending
-tuple_id. Pair-level F1 is the Dice overlap of label sets; NDCG gain is the
-Jaccard overlap.
+product would not, and would move near-ties. Rows come back by descending
+score, then ascending tuple_id: the order of a full-row ``np.lexsort`` on
+(-score, tuple_id). Exact top-k needs a k-selection, not a sort, so
+``np.partition`` finds each row's cut, its (k+1)-th best score (one spare place
+for an excluded id); a row that exactly k+1 scores reach sorts just those
+columns, and any other row (a tie straddling the cut, a NaN) is sorted whole.
+
+Pair-level F1 is the Dice overlap of label sets; NDCG gain is the Jaccard
+overlap. ``evaluate_cross_modal`` scores a block of queries at once from bool
+label-membership matrices, with the float64 operations, in the same order,
+of the per-item ``pair_f1``, ``jaccard`` and ``ndcg_at_k``; those still score
+a query left with fewer than k candidates.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -141,39 +150,57 @@ def _unit_queries(queries, dim):
     return queries / norms[:, None]
 
 
-def _top_k(index, unit_queries, target, k, exclude_ids):
-    """Per query row, the k best [(tuple_id, score), ...] of one modality, best first.
+def _rank_block(scores, ids, width):
+    """Positions of each row's ``width`` best scores, best first (see the module notes)."""
+    neg = -scores
+    if width >= neg.shape[1]:
+        return np.lexsort((np.broadcast_to(ids, neg.shape), neg), axis=-1)
+    inside = neg <= np.partition(neg, width - 1, axis=-1)[:, width - 1, None]
+    exact = np.count_nonzero(inside, axis=-1) == width
+    top = np.empty((len(neg), width), dtype=np.intp)
+    cols = np.nonzero(inside[exact])[1].reshape(-1, width)
+    order = np.lexsort((ids[cols], np.take_along_axis(neg[exact], cols, axis=-1)), axis=-1)
+    top[exact] = np.take_along_axis(cols, order, axis=-1)
+    rest = neg[~exact]
+    top[~exact] = np.lexsort((np.broadcast_to(ids, rest.shape), rest), axis=-1)[:, :width]
+    return top
 
-    Scores come from ``np.vecdot`` over blocks of _BLOCK queries; each row is
-    ordered by descending score, then ascending tuple_id. ``exclude_ids[i]``
-    (None for no exclusion) is left out of query i's ranking.
-    """
+
+def _top_k(index, unit_queries, target, k, exclude_ids):
+    """Positions and scores, (Q, min(k, N)) each, of every query's k best rows of
+    one modality, best first, and how many places each row fills. ``exclude_ids[i]``
+    (None: no exclusion) is left out of query i's ranking."""
     if k < 1:
         raise ContractError("k must be >= 1")
     if not 0 <= target < index.num_modalities:
         raise ContractError(f"unknown target modality {target}")
     vectors, ids = index._vectors[target], index._ids[target]
-    results = []
+    width = min(k + 1, len(ids))   # one spare place per row, for the excluded id
+    positions, scores = [], []
     for start in range(0, len(unit_queries), _BLOCK):
-        scores = np.vecdot(unit_queries[start:start + _BLOCK, None, :], vectors[None, :, :])
-        # one spare place per row, for the excluded id
-        order = np.lexsort((np.broadcast_to(ids, scores.shape), -scores), axis=-1)[:, :k + 1]
-        ranked_ids = ids[order].tolist()
-        ranked_scores = np.take_along_axis(scores, order, axis=-1).tolist()
-        for tids, row, exclude in zip(ranked_ids, ranked_scores,
-                                      exclude_ids[start:start + _BLOCK]):
-            results.append([(tid, score) for tid, score in zip(tids, row)
-                            if tid != exclude][:k])
-    return results
+        block = np.vecdot(unit_queries[start:start + _BLOCK, None, :], vectors[None, :, :])
+        positions.append(_rank_block(block, ids, width))
+        scores.append(np.take_along_axis(block, positions[-1], axis=-1))
+    positions, scores = np.concatenate(positions), np.concatenate(scores)
+    excluded = (np.zeros(positions.shape, dtype=bool) if exclude_ids is None
+                else ids[positions] == np.asarray(exclude_ids, dtype=np.int64)[:, None])
+    # a stable sort moves the excluded place, if any, behind the others
+    keep = np.argsort(excluded, axis=-1, kind="stable")[:, :k]
+    filled = np.minimum(width - np.count_nonzero(excluded, axis=-1), k)
+    return (np.take_along_axis(positions, keep, axis=-1),
+            np.take_along_axis(scores, keep, axis=-1), filled)
 
 
 def retrieve(index: EmbeddingIndex, query_embedding, target_modality, k,
              exclude_tuple_id=None) -> RankedResult:
     """Exact top-k by cosine score; ties ordered by ascending tuple_id."""
     query = np.asarray(query_embedding, dtype=np.float64)[None]
-    items = _top_k(index, _unit_queries(query, index.embedding_dim), target_modality, k,
-                   [exclude_tuple_id])[0]
-    return RankedResult(items=items, short=len(items) < k)
+    positions, scores, filled = _top_k(
+        index, _unit_queries(query, index.embedding_dim), target_modality, k,
+        None if exclude_tuple_id is None else [exclude_tuple_id])
+    n = filled[0]
+    return RankedResult(items=list(zip(index._ids[target_modality][positions[0, :n]].tolist(),
+                                       scores[0, :n].tolist())), short=n < k)
 
 
 def pair_f1(query_labels, item_labels):
@@ -200,11 +227,44 @@ def ndcg_at_k(relevances, k):
         raise ContractError("ndcg_at_k: empty relevance list")
     if any(r < 0 for r in relevances):
         raise ContractError("ndcg_at_k: negative relevance")
-    top = relevances[:k]
-    dcg = sum(r / math.log2(p + 1) for p, r in enumerate(top, 1))
-    ideal = sorted(relevances, reverse=True)[:k]
-    idcg = sum(r / math.log2(p + 1) for p, r in enumerate(ideal, 1))
+    dcg = idcg = 0.0   # plain additions in rank order: sum() compensates on Python 3.12+
+    for p, (r, ideal) in enumerate(zip(relevances[:k], sorted(relevances, reverse=True)), 1):
+        dcg += r / math.log2(p + 1)
+        idcg += ideal / math.log2(p + 1)
     return dcg / idcg if idcg > 0 else 0.0
+
+
+def _membership(label_sets, vocab):
+    """(len(label_sets), len(vocab)) bool matrix: row i marks set i's labels found in vocab."""
+    cols = [[vocab[label] for label in labels if label in vocab] for labels in label_sets]
+    members = np.zeros((len(cols), len(vocab)), dtype=bool)
+    members[np.repeat(np.arange(len(cols)), [len(c) for c in cols]),
+            np.fromiter(chain.from_iterable(cols), dtype=np.intp)] = True
+    return members
+
+
+def _score_rows(top, query_labels, item_labels, k):
+    """F1@k and NDCG@k of full (Q, k) rankings, _BLOCK queries at a time (see the
+    module notes). No Jaccard union is empty: a query's label set is not."""
+    vocab = {label: col for col, label in enumerate(set().union(*item_labels))}
+    items = _membership(item_labels, vocab)
+    item_sizes = np.array([len(s) for s in item_labels], dtype=np.int64)
+    query_sizes = np.array([len(s) for s in query_labels], dtype=np.int64)
+    discounts = [math.log2(p + 1) for p in range(1, k + 1)]
+    f1, ndcg = np.empty(len(top)), np.empty(len(top))
+    for start in range(0, len(top), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        queries = _membership(query_labels[block], vocab)
+        inter = np.count_nonzero(items[top[block]] & queries[:, None, :], axis=-1)
+        sizes = query_sizes[block, None] + item_sizes[top[block]]
+        f1[block] = np.mean(2.0 * inter / sizes, axis=-1)
+        gains = inter / (sizes - inter)
+        dcg, idcg = np.zeros(len(gains)), np.zeros(len(gains))
+        for col, ideal, d in zip(gains.T, np.sort(gains, axis=-1)[:, ::-1].T, discounts):
+            dcg += col / d
+            idcg += ideal / d
+        ndcg[block] = np.divide(dcg, idcg, out=np.zeros_like(dcg), where=idcg > 0)
+    return f1, ndcg
 
 
 def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
@@ -213,7 +273,8 @@ def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
 
     Queries are embedded from their src-modality features and ranked together,
     block by block; candidates come from the prebuilt index (normally a
-    different split).
+    different split). A query left with fewer than k candidates (an index of
+    k rows or fewer) is scored item by item.
     """
     for m in (src_modality, tgt_modality):
         if not 0 <= m < index.num_modalities:
@@ -229,17 +290,17 @@ def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
             raise ContractError(f"query tuple {tid} has no labels")
     queries = _unit_queries(embed(params, src_modality, query_split.features[src_modality]).data,
                             index.embedding_dim)
-    ranked = _top_k(index, queries, tgt_modality, k, ids)
-    labels_by_id = dict(zip(index._ids[tgt_modality].tolist(), index._labels[tgt_modality]))
-    rows = []
-    for tid, labels, items in zip(ids, query_split.labels, ranked):
-        f1 = float(np.mean([pair_f1(labels, labels_by_id[t]) for t, _ in items]))
-        rel = [jaccard(labels, labels_by_id[t]) for t, _ in items]
-        rows.append(QueryRow(tid, f1, ndcg_at_k(rel, k)))
+    top, _, filled = _top_k(index, queries, tgt_modality, k, query_split.ids)
+    item_labels = index._labels[tgt_modality]
+    f1, ndcg = (_score_rows(top, query_split.labels, item_labels, k) if top.shape[1] == k
+                else (np.empty(len(ids)), np.empty(len(ids))))
+    for i in np.flatnonzero(filled < k).tolist():
+        labels, items = query_split.labels[i], [item_labels[p] for p in top[i, :filled[i]]]
+        f1[i] = np.mean([pair_f1(labels, s) for s in items])
+        ndcg[i] = ndcg_at_k([jaccard(labels, s) for s in items], k)
     return MetricsReport(src_modality=src_modality, tgt_modality=tgt_modality, k=k,
-                         mean_f1=float(np.mean([r.f1_at_k for r in rows])),
-                         mean_ndcg=float(np.mean([r.ndcg_at_k for r in rows])),
-                         rows=rows)
+                         mean_f1=float(np.mean(f1)), mean_ndcg=float(np.mean(ndcg)),
+                         rows=[QueryRow(*row) for row in zip(ids, f1.tolist(), ndcg.tolist())])
 
 
 def metrics_to_csv(reports, path):

@@ -281,12 +281,11 @@ def backward(loss):
 
     leaf_grads = {}
     for node in order:
-        if node.node_id in grads:
-            node.grad = grads[node.node_id]
+        grad = grads.get(node.node_id)
         if node.grad_enabled and not node._parents:
-            leaf_grads[node.node_id] = grads.get(
-                node.node_id, np.zeros_like(node.data))
-            node.grad = leaf_grads[node.node_id]
+            grad = leaf_grads[node.node_id] = np.zeros_like(node.data) if grad is None else grad
+        if grad is not None:
+            node.grad = grad
     return leaf_grads
 
 

@@ -384,8 +384,14 @@ class TestGradcheckCommand:
         assert "gradcheck passed" in out
         assert out.count("max rel error") == 4
 
-    def test_zero_trials_rejected(self):
-        assert run(["gradcheck", "--trials", "0"]) == 1
+    @pytest.mark.parametrize("argv", [["--trials", "0"], ["--seed", "-1"], ["--dims", "0"],
+                                      ["--dims", "-2"], ["--batch", "-3"], ["--batch", "1"]],
+                             ids=lambda argv: "".join(argv).lstrip("-"))
+    def test_zero_trials_rejected(self, argv):
+        # each is refused before anything is drawn: exit 1 with one line
+        code, err = run_process(["gradcheck", "--trials", "1", *argv])
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: gradcheck needs")
 
 
 class TestExitCodes:

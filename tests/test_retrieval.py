@@ -9,9 +9,9 @@ from xmodal.data import SynthConfig, TupleDataset, generate_synthetic, split
 from xmodal.errors import ContractError
 from xmodal.model import ModelConfig, init_params
 from xmodal.model import embed
-from xmodal.retrieval import (_BLOCK, EmbeddingIndex, QueryRow, build_index,
-                              evaluate_cross_modal, jaccard, metrics_to_csv, ndcg_at_k,
-                              pair_f1, retrieve, summary_table)
+from xmodal.retrieval import (_BLOCK, EmbeddingIndex, QueryRow, _top_k, _unit_queries,
+                              build_index, evaluate_cross_modal, jaccard, metrics_to_csv,
+                              ndcg_at_k, pair_f1, retrieve, summary_table)
 
 MODEL = ModelConfig(input_dim=12, backbone_hidden_dims=(8,), feature_dim=6,
                     embedding_dim=6, seed=0)
@@ -146,6 +146,39 @@ class TestRetrieve:
             retrieve(index, np.ones(6), 0, 0)
 
 
+def lexsort_top_k(index, unit_queries, target, k, exclude_ids):
+    """Reference ranking: every row sorted whole by (-score, tuple_id), then cut to k."""
+    vectors, ids = index._vectors[target], index._ids[target]
+    scores = np.vecdot(unit_queries[:, None, :], vectors[None, :, :])
+    ranked = []
+    for row, exclude in zip(scores, exclude_ids):
+        order = [p for p in np.lexsort((ids, -row)) if ids[p] != exclude][:k]
+        ranked.append((ids[order].tolist(), row[order].tolist()))
+    return ranked
+
+
+class TestTopK:
+    @pytest.mark.parametrize("n,k", [(40, 1), (40, 5), (40, 8), (9, 8), (8, 8), (5, 8)])
+    @pytest.mark.parametrize("nan_rows", [0, 1, 30])
+    def test_equals_full_row_lexsort(self, n, k, nan_rows):
+        # duplicated index rows put exact ties across the cut of many rows;
+        # a NaN score is ranked as a full-row lexsort ranks it
+        rng = np.random.default_rng(n * 100 + k + nan_rows)
+        index = EmbeddingIndex(1, 3)
+        distinct = rng.normal(size=(n // 3 + 1, 3))
+        index.add(0, rng.permutation(4 * n)[:n], distinct[rng.integers(len(distinct), size=n)],
+                  [{0}] * n)
+        index._vectors[0][:min(nan_rows, n)] = np.nan
+        queries = _unit_queries(np.concatenate([rng.normal(size=(2 * _BLOCK, 3)), distinct]), 3)
+        exclude = rng.choice(index._ids[0], size=len(queries))
+        exclude[::2] = -1   # not in the index
+        positions, scores, filled = _top_k(index, queries, 0, k, exclude)
+        for i, (ids, row) in enumerate(lexsort_top_k(index, queries, 0, k, exclude)):
+            assert filled[i] == len(ids)
+            assert index._ids[0][positions[i, :filled[i]]].tolist() == ids
+            np.testing.assert_array_equal(scores[i, :filled[i]], row)
+
+
 class TestPairF1:
     def test_identical_sets(self):
         assert pair_f1({1, 2}, {1, 2}) == 1.0
@@ -228,10 +261,10 @@ class TestEvaluateCrossModal:
         b = evaluate_cross_modal(params, index, tr, 1, 0, k=4)
         assert a.direction == "0->1" and b.direction == "1->0"
 
-    def test_rows_equal_per_query_retrieve_loop(self):
-        # more queries than one block, the query tuples themselves in the index
-        # (self-exclusion matters) and runs of exactly equal embeddings whose
-        # tie order changes F1 and NDCG
+    @staticmethod
+    def tied_dataset():
+        # multi-label tuples with runs of exactly equal features, whose tie
+        # order changes F1 and NDCG
         ds = generate_synthetic(SynthConfig(num_classes=6, num_tuples=2 * _BLOCK + 30,
                                             input_dim=12, latent_dim=6, noise_sigma=0.3,
                                             multi_label=True, seed=12))
@@ -239,22 +272,49 @@ class TestEvaluateCrossModal:
         for i in range(1, len(ds), 3):
             for f in features:
                 f[i] = f[i - 1]
-        ds = TupleDataset(ds.ids, features, ds.labels, ds.num_labels)
-        params = init_params(MODEL)
-        index = build_index(params, ds)
-        assert len(ds) > _BLOCK
+        return TupleDataset(ds.ids, features, ds.labels, ds.num_labels)
+
+    @staticmethod
+    def assert_rows_equal_retrieve_loop(params, index, ds, k):
+        """Every evaluate row equals the per-item functions over its own retrieve call."""
         for src, tgt in ((0, 1), (1, 0)):
-            rep = evaluate_cross_modal(params, index, ds, src, tgt, k=5)
+            rep = evaluate_cross_modal(params, index, ds, src, tgt, k=k)
             labels = {e.tuple_id: e.labels for e in index.entries(tgt)}
             queries = embed(params, src, ds.features[src]).data
             expected = []
             for tuple_id, query_labels, q in zip(ds.ids.tolist(), ds.labels, queries):
-                items = retrieve(index, q, tgt, 5, exclude_tuple_id=tuple_id).items
+                items = retrieve(index, q, tgt, k, exclude_tuple_id=tuple_id).items
                 assert tuple_id not in [tid for tid, _ in items]
                 f1 = float(np.mean([pair_f1(query_labels, labels[tid]) for tid, _ in items]))
                 rel = [jaccard(query_labels, labels[tid]) for tid, _ in items]
-                expected.append(QueryRow(tuple_id, f1, ndcg_at_k(rel, 5)))
+                expected.append(QueryRow(tuple_id, f1, ndcg_at_k(rel, k)))
             assert rep.rows == expected
+            assert rep.mean_f1 == float(np.mean([row.f1_at_k for row in expected]))
+            assert rep.mean_ndcg == float(np.mean([row.ndcg_at_k for row in expected]))
+
+    # NumPy's pairwise mean changes its summation order at 8 items
+    @pytest.mark.parametrize("k", [1, 5, 8, 9, 16])
+    def test_rows_equal_per_query_retrieve_loop(self, k):
+        # more queries than one block, the query tuples themselves in the index
+        # (self-exclusion matters)
+        ds = self.tied_dataset()
+        params = init_params(MODEL)
+        assert len(ds) > _BLOCK
+        self.assert_rows_equal_retrieve_loop(params, build_index(params, ds), ds, k)
+
+    def test_short_rows_equal_per_query_retrieve_loop(self):
+        # an index of exactly k rows: the queries it holds keep k - 1 candidates
+        # (scored item by item), the others all k, in the same block
+        ds, k = self.tied_dataset(), 5
+        params = init_params(MODEL)
+        held = TupleDataset(ds.ids[:k], [f[:k] for f in ds.features], ds.labels[:k],
+                            ds.num_labels)
+        queries = TupleDataset(ds.ids[:3 * k], [f[:3 * k] for f in ds.features],
+                               ds.labels[:3 * k], ds.num_labels)
+        index = build_index(params, held)
+        assert retrieve(index, embed(params, 0, ds.features[0][:1]).data[0], 1, k,
+                        exclude_tuple_id=int(ds.ids[0])).short
+        self.assert_rows_equal_retrieve_loop(params, index, queries, k)
 
     def test_modality_out_of_range_rejected(self, small_ds):
         params = init_params(MODEL)

@@ -217,6 +217,18 @@ class TestBackward:
         np.testing.assert_array_equal(leaf[x.node_id], [5.0, 7.0])
         assert c.grad is None and list(leaf) == [x.node_id]
 
+    def test_zeros_built_only_for_leaf_without_gradient(self, monkeypatch):
+        # the closure returns one gradient for two parents: y receives none
+        x = T.Tensor([1.0, 2.0], grad_enabled=True)
+        y = T.Tensor([[3.0]], grad_enabled=True)
+        shapes, zeros_like = [], np.zeros_like
+        monkeypatch.setattr(np, "zeros_like", lambda a: shapes.append(a.shape) or zeros_like(a))
+        leaf = T.backward(T.node(float(x.data.sum()), (x, y), lambda g: (np.full(2, float(g)),)))
+        assert shapes == [(1, 1)]
+        np.testing.assert_array_equal(leaf[x.node_id], [1.0, 1.0])
+        np.testing.assert_array_equal(leaf[y.node_id], [[0.0]])
+        assert x.grad is leaf[x.node_id] and y.grad is leaf[y.node_id]
+
 
 class TestAuxiliaryPrimitives:
     def test_add_rowvec_gradient(self):
