@@ -176,7 +176,7 @@ def cmd_train(args):
     params, report = train(ds_train, ds_val, model_config, train_config,
                            out_dir=args.out_dir, resume_from=args.resume_from)
     csv_path = os.path.join(args.out_dir, "train_report.csv")
-    report.to_csv(csv_path, include_timing=args.timing)
+    report.to_csv(csv_path)
     final = report.epochs[-1]
     ckpt = os.path.join(args.out_dir, f"checkpoint_epoch{final.epoch}.ckpt")
     _write_manifest(args.out_dir, "train",
@@ -315,8 +315,6 @@ def build_parser():
     p.add_argument("--split", default="0.52,0.24,0.24")
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--resume-from")
-    p.add_argument("--timing", action="store_true",
-                   help="include wall time in the report CSV (breaks byte-identical reruns)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="cross-modal retrieval metrics")

@@ -11,14 +11,16 @@ product would not, and would move near-ties. Rows come back by descending
 score, then ascending tuple_id: the order of a full-row ``np.lexsort`` on
 (-score, tuple_id). Exact top-k needs a k-selection, not a sort, so
 ``np.partition`` finds each row's cut, its (k+1)-th best score (one spare place
-for an excluded id); a row that exactly k+1 scores reach sorts just those
-columns, and any other row (a tie straddling the cut, a NaN) is sorted whole.
+for an excluded id; the worst score of an index of k+1 rows or fewer); a row
+that exactly that many scores reach sorts just those columns, and any other
+row (a tie straddling the cut, a NaN) is sorted whole.
 
 Pair-level F1 is the Dice overlap of label sets; NDCG gain is the Jaccard
 overlap. ``evaluate_cross_modal`` scores a block of queries at once from bool
 label-membership matrices, with the float64 operations, in the same order,
-of the per-item ``pair_f1``, ``jaccard`` and ``ndcg_at_k``; those still score
-a query left with fewer than k candidates.
+of the per-item ``pair_f1``, ``jaccard`` and ``ndcg_at_k`` (the tests' reference).
+A query left fewer than k candidates averages F1 over them; its places past
+them have gain 0, which leaves both NDCG sums unchanged.
 """
 
 import math
@@ -153,8 +155,6 @@ def _unit_queries(queries, dim):
 def _rank_block(scores, ids, width):
     """Positions of each row's ``width`` best scores, best first (see the module notes)."""
     neg = -scores
-    if width >= neg.shape[1]:
-        return np.lexsort((np.broadcast_to(ids, neg.shape), neg), axis=-1)
     inside = neg <= np.partition(neg, width - 1, axis=-1)[:, width - 1, None]
     exact = np.count_nonzero(inside, axis=-1) == width
     top = np.empty((len(neg), width), dtype=np.intp)
@@ -172,8 +172,8 @@ def _top_k(index, unit_queries, target, k, exclude_ids):
     (None: no exclusion) is left out of query i's ranking."""
     if k < 1:
         raise ContractError("k must be >= 1")
-    if not 0 <= target < index.num_modalities:
-        raise ContractError(f"unknown target modality {target}")
+    if not 0 <= target < index.num_modalities or not index.size(target):
+        raise ContractError(f"target modality {target} is unknown or empty")
     vectors, ids = index._vectors[target], index._ids[target]
     width = min(k + 1, len(ids))   # one spare place per row, for the excluded id
     positions, scores = [], []
@@ -243,22 +243,28 @@ def _membership(label_sets, vocab):
     return members
 
 
-def _score_rows(top, query_labels, item_labels, k):
-    """F1@k and NDCG@k of full (Q, k) rankings, _BLOCK queries at a time (see the
-    module notes). No Jaccard union is empty: a query's label set is not."""
+def _score_rows(top, filled, query_labels, item_labels):
+    """F1@k and NDCG@k of (Q, w) rankings whose row i fills its first ``filled[i]``
+    places, _BLOCK queries at a time (see the module notes). No Jaccard union is
+    empty: a query's label set is not."""
     vocab = {label: col for col, label in enumerate(set().union(*item_labels))}
     items = _membership(item_labels, vocab)
     item_sizes = np.array([len(s) for s in item_labels], dtype=np.int64)
     query_sizes = np.array([len(s) for s in query_labels], dtype=np.int64)
-    discounts = [math.log2(p + 1) for p in range(1, k + 1)]
+    discounts = [math.log2(p + 1) for p in range(1, top.shape[1] + 1)]
     f1, ndcg = np.empty(len(top)), np.empty(len(top))
     for start in range(0, len(top), _BLOCK):
         block = slice(start, start + _BLOCK)
         queries = _membership(query_labels[block], vocab)
         inter = np.count_nonzero(items[top[block]] & queries[:, None, :], axis=-1)
         sizes = query_sizes[block, None] + item_sizes[top[block]]
-        f1[block] = np.mean(2.0 * inter / sizes, axis=-1)
+        dice = 2.0 * inter / sizes
+        # a set, not np.unique, which would import numpy.ma on first use
+        for width in set(filled[block].tolist()):
+            rows = np.flatnonzero(filled[block] == width)
+            f1[start + rows] = np.mean(dice[rows, :width], axis=-1)
         gains = inter / (sizes - inter)
+        gains[np.arange(gains.shape[1]) >= filled[block, None]] = 0.0
         dcg, idcg = np.zeros(len(gains)), np.zeros(len(gains))
         for col, ideal, d in zip(gains.T, np.sort(gains, axis=-1)[:, ::-1].T, discounts):
             dcg += col / d
@@ -274,7 +280,8 @@ def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
     Queries are embedded from their src-modality features and ranked together,
     block by block; candidates come from the prebuilt index (normally a
     different split). A query left with fewer than k candidates (an index of
-    k rows or fewer) is scored item by item.
+    k rows or fewer) is scored over the candidates it has; a query left with
+    none is an error.
     """
     for m in (src_modality, tgt_modality):
         if not 0 <= m < index.num_modalities:
@@ -291,13 +298,10 @@ def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
     queries = _unit_queries(embed(params, src_modality, query_split.features[src_modality]).data,
                             index.embedding_dim)
     top, _, filled = _top_k(index, queries, tgt_modality, k, query_split.ids)
-    item_labels = index._labels[tgt_modality]
-    f1, ndcg = (_score_rows(top, query_split.labels, item_labels, k) if top.shape[1] == k
-                else (np.empty(len(ids)), np.empty(len(ids))))
-    for i in np.flatnonzero(filled < k).tolist():
-        labels, items = query_split.labels[i], [item_labels[p] for p in top[i, :filled[i]]]
-        f1[i] = np.mean([pair_f1(labels, s) for s in items])
-        ndcg[i] = ndcg_at_k([jaccard(labels, s) for s in items], k)
+    if not filled.all():
+        raise ContractError(f"query tuple {ids[np.argmin(filled)]} has no candidate in "
+                            f"the index of modality {tgt_modality}")
+    f1, ndcg = _score_rows(top, filled, query_split.labels, index._labels[tgt_modality])
     return MetricsReport(src_modality=src_modality, tgt_modality=tgt_modality, k=k,
                          mean_f1=float(np.mean(f1)), mean_ndcg=float(np.mean(ndcg)),
                          rows=[QueryRow(*row) for row in zip(ids, f1.tolist(), ndcg.tolist())])

@@ -8,7 +8,6 @@ reproduces the uninterrupted run bit-exactly.
 import json
 import os
 import struct
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -73,22 +72,20 @@ class EpochStats:
     alpha: float
     beta: float
     val_total: float
-    seconds: float
 
 
 @dataclass
 class TrainReport:
     epochs: list = field(default_factory=list)
 
-    def to_csv(self, path, include_timing=False):
-        """One row per epoch. Timing is off by default so reruns are byte-identical."""
+    def to_csv(self, path):
+        """One row per epoch; it holds no wall time, so reruns are byte-identical."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("epoch,mim,mde,msp,total,alpha,beta,val_total,seconds\n")
+            fh.write("epoch,mim,mde,msp,total,alpha,beta,val_total\n")
             for e in self.epochs:
-                seconds = f"{e.seconds:.3f}" if include_timing else ""
                 fh.write(f"{e.epoch},{e.mim:.17g},{e.mde:.17g},{e.msp:.17g},"
                          f"{e.total:.17g},{e.alpha:.17g},{e.beta:.17g},"
-                         f"{e.val_total:.17g},{seconds}\n")
+                         f"{e.val_total:.17g}\n")
 
 
 def adam_step(params: ModelParams, grads, state: AdamState,
@@ -97,9 +94,7 @@ def adam_step(params: ModelParams, grads, state: AdamState,
     state.step += 1
     t = state.step
     for name, tensor in params.named_tensors():
-        g = grads.get(name)
-        if g is None:
-            continue
+        g = grads[name]
         if g.shape != tensor.data.shape:
             raise ContractError(f"adam_step: gradient shape mismatch for {name}")
         state.m[name] = b1 * state.m[name] + (1 - b1) * g
@@ -111,11 +106,8 @@ def adam_step(params: ModelParams, grads, state: AdamState,
 
 
 def _batch_loss(params, ds, rows, weights):
-    """Forward every modality of the given rows and evaluate the combined loss.
-
-    With more than two modalities the loss is averaged over all unordered
-    pairs; the default configuration has exactly one pair.
-    """
+    """Forward every modality of the given rows and evaluate the combined loss,
+    averaged over all unordered modality pairs (one pair by default)."""
     n = params.config.num_modalities
     ys = [forward_backbone(params, m, stack_features(ds, rows, m)) for m in range(n)]
     zs = [forward_encoder(params, y) for y in ys]
@@ -123,8 +115,6 @@ def _batch_loss(params, ds, rows, weights):
     for j in range(n):
         for k in range(j + 1, n):
             breakdowns.append(combined_loss(zs[j], zs[k], ys[j], ys[k], weights))
-    if len(breakdowns) == 1:
-        return breakdowns[0]
     total = breakdowns[0].total_node
     for b in breakdowns[1:]:
         total = T.add(total, b.total_node)
@@ -182,7 +172,6 @@ def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig
     report = TrainReport()
     cfg = train_config
     for epoch in range(start_epoch, cfg.epochs):
-        t0 = time.perf_counter()
         alpha = cfg.fixed_alpha if cfg.fixed_alpha is not None else \
             schedule_weight(epoch, cfg.epochs, cfg.alpha0)
         beta = cfg.fixed_beta if cfg.fixed_beta is not None else \
@@ -207,8 +196,7 @@ def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig
         val_total = _validation_loss(params, ds_val, cfg) if ds_val is not None else float("nan")
         report.epochs.append(EpochStats(
             epoch=epoch, mim=means[0], mde=means[1], msp=means[2], total=means[3],
-            alpha=alpha, beta=beta, val_total=val_total,
-            seconds=time.perf_counter() - t0))
+            alpha=alpha, beta=beta, val_total=val_total))
         if out_dir is not None:
             periodic = cfg.checkpoint_every > 0 and (epoch + 1) % cfg.checkpoint_every == 0
             if periodic or epoch == cfg.epochs - 1:
@@ -218,23 +206,25 @@ def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, version, json header (config + tensor manifest),
-# then raw little-endian float64 payloads in manifest order
+# checkpoint format: magic, version, json header (config, epoch, adam_step and
+# the tensor manifest), then raw little-endian float64 payloads in manifest order
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(params: ModelParams, adam_state: AdamState, epoch, path):
+def _checkpoint_arrays(params: ModelParams, adam_state: AdamState):
+    """[(manifest entry, array), ...] of every array a checkpoint holds, in file order:
+    the parameters, then Adam's first moments, then its second moments."""
     names = [name for name, _ in params.named_tensors()]
-    tensors = dict(params.named_tensors())
-    manifest = []
-    payloads = []
-    for kind, table in (("param", tensors), ("adam_m", adam_state.m),
-                        ("adam_v", adam_state.v)):
-        for name in names:
-            arr = table[name].data if kind == "param" else table[name]
-            manifest.append({"name": name, "kind": kind, "shape": list(arr.shape)})
-            payloads.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tables = (("param", {name: t.data for name, t in params.named_tensors()}),
+              ("adam_m", adam_state.m), ("adam_v", adam_state.v))
+    return [({"name": name, "kind": kind, "shape": list(table[name].shape)}, table[name])
+            for kind, table in tables for name in names]
+
+
+def save_checkpoint(params: ModelParams, adam_state: AdamState, epoch, path):
+    arrays = _checkpoint_arrays(params, adam_state)
     header = json.dumps({"model_config": asdict(params.config), "epoch": int(epoch),
-                         "adam_step": int(adam_state.step), "tensors": manifest},
+                         "adam_step": int(adam_state.step),
+                         "tensors": [entry for entry, _ in arrays]},
                         sort_keys=True).encode("utf-8")
     path = os.fspath(path)
     tmp = path + ".tmp"
@@ -242,16 +232,17 @@ def save_checkpoint(params: ModelParams, adam_state: AdamState, epoch, path):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
         fh.write(header)
-        for blob in payloads:
-            fh.write(blob)
+        for _, arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     os.replace(tmp, path)
 
 
 def load_checkpoint(path):
     """Returns (params, adam_state, completed_epoch, model_config).
 
-    The whole file is validated before any state is constructed, so a
-    truncated checkpoint never yields partial state.
+    The header must list exactly the tensors ``save_checkpoint`` writes for its
+    model_config, in its order, and the payload must hold exactly their bytes;
+    only then are the values copied in, so a malformed file never yields state.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -272,40 +263,25 @@ def load_checkpoint(path):
     try:
         config = ModelConfig(**header["model_config"])
         completed, step = int(header["epoch"]), int(header["adam_step"])
-        manifest = [(e["name"], e["kind"], [int(d) for d in e["shape"]])
-                    for e in header["tensors"]]
+        manifest = header["tensors"]
     except KeyError as exc:
         raise CheckpointError(f"{path}: header lacks {exc.args[0]}") from None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from None
-    arrays = []
-    for name, _, shape in manifest:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if len(blob) < off + nbytes:
-            raise CheckpointError(f"{path}: truncated tensor data at {name}")
-        arrays.append(np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-                      .reshape(shape).astype(np.float64))
-        off += nbytes
-    if off != len(blob):
-        raise CheckpointError(f"{path}: trailing bytes")
+    if completed < 0 or step < 0:
+        raise CheckpointError(f"{path}: epoch {completed} and adam_step {step} must be >= 0")
 
     params = init_params(config)
-    expected = {name for name, _ in params.named_tensors()}
-    tensors = dict(params.named_tensors())
     adam_state = AdamState(params)
     adam_state.step = step
-    for (name, kind, _), arr in zip(manifest, arrays):
-        if name not in expected:
-            raise CheckpointError(f"{path}: unknown tensor {name}")
-        if kind == "param":
-            if tensors[name].data.shape != arr.shape:
-                raise CheckpointError(f"{path}: shape mismatch for {name}")
-            tensors[name].data = arr
-        elif kind == "adam_m":
-            adam_state.m[name] = arr
-        elif kind == "adam_v":
-            adam_state.v[name] = arr
-        else:
-            raise CheckpointError(f"{path}: unknown tensor kind {kind}")
+    arrays = _checkpoint_arrays(params, adam_state)
+    if manifest != [entry for entry, _ in arrays]:
+        raise CheckpointError(f"{path}: tensor manifest does not match its model_config")
+    size = off + sum(arr.nbytes for _, arr in arrays)
+    if len(blob) != size:
+        raise CheckpointError(f"{path}: " + ("truncated tensor data" if len(blob) < size
+                                             else "trailing bytes"))
+    for _, arr in arrays:
+        arr[...] = np.frombuffer(blob, "<f8", arr.size, off).reshape(arr.shape)
+        off += arr.nbytes
     return params, adam_state, completed, config

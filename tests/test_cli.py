@@ -12,7 +12,7 @@ import pytest
 
 import xmodal
 from xmodal.cli import main, typed_config
-from xmodal.data import SynthConfig, TupleDataset, load_dataset, save_dataset
+from xmodal.data import SynthConfig, TupleDataset, load_dataset, save_dataset, split
 from xmodal.errors import ContractError
 from xmodal.trainer import TrainConfig, load_checkpoint
 from xmodal.model import ModelConfig, embed, init_params
@@ -196,6 +196,42 @@ class TestEvaluateCommand:
                     "--out", str(tmp_path / "m.csv")]) == 2
 
 
+    def test_three_modalities_rerun_identical(self, tmp_path):
+        data, cfg = tmp_path / "tri.txt", tmp_path / "model.cfg"
+        cfg.write_text("num_modalities = 3\n")
+        assert run(["gen-data", "--out", str(data), "--seed", "3",
+                    "--set", "num_tuples=60", "--set", "num_modalities=3"]) == 0
+        outputs = []
+        for out in (tmp_path / "r1", tmp_path / "r2"):
+            assert run(["train", "--dataset", str(data), "--out-dir", str(out),
+                        "--model-config", str(cfg), "--epochs", "2", "--batch-size", "8"]) == 0
+            assert run(["evaluate", "--checkpoint", str(out / "checkpoint_epoch1.ckpt"),
+                        "--dataset", str(data), "--direction", "both",
+                        "--out", str(out / "m.csv")]) == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("train_report.csv", "checkpoint_epoch1.ckpt", "m.csv")])
+        summary = [line.split(",")[1] for line in outputs[0][2].decode().splitlines()
+                   if line.startswith("summary,")]
+        assert summary == ["0->1", "0->2", "1->0", "1->2", "2->0", "2->1", "average"]
+        assert outputs[0] == outputs[1]
+
+    def test_query_without_candidates_one_line(self, tmp_path):
+        # a 10-tuple archive splits 8/1/1: the one test query's only candidate
+        # in the test index is itself, which is excluded
+        data, run_dir, metrics = tmp_path / "ten.txt", tmp_path / "run", tmp_path / "m.csv"
+        assert run(["gen-data", "--out", str(data), "--seed", "1",
+                    "--set", "num_tuples=10"]) == 0
+        assert run(["train", "--dataset", str(data), "--out-dir", str(run_dir),
+                    "--epochs", "1", "--batch-size", "4"]) == 0
+        query = split(load_dataset(data), (0.8, 0.1, 0.1), 0)[2].ids[0]
+        code, err = run_process(["evaluate", "--checkpoint",
+                                 str(run_dir / "checkpoint_epoch0.ckpt"), "--dataset", str(data),
+                                 "--split", "0.8,0.1,0.1", "--query-split", "test",
+                                 "--index-split", "test", "--out", str(metrics)])
+        assert code == 1
+        assert err == [f"error: query tuple {query} has no candidate in the index of modality 1"]
+        assert not metrics.exists()
+
     @pytest.mark.parametrize("direction, message", [
         ("0-1", "--direction expects 'both' or SRC->TGT, got '0-1'"),
         ("0->5", "modality 5 outside [0, 2)"),
@@ -313,6 +349,24 @@ class TestBadInputOneLine:
                                  str(dataset), "--out", str(tmp_path / "m.csv")])
         assert code == 2
         assert err == [f"error: {bad}: header lacks {key}"]
+
+    def test_checkpoint_missing_tensor(self, trained, tmp_path):
+        # the first parameter's manifest entry and payload are cut out
+        dataset, ckpt = trained
+        blob = ckpt.read_bytes()
+        off = len(b"XMSSL1")
+        version, header_len = struct.unpack_from("<II", blob, off)
+        header = json.loads(blob[off + 8:off + 8 + header_len])
+        dropped = header["tensors"].pop(0)
+        raw = json.dumps(header).encode()
+        payload = blob[off + 8 + header_len + 8 * int(np.prod(dropped["shape"])):]
+        bad, metrics = tmp_path / "bad.ckpt", tmp_path / "m.csv"
+        bad.write_bytes(blob[:off] + struct.pack("<II", version, len(raw)) + raw + payload)
+        code, err = run_process(["evaluate", "--checkpoint", str(bad), "--dataset",
+                                 str(dataset), "--out", str(metrics)])
+        assert code == 2
+        assert err == [f"error: {bad}: tensor manifest does not match its model_config"]
+        assert not metrics.exists()
 
     def test_resume_from_finished_run(self, trained, tmp_path):
         dataset, ckpt = trained

@@ -140,6 +140,12 @@ class TestRetrieve:
                           exclude_tuple_id=target.tuple_id)
         assert target.tuple_id not in [tid for tid, _ in result.items]
 
+    def test_empty_target_modality_rejected(self):
+        index = EmbeddingIndex(2, 3)
+        index.insert(0, 1, np.ones(3), {0})
+        with pytest.raises(ContractError, match="target modality 1 is unknown or empty"):
+            retrieve(index, np.ones(3), 1, 4)
+
     def test_bad_k(self):
         index = random_index(np.random.default_rng(6), 5)
         with pytest.raises(ContractError):

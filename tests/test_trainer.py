@@ -1,14 +1,18 @@
 """Adam updates, the training loop, checkpoints and resume-exactness."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from xmodal import tensor as T
-from xmodal.data import SynthConfig, generate_synthetic, split
+from xmodal.data import SynthConfig, generate_synthetic, split, stack_features
 from xmodal.errors import CheckpointError, ContractError, TrainingDivergedError
-from xmodal.model import ModelConfig, init_params
-from xmodal.trainer import (AdamState, TrainConfig, adam_step, load_checkpoint,
-                            save_checkpoint, train)
+from xmodal.losses import LossWeights, combined_loss
+from xmodal.model import ModelConfig, forward_backbone, forward_encoder, init_params
+from xmodal.trainer import (CHECKPOINT_MAGIC, AdamState, TrainConfig, _batch_loss,
+                            adam_step, load_checkpoint, save_checkpoint, train)
 
 MODEL = ModelConfig(input_dim=12, backbone_hidden_dims=(8,), feature_dim=6,
                     embedding_dim=6, seed=0)
@@ -148,7 +152,74 @@ class TestTrain:
                                             abs=1e-9)
 
 
+class TestBatchLoss:
+    def test_three_modalities_average_the_pairs(self):
+        config = ModelConfig(num_modalities=3, input_dim=12, backbone_hidden_dims=(8,),
+                             feature_dim=6, embedding_dim=6, seed=0)
+        ds = generate_synthetic(SynthConfig(num_classes=4, num_tuples=20, input_dim=12,
+                                            latent_dim=6, num_modalities=3, seed=1))
+        params, rows = init_params(config), np.arange(8)
+        weights = LossWeights(alpha=0.3, beta=0.7, tau=0.2)
+        ys = [forward_backbone(params, m, stack_features(ds, rows, m)) for m in range(3)]
+        zs = [forward_encoder(params, y) for y in ys]
+        t01, t02, t12 = (combined_loss(zs[j], zs[k], ys[j], ys[k], weights).total
+                         for j, k in ((0, 1), (0, 2), (1, 2)))
+        assert _batch_loss(params, ds, rows, weights).total == (t01 + t02 + t12) * (1.0 / 3)
+
+
+def checkpoint_parts(path):
+    """(header, [payload bytes of each manifest entry]) of a checkpoint file."""
+    blob = path.read_bytes()
+    off = len(CHECKPOINT_MAGIC) + 8
+    header_len = struct.unpack_from("<I", blob, off - 4)[0]
+    header = json.loads(blob[off:off + header_len])
+    chunks, off = [], off + header_len
+    for entry in header["tensors"]:
+        size = 8 * int(np.prod(entry["shape"]))
+        chunks.append(blob[off:off + size])
+        off += size
+    return header, chunks
+
+
+def write_checkpoint(path, version, header, chunks):
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", version, len(raw)) + raw
+                     + b"".join(chunks))
+
+
+def _adam_m_of_shape_1(header, chunks):
+    i = len(chunks) // 3   # the first adam_m entry follows the parameters
+    header["tensors"][i]["shape"] = [1]
+    return 1, header, chunks[:i] + [chunks[i][:8]] + chunks[i + 1:]
+
+
+# each maps (header, chunks) of a valid checkpoint to (version, header, chunks)
+CORRUPTIONS = {
+    "dropped_tensor": lambda h, c: (1, {**h, "tensors": h["tensors"][1:]}, c[1:]),
+    "duplicated_entry": lambda h, c: (1, {**h, "tensors": h["tensors"] + h["tensors"][:1]},
+                                      c + c[:1]),
+    "swapped_entries": lambda h, c: (1, {**h, "tensors": [h["tensors"][1], h["tensors"][0],
+                                                          *h["tensors"][2:]]}, c),
+    "adam_m_shape_1": _adam_m_of_shape_1,
+    "epoch_-3": lambda h, c: (1, {**h, "epoch": -3}, c),
+    "adam_step_-5": lambda h, c: (1, {**h, "adam_step": -5}, c),
+    "version_2": lambda h, c: (2, h, c),
+    "non_json_header": lambda h, c: (1, b"{not json", c),
+    "trailing_8_bytes": lambda h, c: (1, h, c + [bytes(8)]),
+    "cut_off_payload": lambda h, c: (1, h, c[:-1] + [c[-1][:-8]]),
+}
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    def test_corrupt_file_rejected(self, tmp_path, corruption):
+        params = init_params(MODEL)
+        path = tmp_path / "ck.ckpt"
+        save_checkpoint(params, AdamState(params), 3, path)
+        write_checkpoint(path, *CORRUPTIONS[corruption](*checkpoint_parts(path)))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
     def test_round_trip_bit_identical(self, tmp_path):
         params = init_params(MODEL)
         state = AdamState(params)
