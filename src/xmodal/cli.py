@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from . import tensor as T
-from .data import (SynthConfig, generate_synthetic, load_dataset, save_dataset, split)
+from .data import SynthConfig, generate_synthetic, load_dataset, save_dataset, split, write_atomic
 from .errors import ContractError, DatasetFormatError, ShapeMismatchError, XmodalError
 from .losses import LossWeights, combined_loss, loss_mde, loss_mim, loss_msp
 from .model import ModelConfig, embed
@@ -95,20 +95,11 @@ def typed_config(cls, values):
 
 
 def _write_manifest(out_dir, command, config, inputs, outputs, seed, started):
-    manifest = {
-        "command": command,
-        "config": config,
-        "inputs": inputs,
-        "outputs": outputs,
-        "seed": seed,
-        "tool_version": __version__,
-        "started": started,
-        "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
+    manifest = {"command": command, "config": config, "inputs": inputs, "outputs": outputs,
+                "seed": seed, "tool_version": __version__, "started": started,
+                "finished": _now()}
     path = os.path.join(out_dir, f"manifest_{command.replace('-', '_')}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
     return path
 
 
@@ -358,8 +349,9 @@ def main(argv=None):
         raise SystemExit(EXIT_USAGE if exc.code else EXIT_OK) from None
     try:
         return args.func(args)
-    except (XmodalError, OSError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (XmodalError, OSError, ArithmeticError, MemoryError) as exc:
+        # a bare MemoryError, such as a list's, has no message
+        print(f"error: {str(exc) or f'{args.command}: out of memory'}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, USAGE_ERRORS) else EXIT_RUNTIME
 
 

@@ -20,8 +20,8 @@ from .errors import ContractError, DatasetFormatError, check_fields
 FORMAT_HEADER = "#xmodal-dataset v1"
 LATENT_JITTER = 0.1
 COLUMNS_MAGIC = b"XMCOL1"
-COLUMNS_VERSION = 1
-COLUMNS_PREFIX = struct.Struct("<6sII")   # magic, version, header length
+CONTAINER_VERSION = 1
+CONTAINER_PREFIX = struct.Struct("<6sII")   # magic, version, header length
 
 
 class TupleDataset:
@@ -149,24 +149,61 @@ def stack_features(ds: TupleDataset, rows, modality):
     return ds.features[modality][rows]
 
 
+def write_atomic(path, chunks):
+    """Writes ``chunks`` (bytes, or str as UTF-8) to ``<path>.tmp`` and renames it onto
+    ``path``, which so holds its old bytes or all the new ones; a failure removes the tmp."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):   # the write failed
+            os.remove(tmp)
+
+
+def write_container(path, magic, header, chunks):
+    """The binary container: 6-byte magic, u32 version, u32 header length, the
+    sorted-key JSON header, then the payload ``chunks``; committed by write_atomic."""
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    write_atomic(path, [CONTAINER_PREFIX.pack(magic, CONTAINER_VERSION, len(raw)), raw, *chunks])
+
+
+def read_container(path, magic):
+    """(header, payload) of a container with this magic, the payload a writable view
+    of the one buffer the file is read into; else a ValueError naming the fault."""
+    with open(path, "rb") as fh:
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]
+    if len(blob) < CONTAINER_PREFIX.size or not blob.startswith(magic):
+        raise ValueError(f"does not start with {magic.decode()}")
+    _, version, header_len = CONTAINER_PREFIX.unpack_from(blob)
+    if version != CONTAINER_VERSION:
+        raise ValueError(f"unsupported version {version}")
+    end = CONTAINER_PREFIX.size + header_len
+    if len(blob) < end:
+        raise ValueError("truncated header")
+    try:
+        header = json.loads(blob[CONTAINER_PREFIX.size:end].decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"corrupt header: {exc}") from None
+    return header, memoryview(blob)[end:]
+
+
 def save_dataset(ds: TupleDataset, path):
     """Line-delimited text format, floats with 17 significant digits; then, if
     the text parse would return these very columns, the sidecar ``<path>.cols``."""
-    path = os.fspath(path)
     row_format = ",".join(["%.17g"] * ds.input_dim)
-    text_digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        def write(text):
-            blob = text.encode("utf-8")
-            text_digest.update(blob)
-            fh.write(blob)
-        write(f"{FORMAT_HEADER} N={ds.num_modalities} dim={ds.input_dim} "
-              f"labels={ds.num_labels}\n")
+    text_digest = hashlib.sha256()   # of the text, taken as it is written
+    def text():
+        yield f"{FORMAT_HEADER} N={ds.num_modalities} dim={ds.input_dim} labels={ds.num_labels}\n"
         for tid, labels, *rows in zip(ds.ids.tolist(), ds.labels,
                                       *(f.tolist() for f in ds.features)):
             label_text = ",".join(str(l) for l in sorted(labels))
-            write("".join(f"{tid}\t{m}\t{row_format % tuple(row)}\t{label_text}\n"
-                          for m, row in enumerate(rows)))
+            yield "".join(f"{tid}\t{m}\t{row_format % tuple(row)}\t{label_text}\n"
+                          for m, row in enumerate(rows))
+    write_atomic(path, (text_digest.update(blob) or blob for blob in map(str.encode, text())))
     sets = [sorted(labels) for labels in ds.labels]
     flat = [l for labels in sets for l in labels]
     if (any(type(v) is not int or not 0 <= v < 2**63 for v in (ds.num_labels, *flat))
@@ -177,12 +214,9 @@ def save_dataset(ds: TupleDataset, path):
                         *(f.astype("<f8").tobytes() for f in ds.features),
                         np.cumsum([0, *map(len, sets)]).astype("<i8").tobytes(),
                         np.array(flat, "<i8").tobytes()])
-    header = json.dumps({"payload_sha256": hashlib.sha256(payload).hexdigest(),
-                         "text_sha256": text_digest.hexdigest()}).encode("utf-8")
-    with open(path + ".cols.tmp", "wb") as fh:
-        fh.write(COLUMNS_PREFIX.pack(COLUMNS_MAGIC, COLUMNS_VERSION, len(header)) + header)
-        fh.write(payload)
-    os.replace(path + ".cols.tmp", path + ".cols")
+    write_container(f"{path}.cols", COLUMNS_MAGIC,
+                    {"payload_sha256": hashlib.sha256(payload).hexdigest(),
+                     "text_sha256": text_digest.hexdigest()}, [payload])
 
 
 def load_dataset(path) -> TupleDataset:
@@ -193,26 +227,22 @@ def load_dataset(path) -> TupleDataset:
 
 def _load_columns(path):
     """The columns in the sidecar ``<path>.cols``, or None unless they are what
-    the text parse of ``path`` returns. Layout: magic, version, a JSON header
-    with the SHA-256 of the text and of the payload, then the little-endian
-    payload: int64 counts (N, dim, labels, rows, label ids), the int64 ids, one
-    (rows, dim) float64 matrix per modality, int64 label offsets and label ids."""
+    the text parse of ``path`` returns. A container whose header holds the
+    SHA-256 of the text and of the payload, and whose little-endian payload is:
+    int64 counts (N, dim, labels, rows, label ids), the int64 ids, one (rows, dim)
+    float64 matrix per modality, int64 label offsets and label ids."""
     try:
-        with open(path + ".cols", "rb") as fh:
-            blob = bytearray(fh.read())   # so that the feature arrays are writable
-        magic, version, header_len = COLUMNS_PREFIX.unpack_from(blob)
-        header = json.loads(blob[COLUMNS_PREFIX.size:COLUMNS_PREFIX.size + header_len])
+        header, payload = read_container(path + ".cols", COLUMNS_MAGIC)
         digests = header["text_sha256"], header["payload_sha256"]
-        body = np.frombuffer(blob, "<i8", offset=COLUMNS_PREFIX.size + header_len)
+        body = np.frombuffer(payload, "<i8")
         n, dim, labels, rows, count = body[:5].tolist()
         text_digest = hashlib.sha256()
         with open(path, "rb") as fh:
             while chunk := fh.read(1 << 20):
                 text_digest.update(chunk)
-    except (OSError, struct.error, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    if ((magic, version) != (COLUMNS_MAGIC, COLUMNS_VERSION)
-            or min(n, dim, rows) < 1 or count < 0
+    if (min(n, dim, rows) < 1 or count < 0
             or len(body) != 5 + rows * (2 + n * dim) + 1 + count
             or digests != (text_digest.hexdigest(), hashlib.sha256(body).hexdigest())):
         return None
@@ -252,7 +282,7 @@ def _load(path):
                 raise DatasetFormatError(f"header field {key}={meta[key]} must be >= 1",
                                          line_number=1)
         n, dim = meta["N"], meta["dim"]
-        slots = {}     # tuple id -> position of its line of each modality, or -1
+        positions, counts = {}, {}   # (tuple id, modality) -> line position; tuple id -> lines
         line_labels, line_features = [], []
         last_good = 1
         for lineno, raw in enumerate(fh, 2):
@@ -280,24 +310,23 @@ def _load(path):
                                          line_number=lineno)
             if any(not 0 <= l < meta["labels"] for l in labels):
                 raise DatasetFormatError("label id outside vocabulary", line_number=lineno)
-            slot = slots.setdefault(tid, [-1] * n)
-            if slot[modality] >= 0:
+            if (tid, modality) in positions:
                 raise DatasetFormatError(f"tuple {tid} modality {modality} given twice",
                                          line_number=lineno)
             if not np.isfinite(feats).all():
                 raise ContractError(f"tuple {tid}: non-finite features")
-            slot[modality] = len(line_labels)
+            positions[tid, modality] = len(line_labels)
+            counts[tid] = counts.get(tid, 0) + 1
             line_labels.append(labels)
             last_good = lineno
             line_features.append(feats)
-    ids = sorted(slots)
+    ids = sorted(counts)
     for tid in ids:
-        if -1 in slots[tid]:
-            raise DatasetFormatError(
-                f"tuple {tid} has {n - slots[tid].count(-1)} of {n} modalities")
-        if len({line_labels[p] for p in slots[tid]}) > 1:
+        if counts[tid] < n:
+            raise DatasetFormatError(f"tuple {tid} has {counts[tid]} of {n} modalities")
+        if len({line_labels[positions[tid, m]] for m in range(n)}) > 1:
             raise DatasetFormatError(f"tuple {tid} has mismatched label sets")
-    order = np.array([slots[t] for t in ids], dtype=np.intp).reshape(len(ids), n)
+    order = np.array([[positions[t, m] for m in range(n)] for t in ids], np.intp).reshape(-1, n)
     rows = np.array(line_features).reshape(len(line_features), dim)
     return TupleDataset(ids, [rows[order[:, m]] for m in range(n)],
                         [line_labels[p] for p in order[:, 0]], meta["labels"])

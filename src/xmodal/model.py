@@ -37,6 +37,17 @@ class ModelConfig:
                            tuple(int(d) for d in self.backbone_hidden_dims))
 
 
+def param_shapes(config: ModelConfig):
+    """[(name, shape), ...] of every trainable tensor, in the one order used to
+    build, list and save them: each backbone's layers (W, then b), then the encoder's."""
+    dims = [config.input_dim, *config.backbone_hidden_dims, config.feature_dim]
+    layers = [(f"backbone{j}.layer{li}.", fan_in, fan_out) for j in range(config.num_modalities)
+              for li, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]))]
+    layers.append(("encoder.", config.feature_dim, config.embedding_dim))
+    return [entry for prefix, fan_in, fan_out in layers
+            for entry in ((prefix + "W", (fan_in, fan_out)), (prefix + "b", (fan_out,)))]
+
+
 @dataclass
 class ModelParams:
     """All trainable tensors: one weight/bias list per backbone, one encoder pair."""
@@ -46,13 +57,9 @@ class ModelParams:
     encoder: tuple = None                          # (W, b)
 
     def named_tensors(self):
-        for j, layers in enumerate(self.backbones):
-            for li, (w, b) in enumerate(layers):
-                yield f"backbone{j}.layer{li}.W", w
-                yield f"backbone{j}.layer{li}.b", b
-        w, b = self.encoder
-        yield "encoder.W", w
-        yield "encoder.b", b
+        tensors = [t for layers in (*self.backbones, [self.encoder]) for pair in layers
+                   for t in pair]
+        return list(zip([name for name, _ in param_shapes(self.config)], tensors, strict=True))
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -60,21 +67,18 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-s, s, size=(fan_in, fan_out))
 
 
-def init_params(config: ModelConfig) -> ModelParams:
-    """Glorot-uniform weights, zero biases, deterministic in config.seed."""
-    rng = np.random.default_rng(config.seed)
-    backbones = []
-    dims = [config.input_dim, *config.backbone_hidden_dims, config.feature_dim]
-    for _ in range(config.num_modalities):
-        layers = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w = T.Tensor(_glorot(rng, fan_in, fan_out), grad_enabled=True)
-            b = T.Tensor(np.zeros(fan_out), grad_enabled=True)
-            layers.append((w, b))
-        backbones.append(layers)
-    w = T.Tensor(_glorot(rng, config.feature_dim, config.embedding_dim), grad_enabled=True)
-    b = T.Tensor(np.zeros(config.embedding_dim), grad_enabled=True)
-    return ModelParams(config, backbones, (w, b))
+def init_params(config: ModelConfig, arrays=None) -> ModelParams:
+    """The trainable tensors over ``arrays``, given in ``param_shapes(config)`` order;
+    by default Glorot-uniform weights and zero biases, deterministic in config.seed."""
+    if arrays is None:
+        rng = np.random.default_rng(config.seed)
+        arrays = [_glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+                  for _, shape in param_shapes(config)]
+    tensors = [T.Tensor(a, grad_enabled=True) for a in arrays]
+    pairs = list(zip(tensors[0::2], tensors[1::2]))   # (W, b) of each layer
+    depth = len(config.backbone_hidden_dims) + 1
+    return ModelParams(config, [pairs[i:i + depth] for i in range(0, len(pairs) - 1, depth)],
+                       pairs[-1])
 
 
 def forward_backbone(params: ModelParams, modality: int, x) -> T.Tensor:

@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import write_atomic
 from .errors import ContractError
 from .model import embed
 
@@ -307,29 +308,25 @@ def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
                          rows=[QueryRow(*row) for row in zip(ids, f1.tolist(), ndcg.tolist())])
 
 
+def _summaries(reports):
+    """(direction, mean F1, mean NDCG) of each report, then their average if several."""
+    rows = [(rep.direction, rep.mean_f1, rep.mean_ndcg) for rep in reports]
+    if len(reports) > 1:
+        rows.append(("average", sum(r.mean_f1 for r in reports) / len(reports),
+                     sum(r.mean_ndcg for r in reports) / len(reports)))
+    return rows
+
+
 def metrics_to_csv(reports, path):
     """Per-query rows for each direction, then one summary row per direction."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("query_id,direction,f1_at_k,ndcg_at_k\n")
-        for rep in reports:
-            for row in rep.rows:
-                fh.write(f"{row.query_id},{rep.direction},"
-                         f"{row.f1_at_k:.17g},{row.ndcg_at_k:.17g}\n")
-        for rep in reports:
-            fh.write(f"summary,{rep.direction},{rep.mean_f1:.17g},{rep.mean_ndcg:.17g}\n")
-        if len(reports) > 1:
-            f1 = sum(r.mean_f1 for r in reports) / len(reports)
-            ndcg = sum(r.mean_ndcg for r in reports) / len(reports)
-            fh.write(f"summary,average,{f1:.17g},{ndcg:.17g}\n")
+    write_atomic(path, chain(
+        ["query_id,direction,f1_at_k,ndcg_at_k\n"],
+        (f"{row.query_id},{rep.direction},{row.f1_at_k:.17g},{row.ndcg_at_k:.17g}\n"
+         for rep in reports for row in rep.rows),
+        (f"summary,{name},{f1:.17g},{ndcg:.17g}\n" for name, f1, ndcg in _summaries(reports))))
 
 
 def summary_table(reports):
     """Small aligned table: one row per direction plus the average."""
-    lines = [f"{'direction':<12}{'F1@K':>10}{'NDCG@K':>10}"]
-    for rep in reports:
-        lines.append(f"{rep.direction:<12}{rep.mean_f1:>10.4f}{rep.mean_ndcg:>10.4f}")
-    if len(reports) > 1:
-        f1 = sum(r.mean_f1 for r in reports) / len(reports)
-        ndcg = sum(r.mean_ndcg for r in reports) / len(reports)
-        lines.append(f"{'average':<12}{f1:>10.4f}{ndcg:>10.4f}")
-    return "\n".join(lines)
+    return "\n".join([f"{'direction':<12}{'F1@K':>10}{'NDCG@K':>10}"] + [
+        f"{name:<12}{f1:>10.4f}{ndcg:>10.4f}" for name, f1, ndcg in _summaries(reports)])

@@ -5,21 +5,20 @@ Batch order is keyed by (seed, epoch), so resuming from a checkpoint
 reproduces the uninterrupted run bit-exactly.
 """
 
-import json
+import math
 import os
-import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .data import batch_iter, stack_features
+from .data import batch_iter, read_container, stack_features, write_atomic, write_container
 from .errors import CheckpointError, ContractError, TrainingDivergedError, check_fields
 from .losses import LossBreakdown, LossWeights, combined_loss, schedule_weight
-from .model import ModelConfig, ModelParams, forward_backbone, forward_encoder, init_params
+from .model import (ModelConfig, ModelParams, forward_backbone, forward_encoder, init_params,
+                    param_shapes)
 
 CHECKPOINT_MAGIC = b"XMSSL1"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -80,12 +79,9 @@ class TrainReport:
 
     def to_csv(self, path):
         """One row per epoch; it holds no wall time, so reruns are byte-identical."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("epoch,mim,mde,msp,total,alpha,beta,val_total\n")
-            for e in self.epochs:
-                fh.write(f"{e.epoch},{e.mim:.17g},{e.mde:.17g},{e.msp:.17g},"
-                         f"{e.total:.17g},{e.alpha:.17g},{e.beta:.17g},"
-                         f"{e.val_total:.17g}\n")
+        write_atomic(path, ["epoch,mim,mde,msp,total,alpha,beta,val_total\n", *(
+            f"{e.epoch},{e.mim:.17g},{e.mde:.17g},{e.msp:.17g},{e.total:.17g},"
+            f"{e.alpha:.17g},{e.beta:.17g},{e.val_total:.17g}\n" for e in self.epochs)])
 
 
 def adam_step(params: ModelParams, grads, state: AdamState,
@@ -111,10 +107,8 @@ def _batch_loss(params, ds, rows, weights):
     n = params.config.num_modalities
     ys = [forward_backbone(params, m, stack_features(ds, rows, m)) for m in range(n)]
     zs = [forward_encoder(params, y) for y in ys]
-    breakdowns = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            breakdowns.append(combined_loss(zs[j], zs[k], ys[j], ys[k], weights))
+    breakdowns = [combined_loss(zs[j], zs[k], ys[j], ys[k], weights)
+                  for j in range(n) for k in range(j + 1, n)]
     total = breakdowns[0].total_node
     for b in breakdowns[1:]:
         total = T.add(total, b.total_node)
@@ -123,11 +117,6 @@ def _batch_loss(params, ds, rows, weights):
     return LossBreakdown(mim=mean("mim"), mde=mean("mde"), msp=mean("msp"),
                          total=total.item(), alpha=weights.alpha, beta=weights.beta,
                          total_node=total)
-
-
-def _param_grads(params, loss_node):
-    leaf = T.backward(loss_node)
-    return {name: leaf.get(t.node_id) for name, t in params.named_tensors()}
 
 
 def _validation_loss(params, ds_val, train_config):
@@ -185,7 +174,8 @@ def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {bi}: {breakdown.total}")
             if cfg.learning_rate > 0:
-                grads = _param_grads(params, breakdown.total_node)
+                leaf = T.backward(breakdown.total_node)
+                grads = {name: leaf.get(t.node_id) for name, t in params.named_tensors()}
                 adam_step(params, grads, adam_state, cfg.learning_rate,
                           cfg.adam_b1, cfg.adam_b2, cfg.adam_eps)
             sums += (breakdown.mim, breakdown.mde, breakdown.msp, breakdown.total)
@@ -206,35 +196,24 @@ def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, version, json header (config, epoch, adam_step and
-# the tensor manifest), then raw little-endian float64 payloads in manifest order
+# checkpoint: a container (data.write_container) holding the model config, epoch,
+# adam_step and tensor manifest in its header, then the tensors' float64 values
 # ---------------------------------------------------------------------------
 
-def _checkpoint_arrays(params: ModelParams, adam_state: AdamState):
-    """[(manifest entry, array), ...] of every array a checkpoint holds, in file order:
-    the parameters, then Adam's first moments, then its second moments."""
-    names = [name for name, _ in params.named_tensors()]
-    tables = (("param", {name: t.data for name, t in params.named_tensors()}),
-              ("adam_m", adam_state.m), ("adam_v", adam_state.v))
-    return [({"name": name, "kind": kind, "shape": list(table[name].shape)}, table[name])
-            for kind, table in tables for name in names]
+def _manifest(config: ModelConfig):
+    """The parameters, then Adam's first moments, then its second moments."""
+    return [{"name": name, "kind": kind, "shape": list(shape)}
+            for kind in ("param", "adam_m", "adam_v") for name, shape in param_shapes(config)]
 
 
 def save_checkpoint(params: ModelParams, adam_state: AdamState, epoch, path):
-    arrays = _checkpoint_arrays(params, adam_state)
-    header = json.dumps({"model_config": asdict(params.config), "epoch": int(epoch),
-                         "adam_step": int(adam_state.step),
-                         "tensors": [entry for entry, _ in arrays]},
-                        sort_keys=True).encode("utf-8")
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
-        fh.write(header)
-        for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    os.replace(tmp, path)
+    tables = {"param": {name: t.data for name, t in params.named_tensors()},
+              "adam_m": adam_state.m, "adam_v": adam_state.v}
+    manifest = _manifest(params.config)
+    write_container(path, CHECKPOINT_MAGIC,
+                    {"model_config": asdict(params.config), "epoch": int(epoch),
+                     "adam_step": int(adam_state.step), "tensors": manifest},
+                    (np.asarray(tables[e["kind"]][e["name"]], "<f8").tobytes() for e in manifest))
 
 
 def load_checkpoint(path):
@@ -242,46 +221,32 @@ def load_checkpoint(path):
 
     The header must list exactly the tensors ``save_checkpoint`` writes for its
     model_config, in its order, and the payload must hold exactly their bytes;
-    only then are the values copied in, so a malformed file never yields state.
+    both are checked against ``param_shapes`` before any array is allocated.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) + 8 or not blob.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    off = len(CHECKPOINT_MAGIC)
-    version, header_len = struct.unpack_from("<II", blob, off)
-    off += 8
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    if len(blob) < off + header_len:
-        raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(blob[off:off + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt header: {exc}") from None
-    off += header_len
+        header, payload = read_container(path, CHECKPOINT_MAGIC)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     try:
         config = ModelConfig(**header["model_config"])
         completed, step = int(header["epoch"]), int(header["adam_step"])
         manifest = header["tensors"]
     except KeyError as exc:
         raise CheckpointError(f"{path}: header lacks {exc.args[0]}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ContractError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from None
     if completed < 0 or step < 0:
         raise CheckpointError(f"{path}: epoch {completed} and adam_step {step} must be >= 0")
-
-    params = init_params(config)
-    adam_state = AdamState(params)
-    adam_state.step = step
-    arrays = _checkpoint_arrays(params, adam_state)
-    if manifest != [entry for entry, _ in arrays]:
+    if manifest != _manifest(config):
         raise CheckpointError(f"{path}: tensor manifest does not match its model_config")
-    size = off + sum(arr.nbytes for _, arr in arrays)
-    if len(blob) != size:
-        raise CheckpointError(f"{path}: " + ("truncated tensor data" if len(blob) < size
-                                             else "trailing bytes"))
-    for _, arr in arrays:
-        arr[...] = np.frombuffer(blob, "<f8", arr.size, off).reshape(arr.shape)
-        off += arr.nbytes
+    sizes = [math.prod(e["shape"]) for e in manifest]
+    if len(payload) != 8 * sum(sizes):
+        problem = "truncated tensor data" if len(payload) < 8 * sum(sizes) else "trailing bytes"
+        raise CheckpointError(f"{path}: {problem}")
+    tables = {"param": {}, "adam_m": {}, "adam_v": {}}
+    for e, v in zip(manifest, np.split(np.frombuffer(payload, "<f8"), np.cumsum(sizes)[:-1])):
+        tables[e["kind"]][e["name"]] = v.reshape(e["shape"]).astype(np.float64)   # aligned copy
+    params = init_params(config, tables["param"].values())
+    adam_state = AdamState(params)
+    adam_state.step, adam_state.m, adam_state.v = step, tables["adam_m"], tables["adam_v"]
     return params, adam_state, completed, config

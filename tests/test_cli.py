@@ -246,6 +246,28 @@ class TestEvaluateCommand:
         assert not (tmp_path / "m.csv").exists()
 
 
+def _edit_checkpoint_header(ckpt, bad, change, payload=True):
+    """Writes to ``bad`` the checkpoint ``ckpt`` with its JSON header edited in place
+    by ``change``, and with its payload only if ``payload``."""
+    blob = ckpt.read_bytes()
+    version, header_len = struct.unpack_from("<II", blob, 6)
+    header = json.loads(blob[14:14 + header_len])
+    change(header)
+    raw = json.dumps(header).encode()
+    bad.write_bytes(blob[:6] + struct.pack("<II", version, len(raw)) + raw
+                    + (blob[14 + header_len:] if payload else b""))
+
+
+def _embedding_dim(dim):
+    """A header edit: model_config and manifest both claim this embedding_dim."""
+    def change(header):
+        header["model_config"]["embedding_dim"] = dim
+        for entry in header["tensors"]:
+            if entry["name"].startswith("encoder."):
+                entry["shape"][-1] = dim
+    return change
+
+
 class TestBadInputOneLine:
     """Malformed inputs exit with their documented code and one stderr line."""
 
@@ -302,10 +324,11 @@ class TestBadInputOneLine:
         (rb"N=2", b"N=0", "line 1: header field N=0 must be >= 1"),
         (rb"N=2", b"N=-1", "line 1: header field N=-1 must be >= 1"),
         (rb"dim=32", b"dim=0", "line 1: header field dim=0 must be >= 1"),
+        (rb"N=2", b"N=1000000000000", "tuple 0 has 2 of 1000000000000 modalities"),
         # the first feature of line 2 becomes the byte 0xff, which is not UTF-8
         (rb"\n(\d+\t\d+\t)[^,]*", b"\n\\1\xff",
          "line 2: could not convert string to float: '\\udcff' (last good line 1)"),
-    ], ids=["N=abc", "N=0", "N=-1", "dim=0", "byte 0xff"])
+    ], ids=["N=abc", "N=0", "N=-1", "dim=0", "N=10**12", "byte 0xff"])
     def test_dataset_header_not_integer(self, dataset_file, tmp_path, pattern, replacement,
                                         message):
         bad = tmp_path / "bad.txt"
@@ -367,6 +390,67 @@ class TestBadInputOneLine:
         assert code == 2
         assert err == [f"error: {bad}: tensor manifest does not match its model_config"]
         assert not metrics.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("embedding_dim", 0, "dimensions must be positive"),
+        ("activation", "gelu", "unknown activation 'gelu'"),
+        ("seed", -1, "ModelConfig seed=-1 must be >= 0"),
+        ("backbone_hidden_dims", [0], "hidden dims must be positive"),
+    ], ids=["embedding_dim=0", "activation=gelu", "seed=-1", "hidden dims [0]"])
+    def test_checkpoint_model_config_invalid(self, trained, tmp_path, key, value, message):
+        dataset, ckpt = trained
+        bad, metrics = tmp_path / "bad.ckpt", tmp_path / "m.csv"
+        _edit_checkpoint_header(ckpt, bad, lambda header: header["model_config"].update(
+            {key: value}))
+        code, err = run_process(["evaluate", "--checkpoint", str(bad), "--dataset",
+                                 str(dataset), "--out", str(metrics)])
+        assert code == 2
+        assert err == [f"error: {bad}: malformed header: {message}"]
+        assert not metrics.exists()
+
+    def test_checkpoint_header_claims_a_huge_model(self, trained, tmp_path):
+        # 466 TiB per encoder weight matrix: the payload size is checked first
+        dataset, ckpt = trained
+        bad, metrics = tmp_path / "bad.ckpt", tmp_path / "m.csv"
+        _edit_checkpoint_header(ckpt, bad, _embedding_dim(10**12), payload=False)
+        code, err = run_process(["evaluate", "--checkpoint", str(bad), "--dataset",
+                                 str(dataset), "--out", str(metrics)])
+        assert code == 2
+        assert err == [f"error: {bad}: truncated tensor data"]
+        assert not metrics.exists()
+
+    def test_cut_checkpoint(self, trained, tmp_path):
+        dataset, ckpt = trained
+        bad, metrics = tmp_path / "bad.ckpt", tmp_path / "m.csv"
+        bad.write_bytes(ckpt.read_bytes()[:200])
+        code, err = run_process(["evaluate", "--checkpoint", str(bad), "--dataset",
+                                 str(dataset), "--out", str(metrics)])
+        assert code == 2
+        assert err == [f"error: {bad}: truncated header"]
+        assert not metrics.exists()
+
+    # each asks for an array that malloc refuses at once (466 TiB, 6.94 EiB)
+    @pytest.mark.parametrize("argv, config", [
+        (["train", "--dataset", "{dataset}", "--out-dir", "{out}", "--epochs", "1",
+          "--model-config", "{config}"], "embedding_dim = 1000000000000\n"),
+        (["gen-data", "--out", "{out}/ds.txt", "--mkdirs", "--set", "input_dim=1000",
+          "--set", "num_tuples=1000000000000000"], None),
+    ], ids=["train embedding_dim", "gen-data num_tuples"])
+    def test_out_of_memory(self, dataset_file, tmp_path, argv, config):
+        out, config_file = tmp_path / "out", tmp_path / "model.cfg"
+        config_file.write_text(config or "")
+        code, err = run_process([a.format(dataset=dataset_file, out=out, config=config_file)
+                                 for a in argv])
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_bare_memory_error_names_the_command(self, tmp_path, monkeypatch, capsys):
+        def exhausted(config):
+            raise MemoryError
+        monkeypatch.setattr("xmodal.cli.generate_synthetic", exhausted)
+        assert run(["gen-data", "--out", str(tmp_path / "ds.txt")]) == 2
+        assert capsys.readouterr().err == "error: gen-data: out of memory\n"
 
     def test_resume_from_finished_run(self, trained, tmp_path):
         dataset, ckpt = trained

@@ -336,6 +336,14 @@ class TestLoaderErrors:
         with pytest.raises(DatasetFormatError, match=f"^{message}$"):
             load_dataset(path)
 
+    def test_modality_count_beyond_memory(self, tmp_path):
+        # the header's N sizes nothing: a tuple's lines are counted as they come
+        path = tmp_path / "huge_n.txt"
+        path.write_text(f"{FORMAT_HEADER} N=1000000000000 dim=1 labels=2\n0\t0\t0.5\t1\n")
+        with pytest.raises(DatasetFormatError,
+                           match="^tuple 0 has 1 of 1000000000000 modalities$"):
+            load_dataset(path)
+
     def test_empty_feature_fields(self, tmp_path, recwarn):
         # one feature per record, every field empty: np.loadtxt would skip such lines
         path = tmp_path / "empty.txt"
@@ -434,6 +442,8 @@ SIDECAR_REJECTED = [
     pytest.param(_small(), _edit_sidecar(lambda b: b[:-56] + bytes([b[-56] ^ 1]) + b[-55:]),
                  id="payload byte flipped"),
     pytest.param(_small(), _edit_sidecar(lambda b: b"Y" + b[1:]), id="wrong magic"),
+    pytest.param(_small(), _edit_sidecar(lambda b: b[:6] + struct.pack("<I", 2) + b[10:]),
+                 id="version 2"),
     pytest.param(_small(), lambda path: path.unlink(), id="text missing"),
     pytest.param(_small(), _forge(_set_words(20, 1, 1)), id="label offsets not from 0"),
     pytest.param(_small(), _forge(_set_words(22, 1, 1)), id="label offsets short of the end"),

@@ -1,6 +1,7 @@
 """Index building, exact search vs a brute-force oracle, and ranking metrics."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from xmodal.data import SynthConfig, TupleDataset, generate_synthetic, split
 from xmodal.errors import ContractError
 from xmodal.model import ModelConfig, init_params
 from xmodal.model import embed
-from xmodal.retrieval import (_BLOCK, EmbeddingIndex, QueryRow, _top_k, _unit_queries,
-                              build_index, evaluate_cross_modal, jaccard, metrics_to_csv,
-                              ndcg_at_k, pair_f1, retrieve, summary_table)
+from xmodal.retrieval import (_BLOCK, EmbeddingIndex, MetricsReport, QueryRow, _top_k,
+                              _unit_queries, build_index, evaluate_cross_modal, jaccard,
+                              metrics_to_csv, ndcg_at_k, pair_f1, retrieve, summary_table)
 
 MODEL = ModelConfig(input_dim=12, backbone_hidden_dims=(8,), feature_dim=6,
                     embedding_dim=6, seed=0)
@@ -358,6 +359,22 @@ class TestEvaluateCrossModal:
     def test_ndcg_monotone_when_top_item_upgraded(self):
         rels = [0.3, 0.6, 0.1, 0.4]
         assert ndcg_at_k([1.0] + rels[1:], 4) >= ndcg_at_k(rels, 4)
+
+    def test_csv_write_that_fails_leaves_no_partial_file(self, small_ds, tmp_path):
+        params = init_params(MODEL)
+        tr, _, te = split(small_ds, (0.5, 0.25, 0.25), seed=0)
+        good = evaluate_cross_modal(params, build_index(params, te), tr, 0, 1, k=4)
+        bad = MetricsReport(1, 0, 4, 0.5, 0.5, rows=[QueryRow(0, 0.5, 0.5),
+                                                     QueryRow(1, "not a number", 0.5)])
+        path = tmp_path / "metrics.csv"
+        with pytest.raises(ValueError):
+            metrics_to_csv([good, bad], path)
+        assert os.listdir(tmp_path) == []
+        metrics_to_csv([good], path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            metrics_to_csv([good, bad], path)
+        assert path.read_bytes() == before and os.listdir(tmp_path) == ["metrics.csv"]
 
     def test_csv_and_table(self, small_ds, tmp_path):
         params = init_params(MODEL)

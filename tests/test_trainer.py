@@ -220,6 +220,35 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_huge_model_config_rejected_before_allocation(self, tmp_path):
+        # a header-only file whose model_config and manifest agree on a 466 TiB
+        # encoder: the payload size is checked before any array is made
+        params = init_params(MODEL)
+        path = tmp_path / "ck.ckpt"
+        save_checkpoint(params, AdamState(params), 3, path)
+        header, _ = checkpoint_parts(path)
+        header["model_config"]["embedding_dim"] = 10**12
+        for entry in header["tensors"]:
+            if entry["name"].startswith("encoder."):
+                entry["shape"][-1] = 10**12
+        write_checkpoint(path, 1, header, [])
+        with pytest.raises(CheckpointError, match="truncated tensor data$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [("embedding_dim", 0), ("activation", "gelu"),
+                                            ("seed", -1), ("backbone_hidden_dims", [0])],
+                             ids=["embedding_dim=0", "activation=gelu", "seed=-1",
+                                  "hidden dims [0]"])
+    def test_invalid_model_config_rejected(self, tmp_path, key, value):
+        params = init_params(MODEL)
+        path = tmp_path / "ck.ckpt"
+        save_checkpoint(params, AdamState(params), 3, path)
+        header, chunks = checkpoint_parts(path)
+        header["model_config"][key] = value
+        write_checkpoint(path, 1, header, chunks)
+        with pytest.raises(CheckpointError, match=f"^{path}: malformed header: "):
+            load_checkpoint(path)
+
     def test_round_trip_bit_identical(self, tmp_path):
         params = init_params(MODEL)
         state = AdamState(params)
