@@ -163,7 +163,6 @@ def cmd_train(args):
     train_config = typed_config(TrainConfig, train_values)
 
     ds_train, ds_val, _ = _split_dataset(ds, args.split, args.split_seed)
-    os.makedirs(args.out_dir, exist_ok=True)
     params, report = train(ds_train, ds_val, model_config, train_config,
                            out_dir=args.out_dir, resume_from=args.resume_from)
     csv_path = os.path.join(args.out_dir, "train_report.csv")

@@ -320,6 +320,8 @@ def _load(path):
             line_labels.append(labels)
             last_good = lineno
             line_features.append(feats)
+    if not counts:
+        raise DatasetFormatError("no tuple lines after the header")
     ids = sorted(counts)
     for tid in ids:
         if counts[tid] < n:

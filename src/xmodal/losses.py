@@ -213,7 +213,8 @@ def schedule_weight(epoch, total_epochs, initial):
     """Geometric interpolation from the initial weight at epoch 0 to 1 at the last epoch.
 
     w(e) = initial^((E-1-e)/(E-1)); exactly `initial` at e=0 and exactly 1 at
-    e=E-1. A single-epoch run uses weight 1.
+    e=E-1, as IEEE pow gives x**1.0 == x and x**0.0 == 1. A single-epoch run
+    uses weight 1.
     """
     if total_epochs < 1:
         raise ContractError("schedule_weight: total_epochs must be >= 1")
@@ -222,10 +223,6 @@ def schedule_weight(epoch, total_epochs, initial):
     if not 0 < initial <= 1:
         raise ContractError("schedule_weight: initial weight must be in (0, 1]")
     if total_epochs == 1:
-        return 1.0
-    if epoch == 0:
-        return float(initial)
-    if epoch == total_epochs - 1:
         return 1.0
     exponent = (total_epochs - 1 - epoch) / (total_epochs - 1)
     return float(initial ** exponent)

@@ -48,6 +48,14 @@ def param_shapes(config: ModelConfig):
             for entry in ((prefix + "W", (fan_in, fan_out)), (prefix + "b", (fan_out,)))]
 
 
+def check_dataset(config: ModelConfig, ds):
+    """ContractError unless the dataset has the model's modality count and input dimension."""
+    if ds.num_modalities != config.num_modalities:
+        raise ContractError("dataset and model disagree on modality count")
+    if ds.input_dim != config.input_dim:
+        raise ContractError("dataset and model disagree on input dimension")
+
+
 @dataclass
 class ModelParams:
     """All trainable tensors: one weight/bias list per backbone, one encoder pair."""

@@ -32,11 +32,11 @@ import numpy as np
 
 from .data import write_atomic
 from .errors import ContractError
-from .model import embed
+from .model import check_dataset, embed
+from .tensor import NORM_EPS
 
 # Queries scored per vectorized pass: the (block, N) score matrix stays small.
 _BLOCK = 128
-_MIN_NORM = 1e-12
 
 
 class IndexEntry(NamedTuple):
@@ -80,7 +80,7 @@ class EmbeddingIndex:
             raise ContractError(f"duplicate tuple_id {unique[counts > 1][0]} "
                                 f"in modality {modality}")
         norms = _norms(embeddings)
-        zero = np.flatnonzero(norms <= _MIN_NORM)
+        zero = np.flatnonzero(norms <= NORM_EPS)
         if len(zero):
             raise ContractError(f"zero-norm embedding for tuple {ids[zero[0]]}")
         self._vectors[modality] = np.concatenate(
@@ -132,10 +132,7 @@ class MetricsReport:
 
 def build_index(params, ds, modalities=None) -> EmbeddingIndex:
     """Embed the dataset's modalities (all of them by default) and add each in one call."""
-    if ds.num_modalities != params.config.num_modalities:
-        raise ContractError("dataset and model disagree on modality count")
-    if ds.input_dim != params.config.input_dim:
-        raise ContractError("dataset and model disagree on input dimension")
+    check_dataset(params.config, ds)
     index = EmbeddingIndex(ds.num_modalities, params.config.embedding_dim)
     for m in range(ds.num_modalities) if modalities is None else modalities:
         index.add(m, ds.ids, embed(params, m, ds.features[m]).data, ds.labels)
@@ -148,7 +145,7 @@ def _unit_queries(queries, dim):
     if queries.ndim != 2 or queries.shape[1:] != (dim,):
         raise ContractError(f"query embedding shape {queries.shape[1:]} != ({dim},)")
     norms = _norms(queries)
-    if (norms <= _MIN_NORM).any():
+    if (norms <= NORM_EPS).any():
         raise ContractError("zero-norm query embedding")
     return queries / norms[:, None]
 

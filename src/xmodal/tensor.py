@@ -19,7 +19,6 @@ elementwise and vector primitives are general building blocks, each tested
 against finite differences.
 """
 
-import itertools
 import warnings
 
 import numpy as np
@@ -27,8 +26,6 @@ import numpy as np
 from .errors import ContractError, DegenerateInputError, DomainError, ShapeMismatchError
 
 NORM_EPS = 1e-12
-
-_node_counter = itertools.count()
 
 
 class DegenerateVectorWarning(UserWarning):
@@ -38,13 +35,12 @@ class DegenerateVectorWarning(UserWarning):
 class Tensor:
     """Immutable-by-convention float64 array participating in autodiff."""
 
-    __slots__ = ("data", "grad_enabled", "grad", "node_id", "_parents", "_backward")
+    __slots__ = ("data", "grad_enabled", "grad", "_parents", "_backward")
 
     def __init__(self, data, grad_enabled=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad_enabled = bool(grad_enabled)
         self.grad = None
-        self.node_id = next(_node_counter)
         self._parents = _parents
         self._backward = _backward
 
@@ -241,11 +237,12 @@ def cosine_similarity(u, v):
 # ---------------------------------------------------------------------------
 
 def backward(loss):
-    """Backpropagate from a scalar tensor.
+    """Backpropagate from a scalar tensor; returns None, the gradients land on ``.grad``.
 
-    Sets ``.grad`` on every grad-enabled tensor reached (and on ``loss``) and
-    returns a map node_id -> gradient array for every grad_enabled leaf.
-    Constant tensors are neither visited nor given a gradient.
+    Each call sets ``.grad`` to a new array on ``loss`` and on every grad-enabled
+    tensor it reaches (zeros for a reached leaf that receives none). Constants and
+    unreached tensors keep theirs, so the trainer, which reads its parameters'
+    ``.grad``, relies on each batch loss reaching every backbone and the encoder.
     """
     if not isinstance(loss, Tensor) or loss.data.ndim != 0:
         raise ContractError("backward: loss must be a scalar Tensor")
@@ -258,35 +255,31 @@ def backward(loss):
         if expanded:
             order.append(node)
             continue
-        if node.node_id in seen:
+        if node in seen:
             continue
-        seen.add(node.node_id)
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if p.grad_enabled and p.node_id not in seen:
+            if p.grad_enabled and p not in seen:
                 stack.append((p, False))
 
-    grads = {loss.node_id: np.array(1.0)}
+    grads = {loss: np.array(1.0)}
     for node in reversed(order):
-        g = grads.get(node.node_id)
+        g = grads.get(node)
         if g is None or node._backward is None:
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if not parent.grad_enabled:
                 continue
-            if parent.node_id in grads:
-                grads[parent.node_id] = grads[parent.node_id] + pg
+            if parent in grads:
+                grads[parent] = grads[parent] + pg
             else:
-                grads[parent.node_id] = np.array(pg, dtype=np.float64, copy=True)
+                grads[parent] = np.array(pg, dtype=np.float64, copy=True)
 
-    leaf_grads = {}
     for node in order:
-        grad = grads.get(node.node_id)
-        if node.grad_enabled and not node._parents:
-            grad = leaf_grads[node.node_id] = np.zeros_like(node.data) if grad is None else grad
-        if grad is not None:
-            node.grad = grad
-    return leaf_grads
+        node.grad = grads.get(node)
+        if node.grad is None and not node._parents:
+            node.grad = np.zeros_like(node.data)
 
 
 def finite_diff_grad(f, x, h=1e-5):

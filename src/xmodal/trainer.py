@@ -15,8 +15,8 @@ from . import tensor as T
 from .data import batch_iter, read_container, stack_features, write_atomic, write_container
 from .errors import CheckpointError, ContractError, TrainingDivergedError, check_fields
 from .losses import LossBreakdown, LossWeights, combined_loss, schedule_weight
-from .model import (ModelConfig, ModelParams, forward_backbone, forward_encoder, init_params,
-                    param_shapes)
+from .model import (ModelConfig, ModelParams, check_dataset, forward_backbone, forward_encoder,
+                    init_params, param_shapes)
 
 CHECKPOINT_MAGIC = b"XMSSL1"
 
@@ -29,9 +29,6 @@ class TrainConfig:
     tau: float = 0.2
     alpha0: float = 1e-4
     beta0: float = 1e-4
-    adam_b1: float = 0.9
-    adam_b2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     checkpoint_every: int = 0    # 0 = final checkpoint only
     fixed_alpha: float = None    # set to pin alpha for the whole run (e.g. ablations)
@@ -137,10 +134,7 @@ def _validation_loss(params, ds_val, train_config):
 def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig,
           out_dir=None, resume_from=None):
     """Full training run; returns the final parameters and the per-epoch report."""
-    if ds_train.num_modalities != model_config.num_modalities:
-        raise ContractError("dataset and model disagree on modality count")
-    if ds_train.input_dim != model_config.input_dim:
-        raise ContractError("dataset and model disagree on input dimension")
+    check_dataset(model_config, ds_train)
 
     start_epoch = 0
     if resume_from is not None:
@@ -174,10 +168,9 @@ def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {bi}: {breakdown.total}")
             if cfg.learning_rate > 0:
-                leaf = T.backward(breakdown.total_node)
-                grads = {name: leaf.get(t.node_id) for name, t in params.named_tensors()}
-                adam_step(params, grads, adam_state, cfg.learning_rate,
-                          cfg.adam_b1, cfg.adam_b2, cfg.adam_eps)
+                T.backward(breakdown.total_node)
+                adam_step(params, {name: t.grad for name, t in params.named_tensors()},
+                          adam_state, cfg.learning_rate)
             sums += (breakdown.mim, breakdown.mde, breakdown.msp, breakdown.total)
             count += 1
         if count == 0:

@@ -344,6 +344,13 @@ class TestLoaderErrors:
                            match="^tuple 0 has 1 of 1000000000000 modalities$"):
             load_dataset(path)
 
+    def test_header_without_tuple_lines_rejected(self, tmp_path):
+        # nothing is built per modality: the header's N sizes no work either
+        path = tmp_path / "no_tuples.txt"
+        path.write_text(f"{FORMAT_HEADER} N=100000 dim=1 labels=2\n")
+        with pytest.raises(DatasetFormatError, match="^no tuple lines after the header$"):
+            load_dataset(path)
+
     def test_empty_feature_fields(self, tmp_path, recwarn):
         # one feature per record, every field empty: np.loadtxt would skip such lines
         path = tmp_path / "empty.txt"

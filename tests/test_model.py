@@ -137,9 +137,9 @@ class TestParameterIsolation:
         x = np.random.default_rng(7).normal(size=(4, 6))
         y0 = forward_backbone(params, 0, x)
         loss = loss_msp(y0, y0)
-        leaf = T.backward(loss)
+        T.backward(loss)
         for name, t in params.named_tensors():
             if name.startswith("backbone0"):
-                assert t.node_id in leaf and np.abs(leaf[t.node_id]).sum() > 0
+                assert t.grad is not None and np.abs(t.grad).sum() > 0
             else:
-                assert t.node_id not in leaf
+                assert t.grad is None

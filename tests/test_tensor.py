@@ -49,10 +49,8 @@ class TestMatmul:
         grad_x, grad_w = out._backward(np.ones((3, 2)))
         assert grad_x is None
         np.testing.assert_array_equal(grad_w, x.data.T @ np.ones((3, 2)))
-        leaf = T.backward(T.tsum(out))
-        assert list(leaf) == [w.node_id]
-        np.testing.assert_array_equal(leaf[w.node_id], grad_w)
-        assert w.grad is leaf[w.node_id]
+        assert T.backward(T.tsum(out)) is None
+        np.testing.assert_array_equal(w.grad, grad_w)
         assert x.grad is None
 
 
@@ -204,18 +202,18 @@ class TestBackward:
     def test_leaf_gradient_map(self):
         x = T.Tensor([2.0], grad_enabled=True)
         y = T.Tensor([3.0], grad_enabled=True)
-        leaf = T.backward(T.tsum(T.mul(x, y)))
-        np.testing.assert_array_equal(leaf[x.node_id], [3.0])
-        np.testing.assert_array_equal(leaf[y.node_id], [2.0])
+        T.backward(T.tsum(T.mul(x, y)))
+        np.testing.assert_array_equal(x.grad, [3.0])
+        np.testing.assert_array_equal(y.grad, [2.0])
 
     def test_custom_node_skips_constant_parent(self):
         # a node's closure may leave a constant operand's slot empty
         x = T.Tensor([1.0, 2.0], grad_enabled=True)
         c = T.Tensor([5.0, 7.0])
         out = T.node(float(x.data @ c.data), (x, c), lambda g: (float(g) * c.data, None))
-        leaf = T.backward(out)
-        np.testing.assert_array_equal(leaf[x.node_id], [5.0, 7.0])
-        assert c.grad is None and list(leaf) == [x.node_id]
+        T.backward(out)
+        np.testing.assert_array_equal(x.grad, [5.0, 7.0])
+        assert c.grad is None
 
     def test_zeros_built_only_for_leaf_without_gradient(self, monkeypatch):
         # the closure returns one gradient for two parents: y receives none
@@ -223,11 +221,10 @@ class TestBackward:
         y = T.Tensor([[3.0]], grad_enabled=True)
         shapes, zeros_like = [], np.zeros_like
         monkeypatch.setattr(np, "zeros_like", lambda a: shapes.append(a.shape) or zeros_like(a))
-        leaf = T.backward(T.node(float(x.data.sum()), (x, y), lambda g: (np.full(2, float(g)),)))
+        T.backward(T.node(float(x.data.sum()), (x, y), lambda g: (np.full(2, float(g)),)))
         assert shapes == [(1, 1)]
-        np.testing.assert_array_equal(leaf[x.node_id], [1.0, 1.0])
-        np.testing.assert_array_equal(leaf[y.node_id], [[0.0]])
-        assert x.grad is leaf[x.node_id] and y.grad is leaf[y.node_id]
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(y.grad, [[0.0]])
 
 
 class TestAuxiliaryPrimitives:

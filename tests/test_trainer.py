@@ -166,6 +166,26 @@ class TestBatchLoss:
                          for j, k in ((0, 1), (0, 2), (1, 2)))
         assert _batch_loss(params, ds, rows, weights).total == (t01 + t02 + t12) * (1.0 / 3)
 
+    @pytest.mark.parametrize("num_modalities", [2, 3])
+    def test_every_backward_rewrites_every_grad(self, num_modalities):
+        # train hands adam_step each parameter's .grad, so every step's backward
+        # must give every parameter a new gradient of its own shape
+        config = ModelConfig(num_modalities=num_modalities, input_dim=12,
+                             backbone_hidden_dims=(8,), feature_dim=6, embedding_dim=6, seed=0)
+        ds = generate_synthetic(SynthConfig(num_classes=4, num_tuples=20, input_dim=12,
+                                            latent_dim=6, num_modalities=num_modalities,
+                                            seed=1))
+        params = init_params(config)
+        weights = LossWeights(alpha=0.3, beta=0.7, tau=0.2)
+        state, steps = AdamState(params), []
+        for rows in (np.arange(8), np.arange(8, 16)):
+            T.backward(_batch_loss(params, ds, rows, weights).total_node)
+            grads = {name: t.grad for name, t in params.named_tensors()}
+            assert all(grads[name].shape == t.data.shape for name, t in params.named_tensors())
+            adam_step(params, grads, state, 1e-3)
+            steps.append(grads)
+        assert all(steps[0][name] is not steps[1][name] for name in steps[0])
+
 
 def checkpoint_parts(path):
     """(header, [payload bytes of each manifest entry]) of a checkpoint file."""
