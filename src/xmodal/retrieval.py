@@ -4,16 +4,39 @@ Scores are cosine similarities (dot products of unit vectors). Search is a
 full scan: archives here are small and exactness keeps runs reproducible.
 Each modality of the index is one contiguous (N, D) matrix of unit-norm rows
 with an int64 id array beside it, the flat inner-product layout of FAISS
-(Johnson, Douze, Jegou, arXiv:1702.08734). Queries are scored in blocks of
-_BLOCK rows with ``np.vecdot``, which rounds every score exactly as the
-one-row dot product ``row @ q`` does, whatever the block; a BLAS matrix
-product would not, and would move near-ties. Rows come back by descending
+(Johnson, Douze, Jegou, arXiv:1702.08734). Rows come back by descending
 score, then ascending tuple_id: the order of a full-row ``np.lexsort`` on
-(-score, tuple_id). Exact top-k needs a k-selection, not a sort, so
-``np.partition`` finds each row's cut, its (k+1)-th best score (one spare place
-for an excluded id; the worst score of an index of k+1 rows or fewer); a row
-that exactly that many scores reach sorts just those columns, and any other
-row (a tie straddling the cut, a NaN) is sorted whole.
+(-score, tuple_id). Each row keeps width = min(k + 1, N) places, one spare for
+an excluded id.
+
+A BLAS matrix product chooses the candidates; ``np.vecdot`` gives every score
+and every order. ``np.vecdot`` rounds each score exactly as the one-row dot
+product ``row @ q`` does, whatever the block, so identical rows tie exactly; a
+BLAS product does not (its rounding depends on the block and the thread
+count), and would move near-ties. Queries are taken in blocks of _BLOCK rows,
+and each block is first scored by one product ``g = Q @ M.T``. For any float64
+evaluation order of a D-term dot product, FMA and BLAS blocking included,
+|fl(q . m) - q . m| <= gamma_D * |q| * |m| + D * 2**-1074, with
+gamma_D = D * u / (1 - D * u) and u = 2**-53 (Higham, Accuracy and Stability
+of Numerical Algorithms, section 3.1, plus a term for underflow). So g and the
+vecdot score v of one pair differ by at most delta, twice that bound taken at
+the largest measured query and row norms.
+
+The proof. Let c be a row's width-th best g. At least width columns have
+v >= c - delta, so the width-th best v is at least c - delta, and every column
+that can place (ties at the cut included) has g >= v - delta >= c - 2 * delta.
+At least width columns can place, so a row with exactly width columns at
+g >= c - 2 * delta holds just the ones that can: those columns are gathered,
+rescored with ``np.vecdot``, and ranked. Any other row is scored whole with
+``np.vecdot`` and ranked, as without the filter: a near-tie within 2 * delta of
+the cut, an exact tie (duplicated rows), and a NaN anywhere (it makes delta
+NaN). No product is taken when width == N, or for a single query, whose row
+of products costs what its row of vecdot scores does.
+
+Ranking needs a k-selection, not a sort: ``np.partition`` finds each row's
+cut, its width-th best score; a row that exactly width scores reach sorts just
+those columns, and any other row (a tie straddling the cut, a NaN) is sorted
+whole. Both the candidates and the whole rows are ranked by that one rule.
 
 Pair-level F1 is the Dice overlap of label sets; NDCG gain is the Jaccard
 overlap. ``evaluate_cross_modal`` scores a block of queries at once from bool
@@ -151,17 +174,62 @@ def _unit_queries(queries, dim):
 
 
 def _rank_block(scores, ids, width):
-    """Positions of each row's ``width`` best scores, best first (see the module notes)."""
-    neg = -scores
+    """Positions of each row's ``width`` best scores, best first (see the module notes);
+    ``ids`` is broadcast to the shape of ``scores``."""
+    neg, ids = -scores, np.broadcast_to(ids, scores.shape)
     inside = neg <= np.partition(neg, width - 1, axis=-1)[:, width - 1, None]
     exact = np.count_nonzero(inside, axis=-1) == width
     top = np.empty((len(neg), width), dtype=np.intp)
-    cols = np.nonzero(inside[exact])[1].reshape(-1, width)
-    order = np.lexsort((ids[cols], np.take_along_axis(neg[exact], cols, axis=-1)), axis=-1)
-    top[exact] = np.take_along_axis(cols, order, axis=-1)
-    rest = neg[~exact]
-    top[~exact] = np.lexsort((np.broadcast_to(ids, rest.shape), rest), axis=-1)[:, :width]
+    rows, cols = (a.reshape(-1, width) for a in
+                  np.divmod(np.flatnonzero(inside & exact[:, None]), neg.shape[1]))
+    top[exact] = np.take_along_axis(cols, np.lexsort((ids[rows, cols], neg[rows, cols]),
+                                                     axis=-1), axis=-1)
+    top[~exact] = np.lexsort((ids[~exact], neg[~exact]), axis=-1)[:, :width]
     return top
+
+
+def _product_error_bound(queries, vectors):
+    """delta >= |fl(q . m) - fl'(q . m)| for any two float64 evaluation orders of
+    any query-row pair: 2 * (gamma_D * max|q| * max|m| + D * 2**-1074), with
+    gamma_D = D * u / (1 - D * u), u = 2**-53 (see the module notes). The 1% on
+    top covers the rounding of the measured norms and of this arithmetic, each
+    O(D * u). A NaN anywhere makes delta NaN."""
+    dim = vectors.shape[1]
+    gamma = dim * 2.0**-53 / (1 - dim * 2.0**-53)
+    return 1.01 * 2 * (gamma * np.max(_norms(queries)) * np.max(_norms(vectors))
+                       + dim * 2.0**-1074)
+
+
+def _score_block(queries, vectors, ids, width, delta):
+    """Positions and ``np.vecdot`` scores, (Q, width) each, of every query's
+    ``width`` best rows, best first. Unless ``delta`` is None, a BLAS product
+    picks each row's candidates, the columns within 2 * delta of its
+    ``width``-th best product, and a row with exactly ``width`` candidates
+    ranks just those (this is exact: see the module notes); any other row
+    ranks every column."""
+    top, scores = np.empty((len(queries), width), dtype=np.intp), np.empty((len(queries), width))
+    whole = slice(None)   # the rows ranked on every column: all, unless some are filtered
+    if delta is not None:
+        products = queries @ vectors.T
+        cut = np.partition(products, len(ids) - width, axis=-1)[:, len(ids) - width, None]
+        candidates = products >= cut - 2 * delta
+        filtered = np.count_nonzero(candidates, axis=-1) == width
+        cols = (np.flatnonzero(candidates[filtered]) % len(ids)).reshape(-1, width)
+        chosen, block = queries[filtered], np.empty(cols.shape)
+        # the gathered candidate rows never hold more floats than ``products``
+        step = max(1, products.size // (width * vectors.shape[1]))
+        for rows in (slice(start, start + step) for start in range(0, len(cols), step)):
+            block[rows] = np.vecdot(chosen[rows, None, :], vectors[cols[rows]])
+        order = _rank_block(block, ids[cols], width)
+        top[filtered] = np.take_along_axis(cols, order, axis=-1)
+        scores[filtered] = np.take_along_axis(block, order, axis=-1)
+        if filtered.all():
+            return top, scores
+        whole = ~filtered
+    block = np.vecdot(queries[whole, None, :], vectors[None, :, :])
+    order = _rank_block(block, ids, width)
+    top[whole], scores[whole] = order, np.take_along_axis(block, order, axis=-1)
+    return top, scores
 
 
 def _top_k(index, unit_queries, target, k, exclude_ids):
@@ -174,12 +242,13 @@ def _top_k(index, unit_queries, target, k, exclude_ids):
         raise ContractError(f"target modality {target} is unknown or empty")
     vectors, ids = index._vectors[target], index._ids[target]
     width = min(k + 1, len(ids))   # one spare place per row, for the excluded id
-    positions, scores = [], []
-    for start in range(0, len(unit_queries), _BLOCK):
-        block = np.vecdot(unit_queries[start:start + _BLOCK, None, :], vectors[None, :, :])
-        positions.append(_rank_block(block, ids, width))
-        scores.append(np.take_along_axis(block, positions[-1], axis=-1))
-    positions, scores = np.concatenate(positions), np.concatenate(scores)
+    # no candidate filter when k + 1 places take the whole index, or for a single
+    # query, whose one row of products costs what its row of vecdot scores does
+    delta = (_product_error_bound(unit_queries, vectors)
+             if width < len(ids) and len(unit_queries) > 1 else None)
+    positions, scores = map(np.concatenate, zip(*(
+        _score_block(unit_queries[start:start + _BLOCK], vectors, ids, width, delta)
+        for start in range(0, len(unit_queries), _BLOCK))))
     excluded = (np.zeros(positions.shape, dtype=bool) if exclude_ids is None
                 else ids[positions] == np.asarray(exclude_ids, dtype=np.int64)[:, None])
     # a stable sort moves the excluded place, if any, behind the others

@@ -215,6 +215,7 @@ def load_checkpoint(path):
     The header must list exactly the tensors ``save_checkpoint`` writes for its
     model_config, in its order, and the payload must hold exactly their bytes;
     both are checked against ``param_shapes`` before any array is allocated.
+    Every value must be finite.
     """
     try:
         header, payload = read_container(path, CHECKPOINT_MAGIC)
@@ -236,8 +237,13 @@ def load_checkpoint(path):
     if len(payload) != 8 * sum(sizes):
         problem = "truncated tensor data" if len(payload) < 8 * sum(sizes) else "trailing bytes"
         raise CheckpointError(f"{path}: {problem}")
+    values, ends = np.frombuffer(payload, "<f8"), np.cumsum(sizes)
+    finite = np.isfinite(values)
+    if not finite.all():   # name the tensor holding the first bad value
+        e = manifest[np.searchsorted(ends, np.argmin(finite), side="right")]
+        raise CheckpointError(f"{path}: non-finite values in {e['kind']} {e['name']}")
     tables = {"param": {}, "adam_m": {}, "adam_v": {}}
-    for e, v in zip(manifest, np.split(np.frombuffer(payload, "<f8"), np.cumsum(sizes)[:-1])):
+    for e, v in zip(manifest, np.split(values, ends[:-1])):
         tables[e["kind"]][e["name"]] = v.reshape(e["shape"]).astype(np.float64)   # aligned copy
     params = init_params(config, tables["param"].values())
     adam_state = AdamState(params)

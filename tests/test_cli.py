@@ -14,7 +14,7 @@ import xmodal
 from xmodal.cli import main, typed_config
 from xmodal.data import SynthConfig, TupleDataset, load_dataset, save_dataset, split
 from xmodal.errors import ContractError
-from xmodal.trainer import TrainConfig, load_checkpoint
+from xmodal.trainer import TrainConfig, load_checkpoint, save_checkpoint
 from xmodal.model import ModelConfig, embed, init_params
 from xmodal.retrieval import build_index, retrieve
 
@@ -389,6 +389,19 @@ class TestBadInputOneLine:
                                  str(dataset), "--out", str(metrics)])
         assert code == 2
         assert err == [f"error: {bad}: tensor manifest does not match its model_config"]
+        assert not metrics.exists()
+
+    def test_checkpoint_non_finite_value(self, trained, tmp_path):
+        # encoder.W[0, 0] set to NaN used to evaluate to an arbitrary ranking and exit 0
+        dataset, ckpt = trained
+        params, state, epoch, _ = load_checkpoint(ckpt)
+        params.encoder[0].data[0, 0] = np.nan
+        bad, metrics = tmp_path / "bad.ckpt", tmp_path / "m.csv"
+        save_checkpoint(params, state, epoch, bad)
+        code, err = run_process(["evaluate", "--checkpoint", str(bad), "--dataset",
+                                 str(dataset), "--out", str(metrics)])
+        assert code == 2
+        assert err == [f"error: {bad}: non-finite values in param encoder.W"]
         assert not metrics.exists()
 
     @pytest.mark.parametrize("key, value, message", [

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from xmodal import retrieval
 from xmodal.data import SynthConfig, TupleDataset, generate_synthetic, split
 from xmodal.errors import ContractError
 from xmodal.model import ModelConfig, init_params
@@ -184,6 +185,143 @@ class TestTopK:
             assert filled[i] == len(ids)
             assert index._ids[0][positions[i, :filled[i]]].tolist() == ids
             np.testing.assert_array_equal(scores[i, :filled[i]], row)
+
+
+def spy_paths(monkeypatch):
+    """Counts of query rows ranked on their BLAS candidates (``filtered``) and on the
+    whole row (``whole``), tallied from ``_rank_block``'s calls: a candidate set
+    comes with a (rows, width) id matrix, a whole row with the index's id array."""
+    counts = {"filtered": 0, "whole": 0}
+    rank_block = retrieval._rank_block
+
+    def spy(scores, ids, width):
+        counts["filtered" if np.ndim(ids) == 2 else "whole"] += len(scores)
+        return rank_block(scores, ids, width)
+    monkeypatch.setattr(retrieval, "_rank_block", spy)
+    return counts
+
+
+def assert_top_k_equals_lexsort(index, queries, k, exclude):
+    positions, scores, filled = _top_k(index, queries, 0, k, exclude)
+    reference = lexsort_top_k(index, queries, 0, k,
+                              [None] * len(queries) if exclude is None else exclude)
+    for i, (ids, row) in enumerate(reference):
+        assert filled[i] == len(ids)
+        assert index._ids[0][positions[i, :filled[i]]].tolist() == ids
+        np.testing.assert_array_equal(scores[i, :filled[i]], row)
+
+
+def near_copies(rng, base, n, scale):
+    """n rows, each ``base`` plus ``scale`` times a standard normal vector."""
+    return base + scale * rng.normal(size=(n, len(base)))
+
+
+class TestCandidateFilter:
+    """The BLAS candidate filter of ``_top_k`` ranks as the full-row lexsort does,
+    and takes the filter on the rows it should."""
+
+    @pytest.mark.parametrize("k", [3, 8, 30])
+    def test_last_ulp_rows_across_the_cut(self, monkeypatch, k):
+        # 60 rows a few ulps apart, which BLAS products and vecdot can order
+        # differently: all lie within the bound of the cut, so every query ranks
+        # whole rows (with no bound, the products alone would pick the candidates)
+        rng = np.random.default_rng(k)
+        base = rng.normal(size=128)
+        base /= np.linalg.norm(base)
+        index = EmbeddingIndex(1, 128)
+        index.add(0, rng.permutation(200)[:60], near_copies(rng, base, 60, 2e-16), [{0}] * 60)
+        queries = _unit_queries(near_copies(rng, base, 40, 1e-3), 128)
+        counts = spy_paths(monkeypatch)
+        assert_top_k_equals_lexsort(index, queries, k, None)
+        assert counts == {"filtered": 0, "whole": 40}
+
+    def test_last_ulp_rows_inside_the_cut_take_the_filter(self, monkeypatch):
+        # the 9 candidates of each query are a few ulps apart and far above the rest:
+        # vecdot, not the BLAS product, orders them
+        rng = np.random.default_rng(1)
+        base = rng.normal(size=128)
+        base /= np.linalg.norm(base)
+        rows = np.concatenate([near_copies(rng, base, 9, 2e-16), rng.normal(size=(50, 128))])
+        index = EmbeddingIndex(1, 128)
+        index.add(0, rng.permutation(100)[:59], rows, [{0}] * 59)
+        queries = _unit_queries(near_copies(rng, base, 40, 1e-3), 128)
+        counts = spy_paths(monkeypatch)
+        assert_top_k_equals_lexsort(index, queries, 8, None)
+        assert counts == {"filtered": 40, "whole": 0}
+
+    def test_one_block_mixes_filtered_and_whole_rows(self, monkeypatch):
+        # even queries sit on a cluster of 20 rows within the bound of each other
+        # (more than k + 1 candidates: whole row); odd queries are well-separated
+        # index rows facing away from the cluster (exactly k + 1 candidates: filtered)
+        rng = np.random.default_rng(2)
+        base = rng.normal(size=16)
+        base /= np.linalg.norm(base)
+        spread = rng.normal(size=(80, 16))
+        spread *= -np.sign(spread @ base)[:, None]
+        index = EmbeddingIndex(1, 16)
+        index.add(0, rng.permutation(300)[:100],
+                  np.concatenate([near_copies(rng, base, 20, 1e-17), spread]), [{0}] * 100)
+        queries = np.empty((_BLOCK, 16))
+        queries[0::2] = near_copies(rng, base, _BLOCK // 2, 1e-4)
+        queries[1::2] = spread[:_BLOCK // 2]
+        queries = _unit_queries(queries, 16)
+        exclude = index._ids[0][rng.integers(100, size=_BLOCK)]
+        counts = spy_paths(monkeypatch)
+        assert_top_k_equals_lexsort(index, queries, 8, exclude)
+        assert counts == {"filtered": _BLOCK // 2, "whole": _BLOCK // 2}
+
+    @pytest.mark.parametrize("dim", [1, 2, 128])
+    @pytest.mark.parametrize("exclusion", [False, True])
+    def test_dimensions_and_exclusion(self, dim, exclusion):
+        # at D = 1 every score is +-1: each row is a tie at its cut and ranked whole
+        rng = np.random.default_rng(dim)
+        index = EmbeddingIndex(1, dim)
+        index.add(0, rng.permutation(400)[:150], rng.normal(size=(150, dim)), [{0}] * 150)
+        queries = _unit_queries(rng.normal(size=(300, dim)), dim)
+        exclude = rng.choice(index._ids[0], size=300) if exclusion else None
+        for k in (1, 8, 40):
+            assert_top_k_equals_lexsort(index, queries, k, exclude)
+
+    def test_row_norms_a_few_ulps_off_one(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        index = EmbeddingIndex(1, 128)
+        index.add(0, np.arange(200), rng.normal(size=(200, 128)), [{0}] * 200)
+        index._vectors[0] *= 1 + rng.integers(-4, 5, size=(200, 1)) * 2.0**-52
+        queries = _unit_queries(rng.normal(size=(150, 128)), 128)
+        queries *= 1 + rng.integers(-4, 5, size=(150, 1)) * 2.0**-52
+        counts = spy_paths(monkeypatch)
+        assert_top_k_equals_lexsort(index, queries, 8, index._ids[0][:150])
+        assert counts == {"filtered": 150, "whole": 0}
+
+    @pytest.mark.parametrize("k", [8, 9, 20])
+    def test_width_is_the_whole_index(self, monkeypatch, k):
+        # 9 rows: k + 1 places reach every row, which is ranked whole
+        rng = np.random.default_rng(k)
+        index = EmbeddingIndex(1, 5)
+        index.add(0, rng.permutation(20)[:9], rng.normal(size=(9, 5)), [{0}] * 9)
+        queries = _unit_queries(rng.normal(size=(30, 5)), 5)
+        counts = spy_paths(monkeypatch)
+        assert_top_k_equals_lexsort(index, queries, k, rng.choice(index._ids[0], size=30))
+        assert counts["filtered"] == 0
+
+    def test_single_query_ranks_the_whole_row(self, monkeypatch):
+        # one query's row of products would cost what its row of vecdot scores does
+        rng = np.random.default_rng(5)
+        index = EmbeddingIndex(1, 128)
+        index.add(0, np.arange(200), rng.normal(size=(200, 128)), [{0}] * 200)
+        counts = spy_paths(monkeypatch)
+        assert_top_k_equals_lexsort(index, _unit_queries(rng.normal(size=(1, 128)), 128), 8, [3])
+        assert counts == {"filtered": 0, "whole": 1}
+
+    def test_random_differential_at_the_eval_scan_shape(self, monkeypatch):
+        # 1040 queries against 480 rows at D = 128 and k = 8, as in evaluate
+        rng = np.random.default_rng(4)
+        index = EmbeddingIndex(1, 128)
+        index.add(0, rng.permutation(2000)[:480], rng.normal(size=(480, 128)), [{0}] * 480)
+        queries = _unit_queries(rng.normal(size=(1040, 128)), 128)
+        counts = spy_paths(monkeypatch)
+        assert_top_k_equals_lexsort(index, queries, 8, rng.choice(2000, size=1040))
+        assert counts == {"filtered": 1040, "whole": 0}
 
 
 class TestPairF1:

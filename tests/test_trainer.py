@@ -213,6 +213,15 @@ def _adam_m_of_shape_1(header, chunks):
     return 1, header, chunks[:i] + [chunks[i][:8]] + chunks[i + 1:]
 
 
+def _with_value(kind, name, value):
+    """A corruption writing ``value`` over the first float of one manifest entry."""
+    def corrupt(header, chunks):
+        i = next(i for i, e in enumerate(header["tensors"])
+                 if (e["kind"], e["name"]) == (kind, name))
+        return 1, header, chunks[:i] + [struct.pack("<d", value) + chunks[i][8:]] + chunks[i + 1:]
+    return corrupt
+
+
 # each maps (header, chunks) of a valid checkpoint to (version, header, chunks)
 CORRUPTIONS = {
     "dropped_tensor": lambda h, c: (1, {**h, "tensors": h["tensors"][1:]}, c[1:]),
@@ -227,6 +236,9 @@ CORRUPTIONS = {
     "non_json_header": lambda h, c: (1, b"{not json", c),
     "trailing_8_bytes": lambda h, c: (1, h, c + [bytes(8)]),
     "cut_off_payload": lambda h, c: (1, h, c[:-1] + [c[-1][:-8]]),
+    "nan_in_encoder_W": _with_value("param", "encoder.W", np.nan),
+    "inf_in_adam_m": _with_value("adam_m", "backbone1.layer0.b", np.inf),
+    "-inf_in_adam_v": _with_value("adam_v", "encoder.b", -np.inf),
 }
 
 
@@ -238,6 +250,18 @@ class TestCheckpoint:
         save_checkpoint(params, AdamState(params), 3, path)
         write_checkpoint(path, *CORRUPTIONS[corruption](*checkpoint_parts(path)))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind, name, value", [
+        ("param", "encoder.W", np.nan), ("adam_m", "backbone1.layer0.b", np.inf),
+        ("adam_v", "encoder.b", -np.inf)])
+    def test_non_finite_value_names_its_tensor(self, tmp_path, kind, name, value):
+        # the first float of each tensor: the name comes from the right manifest entry
+        params = init_params(MODEL)
+        path = tmp_path / "ck.ckpt"
+        save_checkpoint(params, AdamState(params), 3, path)
+        write_checkpoint(path, *_with_value(kind, name, value)(*checkpoint_parts(path)))
+        with pytest.raises(CheckpointError, match=f"^{path}: non-finite values in {kind} {name}$"):
             load_checkpoint(path)
 
     def test_huge_model_config_rejected_before_allocation(self, tmp_path):
