@@ -75,14 +75,17 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-s, s, size=(fan_in, fan_out))
 
 
-def init_params(config: ModelConfig, arrays=None) -> ModelParams:
-    """The trainable tensors over ``arrays``, given in ``param_shapes(config)`` order;
-    by default Glorot-uniform weights and zero biases, deterministic in config.seed."""
+def init_params(config: ModelConfig, arrays=None, grad_enabled=True) -> ModelParams:
+    """The model's tensors over ``arrays``, given in ``param_shapes(config)`` order;
+    by default Glorot-uniform weights and zero biases, deterministic in config.seed.
+
+    With ``grad_enabled=False`` the tensors are constants: a forward pass over
+    them records no graph."""
     if arrays is None:
         rng = np.random.default_rng(config.seed)
         arrays = [_glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
                   for _, shape in param_shapes(config)]
-    tensors = [T.Tensor(a, grad_enabled=True) for a in arrays]
+    tensors = [T.Tensor(a, grad_enabled=grad_enabled) for a in arrays]
     pairs = list(zip(tensors[0::2], tensors[1::2]))   # (W, b) of each layer
     depth = len(config.backbone_hidden_dims) + 1
     return ModelParams(config, [pairs[i:i + depth] for i in range(0, len(pairs) - 1, depth)],
@@ -97,13 +100,11 @@ def forward_backbone(params: ModelParams, modality: int, x) -> T.Tensor:
     if x.data.ndim != 2 or x.data.shape[1] != params.config.input_dim:
         raise ShapeMismatchError(
             f"backbone input must be batch x {params.config.input_dim}, got {x.data.shape}")
-    act = T.tanh if params.config.activation == "tanh" else T.relu
     h = x
     layers = params.backbones[modality]
     for w, b in layers[:-1]:
-        h = act(T.add_rowvec(T.matmul(h, w), b))
-    w, b = layers[-1]
-    return T.add_rowvec(T.matmul(h, w), b)
+        h = T.dense(h, w, b, params.config.activation)
+    return T.dense(h, *layers[-1])
 
 
 def forward_encoder(params: ModelParams, y) -> T.Tensor:
@@ -112,8 +113,7 @@ def forward_encoder(params: ModelParams, y) -> T.Tensor:
     if y.data.ndim != 2 or y.data.shape[1] != params.config.feature_dim:
         raise ShapeMismatchError(
             f"encoder input must be batch x {params.config.feature_dim}, got {y.data.shape}")
-    w, b = params.encoder
-    return T.add_rowvec(T.matmul(y, w), b)
+    return T.dense(y, *params.encoder)
 
 
 def embed(params: ModelParams, modality: int, x) -> T.Tensor:

@@ -8,15 +8,15 @@ accumulated by summation.
 
 Only grad-enabled tensors take part in the reverse pass. ``backward`` never
 visits a constant parent, and a closure may return None in a constant
-operand's slot: ``matmul`` does, so a backbone's first layer forms no
-``grad @ W.T`` for the raw feature batch it multiplies.
+operand's slot: ``matmul`` and ``dense`` do, so a backbone's first layer forms
+no ``grad @ W.T`` for the raw feature batch it multiplies.
 
 A computation with a hand-derived backward, such as each training loss in
 ``losses``, is one ``node``: its value is computed with NumPy and one closure
-returns the gradients of all its operands. The model itself uses ``matmul``,
-``add_rowvec``, ``tanh``, ``relu``, ``add`` and ``scale``; the other
-elementwise and vector primitives are general building blocks, each tested
-against finite differences.
+returns the gradients of all its operands. The model builds each layer as one
+``dense`` node, and the trainer joins the loss nodes with ``add`` and
+``scale``; the other elementwise and vector primitives are general building
+blocks, each tested against finite differences.
 """
 
 import warnings
@@ -197,6 +197,41 @@ def add_rowvec(a, b):
         raise ShapeMismatchError(
             f"add_rowvec: shapes {a.data.shape} and {b.data.shape}")
     return _make(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0)))
+
+
+def dense(x, w, b, activation=None):
+    """One layer, ``activation(x @ w + b)``, as a single node.
+
+    ``activation`` is "tanh", "relu" or None. The value and the gradients are
+    the same NumPy operations, in the same order, as the chain ``matmul`` ->
+    ``add_rowvec`` -> ``tanh``/``relu``, so both are bit-identical to it. The
+    backward forms ``g @ w.T`` only for a grad-enabled ``x``.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]):
+        raise ShapeMismatchError(
+            f"dense: shapes {x.data.shape}, {w.data.shape} and {b.data.shape}")
+    out = x.data @ w.data + b.data
+    if activation == "tanh":
+        out = np.tanh(out)
+        local = lambda g: g * (1.0 - out * out)
+    elif activation == "relu":
+        pos = out > 0
+        out = np.where(pos, out, 0.0)
+        local = lambda g: g * pos
+    elif activation is None:
+        local = lambda g: g
+    else:
+        raise ContractError(f"dense: unknown activation {activation!r}")
+
+    def backward(grad):
+        g = local(grad)
+        return (g @ w.data.T if x.grad_enabled else None,
+                x.data.T @ g if w.grad_enabled else None,
+                g.sum(axis=0) if b.grad_enabled else None)
+
+    return _make(out, (x, w, b), backward)
 
 
 def l2_normalize(v):

@@ -83,18 +83,35 @@ class TrainReport:
 
 def adam_step(params: ModelParams, grads, state: AdamState,
               lr, b1=0.9, b2=0.999, eps=1e-8):
-    """Bias-corrected Adam update applied in place to the owned parameters."""
+    """Bias-corrected Adam update, written in place into each parameter's array and
+    its moment arrays; ``grads`` is only read.
+
+    Each element goes through the same float operations, in the same order, as
+    m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    data = data - lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps),
+    so the result is bit-identical to that formula.
+    """
     state.step += 1
     t = state.step
+    c1, c2 = 1 - b1 ** t, 1 - b2 ** t
     for name, tensor in params.named_tensors():
-        g = grads[name]
+        g, m, v = grads[name], state.m[name], state.v[name]
         if g.shape != tensor.data.shape:
             raise ContractError(f"adam_step: gradient shape mismatch for {name}")
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / (1 - b1 ** t)
-        v_hat = state.v[name] / (1 - b2 ** t)
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        scratch = np.multiply(g, 1 - b1)
+        m *= b1
+        m += scratch
+        np.multiply(g, 1 - b2, out=scratch)
+        scratch *= g
+        v *= b2
+        v += scratch
+        np.divide(v, c2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += eps                      # the denominator
+        step = np.divide(m, c1)
+        step *= lr
+        step /= scratch
+        tensor.data -= step
     return params, state
 
 
@@ -120,12 +137,16 @@ def _validation_loss(params, ds_val, train_config):
     """Mean batch loss on the validation set at alpha = beta = 1.
 
     Fixed weights keep the number comparable across epochs; batch order is a
-    fixed permutation of the validation set (epoch key 0).
+    fixed permutation of the validation set (epoch key 0). The model runs on
+    constant Tensors over the parameters' arrays, so no graph is recorded and
+    no parameter's ``.grad`` changes.
     """
     weights = LossWeights(alpha=1.0, beta=1.0, tau=train_config.tau)
+    constants = init_params(params.config, [t.data for _, t in params.named_tensors()],
+                            grad_enabled=False)
     totals, count = 0.0, 0
     for rows in batch_iter(ds_val, train_config.batch_size, train_config.seed, 0):
-        breakdown = _batch_loss(params, ds_val, rows, weights)
+        breakdown = _batch_loss(constants, ds_val, rows, weights)
         totals += breakdown.total
         count += 1
     return totals / count if count else float("nan")

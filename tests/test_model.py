@@ -91,10 +91,11 @@ class TestForwardEncoder:
         y0 = forward_backbone(params, 0, x)
         y1 = forward_backbone(params, 1, x)
         z0, z1 = forward_encoder(params, y0), forward_encoder(params, y1)
-        assert z0._parents[1] is params.encoder[1]
-        assert z1._parents[1] is params.encoder[1]
-        assert z0._parents[0]._parents[1] is params.encoder[0]
-        assert z1._parents[0]._parents[1] is params.encoder[0]
+        # each encoder output is one dense node over (y, W, b)
+        for y, z in ((y0, z0), (y1, z1)):
+            assert z._parents[0] is y
+            assert z._parents[1] is params.encoder[0]
+            assert z._parents[2] is params.encoder[1]
 
     def test_hand_computed_projection(self):
         cfg = ModelConfig(input_dim=2, backbone_hidden_dims=(), feature_dim=2,

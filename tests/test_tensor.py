@@ -235,6 +235,72 @@ class TestAuxiliaryPrimitives:
         assert T.rel_error(grad_of(f_b, b0), fd_of(f_b, b0)) < 1e-6
 
 
+def _chain(x, w, b, activation):
+    """The layer as the primitive chain that ``dense`` fuses."""
+    pre = T.add_rowvec(T.matmul(x, w), b)
+    return {"tanh": T.tanh, "relu": T.relu, None: lambda t: t}[activation](pre)
+
+
+class TestDense:
+    ACTIVATIONS = ["tanh", "relu", None]
+
+    @staticmethod
+    def operands(seed):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3),
+                rng.normal(size=(5, 3)))
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_bit_identical_to_primitive_chain(self, activation):
+        x0, w0, b0, g0 = self.operands(20)
+        results = []
+        for layer in (T.dense, _chain):
+            x, w, b = (T.Tensor(a, grad_enabled=True) for a in (x0, w0, b0))
+            out = layer(x, w, b, activation)
+            T.backward(T.tsum(T.mul(out, T.Tensor(g0))))
+            results.append([out.data, x.grad, w.grad, b.grad])
+        for fused, chained in zip(*results):
+            np.testing.assert_array_equal(fused, chained)
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("operand", [0, 1, 2])
+    def test_gradient_matches_finite_differences(self, activation, operand):
+        values = self.operands(21)
+        g = T.Tensor(values[3])
+
+        def f(t):
+            args = [T.Tensor(a) for a in values[:3]]
+            args[operand] = t
+            return T.tsum(T.mul(T.dense(*args, activation), g))
+
+        x0 = values[operand]
+        assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-6
+
+    def test_constant_input_gets_no_gradient(self):
+        x0, w0, b0, g0 = self.operands(22)
+        x = T.Tensor(x0)                                        # a raw feature batch
+        w, b = T.Tensor(w0, grad_enabled=True), T.Tensor(b0, grad_enabled=True)
+        out = T.dense(x, w, b, "tanh")
+        assert out._backward(g0)[0] is None
+        T.backward(T.tsum(out))
+        assert x.grad is None
+        assert w.grad.shape == w0.shape and b.grad.shape == b0.shape
+
+    @pytest.mark.parametrize("shapes", [
+        ((5,), (4, 3), (3,)),        # x not a batch
+        ((5, 4), (3, 3), (3,)),      # x and w disagree
+        ((5, 4), (4, 3), (2,)),      # w and b disagree
+        ((5, 4), (4, 3), (1, 3)),    # b not a vector
+    ])
+    def test_shape_mismatch(self, shapes):
+        with pytest.raises(ShapeMismatchError):
+            T.dense(*(T.Tensor(np.ones(s)) for s in shapes))
+
+    def test_unknown_activation(self):
+        with pytest.raises(ContractError):
+            T.dense(np.ones((2, 3)), np.ones((3, 4)), np.ones(4), "gelu")
+
+
 class TestFiniteDiff:
     def test_sum_of_squares_closed_form(self):
         g = fd_of(lambda x: T.tsum(T.mul(x, x)), np.array([1.0, 2.0]))

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from xmodal import tensor as T
-from xmodal.data import SynthConfig, generate_synthetic, split, stack_features
+from xmodal.data import SynthConfig, batch_iter, generate_synthetic, split, stack_features
 from xmodal.errors import CheckpointError, ContractError, TrainingDivergedError
 from xmodal.losses import LossWeights, combined_loss
 from xmodal.model import ModelConfig, forward_backbone, forward_encoder, init_params
 from xmodal.trainer import (CHECKPOINT_MAGIC, AdamState, TrainConfig, _batch_loss,
-                            adam_step, load_checkpoint, save_checkpoint, train)
+                            _validation_loss, adam_step, load_checkpoint, save_checkpoint,
+                            train)
 
 MODEL = ModelConfig(input_dim=12, backbone_hidden_dims=(8,), feature_dim=6,
                     embedding_dim=6, seed=0)
@@ -80,6 +81,50 @@ class TestAdamStep:
         grads = {name: np.zeros(3) for name, _ in params.named_tensors()}
         with pytest.raises(ContractError):
             adam_step(params, grads, state, lr=1e-3)
+
+    @staticmethod
+    def out_of_place_adam_step(params, grads, state, lr, b1=0.9, b2=0.999, eps=1e-8):
+        """The update as a fresh-array formula; the in-place step must match it bit for bit."""
+        state.step += 1
+        t = state.step
+        for name, tensor in params.named_tensors():
+            g = grads[name]
+            state.m[name] = b1 * state.m[name] + (1 - b1) * g
+            state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
+            m_hat = state.m[name] / (1 - b1 ** t)
+            v_hat = state.v[name] / (1 - b2 ** t)
+            tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+    @pytest.mark.parametrize("source", ["init", "checkpoint"])
+    def test_bit_identical_to_out_of_place_formula(self, source, tmp_path):
+        config = ModelConfig()
+        if source == "init":
+            (params, state), (ref, ref_state) = [
+                (p, AdamState(p)) for p in (init_params(config), init_params(config))]
+        else:   # moments that load_checkpoint read back, not ones AdamState made
+            params = init_params(config)
+            state = AdamState(params)
+            rng = np.random.default_rng(30)
+            for _ in range(3):
+                adam_step(params, {name: rng.normal(size=t.data.shape)
+                                   for name, t in params.named_tensors()}, state, 1e-3)
+            save_checkpoint(params, state, 0, tmp_path / "ck.ckpt")
+            (params, state, _, _), (ref, ref_state, _, _) = (
+                load_checkpoint(tmp_path / "ck.ckpt") for _ in range(2))
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            grads = {name: rng.normal(scale=rng.uniform(1e-3, 10.0), size=t.data.shape)
+                     for name, t in params.named_tensors()}
+            copies = {name: g.copy() for name, g in grads.items()}
+            adam_step(params, grads, state, 1e-3)
+            self.out_of_place_adam_step(ref, grads, ref_state, 1e-3)
+            for name, g in grads.items():
+                np.testing.assert_array_equal(g, copies[name])
+        assert state.step == ref_state.step
+        for (name, t), (_, r) in zip(params.named_tensors(), ref.named_tensors()):
+            np.testing.assert_array_equal(t.data, r.data)
+            np.testing.assert_array_equal(state.m[name], ref_state.m[name])
+            np.testing.assert_array_equal(state.v[name], ref_state.v[name])
 
 
 class TestTrain:
@@ -185,6 +230,33 @@ class TestBatchLoss:
             adam_step(params, grads, state, 1e-3)
             steps.append(grads)
         assert all(steps[0][name] is not steps[1][name] for name in steps[0])
+
+
+class TestValidationLoss:
+    def test_matches_grad_enabled_batch_loss(self, datasets, monkeypatch):
+        tr, va, _ = datasets
+        cfg = TrainConfig(epochs=1, batch_size=4)
+        params, _ = train(tr, None, MODEL, cfg)
+        grads = {name: np.full(t.data.shape, 7.0) for name, t in params.named_tensors()}
+        for name, t in params.named_tensors():
+            t.grad = grads[name]
+        nodes = []
+
+        def recording_batch_loss(*args):
+            breakdown = _batch_loss(*args)
+            nodes.append(breakdown.total_node)
+            return breakdown
+
+        monkeypatch.setattr("xmodal.trainer._batch_loss", recording_batch_loss)
+        value = _validation_loss(params, va, cfg)
+        assert all(t.grad is grads[name] for name, t in params.named_tensors())
+        assert len(nodes) > 1 and all(not n.grad_enabled and not n._parents for n in nodes)
+        weights = LossWeights(alpha=1.0, beta=1.0, tau=cfg.tau)
+        totals, count = 0.0, 0
+        for rows in batch_iter(va, cfg.batch_size, cfg.seed, 0):
+            totals += _batch_loss(params, va, rows, weights).total
+            count += 1
+        assert value == totals / count
 
 
 def checkpoint_parts(path):
