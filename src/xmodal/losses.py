@@ -22,6 +22,8 @@ rows and s a cosine similarity:
 
 Each loss computes its operands' squared row norms once and rejects a
 (near-)zero-norm row with DegenerateInputError before anything else.
+``combined_loss`` joins the weighted ``loss_mde`` and ``loss_msp`` with one
+``tensor.weighted_sum`` node and adds ``loss_mim`` to it.
 """
 
 from dataclasses import dataclass
@@ -67,8 +69,8 @@ def _operands(a, b, name, min_rows=1):
         raise ContractError(f"{name}: need batch size >= {min_rows}")
     squares = []
     for x in (a, b):
-        sq = np.sum(x.data * x.data, axis=1)
-        if np.any(np.sqrt(sq) <= T.NORM_EPS):
+        sq = np.add.reduce(x.data * x.data, axis=1)
+        if (np.sqrt(sq) <= T.NORM_EPS).any():
             raise DegenerateInputError(f"{name}: zero-norm row in batch")
         squares.append(sq)
     return a, b, squares[0], squares[1]
@@ -82,7 +84,7 @@ def _cosine_grads(a, b, s, denom, saa, sbb):
 
 def _unit_rows_backward(grad_u, u, norms):
     """Gradient through u = x / |x| row by row, given the gradient at u."""
-    return (grad_u - np.sum(grad_u * u, axis=1, keepdims=True) * u) / norms[:, None]
+    return (grad_u - np.add.reduce(grad_u * u, axis=1, keepdims=True) * u) / norms[:, None]
 
 
 def loss_mim(z_j, z_k, tau, include_positive_in_denominator=False):
@@ -109,8 +111,8 @@ def loss_mim(z_j, z_k, tau, include_positive_in_denominator=False):
     col_max = masked.max(axis=0, keepdims=True)
     exp_col = np.exp(masked - col_max)
     col_sum = exp_col.sum(axis=0, keepdims=True)
-    lse = np.sum(row_max + np.log(row_sum)) + np.sum(col_max + np.log(col_sum))
-    value = (lse - 2.0 * np.trace(logits)) * (1.0 / (2 * n))
+    lse = (row_max + np.log(row_sum)).sum() + (col_max + np.log(col_sum)).sum()
+    value = (lse - 2.0 * logits.trace()) * (1.0 / (2 * n))
 
     def backward(grad):
         g_logits = exp_row / row_sum + exp_col / col_sum
@@ -132,8 +134,8 @@ def loss_mde(y_j, y_k):
     n = y_j.data.shape[0]
     a, b = y_j.data, y_k.data
     denom = np.sqrt(saa * sbb)
-    s = np.sum(a * b, axis=1) / denom
-    value = -(np.sum(np.logaddexp(0.0, s)) / n)
+    s = np.add.reduce(a * b, axis=1) / denom
+    value = -(np.add.reduce(np.logaddexp(0.0, s)) / n)
 
     def backward(grad):
         g_s = (-float(grad) / n) * (1.0 / (1.0 + np.exp(-s)))  # times sigmoid(s)
@@ -161,7 +163,7 @@ def _neighbor_cosines(y, sq):
     idx = _nearest_neighbor_indices(y, sq)
     nb, sq_nb = y[idx], sq[idx]
     denom = np.sqrt(sq * sq_nb)
-    s = np.sum(y * nb, axis=1) / denom
+    s = np.add.reduce(y * nb, axis=1) / denom
 
     def grad(g_s):
         g_row, g_nb = _cosine_grads(y, nb, s, denom, sq, sq_nb)
@@ -178,7 +180,7 @@ def loss_msp(y_j, y_k):
     n = y_j.data.shape[0]
     s_j, grad_j = _neighbor_cosines(y_j.data, sq_j)
     s_k, grad_k = _neighbor_cosines(y_k.data, sq_k)
-    value = -((np.sum(s_j) + np.sum(s_k)) / (2 * n))
+    value = -((np.add.reduce(s_j) + np.add.reduce(s_k)) / (2 * n))
 
     def backward(grad):
         g_s = -float(grad) / (2 * n)
@@ -191,11 +193,16 @@ def loss_msp(y_j, y_k):
 def msp_neighbor_indices(y_data):
     """Expose the neighbor selection for oracle tests."""
     y_data = np.asarray(y_data, dtype=np.float64)
-    return _nearest_neighbor_indices(y_data, np.sum(y_data * y_data, axis=1))
+    return _nearest_neighbor_indices(y_data, np.add.reduce(y_data * y_data, axis=1))
 
 
 def combined_loss(z_j, z_k, y_j, y_k, weights: LossWeights) -> LossBreakdown:
-    """Weighted sum of the three losses, differentiable end to end."""
+    """Weighted sum of the three losses, differentiable end to end.
+
+    ``alpha * mde + beta * msp`` is one ``weighted_sum`` node and ``mim`` joins
+    it by ``add``, so each y batch sums its gradient as (encoder + mde) + msp;
+    folding ``mim`` into the node would sum (mde + msp) + encoder instead.
+    """
     sizes = {np.asarray(a.data if isinstance(a, T.Tensor) else a).shape[0]
              for a in (z_j, z_k, y_j, y_k)}
     if len(sizes) != 1:
@@ -203,7 +210,7 @@ def combined_loss(z_j, z_k, y_j, y_k, weights: LossWeights) -> LossBreakdown:
     mim = loss_mim(z_j, z_k, weights.tau)
     mde = loss_mde(y_j, y_k)
     msp = loss_msp(y_j, y_k)
-    total = T.add(mim, T.add(T.scale(mde, weights.alpha), T.scale(msp, weights.beta)))
+    total = T.add(mim, T.weighted_sum([(mde, weights.alpha), (msp, weights.beta)]))
     return LossBreakdown(mim=mim.item(), mde=mde.item(), msp=msp.item(),
                          total=total.item(), alpha=weights.alpha, beta=weights.beta,
                          total_node=total)

@@ -5,6 +5,7 @@ modal-specific features y; one shared affine encoder maps any modality's y to
 the cross-modal embedding z used for retrieval.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,11 @@ def param_shapes(config: ModelConfig):
             for entry in ((prefix + "W", (fan_in, fan_out)), (prefix + "b", (fan_out,)))]
 
 
+@functools.cache
+def _param_names(config: ModelConfig):
+    return tuple(name for name, _ in param_shapes(config))
+
+
 def check_dataset(config: ModelConfig, ds):
     """ContractError unless the dataset has the model's modality count and input dimension."""
     if ds.num_modalities != config.num_modalities:
@@ -67,7 +73,12 @@ class ModelParams:
     def named_tensors(self):
         tensors = [t for layers in (*self.backbones, [self.encoder]) for pair in layers
                    for t in pair]
-        return list(zip([name for name, _ in param_shapes(self.config)], tensors, strict=True))
+        return list(zip(_param_names(self.config), tensors, strict=True))
+
+    def constants(self):
+        """The same arrays as constant Tensors: a forward pass over them records no graph."""
+        return init_params(self.config, [t.data for _, t in self.named_tensors()],
+                           grad_enabled=False)
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -117,5 +128,9 @@ def forward_encoder(params: ModelParams, y) -> T.Tensor:
 
 
 def embed(params: ModelParams, modality: int, x) -> T.Tensor:
-    """Inference path used by retrieval: encoder applied to backbone features."""
+    """Inference path used by retrieval: encoder applied to backbone features.
+
+    It runs on ``params.constants()``, so the embedding is a constant Tensor and
+    no graph is recorded."""
+    params = params.constants()
     return forward_encoder(params, forward_backbone(params, modality, x))

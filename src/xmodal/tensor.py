@@ -14,9 +14,12 @@ no ``grad @ W.T`` for the raw feature batch it multiplies.
 A computation with a hand-derived backward, such as each training loss in
 ``losses``, is one ``node``: its value is computed with NumPy and one closure
 returns the gradients of all its operands. The model builds each layer as one
-``dense`` node, and the trainer joins the loss nodes with ``add`` and
-``scale``; the other elementwise and vector primitives are general building
-blocks, each tested against finite differences.
+``dense`` node. ``combined_loss`` joins the weighted auxiliary losses with one
+``weighted_sum`` node, which takes their place in the graph and calls their
+closures itself, and adds the contrastive loss with ``add``; the trainer
+averages the modality pairs with ``add`` and ``scale``. The other elementwise
+and vector primitives are general building blocks, each tested against finite
+differences.
 """
 
 import warnings
@@ -123,6 +126,42 @@ def scale(a, c):
     a = _as_tensor(a)
     c = float(c)
     return _make(a.data * c, (a,), lambda g: (g * c,))
+
+
+def weighted_sum(terms):
+    """``t0*c0 + t1*c1 + ...`` over ``[(tensor, c), ...]`` as one node, added left to right.
+
+    The node takes its terms' place in the graph: its parents are each
+    grad-enabled term's parents, in order (a grad-enabled leaf term is its own
+    parent), and its backward calls each term's closure with ``grad * c``, the
+    value ``scale`` would pass it. ``backward`` never visits the terms
+    themselves, and a parent that several terms share fills one slot per term.
+    If every term is constant, so is the sum.
+    """
+    terms = [(_as_tensor(t), float(c)) for t, c in terms]
+    if not terms:
+        raise ContractError("weighted_sum: no terms")
+    (first, c0), rest = terms[0], terms[1:]
+    out = first.data * c0
+    for t, c in rest:
+        _require_same_shape(first, t, "weighted_sum")
+        out = out + t.data * c
+    parents, pieces = [], []
+    for t, c in terms:
+        if t.grad_enabled:
+            slots = t._parents if t._backward is not None else (t,)
+            parents.extend(slots)
+            pieces.append((t._backward, c, len(slots)))
+
+    def backward(grad):
+        grads = []
+        for fn, c, n in pieces:
+            g = grad * c
+            part = (g,) if fn is None else tuple(fn(g))
+            grads.extend(part + (None,) * (n - len(part)))
+        return grads
+
+    return _make(out, parents, backward)
 
 
 def tanh(a):
@@ -278,6 +317,9 @@ def backward(loss):
     tensor it reaches (zeros for a reached leaf that receives none). Constants and
     unreached tensors keep theirs, so the trainer, which reads its parameters'
     ``.grad``, relies on each batch loss reaching every backbone and the encoder.
+
+    A parent may fill several slots of one node (``weighted_sum``'s terms share
+    their operands); its gradients are added slot by slot, in order.
     """
     if not isinstance(loss, Tensor) or loss.data.ndim != 0:
         raise ContractError("backward: loss must be a scalar Tensor")

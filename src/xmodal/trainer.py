@@ -142,8 +142,7 @@ def _validation_loss(params, ds_val, train_config):
     no parameter's ``.grad`` changes.
     """
     weights = LossWeights(alpha=1.0, beta=1.0, tau=train_config.tau)
-    constants = init_params(params.config, [t.data for _, t in params.named_tensors()],
-                            grad_enabled=False)
+    constants = params.constants()
     totals, count = 0.0, 0
     for rows in batch_iter(ds_val, train_config.batch_size, train_config.seed, 0):
         breakdown = _batch_loss(constants, ds_val, rows, weights)

@@ -15,7 +15,7 @@ from xmodal.cli import main, typed_config
 from xmodal.data import SynthConfig, TupleDataset, load_dataset, save_dataset, split
 from xmodal.errors import ContractError
 from xmodal.trainer import TrainConfig, load_checkpoint, save_checkpoint
-from xmodal.model import ModelConfig, embed, init_params
+from xmodal.model import ModelConfig, embed, forward_encoder, init_params
 from xmodal.retrieval import build_index, retrieve
 
 
@@ -519,6 +519,19 @@ class TestRetrieveCommand:
         items = retrieve(build_index(params, ds), query, tgt, 6, exclude_tuple_id=17).items
         assert capsys.readouterr().out.splitlines() == \
             [f"17,{rank},{tid},{score:.17g}" for rank, (tid, score) in enumerate(items, 1)]
+
+    def test_embeddings_are_constants(self, trained, monkeypatch, tmp_path):
+        # evaluate and retrieve embed on constant parameters: no graph is recorded
+        dataset, ckpt = trained
+        outputs = []
+        monkeypatch.setattr("xmodal.model.forward_encoder",
+                            lambda *args: outputs.append(forward_encoder(*args)) or outputs[-1])
+        assert run(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                    "--out", str(tmp_path / "m.csv"), "--direction", "both"]) == 0
+        assert run(["retrieve", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                    "--query-id", "5", "--k", "3"]) == 0
+        assert len(outputs) == 6    # evaluate: 2 index + 2 query batches; retrieve: 1 + 1
+        assert all(not z.grad_enabled and not z._parents for z in outputs)
 
     def test_src_out_of_range_one_line(self, trained):
         dataset, ckpt = trained

@@ -301,6 +301,68 @@ class TestDense:
             T.dense(np.ones((2, 3)), np.ones((3, 4)), np.ones(4), "gelu")
 
 
+class TestWeightedSum:
+    def test_value_added_left_to_right(self):
+        terms = [(T.Tensor(1.0), 1.0), (T.Tensor(1e16), 1.0), (T.Tensor(-1e16), 1.0)]
+        assert T.weighted_sum(terms).item() == 0.0      # (1 + 1e16) + -1e16, not 1
+        rng = np.random.default_rng(23)
+        a, b = (T.Tensor(rng.normal(size=(3, 2))) for _ in range(2))
+        np.testing.assert_array_equal(T.weighted_sum([(a, 0.3), (b, 0.7)]).data,
+                                      T.add(T.scale(a, 0.3), T.scale(b, 0.7)).data)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(24)
+        w = T.Tensor(rng.normal(size=5))
+
+        def f(x):
+            return T.weighted_sum([(T.tsum(T.mul(x, x)), 0.7),
+                                   (T.tsum(T.tanh(T.mul(x, w))), -1.3)])
+
+        x0 = rng.normal(size=5)
+        assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-6
+
+    def test_all_constant_terms_give_a_constant(self):
+        out = T.weighted_sum([(T.Tensor(2.0), 3.0), (T.tsum(T.Tensor([1.0, 1.0])), 0.5)])
+        assert out.item() == 7.0
+        assert not out.grad_enabled and out._parents == () and out._backward is None
+
+    def test_constant_operand_slot_stays_empty(self):
+        # a term whose closure returns None for its constant operand
+        x = T.Tensor([1.0, 2.0], grad_enabled=True)
+        c = T.Tensor([5.0, 7.0])
+        term = T.node(float(x.data @ c.data), (x, c), lambda g: (float(g) * c.data, None))
+        out = T.weighted_sum([(term, 2.0)])
+        assert out._parents == (x, c)
+        assert out._backward(np.array(1.0))[1] is None
+        T.backward(out)
+        np.testing.assert_array_equal(x.grad, [10.0, 14.0])
+        assert c.grad is None and term.grad is None
+
+    def test_grad_enabled_leaf_term_is_its_own_parent(self):
+        x = T.Tensor(3.0, grad_enabled=True)
+        out = T.weighted_sum([(x, 2.5), (T.mul(x, x), 4.0)])
+        assert out._parents == (x, x, x)
+        assert out.item() == 3.0 * 2.5 + 9.0 * 4.0
+        T.backward(out)
+        assert x.grad == 2.5 + 4.0 * 3.0 + 4.0 * 3.0
+
+    def test_repeated_parent_summed_slot_by_slot_in_order(self):
+        x = T.Tensor(0.0, grad_enabled=True)
+        terms = [(T.node(0.0, (x,), lambda g, v=v: (g * v,)), 1.0)
+                 for v in (1.0, 1e16, -1e16)]
+        out = T.weighted_sum(terms)
+        assert out._parents == (x, x, x)
+        T.backward(out)
+        assert x.grad == 0.0                            # (1 + 1e16) + -1e16, not 1
+        assert all(t.grad is None for t, _ in terms)    # the terms are never visited
+
+    def test_shape_mismatch_and_no_terms(self):
+        with pytest.raises(ShapeMismatchError):
+            T.weighted_sum([(T.Tensor(np.ones(2)), 1.0), (T.Tensor(np.ones(3)), 1.0)])
+        with pytest.raises(ContractError):
+            T.weighted_sum([])
+
+
 class TestFiniteDiff:
     def test_sum_of_squares_closed_form(self):
         g = fd_of(lambda x: T.tsum(T.mul(x, x)), np.array([1.0, 2.0]))

@@ -9,7 +9,8 @@ import pytest
 from xmodal import tensor as T
 from xmodal.data import SynthConfig, batch_iter, generate_synthetic, split, stack_features
 from xmodal.errors import CheckpointError, ContractError, TrainingDivergedError
-from xmodal.losses import LossWeights, combined_loss
+from xmodal.losses import (LossBreakdown, LossWeights, combined_loss, loss_mde, loss_mim,
+                           loss_msp)
 from xmodal.model import ModelConfig, forward_backbone, forward_encoder, init_params
 from xmodal.trainer import (CHECKPOINT_MAGIC, AdamState, TrainConfig, _batch_loss,
                             _validation_loss, adam_step, load_checkpoint, save_checkpoint,
@@ -230,6 +231,50 @@ class TestBatchLoss:
             adam_step(params, grads, state, 1e-3)
             steps.append(grads)
         assert all(steps[0][name] is not steps[1][name] for name in steps[0])
+
+
+def _chained_loss(z_j, z_k, y_j, y_k, weights):
+    """combined_loss as the add/scale chain that its weighted_sum node replaces."""
+    mim, mde, msp = loss_mim(z_j, z_k, weights.tau), loss_mde(y_j, y_k), loss_msp(y_j, y_k)
+    total = T.add(mim, T.add(T.scale(mde, weights.alpha), T.scale(msp, weights.beta)))
+    return LossBreakdown(mim=mim.item(), mde=mde.item(), msp=msp.item(), total=total.item(),
+                         alpha=weights.alpha, beta=weights.beta, total_node=total)
+
+
+class TestCombinedLossGraph:
+    @pytest.mark.parametrize("num_modalities", [2, 3])
+    def test_bit_identical_to_add_scale_chain(self, num_modalities, monkeypatch):
+        config = ModelConfig(num_modalities=num_modalities, input_dim=12,
+                             backbone_hidden_dims=(8, 7), feature_dim=6, embedding_dim=6,
+                             seed=2)
+        ds = generate_synthetic(SynthConfig(num_classes=4, num_tuples=20, input_dim=12,
+                                            latent_dim=6, num_modalities=num_modalities,
+                                            seed=3))
+        weights = LossWeights(alpha=0.3, beta=0.7, tau=0.2)
+        results = []
+        for loss in (combined_loss, _chained_loss):
+            monkeypatch.setattr("xmodal.trainer.combined_loss", loss)
+            params = init_params(config)
+            breakdown = _batch_loss(params, ds, np.arange(8), weights)
+            T.backward(breakdown.total_node)
+            results.append([breakdown.total_node.data,
+                            *(t.grad for _, t in params.named_tensors())])
+        assert all(np.array_equal(a, b) for a, b in zip(*results, strict=True))
+
+    def test_default_step_builds_ten_nodes(self):
+        config = ModelConfig()
+        ds = generate_synthetic(SynthConfig(num_tuples=40, input_dim=config.input_dim, seed=4))
+        params = init_params(config)
+        total = _batch_loss(params, ds, np.arange(32), LossWeights()).total_node
+        seen, stack = set(), [total]
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(p for p in node._parents if p.grad_enabled)
+        leaves = {t for t in seen if not t._parents}
+        assert leaves == {t for _, t in params.named_tensors()}
+        assert len(seen - leaves) == 10    # 6 dense, loss_mim, weighted_sum, add, scale
 
 
 class TestValidationLoss:
