@@ -206,7 +206,8 @@ def cmd_evaluate(args):
     index = build_index(params, index_ds)
 
     directions = _parse_direction(args.direction, index.num_modalities)
-    reports = [evaluate_cross_modal(params, index, query_ds, src, tgt, k=args.k)
+    queries = {}   # each source modality's query rows, embedded once for all directions
+    reports = [evaluate_cross_modal(params, index, query_ds, src, tgt, k=args.k, queries=queries)
                for src, tgt in directions]
     out_dir = _ensure_out_dir(args.out, args.mkdirs)
     metrics_to_csv(reports, args.out)
@@ -278,69 +279,59 @@ def cmd_gradcheck(args):
 
 # ---------------------------------------------------------------------------
 
-def build_parser():
+# Each command's function, help line and arguments, as (flag, add_argument keywords).
+_SPLIT_ARGS = [("--split", {"default": "0.52,0.24,0.24"}),
+               ("--split-seed", {"type": int, "default": 0})]
+COMMANDS = {
+    "gen-data": (cmd_gen_data, "generate a synthetic paired-modality dataset", [
+        ("--config", {"help": "key=value SynthConfig file"}), ("--out", {"required": True}),
+        ("--seed", {"type": int}), ("--set", {"action": "append", "metavar": "KEY=VALUE"}),
+        ("--mkdirs", {"action": "store_true"})]),
+    "train": (cmd_train, "train the model on a dataset", [
+        ("--dataset", {"required": True}), ("--out-dir", {"required": True}),
+        ("--model-config", {"help": "key=value ModelConfig file"}),
+        ("--train-config", {"help": "key=value TrainConfig file"}),
+        ("--set", {"action": "append", "metavar": "KEY=VALUE"}), ("--epochs", {"type": int}),
+        ("--batch-size", {"type": int}), ("--lr", {"type": float}), ("--seed", {"type": int}),
+        *_SPLIT_ARGS, ("--resume-from", {})]),
+    "evaluate": (cmd_evaluate, "cross-modal retrieval metrics", [
+        ("--checkpoint", {"required": True}), ("--dataset", {"required": True}),
+        ("--query-split", {"default": "train", "choices": sorted(_SPLIT_INDEX)}),
+        ("--index-split", {"default": "test", "choices": sorted(_SPLIT_INDEX)}),
+        ("--direction", {"default": "both",
+                         "help": "'both' or 'SRC->TGT' with modality indices"}),
+        ("--k", {"type": int, "default": 8}), *_SPLIT_ARGS, ("--out", {"required": True}),
+        ("--mkdirs", {"action": "store_true"})]),
+    "retrieve": (cmd_retrieve, "dump ranked results for a single query", [
+        ("--checkpoint", {"required": True}), ("--dataset", {"required": True}),
+        ("--query-id", {"type": int, "required": True}), ("--src", {"type": int, "default": 0}),
+        ("--tgt", {"type": int, "default": 1}), ("--k", {"type": int, "default": 8})]),
+    "gradcheck": (cmd_gradcheck, "finite-difference check of all loss gradients", [
+        ("--trials", {"type": int, "default": 20}), ("--batch", {"type": int, "default": 4}),
+        ("--dims", {"type": int, "default": 8}), ("--seed", {"type": int, "default": 0})]),
+}
+
+
+def build_parser(command=None):
+    """The parser of every command, or with ``command`` the same parser in which only
+    that command's arguments are added (the others keep their name and help line)."""
     parser = argparse.ArgumentParser(prog="xmodal",
                                      description="Self-supervised cross-modal retrieval pipeline")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a synthetic paired-modality dataset")
-    p.add_argument("--config", help="key=value SynthConfig file")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--mkdirs", action="store_true")
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train the model on a dataset")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--model-config", help="key=value ModelConfig file")
-    p.add_argument("--train-config", help="key=value TrainConfig file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--split", default="0.52,0.24,0.24")
-    p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--resume-from")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="cross-modal retrieval metrics")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--query-split", default="train", choices=sorted(_SPLIT_INDEX))
-    p.add_argument("--index-split", default="test", choices=sorted(_SPLIT_INDEX))
-    p.add_argument("--direction", default="both",
-                   help="'both' or 'SRC->TGT' with modality indices")
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--split", default="0.52,0.24,0.24")
-    p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--mkdirs", action="store_true")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("retrieve", help="dump ranked results for a single query")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--query-id", type=int, required=True)
-    p.add_argument("--src", type=int, default=0)
-    p.add_argument("--tgt", type=int, default=1)
-    p.add_argument("--k", type=int, default=8)
-    p.set_defaults(func=cmd_retrieve)
-
-    p = sub.add_parser("gradcheck", help="finite-difference check of all loss gradients")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--dims", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
+    for name, (func, help_line, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(func=func)
+        for flag, kwargs in arguments if command in (None, name) else ():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # no top-level option takes a value, so the command is the first word without a dash
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = build_parser(command if command in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

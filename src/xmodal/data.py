@@ -27,13 +27,20 @@ CONTAINER_PREFIX = struct.Struct("<6sII")   # magic, version, header length
 class TupleDataset:
     """Tuples column-wise: ``ids`` an ascending int64 array, ``features[m]`` one
     C-contiguous (N, dim) float64 matrix per modality, ``labels`` a frozenset per
-    tuple, ``num_labels`` the size of the label id range."""
+    tuple, ``num_labels`` the size of the label id range. ``labels`` may be given
+    as a function returning that list, called the first time they are read."""
 
     def __init__(self, ids, features, labels, num_labels):
         self.ids = np.asarray(ids, dtype=np.int64)
         self.features = [np.ascontiguousarray(f, dtype=np.float64) for f in features]
-        self.labels = list(labels)
+        self._labels = labels if callable(labels) else list(labels)
         self.num_labels = num_labels
+
+    @property
+    def labels(self):
+        if callable(self._labels):
+            self._labels = self._labels()
+        return self._labels
 
     def __len__(self):
         return len(self.ids)
@@ -254,9 +261,10 @@ def _load_columns(path):
             and offsets[0] == 0 and offsets[-1] == count and (np.diff(offsets) >= 0).all()
             and ((label_ids >= 0) & (label_ids < labels)).all()):
         return None
-    bounds, label_ids = offsets.tolist(), label_ids.tolist()
-    return TupleDataset(ids, features, [frozenset(label_ids[a:b])
-                                        for a, b in zip(bounds, bounds[1:])], labels)
+    def label_sets():   # the checked offsets and label ids, as sets when first read
+        bounds, flat = offsets.tolist(), label_ids.tolist()
+        return [frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return TupleDataset(ids, features, label_sets, labels)
 
 
 def _load(path):

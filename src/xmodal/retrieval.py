@@ -49,7 +49,6 @@ them have gain 0, which leaves both NDCG sums unchanged.
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,13 +59,6 @@ from .tensor import NORM_EPS
 
 # Queries scored per vectorized pass: the (block, N) score matrix stays small.
 _BLOCK = 128
-
-
-class IndexEntry(NamedTuple):
-    """One row of the index, built on demand by ``EmbeddingIndex.entries``."""
-    tuple_id: int
-    embedding: np.ndarray
-    labels: frozenset
 
 
 def _norms(rows):
@@ -82,10 +74,12 @@ class EmbeddingIndex:
         self.embedding_dim = embedding_dim
         self._vectors = [np.empty((0, embedding_dim)) for _ in range(num_modalities)]
         self._ids = [np.empty(0, dtype=np.int64) for _ in range(num_modalities)]
-        self._labels = [[] for _ in range(num_modalities)]
+        self._labels = [[] for _ in range(num_modalities)]   # what each add was given
 
     def add(self, modality, ids, embeddings, labels):
-        """Append rows to one modality; each row is stored divided by its norm."""
+        """Append rows to one modality; each row is stored divided by its norm.
+        ``labels`` is one label set per row, or a function returning them that only
+        ``labels(modality)`` calls; either is kept as given, not copied."""
         if not 0 <= modality < self.num_modalities:
             raise ContractError(f"unknown modality {modality}")
         embeddings = np.ascontiguousarray(embeddings, dtype=np.float64)
@@ -93,34 +87,35 @@ class EmbeddingIndex:
             raise ContractError(
                 f"embedding shape {embeddings.shape[1:]} != ({self.embedding_dim},)")
         ids = np.asarray(ids, dtype=np.int64)
-        labels = [frozenset(s) for s in labels]
-        if not len(ids) == len(embeddings) == len(labels):
+        count = len(ids) if callable(labels) else len(labels)   # a function's: see labels()
+        if not len(ids) == len(embeddings) == count:
             raise ContractError(f"{len(ids)} tuple ids, {len(embeddings)} embeddings "
-                                f"and {len(labels)} label sets")
-        all_ids = np.concatenate([self._ids[modality], ids])
-        unique, counts = np.unique(all_ids, return_counts=True)
-        if (counts > 1).any():
-            raise ContractError(f"duplicate tuple_id {unique[counts > 1][0]} "
-                                f"in modality {modality}")
+                                f"and {count} label sets")
+        first = not self.size(modality)
+        all_ids = ids if first else np.concatenate([self._ids[modality], ids])
+        if not (np.diff(all_ids) > 0).all():   # not ascending: look for a repeated id
+            unique, counts = np.unique(all_ids, return_counts=True)
+            if (counts > 1).any():
+                raise ContractError(f"duplicate tuple_id {unique[counts > 1][0]} "
+                                    f"in modality {modality}")
         norms = _norms(embeddings)
         zero = np.flatnonzero(norms <= NORM_EPS)
         if len(zero):
             raise ContractError(f"zero-norm embedding for tuple {ids[zero[0]]}")
-        self._vectors[modality] = np.concatenate(
-            [self._vectors[modality], embeddings / norms[:, None]])
+        unit = embeddings / norms[:, None]
+        self._vectors[modality] = unit if first else np.concatenate(
+            [self._vectors[modality], unit])
         self._ids[modality] = all_ids
-        self._labels[modality].extend(labels)
+        self._labels[modality].append(labels)
 
-    def insert(self, modality, tuple_id, embedding, labels):
-        """Append one row; see ``add``."""
-        self.add(modality, [tuple_id], np.asarray(embedding, dtype=np.float64)[None],
-                 [labels])
-
-    def entries(self, modality):
-        """The rows of one modality as (tuple_id, embedding, labels) records."""
-        return [IndexEntry(int(tid), row, labels) for tid, row, labels
-                in zip(self._ids[modality], self._vectors[modality],
-                       self._labels[modality])]
+    def labels(self, modality):
+        """The label sets of one modality's rows, in row order."""
+        parts = [part() if callable(part) else part for part in self._labels[modality]]
+        labels = parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
+        if len(labels) != self.size(modality):
+            raise ContractError(f"{self.size(modality)} rows and {len(labels)} label sets "
+                                f"in modality {modality}")
+        return labels
 
     def size(self, modality):
         return len(self._ids[modality])
@@ -158,7 +153,7 @@ def build_index(params, ds, modalities=None) -> EmbeddingIndex:
     check_dataset(params.config, ds)
     index = EmbeddingIndex(ds.num_modalities, params.config.embedding_dim)
     for m in range(ds.num_modalities) if modalities is None else modalities:
-        index.add(m, ds.ids, embed(params, m, ds.features[m]).data, ds.labels)
+        index.add(m, ds.ids, embed(params, m, ds.features[m]).data, lambda: ds.labels)
     return index
 
 
@@ -341,14 +336,16 @@ def _score_rows(top, filled, query_labels, item_labels):
 
 
 def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
-                         src_modality, tgt_modality, k=8) -> MetricsReport:
+                         src_modality, tgt_modality, k=8, queries=None) -> MetricsReport:
     """Mean F1@K / NDCG@K over all queries of one retrieval direction.
 
     Queries are embedded from their src-modality features and ranked together,
     block by block; candidates come from the prebuilt index (normally a
     different split). A query left with fewer than k candidates (an index of
     k rows or fewer) is scored over the candidates it has; a query left with
-    none is an error.
+    none is an error. ``queries``, a dict that a caller passes to each direction
+    of one query split, keeps each source modality's unit query rows, so that
+    each is embedded once.
     """
     for m in (src_modality, tgt_modality):
         if not 0 <= m < index.num_modalities:
@@ -362,13 +359,16 @@ def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
     for tid, labels in zip(ids, query_split.labels):
         if not labels:
             raise ContractError(f"query tuple {tid} has no labels")
-    queries = _unit_queries(embed(params, src_modality, query_split.features[src_modality]).data,
-                            index.embedding_dim)
-    top, _, filled = _top_k(index, queries, tgt_modality, k, query_split.ids)
+    queries = {} if queries is None else queries
+    if src_modality not in queries:
+        queries[src_modality] = _unit_queries(
+            embed(params, src_modality, query_split.features[src_modality]).data,
+            index.embedding_dim)
+    top, _, filled = _top_k(index, queries[src_modality], tgt_modality, k, query_split.ids)
     if not filled.all():
         raise ContractError(f"query tuple {ids[np.argmin(filled)]} has no candidate in "
                             f"the index of modality {tgt_modality}")
-    f1, ndcg = _score_rows(top, filled, query_split.labels, index._labels[tgt_modality])
+    f1, ndcg = _score_rows(top, filled, query_split.labels, index.labels(tgt_modality))
     return MetricsReport(src_modality=src_modality, tgt_modality=tgt_modality, k=k,
                          mean_f1=float(np.mean(f1)), mean_ndcg=float(np.mean(ndcg)),
                          rows=[QueryRow(*row) for row in zip(ids, f1.tolist(), ndcg.tolist())])

@@ -20,6 +20,7 @@ from xmodal.retrieval import (EmbeddingIndex, build_index, evaluate_cross_modal,
                               ndcg_at_k, pair_f1, retrieve)
 from xmodal.trainer import TrainConfig, train
 
+from index_rows import entries, insert
 from test_losses import naive_mde, naive_mim, naive_msp
 
 
@@ -120,14 +121,14 @@ def test_retrieval_oracle():
     dim = 16
     index = EmbeddingIndex(1, dim)
     for tid in range(1000):
-        index.insert(0, tid, rng.normal(size=dim), {int(rng.integers(8))})
-    entries = index.entries(0)
+        insert(index, 0, tid, rng.normal(size=dim), {int(rng.integers(8))})
+    stored = entries(index, 0)
     ok = True
     for _ in range(1000):
         q = rng.normal(size=dim)
         qn = q / np.linalg.norm(q)
         oracle = sorted(((float(np.dot(e.embedding, qn)), e.tuple_id)
-                         for e in entries), key=lambda t: (-t[0], t[1]))[:8]
+                         for e in stored), key=lambda t: (-t[0], t[1]))[:8]
         got = retrieve(index, q, 0, 8).items
         if ([tid for _, tid in oracle] != [tid for tid, _ in got]
                 or any(abs(s_o - s_g) > 1e-12
@@ -138,7 +139,7 @@ def test_retrieval_oracle():
     tie_index = EmbeddingIndex(1, dim)
     v = rng.normal(size=dim)
     for tid in (42, 7, 19):
-        tie_index.insert(0, tid, v, {0})
+        insert(tie_index, 0, tid, v, {0})
     tie_ids = [tid for tid, _ in retrieve(tie_index, v, 0, 3).items]
     ok = ok and tie_ids == [7, 19, 42]
     verdict("retrieval-oracle", ok)

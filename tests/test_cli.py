@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import xmodal
-from xmodal.cli import main, typed_config
+from xmodal import cli
+from xmodal.cli import build_parser, main, typed_config
 from xmodal.data import SynthConfig, TupleDataset, load_dataset, save_dataset, split
 from xmodal.errors import ContractError
 from xmodal.trainer import TrainConfig, load_checkpoint, save_checkpoint
 from xmodal.model import ModelConfig, embed, forward_encoder, init_params
-from xmodal.retrieval import build_index, retrieve
+from xmodal.retrieval import build_index, evaluate_cross_modal, metrics_to_csv, retrieve
 
 
 def run(args):
@@ -214,6 +215,31 @@ class TestEvaluateCommand:
                    if line.startswith("summary,")]
         assert summary == ["0->1", "0->2", "1->0", "1->2", "2->0", "2->1", "average"]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("modalities, embeds", [(2, 4), (3, 6)])
+    def test_each_split_modality_embedded_once(self, tmp_path, monkeypatch, modalities, embeds):
+        # one embed per modality of the index split and of the query split, however
+        # many directions read them; the CSV is that of one embedding per direction
+        data, cfg, out = tmp_path / "ds.txt", tmp_path / "model.cfg", tmp_path / "run"
+        cfg.write_text(f"num_modalities = {modalities}\n")
+        assert run(["gen-data", "--out", str(data), "--seed", "3", "--set", "num_tuples=60",
+                    "--set", f"num_modalities={modalities}"]) == 0
+        assert run(["train", "--dataset", str(data), "--out-dir", str(out),
+                    "--model-config", str(cfg), "--epochs", "1", "--batch-size", "8"]) == 0
+        calls = []
+        monkeypatch.setattr("xmodal.retrieval.embed",
+                            lambda params, m, x: calls.append(m) or embed(params, m, x))
+        assert run(["evaluate", "--checkpoint", str(out / "checkpoint_epoch0.ckpt"),
+                    "--dataset", str(data), "--direction", "both",
+                    "--out", str(tmp_path / "m.csv")]) == 0
+        assert sorted(calls) == sorted(2 * list(range(modalities))) and len(calls) == embeds
+        params = load_checkpoint(out / "checkpoint_epoch0.ckpt")[0]
+        query, _, index_split = split(load_dataset(data), (0.52, 0.24, 0.24), 0)
+        index = build_index(params, index_split)
+        metrics_to_csv([evaluate_cross_modal(params, index, query, src, tgt)
+                        for src in range(modalities) for tgt in range(modalities)
+                        if src != tgt], tmp_path / "per_direction.csv")
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "per_direction.csv").read_bytes()
 
     def test_query_without_candidates_one_line(self, tmp_path):
         # a 10-tuple archive splits 8/1/1: the one test query's only candidate
@@ -533,6 +559,16 @@ class TestRetrieveCommand:
         assert len(outputs) == 6    # evaluate: 2 index + 2 query batches; retrieve: 1 + 1
         assert all(not z.grad_enabled and not z._parents for z in outputs)
 
+    def test_label_sets_never_built(self, trained, monkeypatch):
+        # the sidecar's labels stay as offsets and ids: retrieve prints none
+        dataset, ckpt = trained
+        loaded = []
+        monkeypatch.setattr("xmodal.cli.load_dataset",
+                            lambda path: loaded.append(load_dataset(path)) or loaded[-1])
+        assert run(["retrieve", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                    "--query-id", "5", "--k", "3"]) == 0
+        assert len(loaded) == 1 and callable(loaded[0]._labels)
+
     def test_src_out_of_range_one_line(self, trained):
         dataset, ckpt = trained
         code, err = run_process(["retrieve", "--checkpoint", str(ckpt),
@@ -578,3 +614,56 @@ class TestExitCodes:
                                  "--out-dir", str(tmp_path / "out"), "--epochs", "1"])
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ") and "zero-norm" in err[0]
+
+
+COMMAND_NAMES = ["gen-data", "train", "evaluate", "retrieve", "gradcheck"]
+
+
+def _exit(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), which is to exit."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestLeanParser:
+    """main builds the arguments of the invoked command alone, and parses as the
+    parser of every command does."""
+
+    @pytest.mark.parametrize("command", COMMAND_NAMES)
+    def test_command_help_equals_the_full_parser(self, command, capsys, monkeypatch):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        full = capsys.readouterr().out
+        assert _exit(capsys, [command, "--help"]) == (0, full, "")
+        monkeypatch.setattr(sys, "argv", ["xmodal", command, "--help"])
+        assert _exit(capsys, None) == (0, full, "")
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        code, out, _ = _exit(capsys, ["--help"])
+        assert code == 0 and "{" + ",".join(COMMAND_NAMES) + "}" in out
+        assert all(f"    {name}" in out for name in COMMAND_NAMES)
+
+    def test_version_exits_zero(self, capsys):
+        assert _exit(capsys, ["--version"]) == (0, f"{xmodal.__version__}\n", "")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["nosuch"], "invalid choice: 'nosuch'"),
+        (["retrieve", "--checkpoint", "c.ckpt", "--dataset", "d.txt"],
+         "the following arguments are required: --query-id"),
+    ], ids=["unknown command", "missing flag"])
+    def test_usage_error_exits_one(self, capsys, argv, message):
+        code, out, err = _exit(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: xmodal") and message in err
+
+    @pytest.mark.parametrize("argv, built", [
+        (["retrieve", "--help"], "retrieve"), (["--version", "train", "--help"], "train"),
+        (["--help"], None), (["nosuch"], None)])
+    def test_builds_the_invoked_command_alone(self, capsys, monkeypatch, argv, built):
+        calls = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: calls.append(command) or build_parser(command))
+        _exit(capsys, argv)
+        assert calls == [built]

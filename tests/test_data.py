@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from xmodal import data as data_module
 from xmodal.data import (FORMAT_HEADER, SynthConfig, TupleDataset, _load_columns,
                          batch_iter, generate_synthetic, load_dataset, save_dataset, split,
                          stack_features)
@@ -456,6 +457,8 @@ SIDECAR_REJECTED = [
     pytest.param(_small(), _forge(_set_words(22, 1, 1)), id="label offsets short of the end"),
     pytest.param(_small(), _forge(_set_words(21, 2, 1)), id="label offsets decreasing"),
     pytest.param(_small(), _forge(lambda words: np.append(words, 0)), id="a word too many"),
+    pytest.param(_small(), _forge(_set_words(24, 2)), id="label id forged past the range"),
+    pytest.param(_small(), _forge(_set_words(25, -1)), id="label id forged negative"),
     pytest.param(_small(ids=(4, 1, 2)), None, id="unsorted ids"),
     pytest.param(_small(ids=(1, 1, 2)), None, id="repeated id"),
     pytest.param(_small(value=np.nan), None, id="NaN feature"),
@@ -498,6 +501,36 @@ class TestSidecar:
         assert not os.path.exists(f"{path}.cols")
         with pytest.raises(DatasetFormatError, match=r"^line 4: invalid literal for int"):
             load_dataset(path)
+
+
+class TestDeferredLabels:
+    """A sidecar's labels stay as its offsets and label ids until they are read."""
+
+    def test_sidecar_labels_equal_the_text_parse(self, tmp_path):
+        ds = generate_synthetic(SynthConfig(num_tuples=30, multi_label=True, num_classes=6,
+                                            seed=6))
+        ds = TupleDataset(ds.ids, ds.features, [frozenset(), *ds.labels[1:]], ds.num_labels)
+        assert {len(labels) for labels in ds.labels} >= {0, 2, 3}
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        loaded = load_dataset(path)
+        assert callable(loaded._labels)
+        assert loaded.labels == ds.labels and loaded.labels is loaded.labels
+        assert all(type(labels) is frozenset for labels in loaded.labels)
+        os.remove(f"{path}.cols")
+        assert load_dataset(path).labels == loaded.labels
+        assert split(loaded, (0.5, 0.25, 0.25), 1)[2].labels == \
+            split(ds, (0.5, 0.25, 0.25), 1)[2].labels
+
+    def test_forged_label_id_falls_back_to_the_text_at_load(self, tmp_path, monkeypatch):
+        path = tmp_path / "ds.txt"
+        save_dataset(_small(), path)
+        _forge(_set_words(24, 2))(path)
+        parsed, parse = [], data_module._load
+        monkeypatch.setattr(data_module, "_load", lambda p: parsed.append(parse(p)) or parsed[-1])
+        loaded = load_dataset(path)
+        assert parsed == [loaded] and not callable(loaded._labels)
+        assert loaded.labels == list(_small().labels)
 
 
 class TestSynthConfig:

@@ -15,6 +15,8 @@ from xmodal.retrieval import (_BLOCK, EmbeddingIndex, MetricsReport, QueryRow, _
                               _unit_queries, build_index, evaluate_cross_modal, jaccard,
                               metrics_to_csv, ndcg_at_k, pair_f1, retrieve, summary_table)
 
+from index_rows import entries, insert
+
 MODEL = ModelConfig(input_dim=12, backbone_hidden_dims=(8,), feature_dim=6,
                     embedding_dim=6, seed=0)
 
@@ -23,7 +25,7 @@ def random_index(rng, n, dim=6, modalities=2, num_labels=4):
     index = EmbeddingIndex(modalities, dim)
     for m in range(modalities):
         for tid in range(n):
-            index.insert(m, tid, rng.normal(size=dim), {int(rng.integers(num_labels))})
+            insert(index, m, tid, rng.normal(size=dim), {int(rng.integers(num_labels))})
     return index
 
 
@@ -43,21 +45,21 @@ class TestBuildIndex:
         params = init_params(MODEL)
         i1, i2 = build_index(params, small_ds), build_index(params, small_ds)
         for m in range(2):
-            for e1, e2 in zip(i1.entries(m), i2.entries(m)):
+            for e1, e2 in zip(entries(i1, m), entries(i2, m)):
                 assert e1.tuple_id == e2.tuple_id
                 np.testing.assert_array_equal(e1.embedding, e2.embedding)
 
     def test_all_unit_norm(self, small_ds):
         index = build_index(init_params(MODEL), small_ds)
         for m in range(2):
-            for e in index.entries(m):
+            for e in entries(index, m):
                 assert abs(np.linalg.norm(e.embedding) - 1.0) < 1e-12
 
     def test_duplicate_id_rejected(self):
         index = EmbeddingIndex(2, 3)
-        index.insert(0, 1, np.ones(3), {0})
+        insert(index, 0, 1, np.ones(3), {0})
         with pytest.raises(ContractError):
-            index.insert(0, 1, np.ones(3), {0})
+            insert(index, 0, 1, np.ones(3), {0})
 
 
     def test_batch_add_equals_row_inserts(self):
@@ -68,11 +70,19 @@ class TestBuildIndex:
         batch, rows = EmbeddingIndex(1, 4), EmbeddingIndex(1, 4)
         batch.add(0, ids, z, labels)
         for tid, row, lab in zip(ids, z, labels):
-            rows.insert(0, tid, row, lab)
-        for a, b, row in zip(batch.entries(0), rows.entries(0), z):
+            insert(rows, 0, tid, row, lab)
+        for a, b, row in zip(entries(batch, 0), entries(rows, 0), z):
             assert a.tuple_id == b.tuple_id and a.labels == b.labels
             np.testing.assert_array_equal(a.embedding, b.embedding)
             np.testing.assert_array_equal(a.embedding, row / np.linalg.norm(row))
+
+    def test_labels_are_kept_and_read_on_demand(self, small_ds):
+        index = build_index(init_params(MODEL), small_ds)
+        assert index.labels(1) is small_ds.labels
+        short = EmbeddingIndex(1, 3)
+        short.add(0, [1, 2], np.ones((2, 3)), lambda: [{0}])
+        with pytest.raises(ContractError, match="2 rows and 1 label sets in modality 0"):
+            short.labels(0)
 
     def test_add_rejects_id_repeated_within_batch(self):
         index = EmbeddingIndex(1, 3)
@@ -93,7 +103,7 @@ class TestRetrieve:
     def test_stored_embedding_ranks_first(self):
         rng = np.random.default_rng(2)
         index = random_index(rng, 20)
-        target = index.entries(1)[7]
+        target = entries(index, 1)[7]
         result = retrieve(index, target.embedding, 1, 3)
         assert result.items[0][0] == target.tuple_id
         assert result.items[0][1] == pytest.approx(1.0, abs=1e-12)
@@ -102,7 +112,7 @@ class TestRetrieve:
         index = EmbeddingIndex(1, 2)
         q = np.array([1.0, 0.0])
         for tid, angle in [(0, 0.45), (1, 1.05), (2, 1.47)]:
-            index.insert(0, tid, np.array([math.cos(angle), math.sin(angle)]), {0})
+            insert(index, 0, tid, np.array([math.cos(angle), math.sin(angle)]), {0})
         result = retrieve(index, q, 0, 1)
         assert len(result.items) == 1
         assert result.items[0][0] == 0
@@ -117,11 +127,11 @@ class TestRetrieve:
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(4)
         index = random_index(rng, 50)
-        entries = index.entries(1)
+        stored = entries(index, 1)
         for _ in range(200):
             q = rng.normal(size=6)
             qn = q / np.linalg.norm(q)
-            oracle = sorted(((float(e.embedding @ qn), e.tuple_id) for e in entries),
+            oracle = sorted(((float(e.embedding @ qn), e.tuple_id) for e in stored),
                             key=lambda t: (-t[0], t[1]))[:8]
             result = retrieve(index, q, 1, 8)
             assert [(tid, s) for s, tid in oracle] == result.items
@@ -130,21 +140,21 @@ class TestRetrieve:
         index = EmbeddingIndex(1, 2)
         v = np.array([1.0, 0.0])
         for tid in (9, 3, 7):
-            index.insert(0, tid, v, {0})
+            insert(index, 0, tid, v, {0})
         result = retrieve(index, v, 0, 3)
         assert [tid for tid, _ in result.items] == [3, 7, 9]
 
     def test_self_tuple_exclusion(self):
         rng = np.random.default_rng(5)
         index = random_index(rng, 10)
-        target = index.entries(0)[4]
+        target = entries(index, 0)[4]
         result = retrieve(index, target.embedding, 0, 10,
                           exclude_tuple_id=target.tuple_id)
         assert target.tuple_id not in [tid for tid, _ in result.items]
 
     def test_empty_target_modality_rejected(self):
         index = EmbeddingIndex(2, 3)
-        index.insert(0, 1, np.ones(3), {0})
+        insert(index, 0, 1, np.ones(3), {0})
         with pytest.raises(ContractError, match="target modality 1 is unknown or empty"):
             retrieve(index, np.ones(3), 1, 4)
 
@@ -424,7 +434,7 @@ class TestEvaluateCrossModal:
         """Every evaluate row equals the per-item functions over its own retrieve call."""
         for src, tgt in ((0, 1), (1, 0)):
             rep = evaluate_cross_modal(params, index, ds, src, tgt, k=k)
-            labels = {e.tuple_id: e.labels for e in index.entries(tgt)}
+            labels = {e.tuple_id: e.labels for e in entries(index, tgt)}
             queries = embed(params, src, ds.features[src]).data
             expected = []
             for tuple_id, query_labels, q in zip(ds.ids.tolist(), ds.labels, queries):
