@@ -12,6 +12,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -26,21 +27,26 @@ CONTAINER_PREFIX = struct.Struct("<6sII")   # magic, version, header length
 
 class TupleDataset:
     """Tuples column-wise: ``ids`` an ascending int64 array, ``features[m]`` one
-    C-contiguous (N, dim) float64 matrix per modality, ``labels`` a frozenset per
-    tuple, ``num_labels`` the size of the label id range. ``labels`` may be given
-    as a function returning that list, called the first time they are read."""
+    C-contiguous (N, dim) float64 matrix per modality, and the label layout:
+    tuple i's label ids, ascending and distinct, are
+    ``label_ids[label_offsets[i]:label_offsets[i + 1]]`` (int64 arrays, N + 1
+    offsets from 0), each in ``[0, num_labels)``."""
 
-    def __init__(self, ids, features, labels, num_labels):
+    def __init__(self, ids, features, label_offsets, label_ids, num_labels):
         self.ids = np.asarray(ids, dtype=np.int64)
         self.features = [np.ascontiguousarray(f, dtype=np.float64) for f in features]
-        self._labels = labels if callable(labels) else list(labels)
+        self.label_offsets = np.asarray(label_offsets, dtype=np.int64)
+        self.label_ids = np.asarray(label_ids, dtype=np.int64)
         self.num_labels = num_labels
 
-    @property
-    def labels(self):
-        if callable(self._labels):
-            self._labels = self._labels()
-        return self._labels
+    def take(self, rows):
+        """The dataset of these rows, in this order; the label layout is gathered
+        from the offsets, not read tuple by tuple."""
+        starts, sizes = self.label_offsets[rows], np.diff(self.label_offsets)[rows]
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        gather = np.repeat(starts - offsets[:-1], sizes) + np.arange(offsets[-1])
+        return TupleDataset(self.ids[rows], [f[rows] for f in self.features],
+                            offsets, self.label_ids[gather], self.num_labels)
 
     def __len__(self):
         return len(self.ids)
@@ -104,15 +110,22 @@ def generate_synthetic(config: SynthConfig) -> TupleDataset:
     labels = []
     for tid in range(config.num_tuples):
         k = int(rng.integers(lo, hi + 1)) if config.multi_label else 1
-        labels.append(frozenset(int(c) for c in
-                                rng.choice(config.num_classes, size=k, replace=False)))
-        latent = prototypes[sorted(labels[-1])].sum(axis=0)
+        labels.append(np.sort(rng.choice(config.num_classes, size=k, replace=False)))
+        latent = prototypes[labels[-1]].sum(axis=0)
         latent = latent + LATENT_JITTER * rng.normal(size=config.latent_dim)
         for m in range(config.num_modalities):
             features[m][tid] = np.tanh(maps[m] @ latent)
             if config.noise_sigma > 0:
                 features[m][tid] += config.noise_sigma * rng.normal(size=config.input_dim)
-    return TupleDataset(np.arange(config.num_tuples), features, labels, config.num_classes)
+    return TupleDataset(np.arange(config.num_tuples), features, *_label_layout(labels),
+                        config.num_classes)
+
+
+def _label_layout(labels):
+    """(label_offsets, label_ids) of a list of ascending, distinct label id sequences."""
+    offsets = np.zeros(len(labels) + 1, dtype=np.int64)
+    np.cumsum([len(l) for l in labels], out=offsets[1:])
+    return offsets, np.fromiter(chain.from_iterable(labels), np.int64, count=offsets[-1])
 
 
 def split(ds: TupleDataset, fractions, seed):
@@ -133,9 +146,7 @@ def split(ds: TupleDataset, fractions, seed):
         raise ContractError(f"split: seed={seed} must be >= 0")
     order = np.random.default_rng(seed).permutation(m)
     parts = (order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:])
-    return tuple(TupleDataset(ds.ids[rows], [f[rows] for f in ds.features],
-                              [ds.labels[i] for i in rows], ds.num_labels)
-                 for rows in map(np.sort, parts))
+    return tuple(ds.take(rows) for rows in map(np.sort, parts))
 
 
 def batch_iter(ds: TupleDataset, batch_size, seed, epoch):
@@ -203,24 +214,23 @@ def save_dataset(ds: TupleDataset, path):
     the text parse would return these very columns, the sidecar ``<path>.cols``."""
     row_format = ",".join(["%.17g"] * ds.input_dim)
     text_digest = hashlib.sha256()   # of the text, taken as it is written
+    bounds, flat = ds.label_offsets.tolist(), ds.label_ids.tolist()
     def text():
         yield f"{FORMAT_HEADER} N={ds.num_modalities} dim={ds.input_dim} labels={ds.num_labels}\n"
-        for tid, labels, *rows in zip(ds.ids.tolist(), ds.labels,
-                                      *(f.tolist() for f in ds.features)):
-            label_text = ",".join(str(l) for l in sorted(labels))
+        for tid, start, end, *rows in zip(ds.ids.tolist(), bounds, bounds[1:],
+                                          *(f.tolist() for f in ds.features)):
+            label_text = ",".join(map(str, flat[start:end]))
             yield "".join(f"{tid}\t{m}\t{row_format % tuple(row)}\t{label_text}\n"
                           for m, row in enumerate(rows))
     write_atomic(path, (text_digest.update(blob) or blob for blob in map(str.encode, text())))
-    sets = [sorted(labels) for labels in ds.labels]
-    flat = [l for labels in sets for l in labels]
-    if (any(type(v) is not int or not 0 <= v < 2**63 for v in (ds.num_labels, *flat))
-            or any(len(c) != len(ds) for c in (sets, *ds.features))):
-        return   # an int64 would not be the int() of its text, or zip() cut the text short
+    if (type(ds.num_labels) is not int or not 0 <= ds.num_labels < 2**63
+            or any(len(c) != len(ds) for c in (bounds[1:], *ds.features))):
+        return   # the header's labels= would not be the int() of its text, or zip() cut it short
     counts = [ds.num_modalities, ds.input_dim, ds.num_labels, len(ds), len(flat)]
     payload = b"".join([np.array(counts, "<i8").tobytes(), ds.ids.astype("<i8").tobytes(),
                         *(f.astype("<f8").tobytes() for f in ds.features),
-                        np.cumsum([0, *map(len, sets)]).astype("<i8").tobytes(),
-                        np.array(flat, "<i8").tobytes()])
+                        ds.label_offsets.astype("<i8").tobytes(),
+                        ds.label_ids.astype("<i8").tobytes()])
     write_container(f"{path}.cols", COLUMNS_MAGIC,
                     {"payload_sha256": hashlib.sha256(payload).hexdigest(),
                      "text_sha256": text_digest.hexdigest()}, [payload])
@@ -243,10 +253,10 @@ def _load_columns(path):
         digests = header["text_sha256"], header["payload_sha256"]
         body = np.frombuffer(payload, "<i8")
         n, dim, labels, rows, count = body[:5].tolist()
-        text_digest = hashlib.sha256()
+        text_digest, chunk = hashlib.sha256(), bytearray(1 << 20)
         with open(path, "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                text_digest.update(chunk)
+            while size := fh.readinto(chunk):
+                text_digest.update(memoryview(chunk)[:size])
     except (OSError, ValueError, KeyError, TypeError):
         return None
     if (min(n, dim, rows) < 1 or count < 0
@@ -257,14 +267,15 @@ def _load_columns(path):
     _, ids, *columns, offsets, label_ids = np.split(
         body, np.cumsum([5, rows, *[rows * dim] * n, rows + 1]))
     features = [c.view("<f8").reshape(rows, dim) for c in columns]
+    sizes = np.diff(offsets)
     if not ((np.diff(ids) > 0).all() and all(np.isfinite(f).all() for f in features)
-            and offsets[0] == 0 and offsets[-1] == count and (np.diff(offsets) >= 0).all()
-            and ((label_ids >= 0) & (label_ids < labels)).all()):
+            and offsets[0] == 0 and offsets[-1] == count and (sizes >= 0).all()
+            and ((label_ids >= 0) & (label_ids < labels)).all()
+            # each tuple's label ids strictly ascending, as the text parse gives them
+            and ((np.diff(label_ids) > 0)
+                 | (np.diff(np.repeat(np.arange(rows), sizes)) > 0)).all()):
         return None
-    def label_sets():   # the checked offsets and label ids, as sets when first read
-        bounds, flat = offsets.tolist(), label_ids.tolist()
-        return [frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return TupleDataset(ids, features, label_sets, labels)
+    return TupleDataset(ids, features, offsets, label_ids, labels)
 
 
 def _load(path):
@@ -306,7 +317,7 @@ def _load(path):
                 tid = int(parts[0])
                 modality = int(parts[1])
                 feats = np.array([float(v) for v in parts[2].split(",")])
-                labels = frozenset(int(v) for v in parts[3].split(",")) if parts[3] else frozenset()
+                labels = tuple(sorted({int(v) for v in parts[3].split(",")})) if parts[3] else ()
             except ValueError as exc:
                 raise DatasetFormatError(
                     f"{exc} (last good line {last_good})", line_number=lineno) from None
@@ -339,4 +350,4 @@ def _load(path):
     order = np.array([[positions[t, m] for m in range(n)] for t in ids], np.intp).reshape(-1, n)
     rows = np.array(line_features).reshape(len(line_features), dim)
     return TupleDataset(ids, [rows[order[:, m]] for m in range(n)],
-                        [line_labels[p] for p in order[:, 0]], meta["labels"])
+                        *_label_layout([line_labels[p] for p in order[:, 0]]), meta["labels"])

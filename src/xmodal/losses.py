@@ -5,7 +5,7 @@ cross-modal embeddings z, a negative-softplus alignment term that pulls each
 aligned pair of modal features y together, and a within-modality
 nearest-neighbor cosine term over each modality's y. The contrastive
 denominator sums only over the other tuples of the batch (the positive pair
-is excluded); a flag exposes the variant that includes it.
+is excluded).
 
 Each loss is one fused autodiff node (``tensor.node``): the value is computed
 with NumPy and one closure returns the hand-derived gradients of both
@@ -56,7 +56,7 @@ class LossBreakdown:
     total: float
     alpha: float
     beta: float
-    total_node: T.Tensor = None  # differentiable scalar; None for detached evaluation
+    total_node: T.Tensor   # the differentiable scalar of ``total``
 
 
 def _operands(a, b, name, min_rows=1):
@@ -87,12 +87,11 @@ def _unit_rows_backward(grad_u, u, norms):
     return (grad_u - np.add.reduce(grad_u * u, axis=1, keepdims=True) * u) / norms[:, None]
 
 
-def loss_mim(z_j, z_k, tau, include_positive_in_denominator=False):
+def loss_mim(z_j, z_k, tau):
     """Symmetric contrastive loss over both retrieval directions, averaged over tuples.
 
     Per tuple i and direction j->k: -log(exp(S_ii) / sum_q exp(S_iq)) with
-    S = cos / tau, the sum over q != i unless the positive is included (the
-    NT-Xent form); k->j is the same on the columns of S.
+    S = cos / tau, the sum over q != i; k->j is the same on the columns of S.
     """
     z_j, z_k, sq_j, sq_k = _operands(z_j, z_k, "loss_mim", min_rows=2)
     n = z_j.data.shape[0]
@@ -100,10 +99,8 @@ def loss_mim(z_j, z_k, tau, include_positive_in_denominator=False):
     u_j = z_j.data / norms_j[:, None]
     u_k = z_k.data / norms_k[:, None]
     logits = (u_j @ u_k.T) * (1.0 / tau)
-    masked = logits
-    if not include_positive_in_denominator:
-        masked = logits.copy()
-        np.fill_diagonal(masked, -np.inf)
+    masked = logits.copy()
+    np.fill_diagonal(masked, -np.inf)
     # direction j->k reads the rows of the logits; k->j reads the columns
     row_max = masked.max(axis=1, keepdims=True)
     exp_row = np.exp(masked - row_max)

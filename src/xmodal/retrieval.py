@@ -3,11 +3,11 @@
 Scores are cosine similarities (dot products of unit vectors). Search is a
 full scan: archives here are small and exactness keeps runs reproducible.
 Each modality of the index is one contiguous (N, D) matrix of unit-norm rows
-with an int64 id array beside it, the flat inner-product layout of FAISS
-(Johnson, Douze, Jegou, arXiv:1702.08734). Rows come back by descending
-score, then ascending tuple_id: the order of a full-row ``np.lexsort`` on
-(-score, tuple_id). Each row keeps width = min(k + 1, N) places, one spare for
-an excluded id.
+beside one int64 id array, the flat inner-product layout of FAISS (Johnson,
+Douze, Jegou, arXiv:1702.08734), built once from whole arrays. Rows come back
+by descending score, then ascending tuple_id: the order of a full-row
+``np.lexsort`` on (-score, tuple_id). Each row keeps width = min(k + 1, N)
+places, one spare for an excluded id.
 
 A BLAS matrix product chooses the candidates; ``np.vecdot`` gives every score
 and every order. ``np.vecdot`` rounds each score exactly as the one-row dot
@@ -67,64 +67,45 @@ def _norms(rows):
 
 
 class EmbeddingIndex:
-    """Per-modality (N, D) matrix of unit-normalized embeddings, with ids and labels."""
+    """One int64 id array and one label layout (see ``data.TupleDataset``) shared by
+    every modality, and per embedded modality an (N, D) matrix of unit-norm rows."""
 
-    def __init__(self, num_modalities, embedding_dim):
-        self.num_modalities = num_modalities
+    def __init__(self, embedding_dim, ids, label_offsets, label_ids, embeddings):
+        """``embeddings[m]`` holds modality m's rows, one per id, or None where m is
+        not embedded; each row is stored divided by its norm."""
         self.embedding_dim = embedding_dim
-        self._vectors = [np.empty((0, embedding_dim)) for _ in range(num_modalities)]
-        self._ids = [np.empty(0, dtype=np.int64) for _ in range(num_modalities)]
-        self._labels = [[] for _ in range(num_modalities)]   # what each add was given
+        self.num_modalities = len(embeddings)
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.label_offsets = np.asarray(label_offsets, dtype=np.int64)
+        self.label_ids = np.asarray(label_ids, dtype=np.int64)
+        if len(self.label_offsets) != len(self.ids) + 1:
+            raise ContractError(f"{len(self.ids)} tuple ids and "
+                                f"{len(self.label_offsets) - 1} label sets")
+        if not (np.diff(self.ids) > 0).all():   # not ascending: look for a repeated id
+            ordered = np.sort(self.ids)
+            repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+            if len(repeated):
+                raise ContractError(f"duplicate tuple_id {repeated[0]}")
+        self._vectors = [None if rows is None else self._unit_rows(rows) for rows in embeddings]
 
-    def add(self, modality, ids, embeddings, labels):
-        """Append rows to one modality; each row is stored divided by its norm.
-        ``labels`` is one label set per row, or a function returning them that only
-        ``labels(modality)`` calls; either is kept as given, not copied."""
-        if not 0 <= modality < self.num_modalities:
-            raise ContractError(f"unknown modality {modality}")
-        embeddings = np.ascontiguousarray(embeddings, dtype=np.float64)
-        if embeddings.ndim != 2 or embeddings.shape[1:] != (self.embedding_dim,):
-            raise ContractError(
-                f"embedding shape {embeddings.shape[1:]} != ({self.embedding_dim},)")
-        ids = np.asarray(ids, dtype=np.int64)
-        count = len(ids) if callable(labels) else len(labels)   # a function's: see labels()
-        if not len(ids) == len(embeddings) == count:
-            raise ContractError(f"{len(ids)} tuple ids, {len(embeddings)} embeddings "
-                                f"and {count} label sets")
-        first = not self.size(modality)
-        all_ids = ids if first else np.concatenate([self._ids[modality], ids])
-        if not (np.diff(all_ids) > 0).all():   # not ascending: look for a repeated id
-            unique, counts = np.unique(all_ids, return_counts=True)
-            if (counts > 1).any():
-                raise ContractError(f"duplicate tuple_id {unique[counts > 1][0]} "
-                                    f"in modality {modality}")
-        norms = _norms(embeddings)
+    def _unit_rows(self, rows):
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        if rows.shape != (len(self.ids), self.embedding_dim):
+            raise ContractError(f"embedding shape {rows.shape} != "
+                                f"({len(self.ids)}, {self.embedding_dim})")
+        norms = _norms(rows)
         zero = np.flatnonzero(norms <= NORM_EPS)
         if len(zero):
-            raise ContractError(f"zero-norm embedding for tuple {ids[zero[0]]}")
-        unit = embeddings / norms[:, None]
-        self._vectors[modality] = unit if first else np.concatenate(
-            [self._vectors[modality], unit])
-        self._ids[modality] = all_ids
-        self._labels[modality].append(labels)
-
-    def labels(self, modality):
-        """The label sets of one modality's rows, in row order."""
-        parts = [part() if callable(part) else part for part in self._labels[modality]]
-        labels = parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
-        if len(labels) != self.size(modality):
-            raise ContractError(f"{self.size(modality)} rows and {len(labels)} label sets "
-                                f"in modality {modality}")
-        return labels
+            raise ContractError(f"zero-norm embedding for tuple {self.ids[zero[0]]}")
+        return rows / norms[:, None]
 
     def size(self, modality):
-        return len(self._ids[modality])
+        return 0 if self._vectors[modality] is None else len(self.ids)
 
 
 @dataclass
 class RankedResult:
     items: list            # [(tuple_id, score), ...] scores non-increasing
-    short: bool = False    # fewer candidates than requested
 
 
 @dataclass
@@ -149,12 +130,13 @@ class MetricsReport:
 
 
 def build_index(params, ds, modalities=None) -> EmbeddingIndex:
-    """Embed the dataset's modalities (all of them by default) and add each in one call."""
+    """The index of the dataset's ids and labels and of its modalities (all of them by
+    default), each embedded in one call."""
     check_dataset(params.config, ds)
-    index = EmbeddingIndex(ds.num_modalities, params.config.embedding_dim)
-    for m in range(ds.num_modalities) if modalities is None else modalities:
-        index.add(m, ds.ids, embed(params, m, ds.features[m]).data, lambda: ds.labels)
-    return index
+    embedded = range(ds.num_modalities) if modalities is None else modalities
+    return EmbeddingIndex(params.config.embedding_dim, ds.ids, ds.label_offsets, ds.label_ids,
+                          [embed(params, m, ds.features[m]).data if m in embedded else None
+                           for m in range(ds.num_modalities)])
 
 
 def _unit_queries(queries, dim):
@@ -235,7 +217,7 @@ def _top_k(index, unit_queries, target, k, exclude_ids):
         raise ContractError("k must be >= 1")
     if not 0 <= target < index.num_modalities or not index.size(target):
         raise ContractError(f"target modality {target} is unknown or empty")
-    vectors, ids = index._vectors[target], index._ids[target]
+    vectors, ids = index._vectors[target], index.ids
     width = min(k + 1, len(ids))   # one spare place per row, for the excluded id
     # no candidate filter when k + 1 places take the whole index, or for a single
     # query, whose one row of products costs what its row of vecdot scores does
@@ -261,8 +243,8 @@ def retrieve(index: EmbeddingIndex, query_embedding, target_modality, k,
         index, _unit_queries(query, index.embedding_dim), target_modality, k,
         None if exclude_tuple_id is None else [exclude_tuple_id])
     n = filled[0]
-    return RankedResult(items=list(zip(index._ids[target_modality][positions[0, :n]].tolist(),
-                                       scores[0, :n].tolist())), short=n < k)
+    return RankedResult(items=list(zip(index.ids[positions[0, :n]].tolist(),
+                                       scores[0, :n].tolist())))
 
 
 def pair_f1(query_labels, item_labels):
@@ -296,29 +278,31 @@ def ndcg_at_k(relevances, k):
     return dcg / idcg if idcg > 0 else 0.0
 
 
-def _membership(label_sets, vocab):
-    """(len(label_sets), len(vocab)) bool matrix: row i marks set i's labels found in vocab."""
-    cols = [[vocab[label] for label in labels if label in vocab] for labels in label_sets]
-    members = np.zeros((len(cols), len(vocab)), dtype=bool)
-    members[np.repeat(np.arange(len(cols)), [len(c) for c in cols]),
-            np.fromiter(chain.from_iterable(cols), dtype=np.intp)] = True
+def _membership(holder, held):
+    """(N, len(held)) bool matrix of the label layout of ``holder`` (a dataset or an
+    index): row i marks which of the ascending label ids ``held`` tuple i holds."""
+    offsets, label_ids = holder.label_offsets, holder.label_ids
+    cols = np.searchsorted(held, label_ids)
+    found = cols < len(held)
+    found[found] = held[cols[found]] == label_ids[found]
+    members = np.zeros((len(offsets) - 1, len(held)), dtype=bool)
+    members[np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))[found], cols[found]] = True
     return members
 
 
-def _score_rows(top, filled, query_labels, item_labels):
+def _score_rows(top, filled, queries, index):
     """F1@k and NDCG@k of (Q, w) rankings whose row i fills its first ``filled[i]``
-    places, _BLOCK queries at a time (see the module notes). No Jaccard union is
-    empty: a query's label set is not."""
-    vocab = {label: col for col, label in enumerate(set().union(*item_labels))}
-    items = _membership(item_labels, vocab)
-    item_sizes = np.array([len(s) for s in item_labels], dtype=np.int64)
-    query_sizes = np.array([len(s) for s in query_labels], dtype=np.int64)
+    places, _BLOCK queries at a time (see the module notes). Only the labels the
+    index holds get a column. No Jaccard union is empty: a query's label set is not."""
+    ordered = np.sort(index.label_ids)   # not np.unique, which would import numpy.ma
+    held = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
+    items, query_members = _membership(index, held), _membership(queries, held)
+    item_sizes, query_sizes = np.diff(index.label_offsets), np.diff(queries.label_offsets)
     discounts = [math.log2(p + 1) for p in range(1, top.shape[1] + 1)]
     f1, ndcg = np.empty(len(top)), np.empty(len(top))
     for start in range(0, len(top), _BLOCK):
         block = slice(start, start + _BLOCK)
-        queries = _membership(query_labels[block], vocab)
-        inter = np.count_nonzero(items[top[block]] & queries[:, None, :], axis=-1)
+        inter = np.count_nonzero(items[top[block]] & query_members[block, None, :], axis=-1)
         sizes = query_sizes[block, None] + item_sizes[top[block]]
         dice = 2.0 * inter / sizes
         # a set, not np.unique, which would import numpy.ma on first use
@@ -356,9 +340,9 @@ def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
     if not len(query_split):
         raise ContractError("empty query set")
     ids = query_split.ids.tolist()
-    for tid, labels in zip(ids, query_split.labels):
-        if not labels:
-            raise ContractError(f"query tuple {tid} has no labels")
+    unlabelled = np.flatnonzero(np.diff(query_split.label_offsets) == 0)
+    if len(unlabelled):
+        raise ContractError(f"query tuple {ids[unlabelled[0]]} has no labels")
     queries = {} if queries is None else queries
     if src_modality not in queries:
         queries[src_modality] = _unit_queries(
@@ -368,7 +352,7 @@ def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
     if not filled.all():
         raise ContractError(f"query tuple {ids[np.argmin(filled)]} has no candidate in "
                             f"the index of modality {tgt_modality}")
-    f1, ndcg = _score_rows(top, filled, query_split.labels, index.labels(tgt_modality))
+    f1, ndcg = _score_rows(top, filled, query_split, index)
     return MetricsReport(src_modality=src_modality, tgt_modality=tgt_modality, k=k,
                          mean_f1=float(np.mean(f1)), mean_ndcg=float(np.mean(ndcg)),
                          rows=[QueryRow(*row) for row in zip(ids, f1.tolist(), ndcg.tolist())])

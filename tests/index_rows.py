@@ -1,9 +1,29 @@
-"""Row-at-a-time access to an EmbeddingIndex, for tests that build or read one
-row by row; every row goes through ``EmbeddingIndex.add``."""
+"""Row-at-a-time views of label layouts and of an EmbeddingIndex, for tests that
+build or read them tuple by tuple."""
 
 from typing import NamedTuple
 
 import numpy as np
+
+from xmodal.data import TupleDataset
+
+
+def label_layout(sets):
+    """(label_offsets, label_ids) of a list of label sets, each set's ids ascending."""
+    ordered = [sorted(labels) for labels in sets]
+    return (np.cumsum([0, *map(len, ordered)]),
+            np.array([label for labels in ordered for label in labels], dtype=np.int64))
+
+
+def label_sets(holder):
+    """The label set of each tuple of a dataset or an index, as frozensets."""
+    bounds, flat = holder.label_offsets.tolist(), holder.label_ids.tolist()
+    return [frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def with_labels(ds, sets):
+    """``ds`` with these label sets."""
+    return TupleDataset(ds.ids, ds.features, *label_layout(sets), ds.num_labels)
 
 
 class IndexEntry(NamedTuple):
@@ -13,13 +33,7 @@ class IndexEntry(NamedTuple):
     labels: frozenset
 
 
-def insert(index, modality, tuple_id, embedding, labels):
-    """Append one row; see ``EmbeddingIndex.add``."""
-    index.add(modality, [tuple_id], np.asarray(embedding, dtype=np.float64)[None],
-              [frozenset(labels)])
-
-
 def entries(index, modality):
     """The rows of one modality as (tuple_id, embedding, labels) records."""
     return [IndexEntry(int(tid), row, labels) for tid, row, labels
-            in zip(index._ids[modality], index._vectors[modality], index.labels(modality))]
+            in zip(index.ids, index._vectors[modality], label_sets(index))]

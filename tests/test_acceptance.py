@@ -20,7 +20,7 @@ from xmodal.retrieval import (EmbeddingIndex, build_index, evaluate_cross_modal,
                               ndcg_at_k, pair_f1, retrieve)
 from xmodal.trainer import TrainConfig, train
 
-from index_rows import entries, insert
+from index_rows import entries, label_layout, label_sets
 from test_losses import naive_mde, naive_mim, naive_msp
 
 
@@ -119,9 +119,11 @@ def test_schedule_endpoints():
 def test_retrieval_oracle():
     rng = np.random.default_rng(3)
     dim = 16
-    index = EmbeddingIndex(1, dim)
+    rows, sets = np.empty((1000, dim)), []
     for tid in range(1000):
-        insert(index, 0, tid, rng.normal(size=dim), {int(rng.integers(8))})
+        rows[tid] = rng.normal(size=dim)
+        sets.append({int(rng.integers(8))})
+    index = EmbeddingIndex(dim, np.arange(1000), *label_layout(sets), [rows])
     stored = entries(index, 0)
     ok = True
     for _ in range(1000):
@@ -136,10 +138,8 @@ def test_retrieval_oracle():
             ok = False
             break
     # exact ties must come back in ascending tuple_id order
-    tie_index = EmbeddingIndex(1, dim)
     v = rng.normal(size=dim)
-    for tid in (42, 7, 19):
-        insert(tie_index, 0, tid, v, {0})
+    tie_index = EmbeddingIndex(dim, [42, 7, 19], *label_layout([{0}] * 3), [np.stack([v] * 3)])
     tie_ids = [tid for tid, _ in retrieve(tie_index, v, 0, 3).items]
     ok = ok and tie_ids == [7, 19, 42]
     verdict("retrieval-oracle", ok)
@@ -189,7 +189,7 @@ def _neighbor_purity(params, ds, k=8):
         feats = ds.features[m]
         z = embed(params, m, feats).data
         z = z / np.linalg.norm(z, axis=1, keepdims=True)
-        labels = ds.labels
+        labels = label_sets(ds)
         sims = z @ z.T
         np.fill_diagonal(sims, -np.inf)
         for i in range(len(ds)):

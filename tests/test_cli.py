@@ -560,14 +560,16 @@ class TestRetrieveCommand:
         assert all(not z.grad_enabled and not z._parents for z in outputs)
 
     def test_label_sets_never_built(self, trained, monkeypatch):
-        # the sidecar's labels stay as offsets and ids: retrieve prints none
+        # a dataset holds its labels as the sidecar's offsets and ids, and nothing else
         dataset, ckpt = trained
         loaded = []
         monkeypatch.setattr("xmodal.cli.load_dataset",
                             lambda path: loaded.append(load_dataset(path)) or loaded[-1])
         assert run(["retrieve", "--checkpoint", str(ckpt), "--dataset", str(dataset),
                     "--query-id", "5", "--k", "3"]) == 0
-        assert len(loaded) == 1 and callable(loaded[0]._labels)
+        assert len(loaded) == 1 and set(vars(loaded[0])) == {
+            "ids", "features", "label_offsets", "label_ids", "num_labels"}
+        assert loaded[0].label_offsets.dtype == loaded[0].label_ids.dtype == np.int64
 
     def test_src_out_of_range_one_line(self, trained):
         dataset, ckpt = trained
@@ -606,8 +608,8 @@ class TestExitCodes:
 
     def test_degenerate_features_is_two(self, dataset_file, tmp_path):
         ds = load_dataset(dataset_file)
-        ds = TupleDataset(ds.ids, [np.zeros_like(f) for f in ds.features], ds.labels,
-                          ds.num_labels)
+        ds = TupleDataset(ds.ids, [np.zeros_like(f) for f in ds.features], ds.label_offsets,
+                          ds.label_ids, ds.num_labels)
         zeros = tmp_path / "zeros.txt"
         save_dataset(ds, zeros)
         code, err = run_process(["train", "--dataset", str(zeros),

@@ -15,6 +15,8 @@ from xmodal.data import (FORMAT_HEADER, SynthConfig, TupleDataset, _load_columns
 from xmodal.cli import read_kv, typed_config
 from xmodal.errors import ContractError, DatasetFormatError
 
+from index_rows import label_layout, label_sets, with_labels
+
 CFG = SynthConfig(num_classes=5, num_tuples=100, input_dim=12, latent_dim=6,
                   noise_sigma=0.05, seed=3)
 
@@ -24,13 +26,13 @@ class TestGenerateSynthetic:
         ds = generate_synthetic(CFG)
         assert len(ds) == 100
         assert sum(len(f) for f in ds.features) == 200
-        assert all(max(labels) < 5 for labels in ds.labels)
+        assert all(max(labels) < 5 for labels in label_sets(ds))
 
     def test_same_seed_bit_identical(self):
         d1, d2 = generate_synthetic(CFG), generate_synthetic(CFG)
         for f1, f2 in zip(d1.features, d2.features):
             np.testing.assert_array_equal(f1, f2)
-        assert d1.labels == d2.labels
+        assert _layout(d1) == _layout(d2)
 
     def test_different_seed_differs(self):
         other = SynthConfig(**{**CFG.__dict__, "seed": 4})
@@ -44,7 +46,7 @@ class TestGenerateSynthetic:
                           noise_sigma=0.0, seed=5)
         ds = generate_synthetic(cfg)
         feats = stack_features(ds, np.arange(len(ds)), 0)
-        labels = [next(iter(labels)) for labels in ds.labels]
+        labels = [next(iter(labels)) for labels in label_sets(ds)]
         within, cross = [], []
         for i in range(len(ds)):
             for j in range(i + 1, len(ds)):
@@ -56,14 +58,14 @@ class TestGenerateSynthetic:
         cfg = SynthConfig(num_classes=6, num_tuples=50, multi_label=True,
                           labels_per_tuple=(1, 3), seed=6)
         ds = generate_synthetic(cfg)
-        sizes = {len(labels) for labels in ds.labels}
+        sizes = {len(labels) for labels in label_sets(ds)}
         assert sizes <= {1, 2, 3} and len(sizes) > 1
 
     def test_alignment_invariant(self):
         ds = generate_synthetic(CFG)
-        # one row per tuple id in each modality's matrix and in the label list
+        # one row per tuple id in each modality's matrix and in the label offsets
         assert all(len(f) == len(ds.ids) for f in ds.features)
-        assert len(ds.labels) == len(ds.ids)
+        assert len(ds.label_offsets) == len(ds.ids) + 1
 
 
 class TestSplit:
@@ -78,6 +80,19 @@ class TestSplit:
         ids = [set(p.ids.tolist()) for p in (tr, va, te)]
         assert ids[0] | ids[1] | ids[2] == set(ds.ids.tolist())
         assert not (ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2])
+
+    def test_gathered_labels_equal_each_rows_labels(self):
+        ds = generate_synthetic(SynthConfig(num_classes=6, num_tuples=90, multi_label=True,
+                                            seed=2))
+        sets = label_sets(ds)
+        sets[:3] = [frozenset()] * 3   # empty sets at the start, middle and end
+        sets[45] = sets[-1] = frozenset()
+        ds = with_labels(ds, sets)
+        for part in split(ds, (0.5, 0.25, 0.25), seed=3):
+            rows = [ds.ids.tolist().index(tid) for tid in part.ids.tolist()]
+            assert label_sets(part) == [sets[row] for row in rows]
+            assert _layout(part) == tuple(arr.tolist() for arr in
+                                          label_layout([sets[row] for row in rows]))
 
     def test_remainder_goes_to_train(self):
         ds = generate_synthetic(SynthConfig(num_tuples=101, seed=7))
@@ -154,20 +169,20 @@ class TestFileRoundTrip:
         assert len(loaded) == len(ds)
         for f1, f2 in zip(ds.features, loaded.features):
             np.testing.assert_array_equal(f1, f2)
-        assert loaded.labels == ds.labels
+        assert _layout(loaded) == _layout(ds)
 
     @SIDECAR
     def test_special_values_round_trip_bit_exact(self, tmp_path, sidecar):
         values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1])
         ds = TupleDataset([3, 8], [np.stack([values, -values]),
                                    np.stack([values[::-1], values / 3])],
-                          [frozenset({0}), frozenset({0, 1})], 2)
+                          *label_layout([{0}, {0, 1}]), 2)
         path = tmp_path / "ds.txt"
         _save(ds, path, sidecar)
         assert "-0,4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001" \
             in path.read_text()
         loaded = load_dataset(path)
-        assert loaded.ids.tolist() == [3, 8] and loaded.labels == ds.labels
+        assert loaded.ids.tolist() == [3, 8] and _layout(loaded) == _layout(ds)
         for a, b in zip(ds.features, loaded.features):
             assert a.tobytes() == b.tobytes()
 
@@ -227,8 +242,8 @@ class TestFileRoundTrip:
 
     def test_mismatched_labels_rejected(self, tmp_path):
         path = tmp_path / "ds.txt"
-        save_dataset(TupleDataset([0], [np.ones((1, 2)), np.ones((1, 2))], [frozenset({1})], 2),
-                     path)
+        save_dataset(TupleDataset([0], [np.ones((1, 2)), np.ones((1, 2))],
+                                  *label_layout([{1}]), 2), path)
         text = path.read_text().replace("\t1\n", "\t0\n", 1)
         path.write_text(text)
         with pytest.raises(DatasetFormatError, match="mismatched label"):
@@ -379,16 +394,21 @@ def _outcome(path):
         ds = load_dataset(path)
     except Exception as exc:
         return type(exc), str(exc)
-    return ds.ids.tobytes(), [f.tobytes() for f in ds.features], ds.labels, ds.num_labels
+    return ds.ids.tobytes(), [f.tobytes() for f in ds.features], _layout(ds), ds.num_labels
+
+
+def _layout(ds):
+    return ds.label_offsets.tolist(), ds.label_ids.tolist()
 
 
 def _rows(*rows):
     return np.array(rows, dtype=np.float64)
 
 
-def _small(ids=(0, 1, 2), value=0.5, labels=(frozenset({0}), frozenset({1}), frozenset())):
+def _small(ids=(0, 1, 2), value=0.5, labels=({0}, {1}, set())):
     return TupleDataset(list(ids), [_rows([1.0, 2.0], [value, -1.0], [3.0, 4.0]),
-                                    _rows([0.0, 1.0], [2.0, 3.0], [-2.0, 5.0])], labels, 2)
+                                    _rows([0.0, 1.0], [2.0, 3.0], [-2.0, 5.0])],
+                        *label_layout(labels), 2)
 
 
 def _edit_text(edit, *args):
@@ -435,7 +455,7 @@ SIDECAR_EQUALS_TEXT = {
         [3, 8], [_rows([-0.0, 5e-324, 1.7976931348623157e308], [-5e-324, 0.1, -0.0]),
                  _rows([1.7976931348623157e308, -0.0, 2.5],
                        [5e-324, -1.7976931348623157e308, 1.0])],
-        [frozenset({0}), frozenset({0, 1})], 2),
+        *label_layout([{0}, {0, 1}]), 2),
     "empty label set": _small(),
     "3 modalities": generate_synthetic(SynthConfig(
         num_tuples=30, num_modalities=3, input_dim=5, multi_label=True, num_classes=6,
@@ -459,13 +479,16 @@ SIDECAR_REJECTED = [
     pytest.param(_small(), _forge(lambda words: np.append(words, 0)), id="a word too many"),
     pytest.param(_small(), _forge(_set_words(24, 2)), id="label id forged past the range"),
     pytest.param(_small(), _forge(_set_words(25, -1)), id="label id forged negative"),
+    # tuple 0 given both label ids, in forms that only the ascending check rejects
+    pytest.param(_small(), _forge(_set_words(21, 2, 2, 2, 0, 0)), id="label id repeated"),
+    pytest.param(_small(), _forge(_set_words(21, 2, 2, 2, 1, 0)),
+                 id="label ids descending within a tuple"),
     pytest.param(_small(ids=(4, 1, 2)), None, id="unsorted ids"),
     pytest.param(_small(ids=(1, 1, 2)), None, id="repeated id"),
     pytest.param(_small(value=np.nan), None, id="NaN feature"),
-    pytest.param(TupleDataset([0, 1], [np.empty((2, 0))] * 2, [frozenset()] * 2, 1), None,
+    pytest.param(TupleDataset([0, 1], [np.empty((2, 0))] * 2, [0, 0, 0], [], 1), None,
                  id="zero dim"),
-    pytest.param(_small(labels=(frozenset({0}), frozenset({2}), frozenset())), None,
-                 id="label outside [0, labels)"),
+    pytest.param(_small(labels=({0}, {2}, set())), None, id="label outside [0, labels)"),
 ]
 
 
@@ -494,33 +517,47 @@ class TestSidecar:
         os.remove(f"{path}.cols")
         assert with_sidecar == _outcome(path)
 
-    def test_no_sidecar_for_a_label_whose_text_is_not_its_int(self, tmp_path):
-        # "1.0" fails the text parse; an int64 column would read it as 1
+    def test_text_past_the_first_chunk_is_hashed(self, tmp_path):
+        # the text is hashed 1 MiB at a time through one buffer: a byte changed in the
+        # second chunk or in the last, partial one still rejects the sidecar
         path = tmp_path / "ds.txt"
-        save_dataset(_small(labels=(frozenset({0}), frozenset({1.0}), frozenset())), path)
+        save_dataset(generate_synthetic(SynthConfig(num_tuples=1200, input_dim=48, seed=5)),
+                     path)
+        text = path.read_bytes()
+        assert len(text) > 2 << 20 and _load_columns(str(path)) is not None
+        for at in (1 << 20, (2 << 20) + 1, len(text) - 2):
+            path.write_bytes(text[:at] + bytes([text[at] ^ 1]) + text[at + 1:])
+            assert _load_columns(str(path)) is None
+        path.write_bytes(text)
+        assert _load_columns(str(path)) is not None
+
+    def test_no_sidecar_for_a_label_whose_text_is_not_its_int(self, tmp_path):
+        # the header's "labels=2.0" fails the text parse; an int64 count would read it as 2
+        path = tmp_path / "ds.txt"
+        ds = _small()
+        ds.num_labels = 2.0
+        save_dataset(ds, path)
         assert not os.path.exists(f"{path}.cols")
-        with pytest.raises(DatasetFormatError, match=r"^line 4: invalid literal for int"):
+        with pytest.raises(DatasetFormatError, match=r"^line 1: header field 'labels=2.0'"):
             load_dataset(path)
 
 
 class TestDeferredLabels:
-    """A sidecar's labels stay as its offsets and label ids until they are read."""
+    """A sidecar's labels are its offsets and label ids, as the text parse lays them out."""
 
     def test_sidecar_labels_equal_the_text_parse(self, tmp_path):
         ds = generate_synthetic(SynthConfig(num_tuples=30, multi_label=True, num_classes=6,
                                             seed=6))
-        ds = TupleDataset(ds.ids, ds.features, [frozenset(), *ds.labels[1:]], ds.num_labels)
-        assert {len(labels) for labels in ds.labels} >= {0, 2, 3}
+        ds = with_labels(ds, [(), *label_sets(ds)[1:]])
+        assert {len(labels) for labels in label_sets(ds)} >= {0, 2, 3}
         path = tmp_path / "ds.txt"
         save_dataset(ds, path)
         loaded = load_dataset(path)
-        assert callable(loaded._labels)
-        assert loaded.labels == ds.labels and loaded.labels is loaded.labels
-        assert all(type(labels) is frozenset for labels in loaded.labels)
+        assert _load_columns(str(path)) is not None and _layout(loaded) == _layout(ds)
         os.remove(f"{path}.cols")
-        assert load_dataset(path).labels == loaded.labels
-        assert split(loaded, (0.5, 0.25, 0.25), 1)[2].labels == \
-            split(ds, (0.5, 0.25, 0.25), 1)[2].labels
+        assert _layout(load_dataset(path)) == _layout(loaded)
+        assert _layout(split(loaded, (0.5, 0.25, 0.25), 1)[2]) == \
+            _layout(split(ds, (0.5, 0.25, 0.25), 1)[2])
 
     def test_forged_label_id_falls_back_to_the_text_at_load(self, tmp_path, monkeypatch):
         path = tmp_path / "ds.txt"
@@ -529,8 +566,8 @@ class TestDeferredLabels:
         parsed, parse = [], data_module._load
         monkeypatch.setattr(data_module, "_load", lambda p: parsed.append(parse(p)) or parsed[-1])
         loaded = load_dataset(path)
-        assert parsed == [loaded] and not callable(loaded._labels)
-        assert loaded.labels == list(_small().labels)
+        assert parsed == [loaded]
+        assert _layout(loaded) == _layout(_small())
 
 
 class TestSynthConfig:

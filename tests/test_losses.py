@@ -19,11 +19,11 @@ def cos(u, v):
     return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
-def naive_nt_xent(i, z_src, z_tgt, tau, include_positive=False):
+def naive_nt_xent(i, z_src, z_tgt, tau):
     num = math.exp(cos(z_src[i], z_tgt[i]) / tau)
     den = 0.0
     for q in range(len(z_tgt)):
-        if q == i and not include_positive:
+        if q == i:
             continue
         den += math.exp(cos(z_src[i], z_tgt[q]) / tau)
     return -math.log(num / den)
@@ -92,16 +92,6 @@ class TestNtXentTerm:
             assert loss_mim(T.Tensor(z_j), T.Tensor(z_k), 0.2).item() == \
                 pytest.approx(naive_mim(z_j, z_k, 0.2), abs=1e-10)
 
-    def test_include_positive_variant(self):
-        rng = np.random.default_rng(3)
-        z_j, z_k = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-        expected = sum(naive_nt_xent(i, z_j, z_k, 0.2, include_positive=True)
-                       + naive_nt_xent(i, z_k, z_j, 0.2, include_positive=True)
-                       for i in range(4)) / 8
-        got = loss_mim(T.Tensor(z_j), T.Tensor(z_k), 0.2,
-                       include_positive_in_denominator=True).item()
-        assert got == pytest.approx(expected, abs=1e-10)
-
     def test_t1_rejected(self):
         with pytest.raises(ContractError):
             loss_mim(T.Tensor(np.ones((1, 4))), T.Tensor(np.ones((1, 4))), 0.2)
@@ -153,8 +143,7 @@ class TestLossMim:
         T.backward(f(x))
         assert T.rel_error(x.grad, T.finite_diff_grad(f, z_j).data) < 1e-4
 
-    @pytest.mark.parametrize("include_positive", [False, True])
-    def test_small_tau_stable(self, include_positive):
+    def test_small_tau_stable(self):
         # logits up to 1/tau = 1000 overflow exp(); the log-sum-exp must not
         rng = np.random.default_rng(34)
         z_j, z_k = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
@@ -165,10 +154,9 @@ class TestLossMim:
         total = 0.0
         for logits in (s, s.T):
             for i in range(6):
-                others = [logits[i, q] for q in range(6) if include_positive or q != i]
+                others = [logits[i, q] for q in range(6) if q != i]
                 total += np.logaddexp.reduce(others) - logits[i, i]
-        got = loss_mim(T.Tensor(z_j), T.Tensor(z_k), tau,
-                       include_positive_in_denominator=include_positive).item()
+        got = loss_mim(T.Tensor(z_j), T.Tensor(z_k), tau).item()
         assert np.isfinite(got)
         assert got == pytest.approx(total / 12, rel=1e-12)
 
@@ -181,13 +169,10 @@ class TestLossMim:
             loss_mim(T.Tensor(args[0]), T.Tensor(args[1]), 0.2)
 
     @pytest.mark.parametrize("n", [2, 8])
-    @pytest.mark.parametrize("include_positive", [False, True])
-    def test_gradient_both_operands(self, n, include_positive):
+    def test_gradient_both_operands(self, n):
         rng = np.random.default_rng(35 + n)
         z_j, z_k = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
-        assert_gradients_match(
-            lambda a, b: loss_mim(a, b, 0.2, include_positive_in_denominator=include_positive),
-            z_j, z_k)
+        assert_gradients_match(lambda a, b: loss_mim(a, b, 0.2), z_j, z_k)
 
 
 class TestLossMde:

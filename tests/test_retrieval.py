@@ -15,18 +15,24 @@ from xmodal.retrieval import (_BLOCK, EmbeddingIndex, MetricsReport, QueryRow, _
                               _unit_queries, build_index, evaluate_cross_modal, jaccard,
                               metrics_to_csv, ndcg_at_k, pair_f1, retrieve, summary_table)
 
-from index_rows import entries, insert
+from index_rows import entries, label_layout, label_sets, with_labels
 
 MODEL = ModelConfig(input_dim=12, backbone_hidden_dims=(8,), feature_dim=6,
                     embedding_dim=6, seed=0)
 
 
 def random_index(rng, n, dim=6, modalities=2, num_labels=4):
-    index = EmbeddingIndex(modalities, dim)
+    rows, sets = np.empty((modalities, n, dim)), []
     for m in range(modalities):
         for tid in range(n):
-            insert(index, m, tid, rng.normal(size=dim), {int(rng.integers(num_labels))})
-    return index
+            rows[m, tid] = rng.normal(size=dim)
+            sets.append({int(rng.integers(num_labels))})
+    return EmbeddingIndex(dim, np.arange(n), *label_layout(sets[:n]), list(rows))
+
+
+def one_label_index(ids, rows):
+    """A one-modality index of these rows, every tuple labelled {0}."""
+    return EmbeddingIndex(rows.shape[1], ids, *label_layout([{0}] * len(ids)), [rows])
 
 
 @pytest.fixture(scope="module")
@@ -56,47 +62,24 @@ class TestBuildIndex:
                 assert abs(np.linalg.norm(e.embedding) - 1.0) < 1e-12
 
     def test_duplicate_id_rejected(self):
-        index = EmbeddingIndex(2, 3)
-        insert(index, 0, 1, np.ones(3), {0})
-        with pytest.raises(ContractError):
-            insert(index, 0, 1, np.ones(3), {0})
-
-
-    def test_batch_add_equals_row_inserts(self):
-        rng = np.random.default_rng(11)
-        z = rng.normal(size=(30, 4))
-        ids = rng.permutation(100)[:30]
-        labels = [{int(rng.integers(5))} for _ in range(30)]
-        batch, rows = EmbeddingIndex(1, 4), EmbeddingIndex(1, 4)
-        batch.add(0, ids, z, labels)
-        for tid, row, lab in zip(ids, z, labels):
-            insert(rows, 0, tid, row, lab)
-        for a, b, row in zip(entries(batch, 0), entries(rows, 0), z):
-            assert a.tuple_id == b.tuple_id and a.labels == b.labels
-            np.testing.assert_array_equal(a.embedding, b.embedding)
-            np.testing.assert_array_equal(a.embedding, row / np.linalg.norm(row))
-
-    def test_labels_are_kept_and_read_on_demand(self, small_ds):
-        index = build_index(init_params(MODEL), small_ds)
-        assert index.labels(1) is small_ds.labels
-        short = EmbeddingIndex(1, 3)
-        short.add(0, [1, 2], np.ones((2, 3)), lambda: [{0}])
-        with pytest.raises(ContractError, match="2 rows and 1 label sets in modality 0"):
-            short.labels(0)
+        with pytest.raises(ContractError, match="duplicate tuple_id 1"):
+            EmbeddingIndex(3, [1, 1], *label_layout([{0}] * 2), [np.ones((2, 3)), None])
 
     def test_add_rejects_id_repeated_within_batch(self):
-        index = EmbeddingIndex(1, 3)
-        with pytest.raises(ContractError, match="duplicate tuple_id 4 in modality 0"):
-            index.add(0, [2, 4, 6, 4], np.ones((4, 3)), [{0}] * 4)
-        assert index.size(0) == 0
+        with pytest.raises(ContractError, match="^duplicate tuple_id 4$"):
+            one_label_index([2, 4, 6, 4], np.ones((4, 3)))
 
     def test_add_rejects_zero_norm_row_naming_it(self):
-        index = EmbeddingIndex(1, 3)
         z = np.ones((3, 3))
         z[1] = 0.0
         with pytest.raises(ContractError, match="zero-norm embedding for tuple 8"):
-            index.add(0, [5, 8, 9], z, [{0}] * 3)
-        assert index.size(0) == 0
+            one_label_index([5, 8, 9], z)
+
+    def test_ids_labels_and_rows_must_agree(self):
+        with pytest.raises(ContractError, match="^3 tuple ids and 2 label sets$"):
+            EmbeddingIndex(3, [1, 2, 3], *label_layout([{0}] * 2), [np.ones((3, 3))])
+        with pytest.raises(ContractError, match=r"embedding shape \(2, 3\) != \(3, 3\)"):
+            one_label_index([1, 2, 3], np.ones((2, 3)))
 
 
 class TestRetrieve:
@@ -109,10 +92,9 @@ class TestRetrieve:
         assert result.items[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_top1(self):
-        index = EmbeddingIndex(1, 2)
         q = np.array([1.0, 0.0])
-        for tid, angle in [(0, 0.45), (1, 1.05), (2, 1.47)]:
-            insert(index, 0, tid, np.array([math.cos(angle), math.sin(angle)]), {0})
+        index = one_label_index([0, 1, 2], np.array([[math.cos(angle), math.sin(angle)]
+                                                     for angle in (0.45, 1.05, 1.47)]))
         result = retrieve(index, q, 0, 1)
         assert len(result.items) == 1
         assert result.items[0][0] == 0
@@ -122,7 +104,7 @@ class TestRetrieve:
         rng = np.random.default_rng(3)
         index = random_index(rng, 5)
         result = retrieve(index, rng.normal(size=6), 0, 10)
-        assert result.short and len(result.items) == 5
+        assert len(result.items) < 10 and len(result.items) == 5
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(4)
@@ -137,10 +119,8 @@ class TestRetrieve:
             assert [(tid, s) for s, tid in oracle] == result.items
 
     def test_tie_order_by_ascending_id(self):
-        index = EmbeddingIndex(1, 2)
         v = np.array([1.0, 0.0])
-        for tid in (9, 3, 7):
-            insert(index, 0, tid, v, {0})
+        index = one_label_index([9, 3, 7], np.stack([v] * 3))
         result = retrieve(index, v, 0, 3)
         assert [tid for tid, _ in result.items] == [3, 7, 9]
 
@@ -153,8 +133,7 @@ class TestRetrieve:
         assert target.tuple_id not in [tid for tid, _ in result.items]
 
     def test_empty_target_modality_rejected(self):
-        index = EmbeddingIndex(2, 3)
-        insert(index, 0, 1, np.ones(3), {0})
+        index = EmbeddingIndex(3, [1], *label_layout([{0}]), [np.ones((1, 3)), None])
         with pytest.raises(ContractError, match="target modality 1 is unknown or empty"):
             retrieve(index, np.ones(3), 1, 4)
 
@@ -166,7 +145,7 @@ class TestRetrieve:
 
 def lexsort_top_k(index, unit_queries, target, k, exclude_ids):
     """Reference ranking: every row sorted whole by (-score, tuple_id), then cut to k."""
-    vectors, ids = index._vectors[target], index._ids[target]
+    vectors, ids = index._vectors[target], index.ids
     scores = np.vecdot(unit_queries[:, None, :], vectors[None, :, :])
     ranked = []
     for row, exclude in zip(scores, exclude_ids):
@@ -182,18 +161,17 @@ class TestTopK:
         # duplicated index rows put exact ties across the cut of many rows;
         # a NaN score is ranked as a full-row lexsort ranks it
         rng = np.random.default_rng(n * 100 + k + nan_rows)
-        index = EmbeddingIndex(1, 3)
         distinct = rng.normal(size=(n // 3 + 1, 3))
-        index.add(0, rng.permutation(4 * n)[:n], distinct[rng.integers(len(distinct), size=n)],
-                  [{0}] * n)
+        index = one_label_index(rng.permutation(4 * n)[:n],
+                                distinct[rng.integers(len(distinct), size=n)])
         index._vectors[0][:min(nan_rows, n)] = np.nan
         queries = _unit_queries(np.concatenate([rng.normal(size=(2 * _BLOCK, 3)), distinct]), 3)
-        exclude = rng.choice(index._ids[0], size=len(queries))
+        exclude = rng.choice(index.ids, size=len(queries))
         exclude[::2] = -1   # not in the index
         positions, scores, filled = _top_k(index, queries, 0, k, exclude)
         for i, (ids, row) in enumerate(lexsort_top_k(index, queries, 0, k, exclude)):
             assert filled[i] == len(ids)
-            assert index._ids[0][positions[i, :filled[i]]].tolist() == ids
+            assert index.ids[positions[i, :filled[i]]].tolist() == ids
             np.testing.assert_array_equal(scores[i, :filled[i]], row)
 
 
@@ -217,7 +195,7 @@ def assert_top_k_equals_lexsort(index, queries, k, exclude):
                               [None] * len(queries) if exclude is None else exclude)
     for i, (ids, row) in enumerate(reference):
         assert filled[i] == len(ids)
-        assert index._ids[0][positions[i, :filled[i]]].tolist() == ids
+        assert index.ids[positions[i, :filled[i]]].tolist() == ids
         np.testing.assert_array_equal(scores[i, :filled[i]], row)
 
 
@@ -238,8 +216,7 @@ class TestCandidateFilter:
         rng = np.random.default_rng(k)
         base = rng.normal(size=128)
         base /= np.linalg.norm(base)
-        index = EmbeddingIndex(1, 128)
-        index.add(0, rng.permutation(200)[:60], near_copies(rng, base, 60, 2e-16), [{0}] * 60)
+        index = one_label_index(rng.permutation(200)[:60], near_copies(rng, base, 60, 2e-16))
         queries = _unit_queries(near_copies(rng, base, 40, 1e-3), 128)
         counts = spy_paths(monkeypatch)
         assert_top_k_equals_lexsort(index, queries, k, None)
@@ -252,8 +229,7 @@ class TestCandidateFilter:
         base = rng.normal(size=128)
         base /= np.linalg.norm(base)
         rows = np.concatenate([near_copies(rng, base, 9, 2e-16), rng.normal(size=(50, 128))])
-        index = EmbeddingIndex(1, 128)
-        index.add(0, rng.permutation(100)[:59], rows, [{0}] * 59)
+        index = one_label_index(rng.permutation(100)[:59], rows)
         queries = _unit_queries(near_copies(rng, base, 40, 1e-3), 128)
         counts = spy_paths(monkeypatch)
         assert_top_k_equals_lexsort(index, queries, 8, None)
@@ -268,14 +244,13 @@ class TestCandidateFilter:
         base /= np.linalg.norm(base)
         spread = rng.normal(size=(80, 16))
         spread *= -np.sign(spread @ base)[:, None]
-        index = EmbeddingIndex(1, 16)
-        index.add(0, rng.permutation(300)[:100],
-                  np.concatenate([near_copies(rng, base, 20, 1e-17), spread]), [{0}] * 100)
+        index = one_label_index(rng.permutation(300)[:100],
+                                np.concatenate([near_copies(rng, base, 20, 1e-17), spread]))
         queries = np.empty((_BLOCK, 16))
         queries[0::2] = near_copies(rng, base, _BLOCK // 2, 1e-4)
         queries[1::2] = spread[:_BLOCK // 2]
         queries = _unit_queries(queries, 16)
-        exclude = index._ids[0][rng.integers(100, size=_BLOCK)]
+        exclude = index.ids[rng.integers(100, size=_BLOCK)]
         counts = spy_paths(monkeypatch)
         assert_top_k_equals_lexsort(index, queries, 8, exclude)
         assert counts == {"filtered": _BLOCK // 2, "whole": _BLOCK // 2}
@@ -285,40 +260,36 @@ class TestCandidateFilter:
     def test_dimensions_and_exclusion(self, dim, exclusion):
         # at D = 1 every score is +-1: each row is a tie at its cut and ranked whole
         rng = np.random.default_rng(dim)
-        index = EmbeddingIndex(1, dim)
-        index.add(0, rng.permutation(400)[:150], rng.normal(size=(150, dim)), [{0}] * 150)
+        index = one_label_index(rng.permutation(400)[:150], rng.normal(size=(150, dim)))
         queries = _unit_queries(rng.normal(size=(300, dim)), dim)
-        exclude = rng.choice(index._ids[0], size=300) if exclusion else None
+        exclude = rng.choice(index.ids, size=300) if exclusion else None
         for k in (1, 8, 40):
             assert_top_k_equals_lexsort(index, queries, k, exclude)
 
     def test_row_norms_a_few_ulps_off_one(self, monkeypatch):
         rng = np.random.default_rng(3)
-        index = EmbeddingIndex(1, 128)
-        index.add(0, np.arange(200), rng.normal(size=(200, 128)), [{0}] * 200)
+        index = one_label_index(np.arange(200), rng.normal(size=(200, 128)))
         index._vectors[0] *= 1 + rng.integers(-4, 5, size=(200, 1)) * 2.0**-52
         queries = _unit_queries(rng.normal(size=(150, 128)), 128)
         queries *= 1 + rng.integers(-4, 5, size=(150, 1)) * 2.0**-52
         counts = spy_paths(monkeypatch)
-        assert_top_k_equals_lexsort(index, queries, 8, index._ids[0][:150])
+        assert_top_k_equals_lexsort(index, queries, 8, index.ids[:150])
         assert counts == {"filtered": 150, "whole": 0}
 
     @pytest.mark.parametrize("k", [8, 9, 20])
     def test_width_is_the_whole_index(self, monkeypatch, k):
         # 9 rows: k + 1 places reach every row, which is ranked whole
         rng = np.random.default_rng(k)
-        index = EmbeddingIndex(1, 5)
-        index.add(0, rng.permutation(20)[:9], rng.normal(size=(9, 5)), [{0}] * 9)
+        index = one_label_index(rng.permutation(20)[:9], rng.normal(size=(9, 5)))
         queries = _unit_queries(rng.normal(size=(30, 5)), 5)
         counts = spy_paths(monkeypatch)
-        assert_top_k_equals_lexsort(index, queries, k, rng.choice(index._ids[0], size=30))
+        assert_top_k_equals_lexsort(index, queries, k, rng.choice(index.ids, size=30))
         assert counts["filtered"] == 0
 
     def test_single_query_ranks_the_whole_row(self, monkeypatch):
         # one query's row of products would cost what its row of vecdot scores does
         rng = np.random.default_rng(5)
-        index = EmbeddingIndex(1, 128)
-        index.add(0, np.arange(200), rng.normal(size=(200, 128)), [{0}] * 200)
+        index = one_label_index(np.arange(200), rng.normal(size=(200, 128)))
         counts = spy_paths(monkeypatch)
         assert_top_k_equals_lexsort(index, _unit_queries(rng.normal(size=(1, 128)), 128), 8, [3])
         assert counts == {"filtered": 0, "whole": 1}
@@ -326,8 +297,7 @@ class TestCandidateFilter:
     def test_random_differential_at_the_eval_scan_shape(self, monkeypatch):
         # 1040 queries against 480 rows at D = 128 and k = 8, as in evaluate
         rng = np.random.default_rng(4)
-        index = EmbeddingIndex(1, 128)
-        index.add(0, rng.permutation(2000)[:480], rng.normal(size=(480, 128)), [{0}] * 480)
+        index = one_label_index(rng.permutation(2000)[:480], rng.normal(size=(480, 128)))
         queries = _unit_queries(rng.normal(size=(1040, 128)), 128)
         counts = spy_paths(monkeypatch)
         assert_top_k_equals_lexsort(index, queries, 8, rng.choice(2000, size=1040))
@@ -386,9 +356,7 @@ class TestEvaluateCrossModal:
         params = init_params(MODEL)
         uniform = generate_synthetic(SynthConfig(num_classes=2, num_tuples=30,
                                                  input_dim=12, latent_dim=6, seed=8))
-        labels = frozenset({0})
-        uniform = TupleDataset(uniform.ids, uniform.features, [labels] * len(uniform),
-                               uniform.num_labels)
+        uniform = with_labels(uniform, [{0}] * len(uniform))
         tr, _, te = split(uniform, (0.5, 0.25, 0.25), seed=0)
         index = build_index(params, te)
         rep = evaluate_cross_modal(params, index, tr, 0, 1, k=4)
@@ -427,7 +395,7 @@ class TestEvaluateCrossModal:
         for i in range(1, len(ds), 3):
             for f in features:
                 f[i] = f[i - 1]
-        return TupleDataset(ds.ids, features, ds.labels, ds.num_labels)
+        return TupleDataset(ds.ids, features, ds.label_offsets, ds.label_ids, ds.num_labels)
 
     @staticmethod
     def assert_rows_equal_retrieve_loop(params, index, ds, k):
@@ -437,7 +405,7 @@ class TestEvaluateCrossModal:
             labels = {e.tuple_id: e.labels for e in entries(index, tgt)}
             queries = embed(params, src, ds.features[src]).data
             expected = []
-            for tuple_id, query_labels, q in zip(ds.ids.tolist(), ds.labels, queries):
+            for tuple_id, query_labels, q in zip(ds.ids.tolist(), label_sets(ds), queries):
                 items = retrieve(index, q, tgt, k, exclude_tuple_id=tuple_id).items
                 assert tuple_id not in [tid for tid, _ in items]
                 f1 = float(np.mean([pair_f1(query_labels, labels[tid]) for tid, _ in items]))
@@ -462,13 +430,24 @@ class TestEvaluateCrossModal:
         # (scored item by item), the others all k, in the same block
         ds, k = self.tied_dataset(), 5
         params = init_params(MODEL)
-        held = TupleDataset(ds.ids[:k], [f[:k] for f in ds.features], ds.labels[:k],
-                            ds.num_labels)
-        queries = TupleDataset(ds.ids[:3 * k], [f[:3 * k] for f in ds.features],
-                               ds.labels[:3 * k], ds.num_labels)
+        held, queries = ds.take(np.arange(k)), ds.take(np.arange(3 * k))
         index = build_index(params, held)
-        assert retrieve(index, embed(params, 0, ds.features[0][:1]).data[0], 1, k,
-                        exclude_tuple_id=int(ds.ids[0])).short
+        assert len(retrieve(index, embed(params, 0, ds.features[0][:1]).data[0], 1, k,
+                            exclude_tuple_id=int(ds.ids[0])).items) < k
+        self.assert_rows_equal_retrieve_loop(params, index, queries, k)
+
+    def test_empty_item_and_unheld_query_label_equal_retrieve_loop(self):
+        # an index item with no labels, and query labels (class 5) that no index
+        # item holds, so that they get no scoring column
+        ds, k = self.tied_dataset(), 8
+        params = init_params(MODEL)
+        sets = label_sets(ds)
+        held = with_labels(ds.take(np.arange(60)),
+                           [frozenset(), *(labels - {5} for labels in sets[1:60])])
+        queries = ds.take(np.arange(60, 160))
+        assert any(5 in s for s in label_sets(queries))
+        index = build_index(params, held)
+        assert 5 not in index.label_ids and index.label_offsets[1] == 0
         self.assert_rows_equal_retrieve_loop(params, index, queries, k)
 
     def test_modality_out_of_range_rejected(self, small_ds):
