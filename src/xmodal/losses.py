@@ -187,12 +187,6 @@ def loss_msp(y_j, y_k):
     return T.node(value, (y_j, y_k), backward)
 
 
-def msp_neighbor_indices(y_data):
-    """Expose the neighbor selection for oracle tests."""
-    y_data = np.asarray(y_data, dtype=np.float64)
-    return _nearest_neighbor_indices(y_data, np.add.reduce(y_data * y_data, axis=1))
-
-
 def combined_loss(z_j, z_k, y_j, y_k, weights: LossWeights) -> LossBreakdown:
     """Weighted sum of the three losses, differentiable end to end.
 

@@ -9,34 +9,53 @@ by descending score, then ascending tuple_id: the order of a full-row
 ``np.lexsort`` on (-score, tuple_id). Each row keeps width = min(k + 1, N)
 places, one spare for an excluded id.
 
-A BLAS matrix product chooses the candidates; ``np.vecdot`` gives every score
-and every order. ``np.vecdot`` rounds each score exactly as the one-row dot
-product ``row @ q`` does, whatever the block, so identical rows tie exactly; a
-BLAS product does not (its rounding depends on the block and the thread
-count), and would move near-ties. Queries are taken in blocks of _BLOCK rows,
-and each block is first scored by one product ``g = Q @ M.T``. For any float64
-evaluation order of a D-term dot product, FMA and BLAS blocking included,
-|fl(q . m) - q . m| <= gamma_D * |q| * |m| + D * 2**-1074, with
-gamma_D = D * u / (1 - D * u) and u = 2**-53 (Higham, Accuracy and Stability
-of Numerical Algorithms, section 3.1, plus a term for underflow). So g and the
-vecdot score v of one pair differ by at most delta, twice that bound taken at
-the largest measured query and row norms.
+A float32 BLAS matrix product chooses the candidates; ``np.vecdot`` gives
+every score and every order. ``np.vecdot`` rounds each score exactly as the
+one-row dot product ``row @ q`` does, whatever the block, so identical rows tie
+exactly; a BLAS product does not (its rounding depends on the block and the
+thread count), and would move near-ties. Queries are taken in blocks of _BLOCK
+rows, and each block is first scored by one product
+``g = Q.astype(float32) @ M32.T``, M32 being the index rows rounded to float32
+once per ``_top_k`` call. Let v be the float64 vecdot score of a pair (q, m),
+and u = 2**-24, tiny = 2**-126 (the least normal float32), Q >= |q| and
+M >= |m|. g and v differ by at most delta, the sum of three terms:
+
+- conversion: rounding to float32 moves each component by at most u times it
+  plus tiny (a component below tiny may be flushed to 0), so the rounded rows
+  have norms at most Q' = (1 + u) Q + sqrt(D) tiny and M' = (1 + u) M + sqrt(D)
+  tiny, and their exact dot product is within (Q' - Q) M' + Q (M' - M) of q . m;
+- the float32 product: for any evaluation order, FMA and BLAS blocking
+  included, |g - q32 . m32| <= gamma_D Q' M' + 2 D tiny, with
+  gamma_D = D u / (1 - D u) (Higham, Accuracy and Stability of Numerical
+  Algorithms, section 3.1; the last term covers an underflow, or a flush to
+  zero, in each of the D products and D sums);
+- the float64 vecdot: |v - q . m| <= gamma'_D Q M + D 2**-1074, gamma'_D at
+  u = 2**-53.
+
+delta takes Q and M at the largest measured query and row norms, plus 1% for
+the rounding of the norms and of delta itself. At D = 128 and unit rows,
+delta ~ 7.8e-6.
 
 The proof. Let c be a row's width-th best g. At least width columns have
 v >= c - delta, so the width-th best v is at least c - delta, and every column
 that can place (ties at the cut included) has g >= v - delta >= c - 2 * delta.
-At least width columns can place, so a row with exactly width columns at
-g >= c - 2 * delta holds just the ones that can: those columns are gathered,
-rescored with ``np.vecdot``, and ranked. Any other row is scored whole with
-``np.vecdot`` and ranked, as without the filter: a near-tie within 2 * delta of
-the cut, an exact tie (duplicated rows), and a NaN anywhere (it makes delta
-NaN). No product is taken when width == N, or for a single query, whose row
-of products costs what its row of vecdot scores does.
+That threshold is taken in float64 and rounded down to float32, so no column
+that can place falls below it. At least width columns can place, so a row with
+exactly width columns at or above the threshold holds just the ones that can:
+those columns are gathered, rescored with ``np.vecdot``, and ranked. Any other
+row is scored whole with ``np.vecdot`` and ranked, as without the filter: a
+near-tie within 2 * delta of the cut, an exact tie (duplicated rows), and a NaN
+anywhere (it makes delta NaN). On 2-epoch checkpoints of 300 to 2000
+multi-label tuples, 0 to 0.3% of the queries were such rows. No product is
+taken when width == N, or for a single query, whose row of products costs what
+its row of vecdot scores does.
 
 Ranking needs a k-selection, not a sort: ``np.partition`` finds each row's
 cut, its width-th best score; a row that exactly width scores reach sorts just
 those columns, and any other row (a tie straddling the cut, a NaN) is sorted
-whole. Both the candidates and the whole rows are ranked by that one rule.
+whole. Both the candidates and the whole rows are ranked by that one rule. A
+block exactly width columns wide (every gathered candidate block, and whole
+rows when width == N) is sorted whole at once.
 
 Pair-level F1 is the Dice overlap of label sets; NDCG gain is the Jaccard
 overlap. ``evaluate_cross_modal`` scores a block of queries at once from bool
@@ -47,13 +66,12 @@ them have gain 0, which leaves both NDCG sums unchanged.
 """
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import write_atomic
-from .errors import ContractError
+from .errors import ContractError, DegenerateInputError
 from .model import check_dataset, embed
 from .tensor import NORM_EPS
 
@@ -96,7 +114,7 @@ class EmbeddingIndex:
         norms = _norms(rows)
         zero = np.flatnonzero(norms <= NORM_EPS)
         if len(zero):
-            raise ContractError(f"zero-norm embedding for tuple {self.ids[zero[0]]}")
+            raise DegenerateInputError(f"zero-norm embedding for tuple {self.ids[zero[0]]}")
         return rows / norms[:, None]
 
     def size(self, modality):
@@ -109,20 +127,17 @@ class RankedResult:
 
 
 @dataclass
-class QueryRow:
-    query_id: int
-    f1_at_k: float
-    ndcg_at_k: float
-
-
-@dataclass
 class MetricsReport:
+    """One direction's mean F1@K / NDCG@K, and per query (one array each, in query
+    order) its tuple id and its F1@K and NDCG@K."""
     src_modality: int
     tgt_modality: int
     k: int
     mean_f1: float
     mean_ndcg: float
-    rows: list = field(default_factory=list)
+    query_ids: np.ndarray
+    f1: np.ndarray
+    ndcg: np.ndarray
 
     @property
     def direction(self):
@@ -146,7 +161,7 @@ def _unit_queries(queries, dim):
         raise ContractError(f"query embedding shape {queries.shape[1:]} != ({dim},)")
     norms = _norms(queries)
     if (norms <= NORM_EPS).any():
-        raise ContractError("zero-norm query embedding")
+        raise DegenerateInputError("zero-norm query embedding")
     return queries / norms[:, None]
 
 
@@ -154,6 +169,8 @@ def _rank_block(scores, ids, width):
     """Positions of each row's ``width`` best scores, best first (see the module notes);
     ``ids`` is broadcast to the shape of ``scores``."""
     neg, ids = -scores, np.broadcast_to(ids, scores.shape)
+    if neg.shape[1] == width:   # every column places: the partition would change nothing
+        return np.lexsort((ids, neg), axis=-1)
     inside = neg <= np.partition(neg, width - 1, axis=-1)[:, width - 1, None]
     exact = np.count_nonzero(inside, axis=-1) == width
     top = np.empty((len(neg), width), dtype=np.intp)
@@ -165,31 +182,42 @@ def _rank_block(scores, ids, width):
     return top
 
 
+def _gamma(dim, u):
+    return dim * u / (1 - dim * u)
+
+
 def _product_error_bound(queries, vectors):
-    """delta >= |fl(q . m) - fl'(q . m)| for any two float64 evaluation orders of
-    any query-row pair: 2 * (gamma_D * max|q| * max|m| + D * 2**-1074), with
-    gamma_D = D * u / (1 - D * u), u = 2**-53 (see the module notes). The 1% on
-    top covers the rounding of the measured norms and of this arithmetic, each
-    O(D * u). A NaN anywhere makes delta NaN."""
-    dim = vectors.shape[1]
-    gamma = dim * 2.0**-53 / (1 - dim * 2.0**-53)
-    return 1.01 * 2 * (gamma * np.max(_norms(queries)) * np.max(_norms(vectors))
-                       + dim * 2.0**-1074)
+    """delta >= |g - v| for any query-row pair, g its float32 product as
+    ``_score_block`` takes it and v its float64 ``np.vecdot`` score: the sum of
+    the conversion, float32 product and float64 vecdot bounds of the module notes,
+    at the largest query and row norms. The 1% on top covers the rounding of the
+    measured norms and of this arithmetic. A NaN anywhere makes delta NaN."""
+    dim, u, tiny = vectors.shape[1], 2.0**-24, 2.0**-126
+    q, m = np.max(_norms(queries)), np.max(_norms(vectors))
+    # norms of the rows rounded to float32
+    q32, m32 = (1 + u) * q + math.sqrt(dim) * tiny, (1 + u) * m + math.sqrt(dim) * tiny
+    return 1.01 * ((q32 - q) * m32 + q * (m32 - m)
+                   + _gamma(dim, u) * q32 * m32 + 2 * dim * tiny
+                   + _gamma(dim, 2.0**-53) * q * m + dim * 2.0**-1074)
 
 
-def _score_block(queries, vectors, ids, width, delta):
+def _score_block(queries, vectors, ids, width, delta, vectors32):
     """Positions and ``np.vecdot`` scores, (Q, width) each, of every query's
-    ``width`` best rows, best first. Unless ``delta`` is None, a BLAS product
-    picks each row's candidates, the columns within 2 * delta of its
-    ``width``-th best product, and a row with exactly ``width`` candidates
-    ranks just those (this is exact: see the module notes); any other row
-    ranks every column."""
+    ``width`` best rows, best first. Unless ``delta`` is None, a float32 BLAS
+    product with ``vectors32`` (``vectors`` rounded to float32) picks each row's
+    candidates, the columns within 2 * delta of its ``width``-th best product,
+    and a row with exactly ``width`` candidates ranks just those (this is exact:
+    see the module notes); any other row ranks every column."""
     top, scores = np.empty((len(queries), width), dtype=np.intp), np.empty((len(queries), width))
     whole = slice(None)   # the rows ranked on every column: all, unless some are filtered
     if delta is not None:
-        products = queries @ vectors.T
+        products = queries.astype(np.float32) @ vectors32.T
         cut = np.partition(products, len(ids) - width, axis=-1)[:, len(ids) - width, None]
-        candidates = products >= cut - 2 * delta
+        # cut - 2 * delta in float64, rounded down to float32
+        low = cut.astype(np.float64) - 2 * delta
+        threshold = low.astype(np.float32)
+        np.nextafter(threshold, np.float32(-np.inf), out=threshold, where=threshold > low)
+        candidates = products >= threshold
         filtered = np.count_nonzero(candidates, axis=-1) == width
         cols = (np.flatnonzero(candidates[filtered]) % len(ids)).reshape(-1, width)
         chosen, block = queries[filtered], np.empty(cols.shape)
@@ -221,10 +249,11 @@ def _top_k(index, unit_queries, target, k, exclude_ids):
     width = min(k + 1, len(ids))   # one spare place per row, for the excluded id
     # no candidate filter when k + 1 places take the whole index, or for a single
     # query, whose one row of products costs what its row of vecdot scores does
-    delta = (_product_error_bound(unit_queries, vectors)
-             if width < len(ids) and len(unit_queries) > 1 else None)
+    delta = vectors32 = None
+    if width < len(ids) and len(unit_queries) > 1:
+        delta, vectors32 = _product_error_bound(unit_queries, vectors), vectors.astype(np.float32)
     positions, scores = map(np.concatenate, zip(*(
-        _score_block(unit_queries[start:start + _BLOCK], vectors, ids, width, delta)
+        _score_block(unit_queries[start:start + _BLOCK], vectors, ids, width, delta, vectors32)
         for start in range(0, len(unit_queries), _BLOCK))))
     excluded = (np.zeros(positions.shape, dtype=bool) if exclude_ids is None
                 else ids[positions] == np.asarray(exclude_ids, dtype=np.int64)[:, None])
@@ -339,7 +368,7 @@ def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
         raise ContractError("cross-modal evaluation needs distinct modalities")
     if not len(query_split):
         raise ContractError("empty query set")
-    ids = query_split.ids.tolist()
+    ids = query_split.ids
     unlabelled = np.flatnonzero(np.diff(query_split.label_offsets) == 0)
     if len(unlabelled):
         raise ContractError(f"query tuple {ids[unlabelled[0]]} has no labels")
@@ -355,7 +384,7 @@ def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
     f1, ndcg = _score_rows(top, filled, query_split, index)
     return MetricsReport(src_modality=src_modality, tgt_modality=tgt_modality, k=k,
                          mean_f1=float(np.mean(f1)), mean_ndcg=float(np.mean(ndcg)),
-                         rows=[QueryRow(*row) for row in zip(ids, f1.tolist(), ndcg.tolist())])
+                         query_ids=ids, f1=f1, ndcg=ndcg)
 
 
 def _summaries(reports):
@@ -368,12 +397,15 @@ def _summaries(reports):
 
 
 def metrics_to_csv(reports, path):
-    """Per-query rows for each direction, then one summary row per direction."""
-    write_atomic(path, chain(
-        ["query_id,direction,f1_at_k,ndcg_at_k\n"],
-        (f"{row.query_id},{rep.direction},{row.f1_at_k:.17g},{row.ndcg_at_k:.17g}\n"
-         for rep in reports for row in rep.rows),
-        (f"summary,{name},{f1:.17g},{ndcg:.17g}\n" for name, f1, ndcg in _summaries(reports))))
+    """Per-query rows for each direction, then one summary row per direction, in
+    one write (``"%.17g" % x`` is the text of ``f"{x:.17g}"``)."""
+    lines = ["query_id,direction,f1_at_k,ndcg_at_k\n"]
+    for rep in reports:
+        line = f"%d,{rep.direction},%.17g,%.17g\n"
+        lines += [line % row for row in
+                  zip(rep.query_ids.tolist(), rep.f1.tolist(), rep.ndcg.tolist())]
+    lines += [f"summary,{name},{f1:.17g},{ndcg:.17g}\n" for name, f1, ndcg in _summaries(reports)]
+    write_atomic(path, ["".join(lines)])
 
 
 def summary_table(reports):

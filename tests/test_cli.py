@@ -617,6 +617,25 @@ class TestExitCodes:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ") and "zero-norm" in err[0]
 
+    def test_zero_embedding_is_two(self, trained, tmp_path):
+        # a finite checkpoint whose encoder maps every tuple to the zero vector
+        dataset, ckpt = trained
+        params, state, epoch, _ = load_checkpoint(ckpt)
+        for t in params.encoder:
+            t.data[...] = 0.0
+        zero = tmp_path / "zero.ckpt"
+        save_checkpoint(params, state, epoch, zero)
+        out = tmp_path / "out"
+        out.mkdir()
+        metrics = out / "m.csv"
+        for argv in (["evaluate", "--out", str(metrics)],
+                     ["retrieve", "--query-id", str(load_dataset(dataset).ids[0])]):
+            code, err = run_process([*argv, "--checkpoint", str(zero), "--dataset", str(dataset)])
+            assert code == 2
+            assert len(err) == 1 and re.fullmatch(r"error: zero-norm embedding for tuple \d+",
+                                                  err[0])
+        assert os.listdir(out) == []
+
 
 COMMAND_NAMES = ["gen-data", "train", "evaluate", "retrieve", "gradcheck"]
 

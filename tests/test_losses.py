@@ -7,8 +7,13 @@ import pytest
 
 from xmodal import tensor as T
 from xmodal.errors import ContractError, DegenerateInputError
-from xmodal.losses import (LossBreakdown, LossWeights, combined_loss, loss_mde,
-                           loss_mim, loss_msp, msp_neighbor_indices, schedule_weight)
+from xmodal.losses import (LossBreakdown, LossWeights, _nearest_neighbor_indices, combined_loss,
+                           loss_mde, loss_mim, loss_msp, schedule_weight)
+
+
+def msp_neighbor_indices(y):
+    """The neighbor selection of ``loss_msp``, from the squared row norms it passes."""
+    return _nearest_neighbor_indices(y, np.add.reduce(y * y, axis=1))
 
 
 # ---------------------------------------------------------------------------
