@@ -132,7 +132,7 @@ def split(ds: TupleDataset, fractions, seed):
     """Deterministic tuple-level split; floor-rounded sizes, remainder to train."""
     if len(fractions) != 3:
         raise ContractError("split: need (train, val, test) fractions")
-    if any(f <= 0 for f in fractions):
+    if not all(f > 0 for f in fractions):   # a NaN is not > 0 either
         raise ContractError("split: all fractions must be positive")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ContractError(f"split: fractions sum to {sum(fractions)}, expected 1")

@@ -54,8 +54,6 @@ class LossBreakdown:
     mde: float
     msp: float
     total: float
-    alpha: float
-    beta: float
     total_node: T.Tensor   # the differentiable scalar of ``total``
 
 
@@ -203,8 +201,7 @@ def combined_loss(z_j, z_k, y_j, y_k, weights: LossWeights) -> LossBreakdown:
     msp = loss_msp(y_j, y_k)
     total = T.add(mim, T.weighted_sum([(mde, weights.alpha), (msp, weights.beta)]))
     return LossBreakdown(mim=mim.item(), mde=mde.item(), msp=msp.item(),
-                         total=total.item(), alpha=weights.alpha, beta=weights.beta,
-                         total_node=total)
+                         total=total.item(), total_node=total)
 
 
 def schedule_weight(epoch, total_epochs, initial):

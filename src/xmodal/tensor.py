@@ -8,8 +8,8 @@ accumulated by summation.
 
 Only grad-enabled tensors take part in the reverse pass. ``backward`` never
 visits a constant parent, and a closure may return None in a constant
-operand's slot: ``matmul`` and ``dense`` do, so a backbone's first layer forms
-no ``grad @ W.T`` for the raw feature batch it multiplies.
+operand's slot: ``dense`` does, so a backbone's first layer forms no
+``grad @ W.T`` for the raw feature batch it multiplies.
 
 A computation with a hand-derived backward, such as each training loss in
 ``losses``, is one ``node``: its value is computed with NumPy and one closure
@@ -80,21 +80,6 @@ def node(data, parents, backward_fn):
     grad-enabled.
     """
     return _make(data, parents, backward_fn)
-
-
-def matmul(a, b):
-    """Matrix product with recorded gradients (none formed for a constant operand)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatchError(
-            f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def backward(grad):
-        return (grad @ b.data.T if a.grad_enabled else None,
-                a.data.T @ grad if b.grad_enabled else None)
-
-    return _make(out_data, (a, b), backward)
 
 
 def _require_same_shape(a, b, op):
@@ -215,12 +200,6 @@ def elementwise(op_kind, *args):
     return fn(*args)
 
 
-def tsum(a):
-    """Sum of all elements, as a scalar tensor."""
-    a = _as_tensor(a)
-    return _make(np.sum(a.data), (a,), lambda g: (np.full(a.data.shape, float(g)),))
-
-
 def dot(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
@@ -229,22 +208,14 @@ def dot(a, b):
     return _make(a.data @ b.data, (a, b), lambda g: (float(g) * b.data, float(g) * a.data))
 
 
-def add_rowvec(a, b):
-    """Add a row vector to every row of a matrix (bias broadcast)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 1 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatchError(
-            f"add_rowvec: shapes {a.data.shape} and {b.data.shape}")
-    return _make(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0)))
-
-
 def dense(x, w, b, activation=None):
     """One layer, ``activation(x @ w + b)``, as a single node.
 
     ``activation`` is "tanh", "relu" or None. The value and the gradients are
-    the same NumPy operations, in the same order, as the chain ``matmul`` ->
-    ``add_rowvec`` -> ``tanh``/``relu``, so both are bit-identical to it. The
-    backward forms ``g @ w.T`` only for a grad-enabled ``x``.
+    the same NumPy operations, in the same order, as a chain of separate
+    matrix-product, bias-add and ``tanh``/``relu`` nodes (the tests' reference),
+    so both are bit-identical to it. The backward forms ``g @ w.T`` only for a
+    grad-enabled ``x``.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1

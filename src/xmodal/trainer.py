@@ -129,8 +129,7 @@ def _batch_loss(params, ds, rows, weights):
     total = T.scale(total, 1.0 / len(breakdowns))
     mean = lambda key: sum(getattr(b, key) for b in breakdowns) / len(breakdowns)
     return LossBreakdown(mim=mean("mim"), mde=mean("mde"), msp=mean("msp"),
-                         total=total.item(), alpha=weights.alpha, beta=weights.beta,
-                         total_node=total)
+                         total=total.item(), total_node=total)
 
 
 def _validation_loss(params, ds_val, train_config):

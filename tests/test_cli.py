@@ -328,6 +328,9 @@ class TestBadInputOneLine:
         (["train", "--set", "tau=nan"], "TrainConfig tau=nan must be finite"),
         (["train", "--set", "fixed_alpha=nan"], "TrainConfig fixed_alpha=nan must be finite"),
         (["train", "--set", "checkpoint_every=-1"], "checkpoint_every must be >= 0"),
+        # a NaN fraction used to end in "cannot convert float NaN to integer"
+        (["train", "--split", "0.5,nan,0.5"], "split: all fractions must be positive"),
+        (["evaluate", "--split", "0.25,0.25,nan"], "split: all fractions must be positive"),
     ])
     def test_bad_config_value(self, trained, tmp_path, argv, message):
         dataset_file, ckpt = trained

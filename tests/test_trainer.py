@@ -238,7 +238,7 @@ def _chained_loss(z_j, z_k, y_j, y_k, weights):
     mim, mde, msp = loss_mim(z_j, z_k, weights.tau), loss_mde(y_j, y_k), loss_msp(y_j, y_k)
     total = T.add(mim, T.add(T.scale(mde, weights.alpha), T.scale(msp, weights.beta)))
     return LossBreakdown(mim=mim.item(), mde=mde.item(), msp=msp.item(), total=total.item(),
-                         alpha=weights.alpha, beta=weights.beta, total_node=total)
+                         total_node=total)
 
 
 class TestCombinedLossGraph:
