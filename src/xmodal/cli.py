@@ -313,25 +313,28 @@ COMMANDS = {
 
 
 def build_parser(command=None):
-    """The parser of every command, or with ``command`` the same parser in which only
-    that command's arguments are added (the others keep their name and help line)."""
+    """The parser of every command, or with ``command`` the same parser holding that
+    command's subparser alone (its usage line still names every command)."""
     parser = argparse.ArgumentParser(prog="xmodal",
                                      description="Self-supervised cross-modal retrieval pipeline")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_line, arguments) in COMMANDS.items():
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None if command is None
+                                else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else [command]:
+        func, help_line, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
         p.set_defaults(func=func)
-        for flag, kwargs in arguments if command in (None, name) else ():
+        for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    # no top-level option takes a value, so the command is the first word without a dash
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    parser = build_parser(command if command in COMMANDS else None)
+    # the command's subparser alone serves an argv that opens with the command (--version
+    # prints and exits before it is read); help or any other word first needs every command
+    words = [arg for arg in argv if arg != "--version"]
+    parser = build_parser(words[0] if words and words[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -189,24 +189,29 @@ def write_container(path, magic, header, chunks):
 
 
 def read_container(path, magic):
-    """(header, payload) of a container with this magic, the payload a writable view
-    of the one buffer the file is read into; else a ValueError naming the fault."""
+    """(header, payload) of a container with this magic, the payload a writable uint8
+    view, starting on an 8-byte boundary, of the one buffer the file is read into;
+    else a ValueError naming the fault."""
     with open(path, "rb") as fh:
-        blob = bytearray(os.fstat(fh.fileno()).st_size)
-        del blob[fh.readinto(blob):]
-    if len(blob) < CONTAINER_PREFIX.size or not blob.startswith(magic):
-        raise ValueError(f"does not start with {magic.decode()}")
-    _, version, header_len = CONTAINER_PREFIX.unpack_from(blob)
-    if version != CONTAINER_VERSION:
-        raise ValueError(f"unsupported version {version}")
-    end = CONTAINER_PREFIX.size + header_len
+        prefix = fh.read(CONTAINER_PREFIX.size)
+        if len(prefix) < CONTAINER_PREFIX.size or not prefix.startswith(magic):
+            raise ValueError(f"does not start with {magic.decode()}")
+        _, version, header_len = CONTAINER_PREFIX.unpack(prefix)
+        if version != CONTAINER_VERSION:
+            raise ValueError(f"unsupported version {version}")
+        end, size = CONTAINER_PREFIX.size + header_len, os.fstat(fh.fileno()).st_size
+        # sized by the file alone; a uint64 array starts on an 8-byte boundary, so
+        # file byte i at buffer byte i + (-end % 8) puts the payload on one too
+        blob = np.empty((size + 15) // 8, np.uint64).view(np.uint8)[-end % 8:][:size]
+        fh.seek(0)
+        blob = blob[:fh.readinto(blob)]
     if len(blob) < end:
         raise ValueError("truncated header")
     try:
-        header = json.loads(blob[CONTAINER_PREFIX.size:end].decode("utf-8"))
+        header = json.loads(blob[CONTAINER_PREFIX.size:end].tobytes().decode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"corrupt header: {exc}") from None
-    return header, memoryview(blob)[end:]
+    return header, blob[end:]
 
 
 def save_dataset(ds: TupleDataset, path):
@@ -253,7 +258,7 @@ def _load_columns(path):
         digests = header["text_sha256"], header["payload_sha256"]
         body = np.frombuffer(payload, "<i8")
         n, dim, labels, rows, count = body[:5].tolist()
-        text_digest, chunk = hashlib.sha256(), bytearray(1 << 20)
+        text_digest, chunk = hashlib.sha256(), bytearray(1 << 16)
         with open(path, "rb") as fh:
             while size := fh.readinto(chunk):
                 text_digest.update(memoryview(chunk)[:size])

@@ -89,7 +89,8 @@ class EmbeddingIndex:
 
     def __init__(self, embedding_dim, ids, label_offsets, label_ids, embeddings):
         """``embeddings[m]`` holds modality m's rows, one per id, or None where m is
-        not embedded; each row is stored divided by its norm."""
+        not embedded. Like the ids and labels, a float64 C-contiguous matrix is kept by
+        reference: the index owns it, and divides each row by its norm in place."""
         self.embedding_dim = embedding_dim
         self.num_modalities = len(embeddings)
         self.ids = np.asarray(ids, dtype=np.int64)
@@ -114,7 +115,8 @@ class EmbeddingIndex:
         zero = np.flatnonzero(norms <= NORM_EPS)
         if len(zero):
             raise DegenerateInputError(f"zero-norm embedding for tuple {self.ids[zero[0]]}")
-        return rows / norms[:, None]
+        rows /= norms[:, None]
+        return rows
 
     def size(self, modality):
         return 0 if self._vectors[modality] is None else len(self.ids)
@@ -131,7 +133,6 @@ class MetricsReport:
     order) its tuple id and its F1@K and NDCG@K."""
     src_modality: int
     tgt_modality: int
-    k: int
     mean_f1: float
     mean_ndcg: float
     query_ids: np.ndarray
@@ -145,7 +146,7 @@ class MetricsReport:
 
 def build_index(params, ds, modalities=None) -> EmbeddingIndex:
     """The index of the dataset's ids and labels and of its modalities (all of them by
-    default), each embedded in one call."""
+    default), each embedded in one call and normalised in that call's array."""
     check_dataset(params.config, ds)
     embedded = range(ds.num_modalities) if modalities is None else modalities
     return EmbeddingIndex(params.config.embedding_dim, ds.ids, ds.label_offsets, ds.label_ids,
@@ -371,7 +372,7 @@ def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
         raise ContractError(f"query tuple {ids[np.argmin(filled)]} has no candidate in "
                             f"the index of modality {tgt_modality}")
     f1, ndcg = _score_rows(top, filled, query_split, index)
-    return MetricsReport(src_modality=src_modality, tgt_modality=tgt_modality, k=k,
+    return MetricsReport(src_modality=src_modality, tgt_modality=tgt_modality,
                          mean_f1=float(np.mean(f1)), mean_ndcg=float(np.mean(ndcg)),
                          query_ids=ids, f1=f1, ndcg=ndcg)
 

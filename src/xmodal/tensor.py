@@ -211,10 +211,11 @@ def dot(a, b):
 def dense(x, w, b, activation=None):
     """One layer, ``activation(x @ w + b)``, as a single node.
 
-    ``activation`` is "tanh", "relu" or None. The value and the gradients are
-    the same NumPy operations, in the same order, as a chain of separate
-    matrix-product, bias-add and ``tanh``/``relu`` nodes (the tests' reference),
-    so both are bit-identical to it. The backward forms ``g @ w.T`` only for a
+    ``activation`` is "tanh", "relu" or None. The value and the gradients take
+    each element through the same float operations, in the same order, as a
+    chain of separate matrix-product, bias-add and ``tanh``/``relu`` nodes (the
+    tests' reference), so both are bit-identical to it; the value is formed in
+    the product's own array. The backward forms ``g @ w.T`` only for a
     grad-enabled ``x``.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
@@ -222,13 +223,14 @@ def dense(x, w, b, activation=None):
             or x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]):
         raise ShapeMismatchError(
             f"dense: shapes {x.data.shape}, {w.data.shape} and {b.data.shape}")
-    out = x.data @ w.data + b.data
+    out = x.data @ w.data   # each step below writes into this one array
+    out += b.data
     if activation == "tanh":
-        out = np.tanh(out)
+        np.tanh(out, out=out)
         local = lambda g: g * (1.0 - out * out)
     elif activation == "relu":
         pos = out > 0
-        out = np.where(pos, out, 0.0)
+        out[~pos] = 0.0   # a store, not a product, which would leave -0.0 and NaN
         local = lambda g: g * pos
     elif activation is None:
         local = lambda g: g

@@ -50,12 +50,12 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment accumulators per named parameter, plus step count."""
+    """First/second moment accumulators per named parameter, plus step count; by
+    default zero moments at step 0."""
 
-    def __init__(self, params: ModelParams):
-        self.step = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in params.named_tensors()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.named_tensors()}
+    def __init__(self, params: ModelParams, step=0, m=None, v=None):
+        zeros = lambda: {name: np.zeros_like(t.data) for name, t in params.named_tensors()}
+        self.step, self.m, self.v = step, zeros() if m is None else m, zeros() if v is None else v
 
 
 @dataclass
@@ -262,9 +262,8 @@ def load_checkpoint(path):
         e = manifest[np.searchsorted(ends, np.argmin(finite), side="right")]
         raise CheckpointError(f"{path}: non-finite values in {e['kind']} {e['name']}")
     tables = {"param": {}, "adam_m": {}, "adam_v": {}}
-    for e, v in zip(manifest, np.split(values, ends[:-1])):
-        tables[e["kind"]][e["name"]] = v.reshape(e["shape"]).astype(np.float64)   # aligned copy
+    for e, v in zip(manifest, np.split(values, ends[:-1])):   # aligned, writable views
+        tables[e["kind"]][e["name"]] = v.reshape(e["shape"])
     params = init_params(config, tables["param"].values())
-    adam_state = AdamState(params)
-    adam_state.step, adam_state.m, adam_state.v = step, tables["adam_m"], tables["adam_v"]
+    adam_state = AdamState(params, step, tables["adam_m"], tables["adam_v"])
     return params, adam_state, completed, config

@@ -471,6 +471,17 @@ class TestBadInputOneLine:
         assert err == [f"error: {bad}: truncated header"]
         assert not metrics.exists()
 
+    def test_cut_checkpoint_claiming_a_4_gib_header(self, trained, tmp_path):
+        dataset, ckpt = trained
+        bad, metrics = tmp_path / "bad.ckpt", tmp_path / "m.csv"
+        blob = ckpt.read_bytes()[:200]
+        bad.write_bytes(blob[:10] + struct.pack("<I", 2**32 - 1) + blob[14:])
+        code, err = run_process(["evaluate", "--checkpoint", str(bad), "--dataset",
+                                 str(dataset), "--out", str(metrics)])
+        assert code == 2
+        assert err == [f"error: {bad}: truncated header"]
+        assert not metrics.exists()
+
     # each asks for an array that malloc refuses at once (466 TiB, 6.94 EiB)
     @pytest.mark.parametrize("argv, config", [
         (["train", "--dataset", "{dataset}", "--out-dir", "{out}", "--epochs", "1",
@@ -652,8 +663,8 @@ def _exit(capsys, argv):
 
 
 class TestLeanParser:
-    """main builds the arguments of the invoked command alone, and parses as the
-    parser of every command does."""
+    """main builds the invoked command's subparser alone, and parses and prints as
+    the parser of every command does."""
 
     @pytest.mark.parametrize("command", COMMAND_NAMES)
     def test_command_help_equals_the_full_parser(self, command, capsys, monkeypatch):
@@ -673,14 +684,25 @@ class TestLeanParser:
         assert _exit(capsys, ["--version"]) == (0, f"{xmodal.__version__}\n", "")
 
     @pytest.mark.parametrize("argv, message", [
-        (["nosuch"], "invalid choice: 'nosuch'"),
+        (["nosuch"], "argument command: invalid choice: 'nosuch'"),
         (["retrieve", "--checkpoint", "c.ckpt", "--dataset", "d.txt"],
          "the following arguments are required: --query-id"),
-    ], ids=["unknown command", "missing flag"])
+        ([], "the following arguments are required: command"),
+    ], ids=["unknown command", "missing flag", "no command"])
     def test_usage_error_exits_one(self, capsys, argv, message):
         code, out, err = _exit(capsys, argv)
         assert code == 1 and out == ""
         assert err.startswith("usage: xmodal") and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["-h", "retrieve"], ["--help"], ["retrieve", "-h"], ["--version", "retrieve"],
+        ["retrieve", "--checkpoint", "c", "--dataset", "d", "--query-id", "1", "extra"],
+        ["retrieve", "--bogus", "1", "--checkpoint", "c", "--dataset", "d", "--query-id", "1"],
+        ["nosuch"], [], ["--he", "train"], ["--", "retrieve", "-h"]])
+    def test_output_equals_the_full_parser(self, capsys, monkeypatch, argv):
+        lean = _exit(capsys, argv)
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+        assert lean == _exit(capsys, argv)
 
     @pytest.mark.parametrize("argv, built", [
         (["retrieve", "--help"], "retrieve"), (["--version", "train", "--help"], "train"),

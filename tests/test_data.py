@@ -4,14 +4,15 @@ import hashlib
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from xmodal import data as data_module
 from xmodal.data import (FORMAT_HEADER, SynthConfig, TupleDataset, _load_columns,
-                         batch_iter, generate_synthetic, load_dataset, save_dataset, split,
-                         stack_features)
+                         batch_iter, generate_synthetic, load_dataset, read_container,
+                         save_dataset, split, stack_features, write_container)
 from xmodal.cli import read_kv, typed_config
 from xmodal.errors import ContractError, DatasetFormatError
 
@@ -517,9 +518,16 @@ class TestSidecar:
         os.remove(f"{path}.cols")
         assert with_sidecar == _outcome(path)
 
+    def test_columns_are_aligned_writable_views(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        save_dataset(generate_synthetic(CFG), path)
+        ds = _load_columns(str(path))
+        for column in (ds.ids, *ds.features, ds.label_offsets, ds.label_ids):
+            assert column.flags.aligned and column.flags.writeable   # 8-byte items
+
     def test_text_past_the_first_chunk_is_hashed(self, tmp_path):
-        # the text is hashed 1 MiB at a time through one buffer: a byte changed in the
-        # second chunk or in the last, partial one still rejects the sidecar
+        # the text is hashed 64 KiB at a time through one buffer: a byte changed in a
+        # later chunk or in the last, partial one still rejects the sidecar
         path = tmp_path / "ds.txt"
         save_dataset(generate_synthetic(SynthConfig(num_tuples=1200, input_dim=48, seed=5)),
                      path)
@@ -540,6 +548,30 @@ class TestSidecar:
         assert not os.path.exists(f"{path}.cols")
         with pytest.raises(DatasetFormatError, match=r"^line 1: header field 'labels=2.0'"):
             load_dataset(path)
+
+
+class TestContainer:
+    @pytest.mark.parametrize("pad", range(8))
+    def test_payload_is_an_aligned_writable_view(self, tmp_path, pad):
+        # headers of every length modulo 8
+        path, payload = tmp_path / "c.bin", np.arange(5, dtype="<f8").tobytes()
+        write_container(path, b"XTEST1", {"pad": "x" * pad}, [payload])
+        header, got = read_container(path, b"XTEST1")
+        assert header == {"pad": "x" * pad} and got.tobytes() == payload
+        assert got.flags.writeable and got.__array_interface__["data"][0] % 8 == 0
+
+    def test_buffer_is_sized_by_the_file_not_the_header(self, tmp_path):
+        # 200 bytes whose header length claims 4 GiB
+        path = tmp_path / "c.bin"
+        path.write_bytes(struct.pack("<6sII", b"XTEST1", 1, 2**32 - 1) + bytes(186))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^truncated header$"):
+                read_container(path, b"XTEST1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestDeferredLabels:

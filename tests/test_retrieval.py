@@ -61,6 +61,17 @@ class TestBuildIndex:
             for e in entries(index, m):
                 assert abs(np.linalg.norm(e.embedding) - 1.0) < 1e-12
 
+    def test_float64_rows_are_normalised_in_place_others_copied(self):
+        rows = np.random.default_rng(5).normal(size=(4, 3))
+        expected = (rows / [[np.linalg.norm(row)] for row in rows]).tobytes()
+        assert one_label_index([1, 2, 3, 4], rows)._vectors[0] is rows
+        assert rows.tobytes() == expected
+        single = rows.astype(np.float32)
+        before = single.tobytes()
+        stored = one_label_index([1, 2, 3, 4], single)._vectors[0]
+        assert single.tobytes() == before and stored.dtype == np.float64
+        np.testing.assert_allclose(np.linalg.norm(stored, axis=1), 1.0)
+
     def test_duplicate_id_rejected(self):
         with pytest.raises(ContractError, match="duplicate tuple_id 1"):
             EmbeddingIndex(3, [1, 1], *label_layout([{0}] * 2), [np.ones((2, 3)), None])
@@ -547,7 +558,7 @@ class TestEvaluateCrossModal:
         good = evaluate_cross_modal(params, build_index(params, te), tr, 0, 1, k=4)
         # a direction that UTF-8 cannot encode fails inside write_atomic, after the
         # tmp file is opened
-        bad = MetricsReport("\ud800", 0, 4, 0.5, 0.5, query_ids=np.array([0, 1]),
+        bad = MetricsReport("\ud800", 0, mean_f1=0.5, mean_ndcg=0.5, query_ids=np.array([0, 1]),
                             f1=np.array([0.5, 0.5]), ndcg=np.array([0.5, 0.5]))
         path = tmp_path / "metrics.csv"
         with pytest.raises(ValueError):

@@ -252,17 +252,39 @@ class TestDense:
         return (rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3),
                 rng.normal(size=(5, 3)))
 
+    @staticmethod
+    def special_operands(seed):
+        """Pre-activations that are negative, exactly zero (an all-zero row plus a
+        zero bias) and NaN (a NaN feature)."""
+        x, w, b, g = TestDense.operands(seed)
+        x[1], b[0], x[3, 2] = 0.0, 0.0, np.nan
+        return x, w, b, g
+
+    @staticmethod
+    def encoder_batch(seed):
+        rng = np.random.default_rng(seed)   # the lookup benchmark's 1200 rows, 64 -> 128
+        return (rng.normal(size=(1200, 64)), rng.normal(size=(64, 128)) / 8,
+                rng.normal(size=128), rng.normal(size=(1200, 128)))
+
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_bit_identical_to_primitive_chain(self, activation):
-        x0, w0, b0, g0 = self.operands(20)
-        results = []
-        for layer in (T.dense, _chain):
-            x, w, b = (T.Tensor(a, grad_enabled=True) for a in (x0, w0, b0))
-            out = layer(x, w, b, activation)
-            T.backward(tsum(T.mul(out, T.Tensor(g0))))
-            results.append([out.data, x.grad, w.grad, b.grad])
-        for fused, chained in zip(*results):
-            np.testing.assert_array_equal(fused, chained)
+        # tobytes: assert_array_equal takes -0.0 for 0.0, and a product by the ReLU
+        # mask would leave -0.0 at negative and NaN at NaN pre-activations
+        special = self.special_operands(20)
+        pre = special[0] @ special[1] + special[2]
+        assert (pre < 0).any() and (pre == 0).any() and np.isnan(pre).any()
+        for x0, w0, b0, g0 in (self.operands(20), special, self.encoder_batch(20)):
+            results = []
+            for layer in (T.dense, _chain):
+                x, w, b = (T.Tensor(a, grad_enabled=True) for a in (x0, w0, b0))
+                out = layer(x, w, b, activation)
+                T.backward(tsum(T.mul(out, T.Tensor(g0))))
+                results.append([out.data, x.grad, w.grad, b.grad])
+            for fused, chained in zip(*results):
+                assert fused.dtype == chained.dtype and fused.shape == chained.shape
+                assert fused.tobytes() == chained.tobytes()
+            if activation == "relu":
+                assert not np.signbit(results[0][0]).any()
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("operand", [0, 1, 2])

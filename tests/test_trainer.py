@@ -427,6 +427,18 @@ class TestCheckpoint:
             np.testing.assert_array_equal(state.m[name], lstate.m[name])
             np.testing.assert_array_equal(state.v[name], lstate.v[name])
 
+    def test_loaded_arrays_are_aligned_writable(self, tmp_path):
+        params = init_params(MODEL)
+        path = tmp_path / "ck.ckpt"
+        save_checkpoint(params, AdamState(params), 3, path)
+        loaded, state, _, _ = load_checkpoint(path)
+        arrays = [t.data for _, t in loaded.named_tensors()] + [*state.m.values(),
+                                                                *state.v.values()]
+        assert len(arrays) == 3 * len(loaded.named_tensors())
+        for a in arrays:
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+            assert a.flags.aligned and a.flags.writeable
+
     def test_truncated_file_rejected(self, tmp_path):
         params = init_params(MODEL)
         path = tmp_path / "ck.ckpt"
