@@ -341,7 +341,9 @@ def main(argv=None):
         # argparse uses exit code 2 for usage errors; remap to the documented 1
         raise SystemExit(EXIT_USAGE if exc.code else EXIT_OK) from None
     try:
-        return args.func(args)
+        # overflow and NaN are reported by the checks on what they reach, never as warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (XmodalError, OSError, ArithmeticError, MemoryError) as exc:
         # a bare MemoryError, such as a list's, has no message
         print(f"error: {str(exc) or f'{args.command}: out of memory'}", file=sys.stderr)

@@ -98,27 +98,55 @@ class SynthConfig:
 
 
 def generate_synthetic(config: SynthConfig) -> TupleDataset:
-    """Deterministic latent-factor dataset; a pure function of the config."""
+    """Deterministic latent-factor dataset; a pure function of the config.
+
+    The draw order is the archive's contract: the prototypes, each modality's map,
+    then per tuple its label count (multi_label only), its labels, its latent
+    jitter and each modality's noise (noise_sigma > 0 only). The loop makes only
+    the draws; the arithmetic runs once over whole columns, each element through
+    the float operations of the per-tuple formula."""
     rng = np.random.default_rng(config.seed)
     prototypes = rng.normal(size=(config.num_classes, config.latent_dim))
     # frozen "sensor" maps, one per modality, so modalities genuinely differ
     maps = [rng.normal(size=(config.input_dim, config.latent_dim)) / np.sqrt(config.latent_dim)
             for _ in range(config.num_modalities)]
     lo, hi = config.labels_per_tuple
-    features = [np.empty((config.num_tuples, config.input_dim))
-                for _ in range(config.num_modalities)]
-    labels = []
-    for tid in range(config.num_tuples):
-        k = int(rng.integers(lo, hi + 1)) if config.multi_label else 1
-        labels.append(np.sort(rng.choice(config.num_classes, size=k, replace=False)))
-        latent = prototypes[labels[-1]].sum(axis=0)
-        latent = latent + LATENT_JITTER * rng.normal(size=config.latent_dim)
-        for m in range(config.num_modalities):
-            features[m][tid] = np.tanh(maps[m] @ latent)
-            if config.noise_sigma > 0:
-                features[m][tid] += config.noise_sigma * rng.normal(size=config.input_dim)
-    return TupleDataset(np.arange(config.num_tuples), features, *_label_layout(labels),
-                        config.num_classes)
+    n, latent_dim, dim = config.num_tuples, config.latent_dim, config.input_dim
+    sizes, chosen = [1] * n, []
+    # a tuple's normals, one call: a Generator carries no state between normal draws,
+    # so these are the values of its jitter and noise drawn one call each
+    draws = np.empty((n, latent_dim + (config.num_modalities * dim
+                                       if config.noise_sigma > 0 else 0)))
+    for tid in range(n):
+        if config.multi_label:   # a Python int: choice takes twice as long with a NumPy one
+            sizes[tid] = int(rng.integers(lo, hi + 1))
+        chosen.append(rng.choice(config.num_classes, size=sizes[tid], replace=False))
+        draws[tid] = rng.normal(size=draws.shape[1])
+    counts, offsets = np.array(sizes), np.zeros(n + 1, np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    label_ids, latents = np.concatenate(chosen), np.empty((n, latent_dim))
+    for k in set(sizes):
+        # the tuples of k labels: an (rows, k, latent_dim) sum over axis 1 adds each
+        # tuple's prototype rows as prototypes[labels].sum(axis=0) does, pairwise at
+        # latent_dim 1 too
+        rows = np.flatnonzero(counts == k)
+        at = offsets[rows, None] + np.arange(k)
+        label_ids[at] = np.sort(label_ids[at], axis=1)
+        latents[rows] = prototypes[label_ids[at]].sum(axis=1)
+    # each product in place: the same operation as into a new array, one less array
+    jitter, noise = draws[:, :latent_dim], draws[:, latent_dim:]
+    jitter *= LATENT_JITTER
+    latents += jitter
+    noise *= config.noise_sigma
+    features = []
+    for m in range(config.num_modalities):
+        # one gemv per tuple, as maps[m] @ latent is; a gemm may round otherwise
+        f = np.matmul(maps[m], latents[:, :, None])[:, :, 0]
+        np.tanh(f, out=f)
+        if config.noise_sigma > 0:
+            f += noise[:, m * dim:(m + 1) * dim]
+        features.append(f)
+    return TupleDataset(np.arange(n), features, offsets, label_ids, config.num_classes)
 
 
 def _label_layout(labels):

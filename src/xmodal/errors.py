@@ -38,7 +38,7 @@ class CheckpointError(XmodalError):
 
 
 class TrainingDivergedError(XmodalError):
-    """Training produced a non-finite loss value."""
+    """Training produced a non-finite loss, parameter or Adam moment."""
 
 
 def check_fields(config):

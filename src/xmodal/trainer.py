@@ -150,6 +150,17 @@ def _validation_loss(params, ds_val, train_config):
     return totals / count if count else float("nan")
 
 
+def _check_finite(params, adam_state, epoch):
+    """TrainingDivergedError naming the first tensor, in checkpoint order, that holds
+    a NaN or an infinity: a finite loss does not keep Adam's moments finite."""
+    for kind, table in (("param", {name: t.data for name, t in params.named_tensors()}),
+                        ("adam_m", adam_state.m), ("adam_v", adam_state.v)):
+        for name, values in table.items():
+            if not np.isfinite(values).all():
+                raise TrainingDivergedError(
+                    f"non-finite values in {kind} {name} after epoch {epoch}")
+
+
 def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig,
           out_dir=None, resume_from=None):
     """Full training run; returns the final parameters and the per-epoch report."""
@@ -195,6 +206,7 @@ def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig
         if count == 0:
             raise ContractError("training set yields no batches at this batch size")
         means = sums / count
+        _check_finite(params, adam_state, epoch)
         val_total = _validation_loss(params, ds_val, cfg) if ds_val is not None else float("nan")
         report.epochs.append(EpochStats(
             epoch=epoch, mim=means[0], mde=means[1], msp=means[2], total=means[3],

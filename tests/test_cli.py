@@ -433,6 +433,23 @@ class TestBadInputOneLine:
         assert err == [f"error: {bad}: non-finite values in param encoder.W"]
         assert not metrics.exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        # a finite loss whose squared gradients overflow Adam's second moments: this
+        # used to exit 0 with a RuntimeWarning and write a checkpoint no command loads
+        ("tau=1e-300", "non-finite values in adam_v backbone0.layer0.W after epoch 0"),
+        # this exited 2 after 26 lines of NumPy warnings
+        ("learning_rate=1e300", "non-finite loss at epoch 1, batch 0: nan"),
+    ])
+    def test_training_diverges(self, tmp_path, setting, message):
+        dataset, out = tmp_path / "ds.txt", tmp_path / "run"
+        assert run(["gen-data", "--out", str(dataset), "--seed", "3",
+                    "--set", "num_tuples=60"]) == 0
+        code, err = run_process(["train", "--dataset", str(dataset), "--out-dir", str(out),
+                                 "--epochs", "2", "--set", setting])
+        assert code == 2
+        assert err == [f"error: {message}"]
+        assert not os.path.exists(out) or os.listdir(out) == []
+
     @pytest.mark.parametrize("key, value, message", [
         ("embedding_dim", 0, "dimensions must be positive"),
         ("activation", "gelu", "unknown activation 'gelu'"),

@@ -17,6 +17,7 @@ from xmodal.cli import read_kv, typed_config
 from xmodal.errors import ContractError, DatasetFormatError
 
 from index_rows import label_layout, label_sets, with_labels
+from reference_synth import generate_per_tuple
 
 CFG = SynthConfig(num_classes=5, num_tuples=100, input_dim=12, latent_dim=6,
                   noise_sigma=0.05, seed=3)
@@ -67,6 +68,28 @@ class TestGenerateSynthetic:
         # one row per tuple id in each modality's matrix and in the label offsets
         assert all(len(f) == len(ds.ids) for f in ds.features)
         assert len(ds.label_offsets) == len(ds.ids) + 1
+
+    @pytest.mark.parametrize("multi_label", [False, True])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("num_modalities", [2, 3])
+    @pytest.mark.parametrize("latent_dim", [1, 16])
+    def test_matches_per_tuple_reference(self, multi_label, noise_sigma, num_modalities,
+                                         latent_dim):
+        # up to 12 labels a tuple: at latent_dim 1 a sum of 8 or more prototype rows is
+        # one contiguous reduction, which NumPy adds pairwise, not row by row
+        for seed, labels_per_tuple in [(0, (1, 3)), (1, (1, 12)), (2, (2, 5)), (3, (12, 12))]:
+            cfg = SynthConfig(num_classes=12, num_tuples=60, input_dim=32,
+                              latent_dim=latent_dim, noise_sigma=noise_sigma,
+                              num_modalities=num_modalities, multi_label=multi_label,
+                              labels_per_tuple=labels_per_tuple, seed=seed)
+            ds = generate_synthetic(cfg)
+            ids, features, offsets, label_ids = generate_per_tuple(cfg)
+            assert np.array_equal(ds.ids, ids)
+            assert len(ds.features) == num_modalities
+            # bytes, not values: a -0.0 for a 0.0 would change the archive's text
+            assert all(f.tobytes() == g.tobytes() for f, g in zip(ds.features, features))
+            assert np.array_equal(ds.label_offsets, offsets)
+            assert np.array_equal(ds.label_ids, label_ids)
 
 
 class TestSplit:
