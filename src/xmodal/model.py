@@ -6,6 +6,7 @@ the cross-modal embedding z used for retrieval.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,28 @@ def _param_names(config: ModelConfig):
     return tuple(name for name, _ in param_shapes(config))
 
 
+@functools.cache
+def param_layout(config: ModelConfig):
+    """((name, shape, start, stop), ...): where each tensor lies in a vector that holds
+    them all back to back in ``param_shapes`` order."""
+    layout, start = [], 0
+    for name, shape in param_shapes(config):
+        layout.append((name, shape, start, start + math.prod(shape)))
+        start += math.prod(shape)
+    return tuple(layout)
+
+
+def param_count(config: ModelConfig):
+    """The length of that vector: the number of trainable floats."""
+    return param_layout(config)[-1][3]
+
+
+def param_views(config: ModelConfig, flat):
+    """{name: array} of every tensor, each a reshaped view of ``flat``."""
+    return {name: flat[start:stop].reshape(shape)
+            for name, shape, start, stop in param_layout(config)}
+
+
 def check_dataset(config: ModelConfig, ds):
     """ContractError unless the dataset has the model's modality count and input dimension."""
     if ds.num_modalities != config.num_modalities:
@@ -64,11 +87,16 @@ def check_dataset(config: ModelConfig, ds):
 
 @dataclass
 class ModelParams:
-    """All trainable tensors: one weight/bias list per backbone, one encoder pair."""
+    """All trainable tensors: one weight/bias list per backbone, one encoder pair.
+
+    Each tensor's array is a view of ``flat``, the one float64 vector of every
+    parameter in ``param_shapes`` order; an update written into ``flat`` is
+    the update of every tensor."""
 
     config: ModelConfig
     backbones: list = field(default_factory=list)  # per modality: [(W, b), ...]
     encoder: tuple = None                          # (W, b)
+    flat: np.ndarray = None
 
     def named_tensors(self):
         tensors = [t for layers in (*self.backbones, [self.encoder]) for pair in layers
@@ -76,9 +104,8 @@ class ModelParams:
         return list(zip(_param_names(self.config), tensors, strict=True))
 
     def constants(self):
-        """The same arrays as constant Tensors: a forward pass over them records no graph."""
-        return init_params(self.config, [t.data for _, t in self.named_tensors()],
-                           grad_enabled=False)
+        """The same vector as constant Tensors: a forward pass over them records no graph."""
+        return init_params(self.config, self.flat, grad_enabled=False)
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -86,21 +113,27 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-s, s, size=(fan_in, fan_out))
 
 
-def init_params(config: ModelConfig, arrays=None, grad_enabled=True) -> ModelParams:
-    """The model's tensors over ``arrays``, given in ``param_shapes(config)`` order;
-    by default Glorot-uniform weights and zero biases, deterministic in config.seed.
+def init_params(config: ModelConfig, flat=None, grad_enabled=True) -> ModelParams:
+    """The model's tensors as views of ``flat``, a float64 vector of ``param_count(config)``
+    values in ``param_shapes(config)`` order; by default a new vector of Glorot-uniform
+    weights and zero biases, deterministic in config.seed.
 
     With ``grad_enabled=False`` the tensors are constants: a forward pass over
     them records no graph."""
-    if arrays is None:
+    fresh = flat is None
+    if fresh:
+        flat = np.zeros(param_count(config))
+    arrays = param_views(config, flat).values()
+    if fresh:
         rng = np.random.default_rng(config.seed)
-        arrays = [_glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
-                  for _, shape in param_shapes(config)]
+        for a in arrays:
+            if a.ndim == 2:
+                a[...] = _glorot(rng, *a.shape)
     tensors = [T.Tensor(a, grad_enabled=grad_enabled) for a in arrays]
     pairs = list(zip(tensors[0::2], tensors[1::2]))   # (W, b) of each layer
     depth = len(config.backbone_hidden_dims) + 1
     return ModelParams(config, [pairs[i:i + depth] for i in range(0, len(pairs) - 1, depth)],
-                       pairs[-1])
+                       pairs[-1], flat)
 
 
 def forward_backbone(params: ModelParams, modality: int, x) -> T.Tensor:

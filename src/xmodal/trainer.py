@@ -5,7 +5,7 @@ Batch order is keyed by (seed, epoch), so resuming from a checkpoint
 reproduces the uninterrupted run bit-exactly.
 """
 
-import math
+import contextlib
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -16,9 +16,10 @@ from .data import batch_iter, read_container, stack_features, write_atomic, writ
 from .errors import CheckpointError, ContractError, TrainingDivergedError, check_fields
 from .losses import LossBreakdown, LossWeights, combined_loss, schedule_weight
 from .model import (ModelConfig, ModelParams, check_dataset, forward_backbone, forward_encoder,
-                    init_params, param_shapes)
+                    init_params, param_count, param_layout, param_shapes, param_views)
 
 CHECKPOINT_MAGIC = b"XMSSL1"
+KINDS = ("param", "adam_m", "adam_v")   # the checkpoint's roles, in payload order
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,27 @@ class TrainConfig:
                 raise ContractError(f"{name} must be in (0, 1]")
 
 
+class _Views(dict):
+    """{name: view} of one role's vector; assigning to an entry writes into its view."""
+
+    def __setitem__(self, name, values):
+        self[name][...] = values
+
+
 class AdamState:
-    """First/second moment accumulators per named parameter, plus step count; by
-    default zero moments at step 0."""
+    """Adam's first and second moments, plus the step count; by default zero moments at
+    step 0. Each moment vector (``m_flat``, ``v_flat``; the ``m`` and ``v`` arguments)
+    holds every tensor's moments in ``param_shapes`` order, and ``m[name]`` /
+    ``v[name]`` are views of it."""
 
     def __init__(self, params: ModelParams, step=0, m=None, v=None):
-        zeros = lambda: {name: np.zeros_like(t.data) for name, t in params.named_tensors()}
-        self.step, self.m, self.v = step, zeros() if m is None else m, zeros() if v is None else v
+        n = params.flat.size
+        self.step = step
+        self.m_flat = np.zeros(n) if m is None else m
+        self.v_flat = np.zeros(n) if v is None else v
+        self.m, self.v = (_Views(param_views(params.config, flat))
+                          for flat in (self.m_flat, self.v_flat))
+        self.scratch = None   # adam_step's two work vectors, made by its first call
 
 
 @dataclass
@@ -83,35 +98,42 @@ class TrainReport:
 
 def adam_step(params: ModelParams, grads, state: AdamState,
               lr, b1=0.9, b2=0.999, eps=1e-8):
-    """Bias-corrected Adam update, written in place into each parameter's array and
-    its moment arrays; ``grads`` is only read.
+    """Bias-corrected Adam update, written in place into the parameter vector and the
+    moment vectors in one pass over each; ``grads`` is only read.
 
     Each element goes through the same float operations, in the same order, as
     m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
     data = data - lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps),
     so the result is bit-identical to that formula.
     """
+    pieces = []
+    for name, tensor in params.named_tensors():
+        grad = grads[name]
+        if grad.shape != tensor.data.shape:
+            raise ContractError(f"adam_step: gradient shape mismatch for {name}")
+        pieces.append(grad.ravel())
+    if state.scratch is None:   # kept across steps: fresh vectors would be re-faulted each time
+        state.scratch = np.empty((2, params.flat.size))
+    g, scratch = state.scratch
+    np.concatenate(pieces, out=g)
     state.step += 1
     t = state.step
     c1, c2 = 1 - b1 ** t, 1 - b2 ** t
-    for name, tensor in params.named_tensors():
-        g, m, v = grads[name], state.m[name], state.v[name]
-        if g.shape != tensor.data.shape:
-            raise ContractError(f"adam_step: gradient shape mismatch for {name}")
-        scratch = np.multiply(g, 1 - b1)
-        m *= b1
-        m += scratch
-        np.multiply(g, 1 - b2, out=scratch)
-        scratch *= g
-        v *= b2
-        v += scratch
-        np.divide(v, c2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += eps                      # the denominator
-        step = np.divide(m, c1)
-        step *= lr
-        step /= scratch
-        tensor.data -= step
+    m, v = state.m_flat, state.v_flat
+    np.multiply(g, 1 - b1, out=scratch)
+    m *= b1
+    m += scratch
+    np.multiply(g, 1 - b2, out=scratch)
+    scratch *= g
+    v *= b2
+    v += scratch
+    np.divide(v, c2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += eps                      # the denominator
+    step = np.divide(m, c1, out=g)      # g is read for the last time above
+    step *= lr
+    step /= scratch
+    params.flat -= step
     return params, state
 
 
@@ -150,15 +172,40 @@ def _validation_loss(params, ds_val, train_config):
     return totals / count if count else float("nan")
 
 
-def _check_finite(params, adam_state, epoch):
-    """TrainingDivergedError naming the first tensor, in checkpoint order, that holds
-    a NaN or an infinity: a finite loss does not keep Adam's moments finite."""
-    for kind, table in (("param", {name: t.data for name, t in params.named_tensors()}),
-                        ("adam_m", adam_state.m), ("adam_v", adam_state.v)):
-        for name, values in table.items():
-            if not np.isfinite(values).all():
-                raise TrainingDivergedError(
-                    f"non-finite values in {kind} {name} after epoch {epoch}")
+def _vectors(params: ModelParams, adam_state: AdamState):
+    """The training state's three vectors, in checkpoint order."""
+    return params.flat, adam_state.m_flat, adam_state.v_flat
+
+
+def _nonfinite_tensor(config: ModelConfig, vectors):
+    """'<kind> <name>' of the first tensor, in checkpoint order, that holds a NaN or an
+    infinity, found by its offset in ``vectors`` (the parameter, adam_m and adam_v
+    vectors); None if every value is finite."""
+    for kind, values in zip(KINDS, vectors):
+        finite = np.isfinite(values)
+        if not finite.all():
+            at = np.argmin(finite)   # the first bad value
+            return f"{kind} {next(name for name, *_, stop in param_layout(config) if at < stop)}"
+    return None
+
+
+@contextlib.contextmanager
+def _out_dir(path):
+    """Creates directory ``path`` and its missing parents; if the body raises, removes
+    again those of them that it left empty, innermost first."""
+    made, head = [], os.path.abspath(path)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for directory in made:
+            if os.listdir(directory):
+                break
+            os.rmdir(directory)
+        raise
 
 
 def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig,
@@ -180,42 +227,45 @@ def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig
         params = init_params(model_config)
         adam_state = AdamState(params)
 
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    report = TrainReport()
-    cfg = train_config
-    for epoch in range(start_epoch, cfg.epochs):
-        alpha = cfg.fixed_alpha if cfg.fixed_alpha is not None else \
-            schedule_weight(epoch, cfg.epochs, cfg.alpha0)
-        beta = cfg.fixed_beta if cfg.fixed_beta is not None else \
-            schedule_weight(epoch, cfg.epochs, cfg.beta0)
-        weights = LossWeights(alpha=alpha, beta=beta, tau=cfg.tau)
-        sums = np.zeros(4)
-        count = 0
-        for bi, rows in enumerate(batch_iter(ds_train, cfg.batch_size, cfg.seed, epoch)):
-            breakdown = _batch_loss(params, ds_train, rows, weights)
-            if not np.isfinite(breakdown.total):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {bi}: {breakdown.total}")
-            if cfg.learning_rate > 0:
-                T.backward(breakdown.total_node)
-                adam_step(params, {name: t.grad for name, t in params.named_tensors()},
-                          adam_state, cfg.learning_rate)
-            sums += (breakdown.mim, breakdown.mde, breakdown.msp, breakdown.total)
-            count += 1
-        if count == 0:
-            raise ContractError("training set yields no batches at this batch size")
-        means = sums / count
-        _check_finite(params, adam_state, epoch)
-        val_total = _validation_loss(params, ds_val, cfg) if ds_val is not None else float("nan")
-        report.epochs.append(EpochStats(
-            epoch=epoch, mim=means[0], mde=means[1], msp=means[2], total=means[3],
-            alpha=alpha, beta=beta, val_total=val_total))
-        if out_dir is not None:
-            periodic = cfg.checkpoint_every > 0 and (epoch + 1) % cfg.checkpoint_every == 0
-            if periodic or epoch == cfg.epochs - 1:
-                save_checkpoint(params, adam_state, epoch,
-                                os.path.join(out_dir, f"checkpoint_epoch{epoch}.ckpt"))
+    # a run that fails removes the directories it made and left empty
+    with _out_dir(out_dir) if out_dir is not None else contextlib.nullcontext():
+        report = TrainReport()
+        cfg = train_config
+        for epoch in range(start_epoch, cfg.epochs):
+            alpha = cfg.fixed_alpha if cfg.fixed_alpha is not None else \
+                schedule_weight(epoch, cfg.epochs, cfg.alpha0)
+            beta = cfg.fixed_beta if cfg.fixed_beta is not None else \
+                schedule_weight(epoch, cfg.epochs, cfg.beta0)
+            weights = LossWeights(alpha=alpha, beta=beta, tau=cfg.tau)
+            sums = np.zeros(4)
+            count = 0
+            for bi, rows in enumerate(batch_iter(ds_train, cfg.batch_size, cfg.seed, epoch)):
+                breakdown = _batch_loss(params, ds_train, rows, weights)
+                if not np.isfinite(breakdown.total):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}, batch {bi}: {breakdown.total}")
+                if cfg.learning_rate > 0:
+                    T.backward(breakdown.total_node)
+                    adam_step(params, {name: t.grad for name, t in params.named_tensors()},
+                              adam_state, cfg.learning_rate)
+                sums += (breakdown.mim, breakdown.mde, breakdown.msp, breakdown.total)
+                count += 1
+            if count == 0:
+                raise ContractError("training set yields no batches at this batch size")
+            means = sums / count
+            bad = _nonfinite_tensor(params.config, _vectors(params, adam_state))
+            if bad:
+                raise TrainingDivergedError(f"non-finite values in {bad} after epoch {epoch}")
+            val_total = (_validation_loss(params, ds_val, cfg) if ds_val is not None
+                         else float("nan"))
+            report.epochs.append(EpochStats(
+                epoch=epoch, mim=means[0], mde=means[1], msp=means[2], total=means[3],
+                alpha=alpha, beta=beta, val_total=val_total))
+            if out_dir is not None:
+                periodic = cfg.checkpoint_every > 0 and (epoch + 1) % cfg.checkpoint_every == 0
+                if periodic or epoch == cfg.epochs - 1:
+                    save_checkpoint(params, adam_state, epoch,
+                                    os.path.join(out_dir, f"checkpoint_epoch{epoch}.ckpt"))
     return params, report
 
 
@@ -227,17 +277,15 @@ def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig
 def _manifest(config: ModelConfig):
     """The parameters, then Adam's first moments, then its second moments."""
     return [{"name": name, "kind": kind, "shape": list(shape)}
-            for kind in ("param", "adam_m", "adam_v") for name, shape in param_shapes(config)]
+            for kind in KINDS for name, shape in param_shapes(config)]
 
 
 def save_checkpoint(params: ModelParams, adam_state: AdamState, epoch, path):
-    tables = {"param": {name: t.data for name, t in params.named_tensors()},
-              "adam_m": adam_state.m, "adam_v": adam_state.v}
-    manifest = _manifest(params.config)
+    """The payload is the parameter, adam_m and adam_v vectors, written as they are."""
     write_container(path, CHECKPOINT_MAGIC,
                     {"model_config": asdict(params.config), "epoch": int(epoch),
-                     "adam_step": int(adam_state.step), "tensors": manifest},
-                    (np.asarray(tables[e["kind"]][e["name"]], "<f8").tobytes() for e in manifest))
+                     "adam_step": int(adam_state.step), "tensors": _manifest(params.config)},
+                    (np.ascontiguousarray(f, "<f8") for f in _vectors(params, adam_state)))
 
 
 def load_checkpoint(path):
@@ -246,7 +294,8 @@ def load_checkpoint(path):
     The header must list exactly the tensors ``save_checkpoint`` writes for its
     model_config, in its order, and the payload must hold exactly their bytes;
     both are checked against ``param_shapes`` before any array is allocated.
-    Every value must be finite.
+    Every value must be finite. The parameter and moment vectors are views of the
+    buffer the file was read into.
     """
     try:
         header, payload = read_container(path, CHECKPOINT_MAGIC)
@@ -264,18 +313,13 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: epoch {completed} and adam_step {step} must be >= 0")
     if manifest != _manifest(config):
         raise CheckpointError(f"{path}: tensor manifest does not match its model_config")
-    sizes = [math.prod(e["shape"]) for e in manifest]
-    if len(payload) != 8 * sum(sizes):
-        problem = "truncated tensor data" if len(payload) < 8 * sum(sizes) else "trailing bytes"
+    n = param_count(config)
+    if len(payload) != 8 * 3 * n:
+        problem = "truncated tensor data" if len(payload) < 8 * 3 * n else "trailing bytes"
         raise CheckpointError(f"{path}: {problem}")
-    values, ends = np.frombuffer(payload, "<f8"), np.cumsum(sizes)
-    finite = np.isfinite(values)
-    if not finite.all():   # name the tensor holding the first bad value
-        e = manifest[np.searchsorted(ends, np.argmin(finite), side="right")]
-        raise CheckpointError(f"{path}: non-finite values in {e['kind']} {e['name']}")
-    tables = {"param": {}, "adam_m": {}, "adam_v": {}}
-    for e, v in zip(manifest, np.split(values, ends[:-1])):   # aligned, writable views
-        tables[e["kind"]][e["name"]] = v.reshape(e["shape"])
-    params = init_params(config, tables["param"].values())
-    adam_state = AdamState(params, step, tables["adam_m"], tables["adam_v"])
-    return params, adam_state, completed, config
+    vectors = np.frombuffer(payload, "<f8").reshape(3, n)   # aligned, writable views
+    bad = _nonfinite_tensor(config, vectors)
+    if bad:
+        raise CheckpointError(f"{path}: non-finite values in {bad}")
+    params = init_params(config, vectors[0])
+    return params, AdamState(params, step, vectors[1], vectors[2]), completed, config

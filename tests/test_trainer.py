@@ -1,6 +1,7 @@
 """Adam updates, the training loop, checkpoints and resume-exactness."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -11,10 +12,13 @@ from xmodal.data import SynthConfig, batch_iter, generate_synthetic, split, stac
 from xmodal.errors import CheckpointError, ContractError, TrainingDivergedError
 from xmodal.losses import (LossBreakdown, LossWeights, combined_loss, loss_mde, loss_mim,
                            loss_msp)
-from xmodal.model import ModelConfig, forward_backbone, forward_encoder, init_params
+from xmodal.model import (ModelConfig, forward_backbone, forward_encoder, init_params,
+                          param_layout)
 from xmodal.trainer import (CHECKPOINT_MAGIC, AdamState, TrainConfig, _batch_loss,
                             _validation_loss, adam_step, load_checkpoint, save_checkpoint,
                             train)
+
+import reference_ops
 
 MODEL = ModelConfig(input_dim=12, backbone_hidden_dims=(8,), feature_dim=6,
                     embedding_dim=6, seed=0)
@@ -25,6 +29,42 @@ def datasets():
     ds = generate_synthetic(SynthConfig(num_classes=4, num_tuples=60, input_dim=12,
                                         latent_dim=6, noise_sigma=0.05, seed=0))
     return split(ds, (0.52, 0.24, 0.24), seed=0)
+
+
+# the default model, a two-layer ReLU backbone and three modalities
+STATE_CONFIGS = {"default": ModelConfig(),
+                 "relu_48_40": ModelConfig(activation="relu", backbone_hidden_dims=(48, 40)),
+                 "three_modalities": ModelConfig(num_modalities=3)}
+
+
+def random_grads(params, rng):
+    return {name: rng.normal(scale=rng.uniform(1e-3, 10.0), size=t.data.shape)
+            for name, t in params.named_tensors()}
+
+
+def stepped_checkpoint(config, path, steps=3):
+    """A checkpoint of ``config`` after a few Adam steps, so its moments are not zero."""
+    params = init_params(config)
+    state, rng = AdamState(params), np.random.default_rng(30)
+    for _ in range(steps):
+        adam_step(params, random_grads(params, rng), state, 1e-3)
+    save_checkpoint(params, state, 0, path)
+    return params, state
+
+
+def assert_views_of_vectors(params, state=None):
+    """Every tensor's array, and every moment, is its own slice of its role's vector."""
+    roles = [(params.flat, {name: t.data for name, t in params.named_tensors()})]
+    if state is not None:
+        roles += [(state.m_flat, state.m), (state.v_flat, state.v)]
+    for flat, arrays in roles:
+        assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
+        for name, shape, start, stop in param_layout(params.config):
+            a = arrays[name]
+            assert np.shares_memory(a, flat)
+            assert a.shape == shape and a.flags.c_contiguous
+            assert a.ctypes.data == flat.ctypes.data + 8 * start
+        assert flat.size == stop
 
 
 def params_equal(p1, p2):
@@ -127,6 +167,39 @@ class TestAdamStep:
             np.testing.assert_array_equal(state.m[name], ref_state.m[name])
             np.testing.assert_array_equal(state.v[name], ref_state.v[name])
 
+    @pytest.mark.parametrize("config", STATE_CONFIGS)
+    @pytest.mark.parametrize("source", ["init", "checkpoint"])
+    def test_bit_identical_to_per_tensor_step(self, config, source, tmp_path):
+        config = STATE_CONFIGS[config]
+        if source == "init":
+            sides = [(p, AdamState(p)) for p in (init_params(config), init_params(config))]
+        else:
+            stepped_checkpoint(config, tmp_path / "ck.ckpt")
+            sides = [load_checkpoint(tmp_path / "ck.ckpt")[:2] for _ in range(2)]
+        (params, state), (ref, ref_state) = sides
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            grads = random_grads(params, rng)
+            adam_step(params, grads, state, 1e-3)
+            reference_ops.adam_step(ref, grads, ref_state, 1e-3)
+        assert state.step == ref_state.step
+        for (name, t), (_, r) in zip(params.named_tensors(), ref.named_tensors()):
+            assert t.data.tobytes() == r.data.tobytes()
+            assert state.m[name].tobytes() == ref_state.m[name].tobytes()
+            assert state.v[name].tobytes() == ref_state.v[name].tobytes()
+        assert_views_of_vectors(params, state)
+
+    def test_rejected_gradient_changes_nothing(self):
+        params = init_params(MODEL)
+        state = AdamState(params)
+        grads = {name: np.ones(t.data.shape) for name, t in params.named_tensors()}
+        grads["encoder.b"] = np.ones(3)
+        before = params.flat.copy()
+        with pytest.raises(ContractError, match="encoder.b"):
+            adam_step(params, grads, state, lr=1e-3)
+        assert state.step == 0 and np.array_equal(params.flat, before)
+        assert not state.m_flat.any() and not state.v_flat.any()
+
 
 class TestTrain:
     def test_zero_lr_leaves_params_unchanged(self, datasets):
@@ -181,6 +254,33 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match="epoch"):
             with np.errstate(all="ignore"):
                 train(tr, va, relu, cfg)
+
+    def test_failed_run_removes_only_the_directories_it_made(self, datasets, tmp_path):
+        tr, va, _ = datasets
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for out_dir in (kept / "a" / "b", kept):
+            with pytest.raises(TrainingDivergedError), np.errstate(all="ignore"):
+                train(tr, va, MODEL, TrainConfig(epochs=2, tau=1e-300), out_dir=str(out_dir))
+            assert kept.is_dir() and os.listdir(kept) == []
+
+    def test_failed_run_keeps_its_periodic_checkpoints(self, datasets, tmp_path, monkeypatch):
+        tr, va, _ = datasets
+        calls = []
+
+        def interrupted_after_epoch_0(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return _validation_loss(*args)
+
+        monkeypatch.setattr("xmodal.trainer._validation_loss", interrupted_after_epoch_0)
+        out = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            train(tr, va, MODEL, TrainConfig(epochs=3, batch_size=8, checkpoint_every=1),
+                  out_dir=str(out))
+        assert os.listdir(out) == ["checkpoint_epoch0.ckpt"]
+        load_checkpoint(out / "checkpoint_epoch0.ckpt")
 
     def test_dataset_model_mismatch(self, datasets):
         tr, va, _ = datasets
@@ -466,6 +566,51 @@ class TestCheckpoint:
                                   resume_from=str(ckpt))
         assert [e.epoch for e in report.epochs] == [3, 4, 5]
         assert params_equal(p_full, p_resumed)
+
+    @pytest.mark.parametrize("config", STATE_CONFIGS)
+    def test_bytes_equal_per_tensor_writer(self, config, tmp_path):
+        params, state = stepped_checkpoint(STATE_CONFIGS[config], tmp_path / "ck.ckpt")
+        reference_ops.save_checkpoint(params, state, 0, tmp_path / "ref.ckpt")
+        assert (tmp_path / "ck.ckpt").read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("config", STATE_CONFIGS)
+    def test_state_is_views_of_one_vector_per_role(self, config, tmp_path):
+        config = STATE_CONFIGS[config]
+        params, state = stepped_checkpoint(config, tmp_path / "ck.ckpt")
+        assert_views_of_vectors(params, state)
+        fresh = init_params(config)
+        assert_views_of_vectors(fresh, AdamState(fresh))
+        constants = params.constants()
+        assert constants.flat is params.flat
+        assert_views_of_vectors(constants)
+        loaded, lstate, _, _ = load_checkpoint(tmp_path / "ck.ckpt")
+        assert_views_of_vectors(loaded, lstate)
+        assert_views_of_vectors(loaded.constants())
+
+    def test_resumed_run_trains_in_the_loaded_vectors(self, datasets, tmp_path, monkeypatch):
+        tr, va, _ = datasets
+        cfg = TrainConfig(epochs=3, batch_size=8, checkpoint_every=1)
+        train(tr, va, MODEL, cfg, out_dir=str(tmp_path / "full"))
+        saved = []
+
+        def recording_save(params, state, epoch, path):
+            assert_views_of_vectors(params, state)
+            saved.append((params.flat, state.m_flat, state.v_flat))
+            save_checkpoint(params, state, epoch, path)
+
+        monkeypatch.setattr("xmodal.trainer.save_checkpoint", recording_save)
+        params, _ = train(tr, va, MODEL, cfg, out_dir=str(tmp_path / "resumed"),
+                          resume_from=str(tmp_path / "full" / "checkpoint_epoch0.ckpt"))
+        assert len(saved) == 2 and saved[0][0] is saved[1][0] is params.flat
+        assert_views_of_vectors(params)
+        # the three vectors lie back to back, as in the buffer the checkpoint was read into
+        flat, m, v = saved[0]
+        assert m.ctypes.data == flat.ctypes.data + flat.nbytes
+        assert v.ctypes.data == m.ctypes.data + m.nbytes
+        for epoch in (1, 2):
+            name = f"checkpoint_epoch{epoch}.ckpt"
+            assert ((tmp_path / "resumed" / name).read_bytes()
+                    == (tmp_path / "full" / name).read_bytes())
 
     def test_resume_config_mismatch_rejected(self, datasets, tmp_path):
         params = init_params(MODEL)
