@@ -29,23 +29,27 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 # Errors of usage, config or input files exit 1. Every other package error
-# (checkpoint, degenerate input, divergence, domain) and arithmetic failures exit 2.
+# (checkpoint, degenerate input, divergence) and arithmetic failures exit 2.
 USAGE_ERRORS = (ContractError, DatasetFormatError, ShapeMismatchError, OSError)
 
 
 def read_kv(path, sets):
     """{key: value text} of a key=value file, then of the --set items over it.
 
-    In the file, blank lines and lines starting with '#' are skipped. Keys
-    and values are stripped of surrounding whitespace.
+    In the file, which must be UTF-8, blank lines and lines starting with '#' are
+    skipped. Keys and values are stripped of surrounding whitespace.
     """
     items = []
     if path:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if line and not line.startswith("#"):
-                    items.append((line, f"{path}:{lineno}: expected key=value"))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for lineno, raw in enumerate(fh, 1):
+                    line = raw.strip()
+                    if line and not line.startswith("#"):
+                        items.append((line, f"{path}:{lineno}: expected key=value"))
+        except UnicodeDecodeError:
+            # the undecodable text itself is not shown: stderr may not encode it
+            raise ContractError(f"{path}: not UTF-8 text") from None
     items += [(item, "--set expects key=value") for item in sets or []]
     values = {}
     for item, problem in items:
@@ -233,8 +237,8 @@ def cmd_retrieve(args):
     # the target modality alone is indexed, once the modality count and input dim are checked
     index = build_index(params, ds, modalities=[args.tgt])
     q = embed(params, args.src, ds.features[args.src][row]).data[0]
-    result = retrieve(index, q, args.tgt, args.k, exclude_tuple_id=args.query_id)
-    for rank, (tid, score) in enumerate(result.items, 1):
+    items = retrieve(index, q, args.tgt, args.k, exclude_tuple_id=args.query_id)
+    for rank, (tid, score) in enumerate(items, 1):
         print(f"{args.query_id},{rank},{tid},{score:.17g}")
     return EXIT_OK
 

@@ -11,10 +11,6 @@ class ShapeMismatchError(XmodalError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class DomainError(XmodalError):
-    """Input lies outside the mathematical domain of the operation."""
-
-
 class DegenerateInputError(XmodalError):
     """A vector with (near-)zero norm was passed where a direction is required."""
 

@@ -39,30 +39,20 @@ class ModelConfig:
                            tuple(int(d) for d in self.backbone_hidden_dims))
 
 
-def param_shapes(config: ModelConfig):
-    """[(name, shape), ...] of every trainable tensor, in the one order used to
-    build, list and save them: each backbone's layers (W, then b), then the encoder's."""
+@functools.cache
+def param_layout(config: ModelConfig):
+    """((name, shape, start, stop), ...) of every trainable tensor, in the one order used
+    to build, list and save them: each backbone's layers (W, then b), then the encoder's.
+    ``flat[start:stop]`` holds the tensor in a vector that holds them all back to back."""
     dims = [config.input_dim, *config.backbone_hidden_dims, config.feature_dim]
     layers = [(f"backbone{j}.layer{li}.", fan_in, fan_out) for j in range(config.num_modalities)
               for li, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]))]
     layers.append(("encoder.", config.feature_dim, config.embedding_dim))
-    return [entry for prefix, fan_in, fan_out in layers
-            for entry in ((prefix + "W", (fan_in, fan_out)), (prefix + "b", (fan_out,)))]
-
-
-@functools.cache
-def _param_names(config: ModelConfig):
-    return tuple(name for name, _ in param_shapes(config))
-
-
-@functools.cache
-def param_layout(config: ModelConfig):
-    """((name, shape, start, stop), ...): where each tensor lies in a vector that holds
-    them all back to back in ``param_shapes`` order."""
     layout, start = [], 0
-    for name, shape in param_shapes(config):
-        layout.append((name, shape, start, start + math.prod(shape)))
-        start += math.prod(shape)
+    for prefix, fan_in, fan_out in layers:
+        for name, shape in ((prefix + "W", (fan_in, fan_out)), (prefix + "b", (fan_out,))):
+            layout.append((name, shape, start, start + math.prod(shape)))
+            start += math.prod(shape)
     return tuple(layout)
 
 
@@ -90,7 +80,7 @@ class ModelParams:
     """All trainable tensors: one weight/bias list per backbone, one encoder pair.
 
     Each tensor's array is a view of ``flat``, the one float64 vector of every
-    parameter in ``param_shapes`` order; an update written into ``flat`` is
+    parameter in ``param_layout`` order; an update written into ``flat`` is
     the update of every tensor."""
 
     config: ModelConfig
@@ -101,7 +91,8 @@ class ModelParams:
     def named_tensors(self):
         tensors = [t for layers in (*self.backbones, [self.encoder]) for pair in layers
                    for t in pair]
-        return list(zip(_param_names(self.config), tensors, strict=True))
+        return [(name, t) for (name, _, _, _), t in
+                zip(param_layout(self.config), tensors, strict=True)]
 
     def constants(self):
         """The same vector as constant Tensors: a forward pass over them records no graph."""
@@ -115,7 +106,7 @@ def _glorot(rng, fan_in, fan_out):
 
 def init_params(config: ModelConfig, flat=None, grad_enabled=True) -> ModelParams:
     """The model's tensors as views of ``flat``, a float64 vector of ``param_count(config)``
-    values in ``param_shapes(config)`` order; by default a new vector of Glorot-uniform
+    values in ``param_layout(config)`` order; by default a new vector of Glorot-uniform
     weights and zero biases, deterministic in config.seed.
 
     With ``grad_enabled=False`` the tensors are constants: a forward pass over

@@ -59,7 +59,8 @@ near-tie. Sorting a single query's whole row of a 1200-row index costs a
 Pair-level F1 is the Dice overlap of label sets; NDCG gain is the Jaccard
 overlap. ``evaluate_cross_modal`` scores a block of queries at once from bool
 label-membership matrices, with the float64 operations, in the same order,
-of the per-item ``pair_f1``, ``jaccard`` and ``ndcg_at_k`` (the tests' reference).
+of the per-item metrics that the tests keep as its reference, in
+``tests/reference_metrics.py``.
 A query left fewer than k candidates averages F1 over them; its places past
 them have gain 0, which leaves both NDCG sums unchanged.
 """
@@ -120,11 +121,6 @@ class EmbeddingIndex:
 
     def size(self, modality):
         return 0 if self._vectors[modality] is None else len(self.ids)
-
-
-@dataclass
-class RankedResult:
-    items: list            # [(tuple_id, score), ...] scores non-increasing
 
 
 @dataclass
@@ -255,46 +251,15 @@ def _top_k(index, unit_queries, target, k, exclude_ids):
 
 
 def retrieve(index: EmbeddingIndex, query_embedding, target_modality, k,
-             exclude_tuple_id=None) -> RankedResult:
-    """Exact top-k by cosine score; ties ordered by ascending tuple_id."""
+             exclude_tuple_id=None):
+    """Exact top-k by cosine score, as [(tuple_id, score), ...]: scores non-increasing,
+    ties ordered by ascending tuple_id."""
     query = np.asarray(query_embedding, dtype=np.float64)[None]
     positions, scores, filled = _top_k(
         index, _unit_queries(query, index.embedding_dim), target_modality, k,
         None if exclude_tuple_id is None else [exclude_tuple_id])
     n = filled[0]
-    return RankedResult(items=list(zip(index.ids[positions[0, :n]].tolist(),
-                                       scores[0, :n].tolist())))
-
-
-def pair_f1(query_labels, item_labels):
-    """Dice overlap of two label sets: 2|A & B| / (|A| + |B|)."""
-    query_labels = frozenset(query_labels)
-    if not query_labels:
-        raise ContractError("pair_f1: empty query label set")
-    item_labels = frozenset(item_labels)
-    if not item_labels:
-        return 0.0
-    return 2.0 * len(query_labels & item_labels) / (len(query_labels) + len(item_labels))
-
-
-def jaccard(a, b):
-    a, b = frozenset(a), frozenset(b)
-    union = a | b
-    return len(a & b) / len(union) if union else 0.0
-
-
-def ndcg_at_k(relevances, k):
-    """DCG over the first k positions, normalized by the ideal ordering; 0 if all zero."""
-    relevances = list(relevances)
-    if not relevances:
-        raise ContractError("ndcg_at_k: empty relevance list")
-    if any(r < 0 for r in relevances):
-        raise ContractError("ndcg_at_k: negative relevance")
-    dcg = idcg = 0.0   # plain additions in rank order: sum() compensates on Python 3.12+
-    for p, (r, ideal) in enumerate(zip(relevances[:k], sorted(relevances, reverse=True)), 1):
-        dcg += r / math.log2(p + 1)
-        idcg += ideal / math.log2(p + 1)
-    return dcg / idcg if idcg > 0 else 0.0
+    return list(zip(index.ids[positions[0, :n]].tolist(), scores[0, :n].tolist()))
 
 
 def _membership(holder, held):

@@ -17,22 +17,14 @@ returns the gradients of all its operands. The model builds each layer as one
 ``dense`` node. ``combined_loss`` joins the weighted auxiliary losses with one
 ``weighted_sum`` node, which takes their place in the graph and calls their
 closures itself, and adds the contrastive loss with ``add``; the trainer
-averages the modality pairs with ``add`` and ``scale``. The other elementwise
-and vector primitives are general building blocks, each tested against finite
-differences.
+averages the modality pairs with ``add`` and ``scale``.
 """
-
-import warnings
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, DomainError, ShapeMismatchError
+from .errors import ContractError, ShapeMismatchError
 
 NORM_EPS = 1e-12
-
-
-class DegenerateVectorWarning(UserWarning):
-    """Raised when l2_normalize receives a (near-)zero vector."""
 
 
 class Tensor:
@@ -94,18 +86,6 @@ def add(a, b):
     return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape(a, b, "sub")
-    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape(a, b, "mul")
-    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
 def scale(a, c):
     """Multiply by a python scalar constant."""
     a = _as_tensor(a)
@@ -149,65 +129,6 @@ def weighted_sum(terms):
     return _make(out, parents, backward)
 
 
-def tanh(a):
-    a = _as_tensor(a)
-    t = np.tanh(a.data)
-    return _make(t, (a,), lambda g: (g * (1.0 - t * t),))
-
-
-def relu(a):
-    a = _as_tensor(a)
-    pos = a.data > 0
-    return _make(np.where(pos, a.data, 0.0), (a,), lambda g: (g * pos,))
-
-
-def softplus(a):
-    """log(1 + e^x), computed stably."""
-    a = _as_tensor(a)
-    out = np.logaddexp(0.0, a.data)
-
-    def backward(grad):
-        sig = 1.0 / (1.0 + np.exp(-a.data))
-        return (grad * sig,)
-
-    return _make(out, (a,), backward)
-
-
-def exp(a):
-    a = _as_tensor(a)
-    e = np.exp(a.data)
-    return _make(e, (a,), lambda g: (g * e,))
-
-
-def log(a):
-    a = _as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: non-positive input")
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "scale": scale,
-                "tanh": tanh, "relu": relu, "softplus": softplus,
-                "exp": exp, "log": log}
-
-
-def elementwise(op_kind, *args):
-    """Dispatch an elementwise primitive by name."""
-    try:
-        fn = _ELEMENTWISE[op_kind]
-    except KeyError:
-        raise ContractError(f"unknown elementwise op {op_kind!r}") from None
-    return fn(*args)
-
-
-def dot(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeMismatchError(
-            f"dot: need equal-length vectors, got {a.data.shape} and {b.data.shape}")
-    return _make(a.data @ b.data, (a, b), lambda g: (float(g) * b.data, float(g) * a.data))
-
-
 def dense(x, w, b, activation=None):
     """One layer, ``activation(x @ w + b)``, as a single node.
 
@@ -244,39 +165,6 @@ def dense(x, w, b, activation=None):
                 g.sum(axis=0) if b.grad_enabled else None)
 
     return _make(out, (x, w, b), backward)
-
-
-def l2_normalize(v):
-    """Scale a vector to unit norm; near-zero vectors pass through with a warning.
-
-    Vectors already within rounding of unit norm are returned unchanged, which
-    makes normalization bit-exactly idempotent.
-    """
-    v = _as_tensor(v)
-    if v.data.ndim != 1:
-        raise ShapeMismatchError(f"l2_normalize: need a vector, got {v.data.shape}")
-    n = float(np.linalg.norm(v.data))
-    if n <= NORM_EPS:
-        warnings.warn("l2_normalize: degenerate (near-zero) vector left unchanged",
-                      DegenerateVectorWarning, stacklevel=2)
-        return _make(v.data.copy(), (v,), lambda g: (g,))
-    u = v.data.copy() if abs(n - 1.0) < 1e-13 else v.data / n
-
-    def backward(grad):
-        return ((grad - (grad @ u) * u) / n,)
-
-    return _make(u, (v,), backward)
-
-
-def cosine_similarity(u, v):
-    """Cosine of the angle between two vectors; rejects near-zero inputs."""
-    u, v = _as_tensor(u), _as_tensor(v)
-    if u.data.shape != v.data.shape or u.data.ndim != 1:
-        raise ShapeMismatchError(
-            f"cosine_similarity: need equal-length vectors, got {u.data.shape} and {v.data.shape}")
-    if np.linalg.norm(u.data) <= NORM_EPS or np.linalg.norm(v.data) <= NORM_EPS:
-        raise DegenerateInputError("cosine_similarity: zero-norm input")
-    return dot(l2_normalize(u), l2_normalize(v))
 
 
 # ---------------------------------------------------------------------------

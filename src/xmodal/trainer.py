@@ -16,7 +16,7 @@ from .data import batch_iter, read_container, stack_features, write_atomic, writ
 from .errors import CheckpointError, ContractError, TrainingDivergedError, check_fields
 from .losses import LossBreakdown, LossWeights, combined_loss, schedule_weight
 from .model import (ModelConfig, ModelParams, check_dataset, forward_backbone, forward_encoder,
-                    init_params, param_count, param_layout, param_shapes, param_views)
+                    init_params, param_count, param_layout, param_views)
 
 CHECKPOINT_MAGIC = b"XMSSL1"
 KINDS = ("param", "adam_m", "adam_v")   # the checkpoint's roles, in payload order
@@ -60,7 +60,7 @@ class _Views(dict):
 class AdamState:
     """Adam's first and second moments, plus the step count; by default zero moments at
     step 0. Each moment vector (``m_flat``, ``v_flat``; the ``m`` and ``v`` arguments)
-    holds every tensor's moments in ``param_shapes`` order, and ``m[name]`` /
+    holds every tensor's moments in ``param_layout`` order, and ``m[name]`` /
     ``v[name]`` are views of it."""
 
     def __init__(self, params: ModelParams, step=0, m=None, v=None):
@@ -277,7 +277,7 @@ def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig
 def _manifest(config: ModelConfig):
     """The parameters, then Adam's first moments, then its second moments."""
     return [{"name": name, "kind": kind, "shape": list(shape)}
-            for kind in KINDS for name, shape in param_shapes(config)]
+            for kind in KINDS for name, shape, *_ in param_layout(config)]
 
 
 def save_checkpoint(params: ModelParams, adam_state: AdamState, epoch, path):
@@ -293,7 +293,7 @@ def load_checkpoint(path):
 
     The header must list exactly the tensors ``save_checkpoint`` writes for its
     model_config, in its order, and the payload must hold exactly their bytes;
-    both are checked against ``param_shapes`` before any array is allocated.
+    both are checked against ``param_layout`` before any array is allocated.
     Every value must be finite. The parameter and moment vectors are views of the
     buffer the file was read into.
     """

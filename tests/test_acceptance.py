@@ -16,11 +16,11 @@ from xmodal.data import SynthConfig, generate_synthetic, split
 from xmodal.losses import (LossWeights, combined_loss, loss_mde, loss_mim,
                            loss_msp, schedule_weight)
 from xmodal.model import ModelConfig, embed, init_params
-from xmodal.retrieval import (EmbeddingIndex, build_index, evaluate_cross_modal,
-                              ndcg_at_k, pair_f1, retrieve)
+from xmodal.retrieval import EmbeddingIndex, build_index, evaluate_cross_modal, retrieve
 from xmodal.trainer import TrainConfig, train
 
 from index_rows import entries, label_layout, label_sets
+from reference_metrics import ndcg_at_k, pair_f1
 from test_losses import naive_mde, naive_mim, naive_msp
 
 
@@ -131,7 +131,7 @@ def test_retrieval_oracle():
         qn = q / np.linalg.norm(q)
         oracle = sorted(((float(np.dot(e.embedding, qn)), e.tuple_id)
                          for e in stored), key=lambda t: (-t[0], t[1]))[:8]
-        got = retrieve(index, q, 0, 8).items
+        got = retrieve(index, q, 0, 8)
         if ([tid for _, tid in oracle] != [tid for tid, _ in got]
                 or any(abs(s_o - s_g) > 1e-12
                        for (s_o, _), (_, s_g) in zip(oracle, got))):
@@ -140,7 +140,7 @@ def test_retrieval_oracle():
     # exact ties must come back in ascending tuple_id order
     v = rng.normal(size=dim)
     tie_index = EmbeddingIndex(dim, [42, 7, 19], *label_layout([{0}] * 3), [np.stack([v] * 3)])
-    tie_ids = [tid for tid, _ in retrieve(tie_index, v, 0, 3).items]
+    tie_ids = [tid for tid, _ in retrieve(tie_index, v, 0, 3)]
     ok = ok and tie_ids == [7, 19, 42]
     verdict("retrieval-oracle", ok)
 

@@ -348,6 +348,19 @@ class TestBadInputOneLine:
         assert err == [f"error: {message}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--config", "--model-config", "--train-config"])
+    def test_config_file_not_utf8(self, dataset_file, tmp_path, flag):
+        # its second line is the byte 0xe9, which is not UTF-8; it used to end in a
+        # UnicodeDecodeError traceback
+        config, out = tmp_path / "bad.cfg", tmp_path / "out"
+        config.write_bytes(b"epochs=2\n\xe9\n")
+        where = (["gen-data", "--out", str(out / "ds.txt"), "--mkdirs"] if flag == "--config"
+                 else ["train", "--dataset", str(dataset_file), "--out-dir", str(out)])
+        code, err = run_process([*where, flag, str(config)])
+        assert code == 1
+        assert err == [f"error: {config}: not UTF-8 text"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("pattern, replacement, message", [
         (rb"N=2", b"N=abc", "line 1: header field 'N=abc' is not key=integer"),
         (rb"N=2", b"N=0", "line 1: header field N=0 must be >= 1"),
@@ -573,7 +586,7 @@ class TestRetrieveCommand:
         params, _, _, _ = load_checkpoint(ckpt)
         ds = load_dataset(dataset)
         query = embed(params, src, ds.features[src][ds.ids.tolist().index(17)][None]).data[0]
-        items = retrieve(build_index(params, ds), query, tgt, 6, exclude_tuple_id=17).items
+        items = retrieve(build_index(params, ds), query, tgt, 6, exclude_tuple_id=17)
         assert capsys.readouterr().out.splitlines() == \
             [f"17,{rank},{tid},{score:.17g}" for rank, (tid, score) in enumerate(items, 1)]
 

@@ -9,7 +9,7 @@ from xmodal.losses import loss_msp
 from xmodal.model import (ModelConfig, embed, forward_backbone, forward_encoder,
                           init_params)
 
-from reference_ops import tsum
+from reference_ops import tanh, tsum
 
 SMALL = ModelConfig(input_dim=6, backbone_hidden_dims=(5,), feature_dim=4,
                     embedding_dim=3, seed=42)
@@ -74,7 +74,7 @@ class TestForwardBackbone:
 
         def f(wt):
             w.data = wt.data
-            return tsum(T.tanh(forward_backbone(params, 0, x)))
+            return tsum(tanh(forward_backbone(params, 0, x)))
 
         w0 = w.data.copy()
         loss = f(T.Tensor(w0))

