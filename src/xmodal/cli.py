@@ -19,7 +19,7 @@ from . import __version__
 from . import tensor as T
 from .data import SynthConfig, generate_synthetic, load_dataset, save_dataset, split, write_atomic
 from .errors import ContractError, DatasetFormatError, ShapeMismatchError, XmodalError
-from .losses import LossWeights, combined_loss, loss_mde, loss_mim, loss_msp
+from .losses import LossWeights, combined_loss, loss_mde, loss_mim, loss_msp, row_squares
 from .model import ModelConfig, embed
 from .retrieval import (build_index, evaluate_cross_modal, metrics_to_csv,
                         retrieve, summary_table)
@@ -36,13 +36,13 @@ USAGE_ERRORS = (ContractError, DatasetFormatError, ShapeMismatchError, OSError)
 def read_kv(path, sets):
     """{key: value text} of a key=value file, then of the --set items over it.
 
-    In the file, which must be UTF-8, blank lines and lines starting with '#' are
-    skipped. Keys and values are stripped of surrounding whitespace.
+    In the file, which must be UTF-8 (a leading byte-order mark is dropped), blank
+    lines and lines starting with '#' are skipped. Keys and values are stripped of surrounding whitespace.
     """
     items = []
     if path:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 for lineno, raw in enumerate(fh, 1):
                     line = raw.strip()
                     if line and not line.startswith("#"):
@@ -252,7 +252,8 @@ def cmd_gradcheck(args):
     weights = LossWeights(alpha=0.7, beta=0.4, tau=0.2)
 
     def check(name, f, a0, b0):
-        """Gradients of f(a, b) for both operands against finite differences."""
+        """Gradients of f(a, b) for both operands against finite differences; f takes
+        them as the stacked pair of a two-modality batch."""
         a, b = T.Tensor(a0, grad_enabled=True), T.Tensor(b0, grad_enabled=True)
         T.backward(f(a, b))
         for analytic, x0, f_x in ((a.grad, a0, lambda t: f(t, T.Tensor(b0))),
@@ -264,12 +265,13 @@ def cmd_gradcheck(args):
         z_j = rng.normal(size=(t_batch, dim))
         z_k = rng.normal(size=(t_batch, dim))
         y_k = rng.normal(size=(t_batch, dim))
-        check("mim", lambda a, b: loss_mim(a, b, 0.2), z_j, z_k)
-        check("mde", loss_mde, z_j, y_k)
-        check("msp", loss_msp, z_j, y_k)
-        # a and b each feed an embedding and a feature slot of every loss
-        check("combined",
-              lambda a, b: combined_loss(a, b, a, b, weights).total_node, z_j, y_k)
+        check("mim", lambda a, b: T.mean(loss_mim(T.stack([a, b]), 0.2)), z_j, z_k)
+        for name, loss in (("mde", loss_mde), ("msp", loss_msp)):
+            check(name, lambda a, b, loss=loss: T.mean(loss(y := T.stack([a, b]),
+                                                             row_squares(y.data))), z_j, y_k)
+        # the pair (a, b) is both the embedding stack and the feature stack of every loss
+        check("combined", lambda a, b: combined_loss(x := T.stack([a, b]), x,
+                                                     weights).total_node, z_j, y_k)
     failed = [name for name, err in worst.items() if err >= 1e-4]
     for name, err in worst.items():
         status = "FAIL" if name in failed else "ok"

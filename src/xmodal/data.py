@@ -4,7 +4,8 @@ Each tuple holds one record per modality over a shared semantic latent:
 the label set picks class prototype vectors, their sum (plus jitter) is
 pushed through a frozen per-modality linear map and tanh, then Gaussian
 noise is added. Labels belong to the tuple and are used only by evaluation.
-A dataset is held column-wise, and a batch is an array of its row indices.
+A dataset is held column-wise, its features one (M, N, dim) array of every
+modality, and a batch is an array of its row indices.
 """
 
 import hashlib
@@ -26,15 +27,16 @@ CONTAINER_PREFIX = struct.Struct("<6sII")   # magic, version, header length
 
 
 class TupleDataset:
-    """Tuples column-wise: ``ids`` an ascending int64 array, ``features[m]`` one
-    C-contiguous (N, dim) float64 matrix per modality, and the label layout:
+    """Tuples column-wise: ``ids`` an ascending int64 array, ``features`` one C-contiguous
+    (M, N, dim) float64 array whose slice ``features[m]`` is modality m's rows (a list of
+    M (N, dim) matrices is stacked into it), and the label layout:
     tuple i's label ids, ascending and distinct, are
     ``label_ids[label_offsets[i]:label_offsets[i + 1]]`` (int64 arrays, N + 1
     offsets from 0), each in ``[0, num_labels)``."""
 
     def __init__(self, ids, features, label_offsets, label_ids, num_labels):
         self.ids = np.asarray(ids, dtype=np.int64)
-        self.features = [np.ascontiguousarray(f, dtype=np.float64) for f in features]
+        self.features = np.ascontiguousarray(features, dtype=np.float64)
         self.label_offsets = np.asarray(label_offsets, dtype=np.int64)
         self.label_ids = np.asarray(label_ids, dtype=np.int64)
         self.num_labels = num_labels
@@ -45,7 +47,7 @@ class TupleDataset:
         starts, sizes = self.label_offsets[rows], np.diff(self.label_offsets)[rows]
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         gather = np.repeat(starts - offsets[:-1], sizes) + np.arange(offsets[-1])
-        return TupleDataset(self.ids[rows], [f[rows] for f in self.features],
+        return TupleDataset(self.ids[rows], np.take(self.features, rows, axis=1),
                             offsets, self.label_ids[gather], self.num_labels)
 
     def __len__(self):
@@ -57,7 +59,7 @@ class TupleDataset:
 
     @property
     def input_dim(self):
-        return self.features[0].shape[-1]
+        return self.features.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -138,14 +140,13 @@ def generate_synthetic(config: SynthConfig) -> TupleDataset:
     jitter *= LATENT_JITTER
     latents += jitter
     noise *= config.noise_sigma
-    features = []
-    for m in range(config.num_modalities):
+    features = np.empty((config.num_modalities, n, dim))
+    for m, f in enumerate(features):
         # one gemv per tuple, as maps[m] @ latent is; a gemm may round otherwise
-        f = np.matmul(maps[m], latents[:, :, None])[:, :, 0]
+        np.matmul(maps[m], latents[:, :, None], out=f[:, :, None])
         np.tanh(f, out=f)
         if config.noise_sigma > 0:
             f += noise[:, m * dim:(m + 1) * dim]
-        features.append(f)
     return TupleDataset(np.arange(n), features, offsets, label_ids, config.num_classes)
 
 
@@ -190,9 +191,9 @@ def batch_iter(ds: TupleDataset, batch_size, seed, epoch):
         yield idx
 
 
-def stack_features(ds: TupleDataset, rows, modality):
-    """Features of one modality for the given rows, gathered as a (T, dim) array."""
-    return ds.features[modality][rows]
+def stack_features(ds: TupleDataset, rows):
+    """Features of every modality for the given rows, gathered as one (M, T, dim) array."""
+    return np.take(ds.features, rows, axis=1)
 
 
 def write_atomic(path, chunks):
@@ -261,7 +262,7 @@ def save_dataset(ds: TupleDataset, path):
         return   # the header's labels= would not be the int() of its text, or zip() cut it short
     counts = [ds.num_modalities, ds.input_dim, ds.num_labels, len(ds), len(flat)]
     payload = b"".join([np.array(counts, "<i8").tobytes(), ds.ids.astype("<i8").tobytes(),
-                        *(f.astype("<f8").tobytes() for f in ds.features),
+                        ds.features.astype("<f8").tobytes(),
                         ds.label_offsets.astype("<i8").tobytes(),
                         ds.label_ids.astype("<i8").tobytes()])
     write_container(f"{path}.cols", COLUMNS_MAGIC,
@@ -279,8 +280,9 @@ def _load_columns(path):
     """The columns in the sidecar ``<path>.cols``, or None unless they are what
     the text parse of ``path`` returns. A container whose header holds the
     SHA-256 of the text and of the payload, and whose little-endian payload is:
-    int64 counts (N, dim, labels, rows, label ids), the int64 ids, one (rows, dim)
-    float64 matrix per modality, int64 label offsets and label ids."""
+    int64 counts (N, dim, labels, rows, label ids), the int64 ids, the (N, rows, dim)
+    float64 features, modality-major, int64 label offsets and label ids. The features
+    are a view of the buffer the file is read into."""
     try:
         header, payload = read_container(path + ".cols", COLUMNS_MAGIC)
         digests = header["text_sha256"], header["payload_sha256"]
@@ -297,11 +299,11 @@ def _load_columns(path):
             or digests != (text_digest.hexdigest(), hashlib.sha256(body).hexdigest())):
         return None
     # save_dataset also writes columns that the text parse rejects; each fails a check
-    _, ids, *columns, offsets, label_ids = np.split(
-        body, np.cumsum([5, rows, *[rows * dim] * n, rows + 1]))
-    features = [c.view("<f8").reshape(rows, dim) for c in columns]
+    _, ids, features, offsets, label_ids = np.split(
+        body, np.cumsum([5, rows, n * rows * dim, rows + 1]))
+    features = features.view("<f8").reshape(n, rows, dim)
     sizes = np.diff(offsets)
-    if not ((np.diff(ids) > 0).all() and all(np.isfinite(f).all() for f in features)
+    if not ((np.diff(ids) > 0).all() and np.isfinite(features).all()
             and offsets[0] == 0 and offsets[-1] == count and (sizes >= 0).all()
             and ((label_ids >= 0) & (label_ids < labels)).all()
             # each tuple's label ids strictly ascending, as the text parse gives them
@@ -382,5 +384,5 @@ def _load(path):
             raise DatasetFormatError(f"tuple {tid} has mismatched label sets")
     order = np.array([[positions[t, m] for m in range(n)] for t in ids], np.intp).reshape(-1, n)
     rows = np.array(line_features).reshape(len(line_features), dim)
-    return TupleDataset(ids, [rows[order[:, m]] for m in range(n)],
+    return TupleDataset(ids, rows[order.T],
                         *_label_layout([line_labels[p] for p in order[:, 0]]), meta["labels"])

@@ -3,6 +3,14 @@
 Each modality j has its own backbone mapping raw feature vectors to
 modal-specific features y; one shared affine encoder maps any modality's y to
 the cross-modal embedding z used for retrieval.
+
+Training carries every modality of a batch as one (M, T, D) stack: each
+backbone layer is one stacked leaf, a weight (M, in, out) and a bias (M, out)
+whose slice m is modality m's, so ``forward_backbone`` runs every backbone in
+one ``dense`` node per layer and ``forward_encoder`` the shared encoder in
+one. Every leaf is a view of the one parameter vector, each slice at its
+``param_layout`` offset, so the checkpoint layout does not depend on the
+stacking. ``embed`` runs one modality's slices on a 2-D batch.
 """
 
 import functools
@@ -61,10 +69,20 @@ def param_count(config: ModelConfig):
     return param_layout(config)[-1][3]
 
 
-def param_views(config: ModelConfig, flat):
-    """{name: array} of every tensor, each a reshaped view of ``flat``."""
-    return {name: flat[start:stop].reshape(shape)
-            for name, shape, start, stop in param_layout(config)}
+def leaf_views(config: ModelConfig, flat):
+    """{name: array} of the model's leaves, each a view of ``flat`` (or of any vector of its
+    length): per backbone layer l the stacked ``backbone.layer{l}.W`` (M, in, out) and
+    ``backbone.layer{l}.b`` (M, out), whose slice m is the ``param_layout`` tensor of
+    modality m, then ``encoder.W`` and ``encoder.b``."""
+    m, layout = config.num_modalities, param_layout(config)
+    block = flat[:layout[-2][2]].reshape(m, -1)   # one row per modality's backbone
+    views = {}
+    for name, shape, start, stop in layout:
+        if name.startswith("backbone0."):
+            views["backbone" + name[9:]] = block[:, start:stop].reshape(m, *shape)
+        elif name.startswith("encoder."):
+            views[name] = flat[start:stop].reshape(shape)
+    return views
 
 
 def check_dataset(config: ModelConfig, ds):
@@ -77,26 +95,31 @@ def check_dataset(config: ModelConfig, ds):
 
 @dataclass
 class ModelParams:
-    """All trainable tensors: one weight/bias list per backbone, one encoder pair.
+    """All trainable tensors: one stacked (W, b) leaf pair per backbone layer, one encoder
+    pair.
 
     Each tensor's array is a view of ``flat``, the one float64 vector of every
     parameter in ``param_layout`` order; an update written into ``flat`` is
     the update of every tensor."""
 
     config: ModelConfig
-    backbones: list = field(default_factory=list)  # per modality: [(W, b), ...]
-    encoder: tuple = None                          # (W, b)
+    backbone: list = field(default_factory=list)   # per layer: (W, b), stacked over modalities
+    encoder: tuple = None                           # (W, b)
     flat: np.ndarray = None
 
     def named_tensors(self):
-        tensors = [t for layers in (*self.backbones, [self.encoder]) for pair in layers
-                   for t in pair]
-        return [(name, t) for (name, _, _, _), t in
-                zip(param_layout(self.config), tensors, strict=True)]
+        """[(name, tensor)] of every leaf, in ``leaf_views`` order."""
+        tensors = [t for pair in (*self.backbone, self.encoder) for t in pair]
+        return list(zip(_leaf_names(self.config), tensors, strict=True))
 
     def constants(self):
         """The same vector as constant Tensors: a forward pass over them records no graph."""
         return init_params(self.config, self.flat, grad_enabled=False)
+
+
+@functools.cache
+def _leaf_names(config: ModelConfig):
+    return tuple(leaf_views(config, np.empty(param_count(config))))   # the names alone
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -111,50 +134,59 @@ def init_params(config: ModelConfig, flat=None, grad_enabled=True) -> ModelParam
 
     With ``grad_enabled=False`` the tensors are constants: a forward pass over
     them records no graph."""
-    fresh = flat is None
-    if fresh:
+    if flat is None:
         flat = np.zeros(param_count(config))
-    arrays = param_views(config, flat).values()
-    if fresh:
         rng = np.random.default_rng(config.seed)
-        for a in arrays:
-            if a.ndim == 2:
-                a[...] = _glorot(rng, *a.shape)
-    tensors = [T.Tensor(a, grad_enabled=grad_enabled) for a in arrays]
+        for _, shape, start, stop in param_layout(config):
+            if len(shape) == 2:
+                flat[start:stop] = _glorot(rng, *shape).ravel()
+    tensors = [T.Tensor(a, grad_enabled=grad_enabled) for a in leaf_views(config, flat).values()]
     pairs = list(zip(tensors[0::2], tensors[1::2]))   # (W, b) of each layer
-    depth = len(config.backbone_hidden_dims) + 1
-    return ModelParams(config, [pairs[i:i + depth] for i in range(0, len(pairs) - 1, depth)],
-                       pairs[-1], flat)
+    return ModelParams(config, pairs[:-1], pairs[-1], flat)
 
 
-def forward_backbone(params: ModelParams, modality: int, x) -> T.Tensor:
-    """Map a batch of raw inputs through modality j's backbone to y features."""
-    if not 0 <= modality < params.config.num_modalities:
-        raise IndexError(f"unknown modality {modality}")
-    x = x if isinstance(x, T.Tensor) else T.Tensor(x)
-    if x.data.ndim != 2 or x.data.shape[1] != params.config.input_dim:
-        raise ShapeMismatchError(
-            f"backbone input must be batch x {params.config.input_dim}, got {x.data.shape}")
-    h = x
-    layers = params.backbones[modality]
+def _layers(h, layers, activation):
+    """``h`` through the (W, b) layers: the activation after each but the last."""
     for w, b in layers[:-1]:
-        h = T.dense(h, w, b, params.config.activation)
+        h = T.dense(h, w, b, activation)
     return T.dense(h, *layers[-1])
 
 
+def forward_backbone(params: ModelParams, x) -> T.Tensor:
+    """Map a stack of raw input batches, one per modality, (M, T, input_dim), through
+    each modality's backbone to y features (M, T, feature_dim)."""
+    x = x if isinstance(x, T.Tensor) else T.Tensor(x)
+    config = params.config
+    if x.data.ndim != 3 or x.data.shape[::2] != (config.num_modalities, config.input_dim):
+        raise ShapeMismatchError(f"backbone input must be {config.num_modalities} x batch x "
+                                 f"{config.input_dim}, got {x.data.shape}")
+    return _layers(x, params.backbone, config.activation)
+
+
 def forward_encoder(params: ModelParams, y) -> T.Tensor:
-    """Shared affine encoder: y features -> z embeddings, same weights for all modalities."""
+    """Shared affine encoder: y features -> z embeddings, same weights for all modalities.
+
+    ``y`` is one batch (T, feature_dim) or a stack of them (M, T, feature_dim)."""
     y = y if isinstance(y, T.Tensor) else T.Tensor(y)
-    if y.data.ndim != 2 or y.data.shape[1] != params.config.feature_dim:
+    if y.data.ndim not in (2, 3) or y.data.shape[-1] != params.config.feature_dim:
         raise ShapeMismatchError(
             f"encoder input must be batch x {params.config.feature_dim}, got {y.data.shape}")
     return T.dense(y, *params.encoder)
 
 
 def embed(params: ModelParams, modality: int, x) -> T.Tensor:
-    """Inference path used by retrieval: encoder applied to backbone features.
+    """Inference path used by retrieval: one modality's batch (N, input_dim) through its
+    backbone, read from each stacked leaf's slice, and the encoder.
 
-    It runs on ``params.constants()``, so the embedding is a constant Tensor and
-    no graph is recorded."""
-    params = params.constants()
-    return forward_encoder(params, forward_backbone(params, modality, x))
+    It runs on constant Tensors, so the embedding is a constant Tensor and no
+    graph is recorded."""
+    config = params.config
+    if not 0 <= modality < config.num_modalities:
+        raise IndexError(f"unknown modality {modality}")
+    x = x if isinstance(x, T.Tensor) else T.Tensor(x)
+    if x.data.ndim != 2 or x.data.shape[1] != config.input_dim:
+        raise ShapeMismatchError(
+            f"backbone input must be batch x {config.input_dim}, got {x.data.shape}")
+    layers = [(T.Tensor(w.data[modality]), T.Tensor(b.data[modality]))
+              for w, b in params.backbone]
+    return forward_encoder(params.constants(), _layers(x, layers, config.activation))

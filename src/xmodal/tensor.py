@@ -13,11 +13,14 @@ operand's slot: ``dense`` does, so a backbone's first layer forms no
 
 A computation with a hand-derived backward, such as each training loss in
 ``losses``, is one ``node``: its value is computed with NumPy and one closure
-returns the gradients of all its operands. The model builds each layer as one
-``dense`` node. ``combined_loss`` joins the weighted auxiliary losses with one
-``weighted_sum`` node, which takes their place in the graph and calls their
-closures itself, and adds the contrastive loss with ``add``; the trainer
-averages the modality pairs with ``add`` and ``scale``.
+returns the gradients of all its operands. A training step carries every
+modality of its batch as one ``(M, T, D)`` stack: the model builds each layer
+as one ``dense`` node over the stack, which multiplies modality m's slice by
+its own weight slice (a backbone) or by one shared weight (the encoder), so
+each slice runs the product a 2-D batch would. ``combined_loss`` joins the
+weighted auxiliary losses with one ``weighted_sum`` node, which takes their
+place in the graph and calls their closures itself, adds the contrastive loss
+with ``add``, and averages the modality pairs with ``mean``.
 """
 
 import numpy as np
@@ -86,11 +89,27 @@ def add(a, b):
     return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def scale(a, c):
-    """Multiply by a python scalar constant."""
+def stack(tensors):
+    """Equal-shape tensors as one stack along a new leading axis; each gets its slice back."""
+    tensors = [_as_tensor(t) for t in tensors]
+    if not tensors:
+        raise ContractError("stack: no tensors")
+    for t in tensors[1:]:
+        _require_same_shape(tensors[0], t, "stack")
+    return _make(np.stack([t.data for t in tensors]), tensors, lambda g: tuple(g))
+
+
+def mean(a):
+    """The mean of a vector as one node: its elements added left to right, the sum times
+    ``1 / len``; the backward hands every element ``grad / len`` the same way."""
     a = _as_tensor(a)
-    c = float(c)
-    return _make(a.data * c, (a,), lambda g: (g * c,))
+    if a.data.ndim != 1 or not a.data.size:
+        raise ShapeMismatchError(f"mean: need a non-empty vector, got shape {a.data.shape}")
+    c = 1.0 / a.data.size
+    total = a.data[0]
+    for value in a.data[1:]:
+        total = total + value
+    return _make(total * c, (a,), lambda g: (np.full(a.data.shape, g * c),))
 
 
 def weighted_sum(terms):
@@ -129,23 +148,38 @@ def weighted_sum(terms):
     return _make(out, parents, backward)
 
 
+def _sum_slices(a):
+    """``a[0] + a[1] + ...``, added in that order."""
+    total = a[0]
+    for part in a[1:]:
+        total = total + part
+    return total
+
+
 def dense(x, w, b, activation=None):
     """One layer, ``activation(x @ w + b)``, as a single node.
 
-    ``activation`` is "tanh", "relu" or None. The value and the gradients take
-    each element through the same float operations, in the same order, as a
-    chain of separate matrix-product, bias-add and ``tanh``/``relu`` nodes (the
+    ``x`` is one batch (T, in) or a stack of M modality batches (M, T, in).
+    A stack takes per-modality weights, ``w`` (M, in, out) and ``b`` (M, out),
+    each slice multiplied by its own, or one shared ``w`` (in, out) and ``b``
+    (out,); the shared weight's gradient is the modality slices' gradients
+    added in modality order. ``activation`` is "tanh", "relu" or None. The
+    value and the gradients take each element of each slice through the same
+    float operations, in the same order, as a chain of separate matrix-product,
+    bias-add and ``tanh``/``relu`` nodes over that slice's 2-D batch (the
     tests' reference), so both are bit-identical to it; the value is formed in
     the product's own array. The backward forms ``g @ w.T`` only for a
     grad-enabled ``x``.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
-            or x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]):
-        raise ShapeMismatchError(
-            f"dense: shapes {x.data.shape}, {w.data.shape} and {b.data.shape}")
-    out = x.data @ w.data   # each step below writes into this one array
-    out += b.data
+    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
+    shared = w.data.ndim == 2
+    if (x.data.ndim not in (2, 3) or w.data.ndim not in (2, x.data.ndim)
+            or b.data.ndim != w.data.ndim - 1 or xs[-1] != ws[-2] or ws[-1] != bs[-1]
+            or (not shared and not xs[0] == ws[0] == bs[0])):
+        raise ShapeMismatchError(f"dense: shapes {xs}, {ws} and {bs}")
+    out = np.matmul(x.data, w.data)   # each step below writes into this one array
+    out += b.data if shared else b.data[:, None, :]
     if activation == "tanh":
         np.tanh(out, out=out)
         local = lambda g: g * (1.0 - out * out)
@@ -157,12 +191,16 @@ def dense(x, w, b, activation=None):
         local = lambda g: g
     else:
         raise ContractError(f"dense: unknown activation {activation!r}")
+    summed = shared and x.data.ndim == 3   # one weight for every modality slice
 
     def backward(grad):
         g = local(grad)
-        return (g @ w.data.T if x.grad_enabled else None,
-                x.data.T @ g if w.grad_enabled else None,
-                g.sum(axis=0) if b.grad_enabled else None)
+        gw = np.matmul(x.data.mT, g) if w.grad_enabled else None
+        gb = g.sum(axis=-2) if b.grad_enabled else None
+        if summed:
+            gw = None if gw is None else _sum_slices(gw)
+            gb = None if gb is None else _sum_slices(gb)
+        return (np.matmul(g, w.data.mT) if x.grad_enabled else None, gw, gb)
 
     return _make(out, (x, w, b), backward)
 
@@ -174,13 +212,18 @@ def dense(x, w, b, activation=None):
 def backward(loss):
     """Backpropagate from a scalar tensor; returns None, the gradients land on ``.grad``.
 
-    Each call sets ``.grad`` to a new array on ``loss`` and on every grad-enabled
-    tensor it reaches (zeros for a reached leaf that receives none). Constants and
-    unreached tensors keep theirs, so the trainer, which reads its parameters'
-    ``.grad``, relies on each batch loss reaching every backbone and the encoder.
+    Each call sets ``.grad`` to an array made in this call on ``loss`` and on every
+    grad-enabled tensor it reaches (zeros for a reached leaf that receives none).
+    Constants and unreached tensors keep theirs, so the trainer, which reads its
+    parameters' ``.grad``, relies on each batch loss reaching every backbone and the
+    encoder.
 
     A parent may fill several slots of one node (``weighted_sum``'s terms share
-    their operands); its gradients are added slot by slot, in order.
+    their operands); its gradients are added slot by slot, in order. The first
+    gradient to reach a tensor is kept as the closure returned it, not copied:
+    ``add`` hands both parents one array, and ``stack`` views of its own. No
+    closure writes into a gradient it receives, and a sum makes a new array, so
+    the sharing is never seen in a value.
     """
     if not isinstance(loss, Tensor) or loss.data.ndim != 0:
         raise ContractError("backward: loss must be a scalar Tensor")
@@ -212,7 +255,7 @@ def backward(loss):
             if parent in grads:
                 grads[parent] = grads[parent] + pg
             else:
-                grads[parent] = np.array(pg, dtype=np.float64, copy=True)
+                grads[parent] = np.asarray(pg, dtype=np.float64)
 
     for node in order:
         node.grad = grads.get(node)

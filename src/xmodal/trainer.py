@@ -16,7 +16,7 @@ from .data import batch_iter, read_container, stack_features, write_atomic, writ
 from .errors import CheckpointError, ContractError, TrainingDivergedError, check_fields
 from .losses import LossBreakdown, LossWeights, combined_loss, schedule_weight
 from .model import (ModelConfig, ModelParams, check_dataset, forward_backbone, forward_encoder,
-                    init_params, param_count, param_layout, param_views)
+                    init_params, leaf_views, param_count, param_layout)
 
 CHECKPOINT_MAGIC = b"XMSSL1"
 KINDS = ("param", "adam_m", "adam_v")   # the checkpoint's roles, in payload order
@@ -61,16 +61,18 @@ class AdamState:
     """Adam's first and second moments, plus the step count; by default zero moments at
     step 0. Each moment vector (``m_flat``, ``v_flat``; the ``m`` and ``v`` arguments)
     holds every tensor's moments in ``param_layout`` order, and ``m[name]`` /
-    ``v[name]`` are views of it."""
+    ``v[name]`` are the ``leaf_views`` of it."""
 
     def __init__(self, params: ModelParams, step=0, m=None, v=None):
         n = params.flat.size
         self.step = step
         self.m_flat = np.zeros(n) if m is None else m
         self.v_flat = np.zeros(n) if v is None else v
-        self.m, self.v = (_Views(param_views(params.config, flat))
+        self.m, self.v = (_Views(leaf_views(params.config, flat))
                           for flat in (self.m_flat, self.v_flat))
-        self.scratch = None   # adam_step's two work vectors, made by its first call
+        # adam_step's gradient vector, with its leaf views, and its work vector; made by
+        # its first call and kept: fresh vectors would be re-faulted each step
+        self.grad_flat = self.grad = self.scratch = None
 
 
 @dataclass
@@ -99,23 +101,23 @@ class TrainReport:
 def adam_step(params: ModelParams, grads, state: AdamState,
               lr, b1=0.9, b2=0.999, eps=1e-8):
     """Bias-corrected Adam update, written in place into the parameter vector and the
-    moment vectors in one pass over each; ``grads`` is only read.
+    moment vectors in one pass over each; ``grads`` ({name: array} of every leaf) is
+    only read, through a copy into the leaf views of one gradient vector.
 
     Each element goes through the same float operations, in the same order, as
     m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
     data = data - lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps),
     so the result is bit-identical to that formula.
     """
-    pieces = []
-    for name, tensor in params.named_tensors():
+    if state.grad_flat is None:
+        state.grad_flat, state.scratch = np.empty((2, params.flat.size))
+        state.grad = leaf_views(params.config, state.grad_flat)
+    for name, view in state.grad.items():   # each leaf's gradient into its view
         grad = grads[name]
-        if grad.shape != tensor.data.shape:
+        if grad.shape != view.shape:
             raise ContractError(f"adam_step: gradient shape mismatch for {name}")
-        pieces.append(grad.ravel())
-    if state.scratch is None:   # kept across steps: fresh vectors would be re-faulted each time
-        state.scratch = np.empty((2, params.flat.size))
-    g, scratch = state.scratch
-    np.concatenate(pieces, out=g)
+        view[...] = grad
+    g, scratch = state.grad_flat, state.scratch
     state.step += 1
     t = state.step
     c1, c2 = 1 - b1 ** t, 1 - b2 ** t
@@ -138,20 +140,10 @@ def adam_step(params: ModelParams, grads, state: AdamState,
 
 
 def _batch_loss(params, ds, rows, weights):
-    """Forward every modality of the given rows and evaluate the combined loss,
-    averaged over all unordered modality pairs (one pair by default)."""
-    n = params.config.num_modalities
-    ys = [forward_backbone(params, m, stack_features(ds, rows, m)) for m in range(n)]
-    zs = [forward_encoder(params, y) for y in ys]
-    breakdowns = [combined_loss(zs[j], zs[k], ys[j], ys[k], weights)
-                  for j in range(n) for k in range(j + 1, n)]
-    total = breakdowns[0].total_node
-    for b in breakdowns[1:]:
-        total = T.add(total, b.total_node)
-    total = T.scale(total, 1.0 / len(breakdowns))
-    mean = lambda key: sum(getattr(b, key) for b in breakdowns) / len(breakdowns)
-    return LossBreakdown(mim=mean("mim"), mde=mean("mde"), msp=mean("msp"),
-                         total=total.item(), total_node=total)
+    """Forward every modality of the given rows as one stack and evaluate the combined
+    loss, averaged over all unordered modality pairs (one pair by default)."""
+    y = forward_backbone(params, stack_features(ds, rows))
+    return combined_loss(forward_encoder(params, y), y, weights)
 
 
 def _validation_loss(params, ds_val, train_config):

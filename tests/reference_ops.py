@@ -7,9 +7,18 @@
   against finite differences.
 - ``matmul`` and ``add_rowvec``: with ``tanh`` and ``relu``, the chain that
   ``tensor.dense`` must match bit for bit.
-- ``tsum``, the scalar reducer of gradient checks.
+- ``tsum``, the scalar reducer of gradient checks, and ``scale``.
 - The per-tensor Adam step and checkpoint writer, which ``trainer.adam_step``
   and ``trainer.save_checkpoint`` must match byte for byte.
+- The per-modality training graph that the stacked one replaced: the 2-D pair
+  losses ``pair_loss_mim``, ``pair_loss_mde``, ``pair_loss_msp`` and
+  ``pair_combined_loss``, and ``batch_loss``, which runs each modality's
+  backbone and the encoder on its own 2-D batch over per-tensor leaves
+  (``param_views``), combines every modality pair and averages the pairs with
+  ``add`` and ``scale``. At two modalities the stacked step must match it bit
+  for bit.
+- ``mim2``, ``mde2``, ``msp2`` and ``combined2``: the package's stacked losses
+  called on two 2-D operands, stacked into one two-modality batch.
 """
 
 import warnings
@@ -17,10 +26,21 @@ from dataclasses import asdict
 
 import numpy as np
 
+from xmodal import tensor as T
 from xmodal.data import write_container
 from xmodal.errors import ContractError, DegenerateInputError, ShapeMismatchError, XmodalError
-from xmodal.tensor import NORM_EPS, _as_tensor, _require_same_shape, add, node, scale
+from xmodal.losses import (LossBreakdown, combined_loss, loss_mde, loss_mim, loss_msp,
+                           row_squares)
+from xmodal.model import param_layout
+from xmodal.tensor import NORM_EPS, _as_tensor, _require_same_shape, add, node
 from xmodal.trainer import CHECKPOINT_MAGIC, _manifest
+
+
+def scale(a, c):
+    """Multiply by a python scalar constant."""
+    a = _as_tensor(a)
+    c = float(c)
+    return node(a.data * c, (a,), lambda g: (g * c,))
 
 
 class DomainError(XmodalError):
@@ -201,10 +221,195 @@ def adam_step(params, grads, state,
 def save_checkpoint(params, adam_state, epoch, path):
     """The checkpoint written one tensor at a time, from each parameter's and each
     moment's own array."""
-    tables = {"param": {name: t.data for name, t in params.named_tensors()},
-              "adam_m": adam_state.m, "adam_v": adam_state.v}
+    tables = {kind: param_views(params.config, flat) for kind, flat in
+              (("param", params.flat), ("adam_m", adam_state.m_flat),
+               ("adam_v", adam_state.v_flat))}
     manifest = _manifest(params.config)
     write_container(path, CHECKPOINT_MAGIC,
                     {"model_config": asdict(params.config), "epoch": int(epoch),
                      "adam_step": int(adam_state.step), "tensors": manifest},
                     (np.asarray(tables[e["kind"]][e["name"]], "<f8").tobytes() for e in manifest))
+
+
+# ---------------------------------------------------------------------------
+# the per-modality training graph
+# ---------------------------------------------------------------------------
+
+def param_views(config, flat):
+    """{name: array} of every ``param_layout`` tensor, each a reshaped view of ``flat``."""
+    return {name: flat[start:stop].reshape(shape)
+            for name, shape, start, stop in param_layout(config)}
+
+
+def _pair_operands(a, b, name, min_rows=1):
+    """Both operands as Tensors of one (T, D) shape, with their squared row norms."""
+    a = a if isinstance(a, T.Tensor) else T.Tensor(a)
+    b = b if isinstance(b, T.Tensor) else T.Tensor(b)
+    if a.data.shape != b.data.shape:
+        raise ContractError(f"{name}: batch shapes differ")
+    if a.data.shape[0] < min_rows:
+        raise ContractError(f"{name}: need batch size >= {min_rows}")
+    squares = []
+    for x in (a, b):
+        sq = np.add.reduce(x.data * x.data, axis=1)
+        if (np.sqrt(sq) <= NORM_EPS).any():
+            raise DegenerateInputError(f"{name}: zero-norm row in batch")
+        squares.append(sq)
+    return a, b, squares[0], squares[1]
+
+
+def _pair_cosine_grads(a, b, s, denom, saa, sbb):
+    """ds/da and ds/db of the row cosines s = <a, b> / sqrt(|a|^2 |b|^2)."""
+    return (b / denom[:, None] - s[:, None] * a / saa[:, None],
+            a / denom[:, None] - s[:, None] * b / sbb[:, None])
+
+
+def _pair_unit_rows_backward(grad_u, u, norms):
+    return (grad_u - np.add.reduce(grad_u * u, axis=1, keepdims=True) * u) / norms[:, None]
+
+
+def pair_loss_mim(z_j, z_k, tau):
+    z_j, z_k, sq_j, sq_k = _pair_operands(z_j, z_k, "loss_mim", min_rows=2)
+    n = z_j.data.shape[0]
+    norms_j, norms_k = np.sqrt(sq_j), np.sqrt(sq_k)
+    u_j = z_j.data / norms_j[:, None]
+    u_k = z_k.data / norms_k[:, None]
+    logits = (u_j @ u_k.T) * (1.0 / tau)
+    masked = logits.copy()
+    np.fill_diagonal(masked, -np.inf)
+    row_max = masked.max(axis=1, keepdims=True)
+    exp_row = np.exp(masked - row_max)
+    row_sum = exp_row.sum(axis=1, keepdims=True)
+    col_max = masked.max(axis=0, keepdims=True)
+    exp_col = np.exp(masked - col_max)
+    col_sum = exp_col.sum(axis=0, keepdims=True)
+    lse = (row_max + np.log(row_sum)).sum() + (col_max + np.log(col_sum)).sum()
+    value = (lse - 2.0 * logits.trace()) * (1.0 / (2 * n))
+
+    def backward(grad):
+        g_logits = exp_row / row_sum + exp_col / col_sum
+        g_logits.flat[::n + 1] -= 2.0
+        g_logits *= float(grad) / (2 * n * tau)
+        return (_pair_unit_rows_backward(g_logits @ u_k, u_j, norms_j)
+                if z_j.grad_enabled else None,
+                _pair_unit_rows_backward(g_logits.T @ u_j, u_k, norms_k)
+                if z_k.grad_enabled else None)
+
+    return node(value, (z_j, z_k), backward)
+
+
+def pair_loss_mde(y_j, y_k):
+    y_j, y_k, saa, sbb = _pair_operands(y_j, y_k, "loss_mde")
+    n = y_j.data.shape[0]
+    a, b = y_j.data, y_k.data
+    denom = np.sqrt(saa * sbb)
+    s = np.add.reduce(a * b, axis=1) / denom
+    value = -(np.add.reduce(np.logaddexp(0.0, s)) / n)
+
+    def backward(grad):
+        g_s = (-float(grad) / n) * (1.0 / (1.0 + np.exp(-s)))
+        ga, gb = _pair_cosine_grads(a, b, s, denom, saa, sbb)
+        return (g_s[:, None] * ga if y_j.grad_enabled else None,
+                g_s[:, None] * gb if y_k.grad_enabled else None)
+
+    return node(value, (y_j, y_k), backward)
+
+
+def _pair_neighbor_cosines(y, sq):
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (y @ y.T)
+    np.fill_diagonal(d2, np.inf)
+    idx = np.argmin(d2, axis=1)
+    nb, sq_nb = y[idx], sq[idx]
+    denom = np.sqrt(sq * sq_nb)
+    s = np.add.reduce(y * nb, axis=1) / denom
+
+    def grad(g_s):
+        g_row, g_nb = _pair_cosine_grads(y, nb, s, denom, sq, sq_nb)
+        out = g_s * g_row
+        np.add.at(out, idx, g_s * g_nb)
+        return out
+
+    return s, grad
+
+
+def pair_loss_msp(y_j, y_k):
+    y_j, y_k, sq_j, sq_k = _pair_operands(y_j, y_k, "loss_msp", min_rows=2)
+    n = y_j.data.shape[0]
+    s_j, grad_j = _pair_neighbor_cosines(y_j.data, sq_j)
+    s_k, grad_k = _pair_neighbor_cosines(y_k.data, sq_k)
+    value = -((np.add.reduce(s_j) + np.add.reduce(s_k)) / (2 * n))
+
+    def backward(grad):
+        g_s = -float(grad) / (2 * n)
+        return (grad_j(g_s) if y_j.grad_enabled else None,
+                grad_k(g_s) if y_k.grad_enabled else None)
+
+    return node(value, (y_j, y_k), backward)
+
+
+def pair_combined_loss(z_j, z_k, y_j, y_k, weights):
+    mim = pair_loss_mim(z_j, z_k, weights.tau)
+    mde = pair_loss_mde(y_j, y_k)
+    msp = pair_loss_msp(y_j, y_k)
+    total = T.add(mim, T.weighted_sum([(mde, weights.alpha), (msp, weights.beta)]))
+    return LossBreakdown(mim=mim.item(), mde=mde.item(), msp=msp.item(),
+                         total=total.item(), total_node=total)
+
+
+def per_tensor_leaves(params):
+    """{name: grad-enabled Tensor} of every ``param_layout`` tensor, over ``params.flat``."""
+    return {name: T.Tensor(a, grad_enabled=True)
+            for name, a in param_views(params.config, params.flat).items()}
+
+
+def batch_features(params, leaves, ds, rows, m):
+    """Modality m's rows through its backbone, as a 2-D batch over ``leaves``."""
+    config = params.config
+    depth = len(config.backbone_hidden_dims) + 1
+    h = T.Tensor(ds.features[m][rows])
+    for li in range(depth):
+        w, b = (leaves[f"backbone{m}.layer{li}.{p}"] for p in "Wb")
+        h = T.dense(h, w, b, config.activation if li < depth - 1 else None)
+    return h
+
+
+def batch_loss(params, leaves, ds, rows, weights):
+    """The per-modality graph of one batch over ``leaves`` (``per_tensor_leaves``)."""
+    n = params.config.num_modalities
+    ys = [batch_features(params, leaves, ds, rows, m) for m in range(n)]
+    zs = [T.dense(y, leaves["encoder.W"], leaves["encoder.b"]) for y in ys]
+    breakdowns = [pair_combined_loss(zs[j], zs[k], ys[j], ys[k], weights)
+                  for j in range(n) for k in range(j + 1, n)]
+    total = breakdowns[0].total_node
+    for b in breakdowns[1:]:
+        total = add(total, b.total_node)
+    total = scale(total, 1.0 / len(breakdowns))
+    mean = lambda key: sum(getattr(b, key) for b in breakdowns) / len(breakdowns)
+    return LossBreakdown(mim=mean("mim"), mde=mean("mde"), msp=mean("msp"),
+                         total=total.item(), total_node=total)
+
+
+# ---------------------------------------------------------------------------
+# the stacked losses on two 2-D operands
+# ---------------------------------------------------------------------------
+
+def mim2(z_j, z_k, tau):
+    """``loss_mim`` of the two-modality stack of z_j and z_k, as a scalar."""
+    return T.mean(loss_mim(T.stack([z_j, z_k]), tau))
+
+
+def mde2(y_j, y_k):
+    y = T.stack([y_j, y_k])
+    return T.mean(loss_mde(y, row_squares(y.data)))
+
+
+def msp2(y_j, y_k):
+    y = T.stack([y_j, y_k])
+    return T.mean(loss_msp(y, row_squares(y.data)))
+
+
+def combined2(z_j, z_k, y_j, y_k, weights):
+    """``combined_loss`` of the two-modality stacks; a tensor in two slots is stacked once."""
+    z = T.stack([z_j, z_k])
+    y = z if y_j is z_j and y_k is z_k else T.stack([y_j, y_k])
+    return combined_loss(z, y, weights)

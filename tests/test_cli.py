@@ -361,6 +361,27 @@ class TestBadInputOneLine:
         assert err == [f"error: {config}: not UTF-8 text"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, line", [("--config", "num_tuples=30"),
+                                            ("--model-config", "embedding_dim=12"),
+                                            ("--train-config", "epochs=2")])
+    def test_config_file_with_byte_order_mark(self, dataset_file, tmp_path, flag, line):
+        # an editor's UTF-8 byte-order mark used to become part of the first key
+        config, out = tmp_path / "bom.cfg", tmp_path / "out"
+        config.write_bytes(b"\xef\xbb\xbf" + line.encode() + b"\n")
+        train = ["train", "--dataset", str(dataset_file), "--out-dir", str(out),
+                 "--batch-size", "16"]
+        where = {"--config": ["gen-data", "--out", str(out / "ds.txt"), "--mkdirs"],
+                 "--model-config": [*train, "--epochs", "1"], "--train-config": train}[flag]
+        code, err = run_process([*where, flag, str(config)])
+        assert (code, err) == (0, [])
+        if flag == "--config":
+            assert len(load_dataset(out / "ds.txt")) == 30
+        elif flag == "--model-config":
+            assert load_checkpoint(out / "checkpoint_epoch0.ckpt")[3].embedding_dim == 12
+        else:
+            assert sorted(os.listdir(out)) == ["checkpoint_epoch1.ckpt", "manifest_train.json",
+                                               "train_report.csv"]
+
     @pytest.mark.parametrize("pattern, replacement, message", [
         (rb"N=2", b"N=abc", "line 1: header field 'N=abc' is not key=integer"),
         (rb"N=2", b"N=0", "line 1: header field N=0 must be >= 1"),

@@ -47,7 +47,7 @@ class TestGenerateSynthetic:
         cfg = SynthConfig(num_classes=4, num_tuples=80, input_dim=16, latent_dim=8,
                           noise_sigma=0.0, seed=5)
         ds = generate_synthetic(cfg)
-        feats = stack_features(ds, np.arange(len(ds)), 0)
+        feats = stack_features(ds, np.arange(len(ds)))[0]
         labels = [next(iter(labels)) for labels in label_sets(ds)]
         within, cross = [], []
         for i in range(len(ds)):

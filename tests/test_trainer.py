@@ -1,5 +1,6 @@
 """Adam updates, the training loop, checkpoints and resume-exactness."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -8,12 +9,11 @@ import numpy as np
 import pytest
 
 from xmodal import tensor as T
-from xmodal.data import SynthConfig, batch_iter, generate_synthetic, split, stack_features
+from xmodal.data import SynthConfig, batch_iter, generate_synthetic, split
 from xmodal.errors import CheckpointError, ContractError, TrainingDivergedError
 from xmodal.losses import (LossBreakdown, LossWeights, combined_loss, loss_mde, loss_mim,
-                           loss_msp)
-from xmodal.model import (ModelConfig, forward_backbone, forward_encoder, init_params,
-                          param_layout)
+                           loss_msp, row_squares)
+from xmodal.model import ModelConfig, init_params, leaf_views, param_count, param_layout
 from xmodal.trainer import (CHECKPOINT_MAGIC, AdamState, TrainConfig, _batch_loss,
                             _validation_loss, adam_step, load_checkpoint, save_checkpoint,
                             train)
@@ -52,19 +52,40 @@ def stepped_checkpoint(config, path, steps=3):
     return params, state
 
 
+def layout_tensors(leaves):
+    """{param_layout name: array} of {leaf name: array}: each modality's slice of a stacked
+    backbone leaf (backbone.layer0.W holds backbone0.layer0.W, ...) and the encoder's."""
+    tensors = {}
+    for name, a in leaves.items():
+        if name.startswith("backbone."):
+            tensors.update((f"backbone{m}{name[8:]}", a[m]) for m in range(len(a)))
+        else:
+            tensors[name] = a
+    return tensors
+
+
 def assert_views_of_vectors(params, state=None):
-    """Every tensor's array, and every moment, is its own slice of its role's vector."""
-    roles = [(params.flat, {name: t.data for name, t in params.named_tensors()})]
+    """Every leaf's array, every moment and (once adam_step has made it) every gradient
+    view is a view of its role's vector, and each modality slice of a stacked leaf is
+    that modality's tensor, at its own offset."""
+    leaves = {name: t.data for name, t in params.named_tensors()}
+    roles = [(params.flat, leaves)]
     if state is not None:
         roles += [(state.m_flat, state.m), (state.v_flat, state.v)]
+        if state.grad_flat is not None:
+            roles.append((state.grad_flat, state.grad))
+    layout = {name: (shape, start) for name, shape, start, _ in param_layout(params.config)}
     for flat, arrays in roles:
         assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
-        for name, shape, start, stop in param_layout(params.config):
-            a = arrays[name]
-            assert np.shares_memory(a, flat)
+        assert list(arrays) == list(leaves)
+        assert all(np.shares_memory(a, flat) for a in arrays.values())
+        tensors = layout_tensors(arrays)
+        assert tensors.keys() == layout.keys()
+        for name, (shape, start) in layout.items():
+            a = tensors[name]
             assert a.shape == shape and a.flags.c_contiguous
             assert a.ctypes.data == flat.ctypes.data + 8 * start
-        assert flat.size == stop
+        assert flat.size == param_count(params.config)
 
 
 def params_equal(p1, p2):
@@ -306,9 +327,11 @@ class TestBatchLoss:
                                             latent_dim=6, num_modalities=3, seed=1))
         params, rows = init_params(config), np.arange(8)
         weights = LossWeights(alpha=0.3, beta=0.7, tau=0.2)
-        ys = [forward_backbone(params, m, stack_features(ds, rows, m)) for m in range(3)]
-        zs = [forward_encoder(params, y) for y in ys]
-        t01, t02, t12 = (combined_loss(zs[j], zs[k], ys[j], ys[k], weights).total
+        leaves = reference_ops.per_tensor_leaves(params)
+        ys = [reference_ops.batch_features(params, leaves, ds, rows, m) for m in range(3)]
+        zs = [T.dense(y, leaves["encoder.W"], leaves["encoder.b"]) for y in ys]
+        t01, t02, t12 = (reference_ops.pair_combined_loss(zs[j], zs[k], ys[j], ys[k],
+                                                          weights).total
                          for j, k in ((0, 1), (0, 2), (1, 2)))
         assert _batch_loss(params, ds, rows, weights).total == (t01 + t02 + t12) * (1.0 / 3)
 
@@ -333,12 +356,74 @@ class TestBatchLoss:
         assert all(steps[0][name] is not steps[1][name] for name in steps[0])
 
 
-def _chained_loss(z_j, z_k, y_j, y_k, weights):
+def layout_grads(params):
+    """{param_layout name: gradient} of every tensor, read from the leaves' ``.grad``."""
+    flat = np.empty(param_count(params.config))
+    for name, view in leaf_views(params.config, flat).items():
+        view[...] = dict(params.named_tensors())[name].grad
+    return reference_ops.param_views(params.config, flat)
+
+
+class TestStackedStep:
+    """The stacked step against the per-modality graph it replaced."""
+
+    CONFIGS = {"default": ModelConfig(),
+               "relu_48_40": ModelConfig(activation="relu", backbone_hidden_dims=(48, 40))}
+
+    @staticmethod
+    def both_steps(config, num_modalities, rows):
+        config = dataclasses.replace(config, num_modalities=num_modalities)
+        ds = generate_synthetic(SynthConfig(num_tuples=80, input_dim=config.input_dim,
+                                            num_modalities=num_modalities, multi_label=True,
+                                            noise_sigma=0.5, num_classes=32, seed=6))
+        params = init_params(config)
+        state, rng = AdamState(params), np.random.default_rng(7)
+        for _ in range(2):   # moved off the initial weights, whose biases are zero
+            adam_step(params, random_grads(params, rng), state, 1e-2)
+        weights = LossWeights(alpha=0.3, beta=0.7, tau=0.2)
+        rows = np.random.default_rng(8).permutation(len(ds))[:rows]
+        stacked = _batch_loss(params, ds, rows, weights)
+        T.backward(stacked.total_node)
+        leaves = reference_ops.per_tensor_leaves(params)
+        reference = reference_ops.batch_loss(params, leaves, ds, rows, weights)
+        T.backward(reference.total_node)
+        return (stacked, layout_grads(params), reference,
+                {name: t.grad for name, t in leaves.items()})
+
+    @pytest.mark.parametrize("config, rows", [("default", 32), ("relu_48_40", 32),
+                                              ("default", 7)],
+                             ids=["default", "relu_48_40", "short_last_batch"])
+    def test_two_modalities_bit_identical(self, config, rows):
+        stacked, grads, reference, reference_grads = self.both_steps(
+            self.CONFIGS[config], 2, rows)
+        for key in ("mim", "mde", "msp", "total"):
+            assert getattr(stacked, key) == getattr(reference, key)
+        assert stacked.total_node.data.tobytes() == reference.total_node.data.tobytes()
+        assert grads.keys() == reference_grads.keys()
+        for name, g in grads.items():
+            assert np.array_equal(g, reference_grads[name])
+            assert g.tobytes() == reference_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("config", ["default", "relu_48_40"])
+    def test_three_modalities_within_last_bits(self, config):
+        # the pairs a modality enters sum its gradient in another order (see losses)
+        stacked, grads, reference, reference_grads = self.both_steps(
+            self.CONFIGS[config], 3, 32)
+        for key in ("mim", "mde", "msp", "total"):
+            assert getattr(stacked, key) == getattr(reference, key)
+        for name, g in grads.items():
+            assert T.rel_error(g, reference_grads[name]) <= 1e-14, name
+
+
+def _chained_loss(z, y, weights):
     """combined_loss as the add/scale chain that its weighted_sum node replaces."""
-    mim, mde, msp = loss_mim(z_j, z_k, weights.tau), loss_mde(y_j, y_k), loss_msp(y_j, y_k)
-    total = T.add(mim, T.add(T.scale(mde, weights.alpha), T.scale(msp, weights.beta)))
-    return LossBreakdown(mim=mim.item(), mde=mde.item(), msp=msp.item(), total=total.item(),
-                         total_node=total)
+    sq = row_squares(y.data)
+    mim, mde, msp = loss_mim(z, weights.tau), loss_mde(y, sq), loss_msp(y, sq)
+    total = T.mean(T.add(mim, T.add(reference_ops.scale(mde, weights.alpha),
+                                    reference_ops.scale(msp, weights.beta))))
+    pair_mean = lambda loss: sum(loss.data.tolist()) / len(loss.data)
+    return LossBreakdown(mim=pair_mean(mim), mde=pair_mean(mde), msp=pair_mean(msp),
+                         total=total.item(), total_node=total)
 
 
 class TestCombinedLossGraph:
@@ -361,7 +446,7 @@ class TestCombinedLossGraph:
                             *(t.grad for _, t in params.named_tensors())])
         assert all(np.array_equal(a, b) for a, b in zip(*results, strict=True))
 
-    def test_default_step_builds_ten_nodes(self):
+    def test_default_step_builds_seven_nodes(self):
         config = ModelConfig()
         ds = generate_synthetic(SynthConfig(num_tuples=40, input_dim=config.input_dim, seed=4))
         params = init_params(config)
@@ -374,7 +459,7 @@ class TestCombinedLossGraph:
                 stack.extend(p for p in node._parents if p.grad_enabled)
         leaves = {t for t in seen if not t._parents}
         assert leaves == {t for _, t in params.named_tensors()}
-        assert len(seen - leaves) == 10    # 6 dense, loss_mim, weighted_sum, add, scale
+        assert len(seen - leaves) == 7    # 3 dense, loss_mim, weighted_sum, add, mean
 
 
 class TestValidationLoss:
@@ -532,9 +617,10 @@ class TestCheckpoint:
         path = tmp_path / "ck.ckpt"
         save_checkpoint(params, AdamState(params), 3, path)
         loaded, state, _, _ = load_checkpoint(path)
-        arrays = [t.data for _, t in loaded.named_tensors()] + [*state.m.values(),
-                                                                *state.v.values()]
-        assert len(arrays) == 3 * len(loaded.named_tensors())
+        leaves = {name: t.data for name, t in loaded.named_tensors()}
+        arrays = [a for views in (leaves, state.m, state.v)
+                  for a in layout_tensors(views).values()]
+        assert len(arrays) == 3 * len(param_layout(MODEL))
         for a in arrays:
             assert a.dtype == np.float64 and a.flags.c_contiguous
             assert a.flags.aligned and a.flags.writeable
@@ -577,6 +663,7 @@ class TestCheckpoint:
     def test_state_is_views_of_one_vector_per_role(self, config, tmp_path):
         config = STATE_CONFIGS[config]
         params, state = stepped_checkpoint(config, tmp_path / "ck.ckpt")
+        assert state.grad_flat is not None   # so the gradient vector's views are checked too
         assert_views_of_vectors(params, state)
         fresh = init_params(config)
         assert_views_of_vectors(fresh, AdamState(fresh))
