@@ -251,9 +251,12 @@ def cmd_gradcheck(args):
     worst = {"mim": 0.0, "mde": 0.0, "msp": 0.0, "combined": 0.0}
     weights = LossWeights(alpha=0.7, beta=0.4, tau=0.2)
 
+    def on_stack(f):
+        """f of the two-modality stack of a and b, as a function of a and b."""
+        return lambda a, b: f(T.stack([a, b]))
+
     def check(name, f, a0, b0):
-        """Gradients of f(a, b) for both operands against finite differences; f takes
-        them as the stacked pair of a two-modality batch."""
+        """Gradients of f(a, b) for both operands against finite differences."""
         a, b = T.Tensor(a0, grad_enabled=True), T.Tensor(b0, grad_enabled=True)
         T.backward(f(a, b))
         for analytic, x0, f_x in ((a.grad, a0, lambda t: f(t, T.Tensor(b0))),
@@ -265,13 +268,11 @@ def cmd_gradcheck(args):
         z_j = rng.normal(size=(t_batch, dim))
         z_k = rng.normal(size=(t_batch, dim))
         y_k = rng.normal(size=(t_batch, dim))
-        check("mim", lambda a, b: T.mean(loss_mim(T.stack([a, b]), 0.2)), z_j, z_k)
-        for name, loss in (("mde", loss_mde), ("msp", loss_msp)):
-            check(name, lambda a, b, loss=loss: T.mean(loss(y := T.stack([a, b]),
-                                                             row_squares(y.data))), z_j, y_k)
-        # the pair (a, b) is both the embedding stack and the feature stack of every loss
-        check("combined", lambda a, b: combined_loss(x := T.stack([a, b]), x,
-                                                     weights).total_node, z_j, y_k)
+        check("mim", on_stack(lambda x: T.mean(loss_mim(x, 0.2))), z_j, z_k)
+        check("mde", on_stack(lambda y: T.mean(loss_mde(y, row_squares(y.data)))), z_j, y_k)
+        check("msp", on_stack(lambda y: T.mean(loss_msp(y, row_squares(y.data)))), z_j, y_k)
+        # the stack is both the embeddings and the features of every loss
+        check("combined", on_stack(lambda x: combined_loss(x, x, weights).total_node), z_j, y_k)
     failed = [name for name, err in worst.items() if err >= 1e-4]
     for name, err in worst.items():
         status = "FAIL" if name in failed else "ok"

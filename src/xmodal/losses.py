@@ -132,14 +132,6 @@ def _check_norms(norms, name):
         raise DegenerateInputError(f"{name}: zero-norm row in batch")
 
 
-def _check_squares(sq, y, name):
-    """The squared row norms handed to a loss: of the stack's shape, with no zero row."""
-    if np.shape(sq) != y.data.shape[:2]:
-        raise ContractError(f"{name}: squared norms of shape {np.shape(sq)} "
-                            f"for a stack of shape {y.data.shape}")
-    _check_norms(np.sqrt(sq), name)
-
-
 def _cosine_grad(a, b, s, denom, saa):
     """ds/da of the row cosines s = <a, b> / sqrt(|a|^2 |b|^2), denom = sqrt(|a|^2 |b|^2)."""
     return b / denom[..., None] - s[..., None] * a / saa[..., None]
@@ -198,7 +190,7 @@ def loss_mde(y, sq):
     perfectly aligned (cosine 1), so it pulls each pair together.
     """
     y = _stack(y, "loss_mde", min_rows=1)
-    _check_squares(sq, y, "loss_mde")
+    _check_norms(np.sqrt(sq), "loss_mde")
     m, n, dim = y.data.shape
     sides = _pairs(m)[0]
     pair_y = y.data[sides].reshape(-1, 2, n, dim)   # (P, 2, T, D): each pair's j and k
@@ -257,7 +249,7 @@ def loss_msp(y, sq):
     neighbor, over both modalities of each pair; ``sq`` holds the stack's squared row
     norms (``row_squares``)."""
     y = _stack(y, "loss_msp", min_rows=2)
-    _check_squares(sq, y, "loss_msp")
+    _check_norms(np.sqrt(sq), "loss_msp")
     m, n, _ = y.data.shape
     s, grad_s = _neighbor_cosines(y.data, sq)
     pair_sums = np.add.reduce(s, axis=1)[_pairs(m)[0]].reshape(-1, 2)
