@@ -37,7 +37,8 @@ def read_kv(path, sets):
     """{key: value text} of a key=value file, then of the --set items over it.
 
     In the file, which must be UTF-8 (a leading byte-order mark is dropped), blank
-    lines and lines starting with '#' are skipped. Keys and values are stripped of surrounding whitespace.
+    lines and lines starting with '#' are skipped. Keys and values are stripped of
+    surrounding whitespace.
     """
     items = []
     if path:

@@ -89,6 +89,14 @@ def add(a, b):
     return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
+def _sum_slices(a):
+    """``a[0] + a[1] + ...``, added in that order."""
+    total = a[0]
+    for part in a[1:]:
+        total = total + part
+    return total
+
+
 def stack(tensors):
     """Equal-shape tensors as one stack along a new leading axis; each gets its slice back."""
     tensors = [_as_tensor(t) for t in tensors]
@@ -106,10 +114,7 @@ def mean(a):
     if a.data.ndim != 1 or not a.data.size:
         raise ShapeMismatchError(f"mean: need a non-empty vector, got shape {a.data.shape}")
     c = 1.0 / a.data.size
-    total = a.data[0]
-    for value in a.data[1:]:
-        total = total + value
-    return _make(total * c, (a,), lambda g: (np.full(a.data.shape, g * c),))
+    return _make(_sum_slices(a.data) * c, (a,), lambda g: (np.full(a.data.shape, g * c),))
 
 
 def weighted_sum(terms):
@@ -146,14 +151,6 @@ def weighted_sum(terms):
         return grads
 
     return _make(out, parents, backward)
-
-
-def _sum_slices(a):
-    """``a[0] + a[1] + ...``, added in that order."""
-    total = a[0]
-    for part in a[1:]:
-        total = total + part
-    return total
 
 
 def dense(x, w, b, activation=None):
