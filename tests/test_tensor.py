@@ -423,6 +423,33 @@ class TestWeightedSum:
             T.weighted_sum([])
 
 
+class TestStackAndMean:
+    def test_stack_hands_each_tensor_its_slice(self):
+        rng = np.random.default_rng(26)
+        a, b = (T.Tensor(rng.normal(size=(3, 2)), grad_enabled=True) for _ in range(2))
+        g = rng.normal(size=(2, 3, 2))
+        out = T.stack([a, b])
+        np.testing.assert_array_equal(out.data, np.stack([a.data, b.data]))
+        T.backward(tsum(mul(out, T.Tensor(g))))
+        np.testing.assert_array_equal(a.grad, g[0])
+        np.testing.assert_array_equal(b.grad, g[1])
+        with pytest.raises(ShapeMismatchError):
+            T.stack([a, T.Tensor(np.ones((2, 2)))])
+        with pytest.raises(ContractError):
+            T.stack([])
+
+    def test_mean_added_left_to_right(self):
+        x = T.Tensor([1.0, 1e16, -1e16], grad_enabled=True)
+        out = T.mean(x)
+        assert out.item() == 0.0                        # ((1 + 1e16) + -1e16) / 3, not 1/3
+        T.backward(out)
+        np.testing.assert_array_equal(x.grad, np.full(3, 1.0 / 3))
+        with pytest.raises(ShapeMismatchError):
+            T.mean(T.Tensor(np.ones((2, 2))))
+        with pytest.raises(ShapeMismatchError):
+            T.mean(T.Tensor(np.ones(0)))
+
+
 class TestFiniteDiff:
     def test_sum_of_squares_closed_form(self):
         g = fd_of(lambda x: tsum(mul(x, x)), np.array([1.0, 2.0]))
