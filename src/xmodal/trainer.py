@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor as T
 from .data import batch_iter, read_container, stack_features, write_atomic, write_container
 from .errors import CheckpointError, ContractError, TrainingDivergedError, check_fields
-from .losses import LossBreakdown, LossWeights, combined_loss, schedule_weight
+from .losses import LossWeights, combined_loss, schedule_weight
 from .model import (ModelConfig, ModelParams, check_dataset, forward_backbone, forward_encoder,
                     init_params, leaf_views, param_count, param_layout)
 

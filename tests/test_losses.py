@@ -7,7 +7,7 @@ import pytest
 
 from xmodal import tensor as T
 from xmodal.errors import ContractError, DegenerateInputError
-from xmodal.losses import LossBreakdown, LossWeights, _nearest_neighbor_indices, schedule_weight
+from xmodal.losses import LossWeights, _nearest_neighbor_indices, schedule_weight
 
 # each loss of a two-modality stack, on its two 2-D operands
 from reference_ops import combined2 as combined_loss
