@@ -12,9 +12,7 @@ a vector of P = M(M-1)/2 values, one per unordered modality pair (j, k),
 j < k, in lexicographic order; ``combined_loss`` averages the pairs. Work
 that depends on one operand runs once over the whole stack: row norms, unit
 rows, the nearest-neighbor search and its cosine gradients, the cosine
-gradients of both sides of every pair, and the unit-row backward. A run of
-modalities is indexed by a slice, so at M = 2 every pair operand is a view
-of the stack.
+gradients of both sides of every pair, and the unit-row backward.
 
 Each loss is one fused autodiff node (``tensor.node``): the value is computed
 with NumPy and one closure returns the hand-derived gradient of the stack.
@@ -39,12 +37,13 @@ nothing is summed and every value and gradient is bit-identical to the 2-D
 pair losses (tests/reference_ops.py). At M >= 3 the sums can differ from a
 loss-by-loss graph in the last bit.
 
-``loss_mim`` computes the squared row norms of z; ``combined_loss`` computes
-those of y once and hands them to ``loss_mde`` and ``loss_msp``. Each loss
-rejects a (near-)zero-norm row with DegenerateInputError before anything
-else. ``combined_loss`` joins the weighted ``loss_mde`` and ``loss_msp`` with
-one ``tensor.weighted_sum`` node, adds ``loss_mim`` to it and averages the
-pairs with ``tensor.mean``.
+Each loss takes its stack's squared row norms (``row_squares``) and rejects
+a (near-)zero-norm row with DegenerateInputError before anything else.
+``combined_loss`` computes the squared norms of z and y once, checks them in
+the order of a loss-by-loss graph (pair by pair, each pair's z before its y),
+and hands y's to both ``loss_mde`` and ``loss_msp``. It joins the weighted
+``loss_mde`` and ``loss_msp`` with one ``tensor.weighted_sum`` node, adds
+``loss_mim`` to it and averages the pairs with ``tensor.mean``.
 """
 
 import functools
@@ -85,20 +84,13 @@ def _pairs(m):
 
     Pair p's two sides are slots 2p (its j) and 2p + 1 (its k); ``sides`` indexes
     each slot's modality. ``first`` indexes each modality's first slot, and ``rest``
-    lists every other slot as (slot, modality), in slot order. A run of
-    consecutive indices is a slice, so indexing with it makes a view."""
+    lists every other slot as (slot, modality), in slot order."""
     owners = [i for j in range(m) for k in range(j + 1, m) for i in (j, k)]
     first = [owners.index(i) for i in range(m)]
     rest = tuple((slot, i) for slot, i in enumerate(owners) if slot != first[i])
-    return _index(owners), _index(first), rest
-
-
-def _index(seq):
-    if seq == list(range(seq[0], seq[0] + len(seq))):
-        return slice(seq[0], seq[0] + len(seq))
-    index = np.array(seq)
-    index.flags.writeable = False   # cached: every call shares it
-    return index
+    sides, first = np.array(owners), np.array(first)
+    sides.flags.writeable = first.flags.writeable = False   # cached: every call shares them
+    return sides, first, rest
 
 
 def _by_modality(slots, m):
@@ -127,8 +119,13 @@ def _stack(x, name, min_rows):
     return x
 
 
-def _check_norms(norms, name):
-    if (norms <= T.NORM_EPS).any():
+def _zero_norm(sq):
+    """Whether each modality of the stack has a (near-)zero-norm row, (M,) of (M, T)."""
+    return (np.sqrt(sq) <= T.NORM_EPS).any(axis=1)
+
+
+def _check_norms(sq, name):
+    if _zero_norm(sq).any():
         raise DegenerateInputError(f"{name}: zero-norm row in batch")
 
 
@@ -142,16 +139,16 @@ def _unit_rows_backward(grad_u, u, norms):
     return (grad_u - np.add.reduce(grad_u * u, axis=-1, keepdims=True) * u) / norms[..., None]
 
 
-def loss_mim(z, tau):
+def loss_mim(z, sq, tau):
     """Symmetric contrastive loss of each modality pair over both retrieval directions,
-    averaged over tuples.
+    averaged over tuples; ``sq`` holds the stack's squared row norms (``row_squares``).
 
     Per tuple i and direction j->k: -log(exp(S_ii) / sum_q exp(S_iq)) with
     S = cos / tau, the sum over q != i; k->j is the same on the columns of S.
     """
     z = _stack(z, "loss_mim", min_rows=2)
-    norms = np.sqrt(row_squares(z.data))
-    _check_norms(norms, "loss_mim")
+    _check_norms(sq, "loss_mim")
+    norms = np.sqrt(sq)
     m, n, dim = z.data.shape
     u = z.data / norms[:, :, None]
     pair_u = u[_pairs(m)[0]].reshape(-1, 2, n, dim)   # (P, 2, T, D): each pair's j and k
@@ -190,7 +187,7 @@ def loss_mde(y, sq):
     perfectly aligned (cosine 1), so it pulls each pair together.
     """
     y = _stack(y, "loss_mde", min_rows=1)
-    _check_norms(np.sqrt(sq), "loss_mde")
+    _check_norms(sq, "loss_mde")
     m, n, dim = y.data.shape
     sides = _pairs(m)[0]
     pair_y = y.data[sides].reshape(-1, 2, n, dim)   # (P, 2, T, D): each pair's j and k
@@ -249,7 +246,7 @@ def loss_msp(y, sq):
     neighbor, over both modalities of each pair; ``sq`` holds the stack's squared row
     norms (``row_squares``)."""
     y = _stack(y, "loss_msp", min_rows=2)
-    _check_norms(np.sqrt(sq), "loss_msp")
+    _check_norms(sq, "loss_msp")
     m, n, _ = y.data.shape
     s, grad_s = _neighbor_cosines(y.data, sq)
     pair_sums = np.add.reduce(s, axis=1)[_pairs(m)[0]].reshape(-1, 2)
@@ -274,8 +271,14 @@ def combined_loss(z, y, weights: LossWeights) -> LossBreakdown:
     if z.data.shape[:2] != y.data.shape[:2]:
         raise ContractError(f"combined_loss: inconsistent batch sizes, z stack "
                             f"{z.data.shape[:2]} and y stack {y.data.shape[:2]}")
-    sq = row_squares(y.data)
-    mim = loss_mim(z, weights.tau)
+    z, y = _stack(z, "loss_mim", min_rows=2), _stack(y, "loss_mde", min_rows=1)
+    z_sq, sq = row_squares(z.data), row_squares(y.data)
+    z_bad, y_bad = _zero_norm(z_sq), _zero_norm(sq)
+    for j, k in _pairs(len(z_sq))[0].reshape(-1, 2):   # the pairs' losses check in this order
+        for name, bad in (("loss_mim", z_bad), ("loss_mde", y_bad)):
+            if bad[j] or bad[k]:
+                raise DegenerateInputError(f"{name}: zero-norm row in batch")
+    mim = loss_mim(z, z_sq, weights.tau)
     mde, msp = loss_mde(y, sq), loss_msp(y, sq)
     total = T.mean(T.add(mim, T.weighted_sum([(mde, weights.alpha), (msp, weights.beta)])))
     pair_mean = lambda loss: sum(loss.data.tolist()) / len(loss.data)

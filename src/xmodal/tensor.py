@@ -97,16 +97,6 @@ def _sum_slices(a):
     return total
 
 
-def stack(tensors):
-    """Equal-shape tensors as one stack along a new leading axis; each gets its slice back."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ContractError("stack: no tensors")
-    for t in tensors[1:]:
-        _require_same_shape(tensors[0], t, "stack")
-    return _make(np.stack([t.data for t in tensors]), tensors, lambda g: tuple(g))
-
-
 def mean(a):
     """The mean of a vector as one node: its elements added left to right, the sum times
     ``1 / len``; the backward hands every element ``grad / len`` the same way."""
@@ -218,8 +208,7 @@ def backward(loss):
     A parent may fill several slots of one node (``weighted_sum``'s terms share
     their operands); its gradients are added slot by slot, in order. The first
     gradient to reach a tensor is kept as the closure returned it, not copied:
-    ``add`` hands both parents one array, and ``stack`` views of its own. No
-    closure writes into a gradient it receives, and a sum makes a new array, so
+    ``add`` hands both parents one array. No closure writes into a gradient it receives, and a sum makes a new array, so
     the sharing is never seen in a value.
     """
     if not isinstance(loss, Tensor) or loss.data.ndim != 0:

@@ -17,8 +17,9 @@
   (``param_views``), combines every modality pair and averages the pairs with
   ``add`` and ``scale``. At two modalities the stacked step must match it bit
   for bit.
-- ``mim2``, ``mde2``, ``msp2`` and ``combined2``: the package's stacked losses
-  called on two 2-D operands, stacked into one two-modality batch.
+- ``stack``, equal-shape tensors as one stack that hands each its slice of the
+  gradient, and ``mim2``, ``mde2``, ``msp2`` and ``combined2``: the package's
+  stacked losses called on two 2-D operands, stacked into one two-modality batch.
 """
 
 import warnings
@@ -393,23 +394,34 @@ def batch_loss(params, leaves, ds, rows, weights):
 # the stacked losses on two 2-D operands
 # ---------------------------------------------------------------------------
 
+def stack(tensors):
+    """Equal-shape tensors as one stack along a new leading axis; each gets its slice back."""
+    tensors = [_as_tensor(t) for t in tensors]
+    if not tensors:
+        raise ContractError("stack: no tensors")
+    for t in tensors[1:]:
+        _require_same_shape(tensors[0], t, "stack")
+    return node(np.stack([t.data for t in tensors]), tensors, lambda g: tuple(g))
+
+
 def mim2(z_j, z_k, tau):
     """``loss_mim`` of the two-modality stack of z_j and z_k, as a scalar."""
-    return T.mean(loss_mim(T.stack([z_j, z_k]), tau))
+    z = stack([z_j, z_k])
+    return T.mean(loss_mim(z, row_squares(z.data), tau))
 
 
 def mde2(y_j, y_k):
-    y = T.stack([y_j, y_k])
+    y = stack([y_j, y_k])
     return T.mean(loss_mde(y, row_squares(y.data)))
 
 
 def msp2(y_j, y_k):
-    y = T.stack([y_j, y_k])
+    y = stack([y_j, y_k])
     return T.mean(loss_msp(y, row_squares(y.data)))
 
 
 def combined2(z_j, z_k, y_j, y_k, weights):
     """``combined_loss`` of the two-modality stacks; a tensor in two slots is stacked once."""
-    z = T.stack([z_j, z_k])
-    y = z if y_j is z_j and y_k is z_k else T.stack([y_j, y_k])
+    z = stack([z_j, z_k])
+    y = z if y_j is z_j and y_k is z_k else stack([y_j, y_k])
     return combined_loss(z, y, weights)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from xmodal import losses
 from xmodal import tensor as T
 from xmodal.errors import ContractError, DegenerateInputError
 from xmodal.losses import LossWeights, _nearest_neighbor_indices, schedule_weight
@@ -14,6 +15,7 @@ from reference_ops import combined2 as combined_loss
 from reference_ops import mde2 as loss_mde
 from reference_ops import mim2 as loss_mim
 from reference_ops import msp2 as loss_msp
+from reference_ops import pair_combined_loss
 
 
 def msp_neighbor_indices(y):
@@ -346,6 +348,22 @@ class TestCombinedLoss:
                           T.Tensor(rng.normal(size=(5, 8))),
                           T.Tensor(rng.normal(size=(5, 8))),
                           LossWeights())
+
+    @pytest.mark.parametrize("zero_z, zero_y", [(2, 0), (0, 2), (1, 1), (2, 1), (None, 2)])
+    def test_zero_norm_rows_reported_pair_by_pair(self, zero_z, zero_y):
+        """At three modalities the first failing check is the per-pair graph's: pair by
+        pair, each pair's z before its y."""
+        rng = np.random.default_rng(34)
+        z, y = rng.normal(size=(3, 4, 8)), rng.normal(size=(3, 4, 8))
+        for stack, m in ((z, zero_z), (y, zero_y)):
+            if m is not None:
+                stack[m, 1] = 0.0
+        with pytest.raises(DegenerateInputError) as expected:
+            for j, k in ((0, 1), (0, 2), (1, 2)):
+                pair_combined_loss(z[j], z[k], y[j], y[k], LossWeights())
+        with pytest.raises(DegenerateInputError) as got:
+            losses.combined_loss(z, y, LossWeights())
+        assert str(got.value) == str(expected.value)
 
     def test_full_gradient_vs_finite_differences(self):
         z_k, y_k = (np.random.default_rng(32).normal(size=(4, 8)) for _ in range(2))

@@ -5,7 +5,7 @@ import pytest
 
 from xmodal import tensor as T
 from xmodal.errors import ContractError, ShapeMismatchError
-from xmodal.model import (ModelConfig, embed, forward_backbone, forward_encoder,
+from xmodal.model import (ModelConfig, _layers, embed, forward_backbone, forward_encoder,
                           init_params)
 
 from reference_ops import msp2, tanh, tsum
@@ -53,11 +53,16 @@ class TestForwardBackbone:
 
     def test_batch_consistency(self):
         params = init_params(SMALL)
-        # two rows: a one-row batch is a matrix-vector product, which may round otherwise
         x = np.random.default_rng(1).normal(size=(2, 4, 6))
         full = forward_backbone(params, x).data
         part = forward_backbone(params, x[:, 2:4]).data
         np.testing.assert_array_equal(full[:, 2:4], part)
+        # one row, a matrix-vector product, through modality 0's layers on a 2-D batch
+        x0 = np.random.default_rng(1).normal(size=(4, 6))
+        layers = [(T.Tensor(w.data[0]), T.Tensor(b.data[0])) for w, b in params.backbone]
+        single = _layers(x0[2:3], layers, SMALL.activation).data
+        full = forward_backbone(params, np.stack([x0, x[1]])).data
+        np.testing.assert_array_equal(full[0, 2:3], single)
 
     def test_unknown_modality(self):
         with pytest.raises(IndexError):

@@ -418,7 +418,8 @@ class TestStackedStep:
 def _chained_loss(z, y, weights):
     """combined_loss as the add/scale chain that its weighted_sum node replaces."""
     sq = row_squares(y.data)
-    mim, mde, msp = loss_mim(z, weights.tau), loss_mde(y, sq), loss_msp(y, sq)
+    mim = loss_mim(z, row_squares(z.data), weights.tau)
+    mde, msp = loss_mde(y, sq), loss_msp(y, sq)
     total = T.mean(T.add(mim, T.add(reference_ops.scale(mde, weights.alpha),
                                     reference_ops.scale(msp, weights.beta))))
     pair_mean = lambda loss: sum(loss.data.tolist()) / len(loss.data)
