@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ContractError, DatasetFormatError, check_fields
+from .errors import ContractError, DatasetFormatError, DegenerateInputError, check_fields
 
 FORMAT_HEADER = "#xmodal-dataset v1"
 LATENT_JITTER = 0.1
@@ -272,8 +272,14 @@ def save_dataset(ds: TupleDataset, path):
 
 def load_dataset(path) -> TupleDataset:
     """The sidecar's columns if they are provably the text's, else a strict
-    parse of the text, whose errors name the offending line."""
-    return _load_columns(os.fspath(path)) or _load(path)   # a sidecar has rows
+    parse of the text, whose errors name the offending line. A record whose
+    features are all zero has no direction: DegenerateInputError."""
+    ds = _load_columns(os.fspath(path)) or _load(path)   # a sidecar has rows
+    dead = ~ds.features.any(axis=-1)   # (M, N)
+    if dead.any():
+        row, m = np.argwhere(dead.T)[0]   # the first by tuple, then by modality
+        raise DegenerateInputError(f"tuple {ds.ids[row]} modality {m}: zero-norm features")
+    return ds
 
 
 def _load_columns(path):

@@ -12,7 +12,9 @@ class ShapeMismatchError(XmodalError):
 
 
 class DegenerateInputError(XmodalError):
-    """A vector with (near-)zero norm was passed where a direction is required."""
+    """A vector with (near-)zero norm was passed where a direction is required: an
+    archive record whose features are all zero (``data.load_dataset``), or a zero
+    embedding in retrieval. The training losses take a zero row as a dead row."""
 
 
 class ContractError(XmodalError):

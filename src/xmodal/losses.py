@@ -37,13 +37,18 @@ nothing is summed and every value and gradient is bit-identical to the 2-D
 pair losses (tests/reference_ops.py). At M >= 3 the sums can differ from a
 loss-by-loss graph in the last bit.
 
-Each loss takes its stack's squared row norms (``row_squares``) and rejects
-a (near-)zero-norm row with DegenerateInputError before anything else.
-``combined_loss`` computes the squared norms of z and y once, checks them in
-the order of a loss-by-loss graph (pair by pair, each pair's z before its y),
-and hands y's to both ``loss_mde`` and ``loss_msp``. It joins the weighted
-``loss_mde`` and ``loss_msp`` with one ``tensor.weighted_sum`` node, adds
-``loss_mim`` to it and averages the pairs with ``tensor.mean``.
+Dead rows. A model can output a zero row (a tuple whose ReLU units are all
+off), so the losses are total: ``row_squares``, whose squared row norms every
+loss takes, gives a row of norm at most ``NORM_EPS`` the squared norm +inf. Its
+unit row (z / inf), every cosine it enters (dot / inf) and every gradient it
+sends or receives are then exactly 0; a live row goes through the float
+operations it would go through without it, and in ``loss_msp`` a row whose
+other rows are all dead takes a dead one as its neighbor.
+
+``combined_loss`` computes the squared norms of z and y once, hands y's to both
+``loss_mde`` and ``loss_msp``, joins their weighted values with one
+``tensor.weighted_sum`` node, adds ``loss_mim`` to it and averages the pairs
+with ``tensor.mean``.
 """
 
 import functools
@@ -52,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DegenerateInputError, check_fields
+from .errors import ContractError, check_fields
 
 
 @dataclass(frozen=True)
@@ -104,8 +109,10 @@ def _by_modality(slots, m):
 
 
 def row_squares(x):
-    """Squared row norms of a stack, (M, T) of (M, T, D)."""
-    return np.add.reduce(x * x, axis=-1)
+    """Squared row norms of a stack, (M, T) of (M, T, D); +inf for a dead row."""
+    sq = np.add.reduce(x * x, axis=-1)
+    sq[np.sqrt(sq) <= T.NORM_EPS] = np.inf
+    return sq
 
 
 def _stack(x, name, min_rows):
@@ -117,16 +124,6 @@ def _stack(x, name, min_rows):
     if x.data.shape[1] < min_rows:
         raise ContractError(f"{name}: need batch size >= {min_rows}")
     return x
-
-
-def _zero_norm(sq):
-    """Whether each modality of the stack has a (near-)zero-norm row, (M,) of (M, T)."""
-    return (np.sqrt(sq) <= T.NORM_EPS).any(axis=1)
-
-
-def _check_norms(sq, name):
-    if _zero_norm(sq).any():
-        raise DegenerateInputError(f"{name}: zero-norm row in batch")
 
 
 def _cosine_grad(a, b, s, denom, saa):
@@ -147,7 +144,6 @@ def loss_mim(z, sq, tau):
     S = cos / tau, the sum over q != i; k->j is the same on the columns of S.
     """
     z = _stack(z, "loss_mim", min_rows=2)
-    _check_norms(sq, "loss_mim")
     norms = np.sqrt(sq)
     m, n, dim = z.data.shape
     u = z.data / norms[:, :, None]
@@ -187,7 +183,6 @@ def loss_mde(y, sq):
     perfectly aligned (cosine 1), so it pulls each pair together.
     """
     y = _stack(y, "loss_mde", min_rows=1)
-    _check_norms(sq, "loss_mde")
     m, n, dim = y.data.shape
     sides = _pairs(m)[0]
     pair_y = y.data[sides].reshape(-1, 2, n, dim)   # (P, 2, T, D): each pair's j and k
@@ -217,7 +212,9 @@ def _nearest_neighbor_indices(y, sq):
     n = y.shape[1]
     d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * np.matmul(y, y.mT)
     d2.reshape(-1, n * n)[:, ::n + 1] = np.inf   # each modality's diagonal
-    return np.argmin(d2, axis=2)
+    idx = np.argmin(d2, axis=2)
+    idx[:, 0] += idx[:, 0] == 0   # every other row dead (all d2 inf): row 0 takes row 1
+    return idx
 
 
 def _neighbor_cosines(y, sq):
@@ -246,7 +243,6 @@ def loss_msp(y, sq):
     neighbor, over both modalities of each pair; ``sq`` holds the stack's squared row
     norms (``row_squares``)."""
     y = _stack(y, "loss_msp", min_rows=2)
-    _check_norms(sq, "loss_msp")
     m, n, _ = y.data.shape
     s, grad_s = _neighbor_cosines(y.data, sq)
     pair_sums = np.add.reduce(s, axis=1)[_pairs(m)[0]].reshape(-1, 2)
@@ -272,13 +268,8 @@ def combined_loss(z, y, weights: LossWeights) -> LossBreakdown:
         raise ContractError(f"combined_loss: inconsistent batch sizes, z stack "
                             f"{z.data.shape[:2]} and y stack {y.data.shape[:2]}")
     z, y = _stack(z, "loss_mim", min_rows=2), _stack(y, "loss_mde", min_rows=1)
-    z_sq, sq = row_squares(z.data), row_squares(y.data)
-    z_bad, y_bad = _zero_norm(z_sq), _zero_norm(sq)
-    for j, k in _pairs(len(z_sq))[0].reshape(-1, 2):   # the pairs' losses check in this order
-        for name, bad in (("loss_mim", z_bad), ("loss_mde", y_bad)):
-            if bad[j] or bad[k]:
-                raise DegenerateInputError(f"{name}: zero-norm row in batch")
-    mim = loss_mim(z, z_sq, weights.tau)
+    mim = loss_mim(z, row_squares(z.data), weights.tau)
+    sq = row_squares(y.data)
     mde, msp = loss_mde(y, sq), loss_msp(y, sq)
     total = T.mean(T.add(mim, T.weighted_sum([(mde, weights.alpha), (msp, weights.beta)])))
     pair_mean = lambda loss: sum(loss.data.tolist()) / len(loss.data)

@@ -50,26 +50,16 @@ class TrainConfig:
                 raise ContractError(f"{name} must be in (0, 1]")
 
 
-class _Views(dict):
-    """{name: view} of one role's vector; assigning to an entry writes into its view."""
-
-    def __setitem__(self, name, values):
-        self[name][...] = values
-
-
 class AdamState:
     """Adam's first and second moments, plus the step count; by default zero moments at
     step 0. Each moment vector (``m_flat``, ``v_flat``; the ``m`` and ``v`` arguments)
-    holds every tensor's moments in ``param_layout`` order, and ``m[name]`` /
-    ``v[name]`` are the ``leaf_views`` of it."""
+    holds every tensor's moments in ``param_layout`` order."""
 
     def __init__(self, params: ModelParams, step=0, m=None, v=None):
         n = params.flat.size
         self.step = step
         self.m_flat = np.zeros(n) if m is None else m
         self.v_flat = np.zeros(n) if v is None else v
-        self.m, self.v = (_Views(leaf_views(params.config, flat))
-                          for flat in (self.m_flat, self.v_flat))
         # adam_step's gradient vector, with its leaf views, and its work vector; made by
         # its first call and kept: fresh vectors would be re-faulted each step
         self.grad_flat = self.grad = self.scratch = None
@@ -285,7 +275,8 @@ def load_checkpoint(path):
 
     The header must list exactly the tensors ``save_checkpoint`` writes for its
     model_config, in its order, and the payload must hold exactly their bytes;
-    both are checked against ``param_layout`` before any array is allocated.
+    both are checked against ``param_layout`` before any array is allocated, and
+    the manifest's length, which the file bounds, before the layout is built.
     Every value must be finite. The parameter and moment vectors are views of the
     buffer the file was read into.
     """
@@ -303,7 +294,10 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: malformed header: {exc}") from None
     if completed < 0 or step < 0:
         raise CheckpointError(f"{path}: epoch {completed} and adam_step {step} must be >= 0")
-    if manifest != _manifest(config):
+    layers = len(config.backbone_hidden_dims) + 1
+    if (not isinstance(manifest, list)
+            or len(manifest) != len(KINDS) * 2 * (config.num_modalities * layers + 1)
+            or manifest != _manifest(config)):
         raise CheckpointError(f"{path}: tensor manifest does not match its model_config")
     n = param_count(config)
     if len(payload) != 8 * 3 * n:

@@ -32,7 +32,7 @@ from xmodal.data import write_container
 from xmodal.errors import ContractError, DegenerateInputError, ShapeMismatchError, XmodalError
 from xmodal.losses import (LossBreakdown, combined_loss, loss_mde, loss_mim, loss_msp,
                            row_squares)
-from xmodal.model import param_layout
+from xmodal.model import leaf_views, param_layout
 from xmodal.tensor import NORM_EPS, _as_tensor, _require_same_shape, add, node
 from xmodal.trainer import CHECKPOINT_MAGIC, _manifest
 
@@ -198,8 +198,9 @@ def adam_step(params, grads, state,
     state.step += 1
     t = state.step
     c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+    moments = leaf_views(params.config, state.m_flat), leaf_views(params.config, state.v_flat)
     for name, tensor in params.named_tensors():
-        g, m, v = grads[name], state.m[name], state.v[name]
+        g, m, v = grads[name], moments[0][name], moments[1][name]
         if g.shape != tensor.data.shape:
             raise ContractError(f"adam_step: gradient shape mismatch for {name}")
         scratch = np.multiply(g, 1 - b1)

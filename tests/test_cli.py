@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from xmodal.cli import build_parser, main, typed_config
 from xmodal.data import SynthConfig, TupleDataset, load_dataset, save_dataset, split
 from xmodal.errors import ContractError
 from xmodal.trainer import TrainConfig, load_checkpoint, save_checkpoint
-from xmodal.model import ModelConfig, embed, forward_encoder, init_params
+from xmodal.model import ModelConfig, embed, forward_backbone, forward_encoder, init_params
 from xmodal.retrieval import build_index, evaluate_cross_modal, metrics_to_csv, retrieve
 
 
@@ -24,12 +25,18 @@ def run(args):
     return main(args)
 
 
-def run_process(args):
-    """(exit code, stderr lines) of `python -m xmodal.cli ARGS` in a fresh interpreter."""
+def run_process(args, address_space=None):
+    """(exit code, stderr lines) of `python -m xmodal.cli ARGS` in a fresh interpreter;
+    if ``address_space`` is given, with one BLAS thread and at most that many bytes of
+    address space."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(xmodal.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    limit = None
+    if address_space is not None:
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")   # no per-thread buffers
+        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     proc = subprocess.run([sys.executable, "-m", "xmodal.cli", *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, preexec_fn=limit)
     return proc.returncode, proc.stderr.splitlines()
 
 
@@ -163,6 +170,25 @@ class TestTrainCommand:
             (out2 / "train_report.csv").read_bytes()
         assert (out1 / "checkpoint_epoch1.ckpt").read_bytes() == \
             (out2 / "checkpoint_epoch1.ckpt").read_bytes()
+
+    def test_relu_model_with_zero_rows_trains(self, tmp_path):
+        # every bias starts at 0, so a tuple whose hidden ReLU units are all off has
+        # exactly-zero y and z rows: they train as dead rows, and the run completes
+        dataset, config = tmp_path / "hard.txt", tmp_path / "relu.cfg"
+        assert run(["gen-data", "--out", str(dataset), "--seed", "11",
+                    "--set", "num_tuples=300", "--set", "multi_label=true",
+                    "--set", "noise_sigma=0.5", "--set", "num_classes=32"]) == 0
+        config.write_text("activation = relu\nbackbone_hidden_dims = 16,8\n"
+                          "embedding_dim = 24\nseed = 4\n")
+        params = init_params(ModelConfig(activation="relu", backbone_hidden_dims=(16, 8),
+                                         embedding_dim=24, seed=4))
+        y = forward_backbone(params, load_dataset(dataset).features).data
+        assert (~y.any(axis=-1)).any()   # the premise: some tuple's y row is zero
+        code, err = run_process(["train", "--dataset", str(dataset), "--out-dir",
+                                 str(tmp_path / "run"), "--model-config", str(config),
+                                 "--epochs", "2"])
+        assert (code, err) == (0, [])
+        assert (tmp_path / "run" / "checkpoint_epoch1.ckpt").exists()
 
 
 class TestEvaluateCommand:
@@ -511,6 +537,20 @@ class TestBadInputOneLine:
         assert code == 2
         assert err == [f"error: {bad}: truncated tensor data"]
         assert not metrics.exists()
+
+    def test_checkpoint_header_claims_many_modalities(self, trained, tmp_path):
+        # the manifest's length is checked before a layout of 100000 modalities is built
+        # (it took about 470 MB): the file fails within the address space that retrieving
+        # with the unedited checkpoint needs
+        dataset, ckpt = trained
+        bad = tmp_path / "bad.ckpt"
+        _edit_checkpoint_header(ckpt, bad, lambda header: header["model_config"].update(
+            num_modalities=100000))
+        limit = 300 << 20
+        for path, expected in ((ckpt, (0, [])), (bad, (2, [
+                f"error: {bad}: tensor manifest does not match its model_config"]))):
+            assert run_process(["retrieve", "--checkpoint", str(path), "--dataset",
+                                str(dataset), "--query-id", "5"], address_space=limit) == expected
 
     def test_cut_checkpoint(self, trained, tmp_path):
         dataset, ckpt = trained

@@ -14,7 +14,7 @@ from xmodal.data import (FORMAT_HEADER, SynthConfig, TupleDataset, _load_columns
                          batch_iter, generate_synthetic, load_dataset, read_container,
                          save_dataset, split, stack_features, write_container)
 from xmodal.cli import read_kv, typed_config
-from xmodal.errors import ContractError, DatasetFormatError
+from xmodal.errors import ContractError, DatasetFormatError, DegenerateInputError
 
 from index_rows import label_layout, label_sets, with_labels
 from reference_synth import generate_per_tuple
@@ -399,6 +399,22 @@ class TestLoaderErrors:
                                                      r"to float: '' \(last good line 1\)$"):
             load_dataset(path)
         assert not recwarn.list
+
+    @SIDECAR
+    def test_all_zero_record_rejected(self, tmp_path, sidecar):
+        # a record whose features are all zero (-0.0 is zero) has no direction; the
+        # first by tuple, then by modality, is named
+        ds = _small(ids=(4, 7, 9))
+        ds.features[0, 2] = 0.0
+        ds.features[1, 1] = [0.0, -0.0]
+        path = tmp_path / "zero.txt"
+        _save(ds, path, sidecar)
+        with pytest.raises(DegenerateInputError,
+                           match="^tuple 7 modality 1: zero-norm features$"):
+            load_dataset(path)
+        ds.features[:, 1:] = [5e-324, 0.0]   # tiny, but not zero: it loads
+        _save(ds, path, sidecar)
+        np.testing.assert_array_equal(load_dataset(path).features, ds.features)
 
     def test_values_float_accepts_but_bulk_parse_does_not(self, archive_lines, tmp_path):
         # underscores and surrounding spaces are valid for float(): the archive

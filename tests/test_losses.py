@@ -7,7 +7,7 @@ import pytest
 
 from xmodal import losses
 from xmodal import tensor as T
-from xmodal.errors import ContractError, DegenerateInputError
+from xmodal.errors import ContractError
 from xmodal.losses import LossWeights, _nearest_neighbor_indices, schedule_weight
 
 # each loss of a two-modality stack, on its two 2-D operands
@@ -15,7 +15,6 @@ from reference_ops import combined2 as combined_loss
 from reference_ops import mde2 as loss_mde
 from reference_ops import mim2 as loss_mim
 from reference_ops import msp2 as loss_msp
-from reference_ops import pair_combined_loss
 
 
 def msp_neighbor_indices(y):
@@ -172,14 +171,6 @@ class TestLossMim:
         assert np.isfinite(got)
         assert got == pytest.approx(total / 12, rel=1e-12)
 
-    @pytest.mark.parametrize("operand", [0, 1])
-    def test_zero_norm_row_rejected(self, operand):
-        ok, bad = np.ones((3, 4)), np.ones((3, 4))
-        bad[2] = 0.0
-        args = (ok, bad) if operand else (bad, ok)
-        with pytest.raises(DegenerateInputError, match="loss_mim: zero-norm row"):
-            loss_mim(T.Tensor(args[0]), T.Tensor(args[1]), 0.2)
-
     @pytest.mark.parametrize("n", [2, 8])
     def test_gradient_both_operands(self, n):
         rng = np.random.default_rng(35 + n)
@@ -215,13 +206,6 @@ class TestLossMde:
         y_k2[1] = 0.5 * y_k[1] + 0.5 * y_j[1] * np.linalg.norm(y_k[1]) / np.linalg.norm(y_j[1])
         assert cos(y_j[1], y_k2[1]) > cos(y_j[1], y_k[1])
         assert loss_mde(T.Tensor(y_j), T.Tensor(y_k2)).item() < before
-
-    def test_zero_norm_row_rejected(self):
-        y = np.ones((3, 4))
-        bad = y.copy()
-        bad[1] = 0.0
-        with pytest.raises(DegenerateInputError):
-            loss_mde(T.Tensor(y), T.Tensor(bad))
 
     def test_gradient(self):
         rng = np.random.default_rng(14)
@@ -291,14 +275,6 @@ class TestLossMsp:
         T.backward(f(x))
         assert T.rel_error(x.grad, T.finite_diff_grad(f, y_j).data) < 1e-4
 
-    @pytest.mark.parametrize("operand", [0, 1])
-    def test_zero_norm_row_rejected(self, operand):
-        ok, bad = np.eye(3), np.eye(3)
-        bad[1] = 0.0
-        args = (ok, bad) if operand else (bad, ok)
-        with pytest.raises(DegenerateInputError, match="loss_msp: zero-norm row"):
-            loss_msp(T.Tensor(args[0]), T.Tensor(args[1]))
-
     @pytest.mark.parametrize("n", [2, 8])
     def test_gradient_both_operands(self, n):
         rng = np.random.default_rng(50 + n)
@@ -349,22 +325,6 @@ class TestCombinedLoss:
                           T.Tensor(rng.normal(size=(5, 8))),
                           LossWeights())
 
-    @pytest.mark.parametrize("zero_z, zero_y", [(2, 0), (0, 2), (1, 1), (2, 1), (None, 2)])
-    def test_zero_norm_rows_reported_pair_by_pair(self, zero_z, zero_y):
-        """At three modalities the first failing check is the per-pair graph's: pair by
-        pair, each pair's z before its y."""
-        rng = np.random.default_rng(34)
-        z, y = rng.normal(size=(3, 4, 8)), rng.normal(size=(3, 4, 8))
-        for stack, m in ((z, zero_z), (y, zero_y)):
-            if m is not None:
-                stack[m, 1] = 0.0
-        with pytest.raises(DegenerateInputError) as expected:
-            for j, k in ((0, 1), (0, 2), (1, 2)):
-                pair_combined_loss(z[j], z[k], y[j], y[k], LossWeights())
-        with pytest.raises(DegenerateInputError) as got:
-            losses.combined_loss(z, y, LossWeights())
-        assert str(got.value) == str(expected.value)
-
     def test_full_gradient_vs_finite_differences(self):
         z_k, y_k = (np.random.default_rng(32).normal(size=(4, 8)) for _ in range(2))
         weights = LossWeights(alpha=0.5, beta=0.25, tau=0.2)
@@ -377,6 +337,99 @@ class TestCombinedLoss:
         x = T.Tensor(x0, grad_enabled=True)
         T.backward(f(x))
         assert T.rel_error(x.grad, T.finite_diff_grad(f, x0).data) < 1e-4
+
+
+def dead_row_stacks(m, seed, n=5, dim=4):
+    """A random (m, n, dim) stack with two dead rows, an exactly-zero one (modality 0,
+    row 1) and one of norm 1e-13 (the last modality, row 3), and its dead-row mask."""
+    x = np.random.default_rng(seed).normal(size=(m, n, dim))
+    x[0, 1] = 0.0
+    x[-1, 3] = [1e-13] + [0.0] * (dim - 1)
+    dead = np.zeros((m, n), bool)
+    dead[0, 1] = dead[-1, 3] = True
+    return x, dead
+
+
+# each loss as a scalar function of its stacks: the pair mean, as combined_loss takes it
+DEAD_ROW_LOSSES = {
+    "mim": lambda z: T.mean(losses.loss_mim(z, losses.row_squares(z.data), 0.2)),
+    "mde": lambda y: T.mean(losses.loss_mde(y, losses.row_squares(y.data))),
+    "msp": lambda y: T.mean(losses.loss_msp(y, losses.row_squares(y.data))),
+    "combined": lambda z, y: losses.combined_loss(
+        z, y, LossWeights(alpha=0.5, beta=0.25, tau=0.2)).total_node,
+}
+
+
+class TestDeadRows:
+    """A row of norm at most NORM_EPS is dead: its cosines and gradients are exactly 0."""
+
+    @staticmethod
+    def _operands(name, m):
+        count = 2 if name == "combined" else 1
+        return [dead_row_stacks(m, seed=60 + 10 * m + i) for i in range(count)]
+
+    @staticmethod
+    def _bumped(f, operands, which, at, step):
+        """f's value with coordinate ``at`` of operand ``which`` moved by ``step``."""
+        xs = [x.copy() for x, _ in operands]
+        xs[which][at] += step
+        return f(*map(T.Tensor, xs)).item()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("name", DEAD_ROW_LOSSES)
+    def test_finite_value_and_zero_gradient_on_dead_rows(self, name, m):
+        operands = self._operands(name, m)
+        tensors = [T.Tensor(x, grad_enabled=True) for x, _ in operands]
+        value = DEAD_ROW_LOSSES[name](*tensors)
+        assert np.isfinite(value.item())
+        T.backward(value)
+        for t, (_, dead) in zip(tensors, operands):
+            assert np.isfinite(t.grad).all()
+            assert (t.grad[dead] == 0.0).all()
+            assert (t.grad[~dead] != 0.0).any()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("name", DEAD_ROW_LOSSES)
+    def test_live_gradient_matches_finite_differences(self, name, m):
+        operands = self._operands(name, m)
+        f = DEAD_ROW_LOSSES[name]
+        tensors = [T.Tensor(x, grad_enabled=True) for x, _ in operands]
+        T.backward(f(*tensors))
+        h = 1e-5
+        for which, (x, dead) in enumerate(operands):
+            numeric = np.zeros_like(x)
+            for index in np.argwhere(~dead):   # only the live rows' coordinates
+                for d in range(x.shape[-1]):
+                    at = (*index, d)
+                    numeric[at] = (self._bumped(f, operands, which, at, h)
+                                   - self._bumped(f, operands, which, at, -h)) / (2 * h)
+            assert T.rel_error(tensors[which].grad[~dead], numeric[~dead]) < 1e-4
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("name", DEAD_ROW_LOSSES)
+    def test_value_does_not_move_with_a_dead_row(self, name, m):
+        # every bump leaves the row at norm <= 2e-13, still dead: the true derivative is 0
+        operands = self._operands(name, m)
+        f = DEAD_ROW_LOSSES[name]
+        base = f(*(T.Tensor(x) for x, _ in operands)).item()
+        for which, (x, dead) in enumerate(operands):
+            for index in np.argwhere(dead):
+                for d in range(x.shape[-1]):
+                    for step in (1e-13, -1e-13):
+                        assert self._bumped(f, operands, which, (*index, d), step) == base
+
+    def test_msp_row_whose_only_neighbor_is_dead(self):
+        # two rows, one dead: neither row may pick itself, so both neighbor cosines are 0
+        y = np.array([[[3.0, 4.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 2.0]]])
+        sq = losses.row_squares(y)
+        np.testing.assert_array_equal(_nearest_neighbor_indices(y, sq), [[1, 0], [1, 0]])
+        s, _ = losses._neighbor_cosines(y, sq)
+        np.testing.assert_array_equal(s, np.zeros((2, 2)))
+        t = T.Tensor(y, grad_enabled=True)
+        value = losses.loss_msp(t, sq)
+        assert value.data.tolist() == [0.0]
+        T.backward(T.mean(value))
+        np.testing.assert_array_equal(t.grad, np.zeros_like(y))
 
 
 class TestScheduleWeight:

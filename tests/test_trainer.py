@@ -64,6 +64,11 @@ def layout_tensors(leaves):
     return tensors
 
 
+def moment_views(config, state):
+    """({name: view}, {name: view}) of Adam's first and second moment vectors."""
+    return leaf_views(config, state.m_flat), leaf_views(config, state.v_flat)
+
+
 def assert_views_of_vectors(params, state=None):
     """Every leaf's array, every moment and (once adam_step has made it) every gradient
     view is a view of its role's vector, and each modality slice of a stacked leaf is
@@ -71,7 +76,8 @@ def assert_views_of_vectors(params, state=None):
     leaves = {name: t.data for name, t in params.named_tensors()}
     roles = [(params.flat, leaves)]
     if state is not None:
-        roles += [(state.m_flat, state.m), (state.v_flat, state.v)]
+        m, v = moment_views(params.config, state)
+        roles += [(state.m_flat, m), (state.v_flat, v)]
         if state.grad_flat is not None:
             roles.append((state.grad_flat, state.grad))
     layout = {name: (shape, start) for name, shape, start, _ in param_layout(params.config)}
@@ -149,12 +155,13 @@ class TestAdamStep:
         """The update as a fresh-array formula; the in-place step must match it bit for bit."""
         state.step += 1
         t = state.step
+        m, v = moment_views(params.config, state)
         for name, tensor in params.named_tensors():
             g = grads[name]
-            state.m[name] = b1 * state.m[name] + (1 - b1) * g
-            state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-            m_hat = state.m[name] / (1 - b1 ** t)
-            v_hat = state.v[name] / (1 - b2 ** t)
+            m[name][...] = b1 * m[name] + (1 - b1) * g
+            v[name][...] = b2 * v[name] + (1 - b2) * g * g
+            m_hat = m[name] / (1 - b1 ** t)
+            v_hat = v[name] / (1 - b2 ** t)
             tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
 
     @pytest.mark.parametrize("source", ["init", "checkpoint"])
@@ -183,10 +190,11 @@ class TestAdamStep:
             for name, g in grads.items():
                 np.testing.assert_array_equal(g, copies[name])
         assert state.step == ref_state.step
+        (m, v), (ref_m, ref_v) = (moment_views(config, s) for s in (state, ref_state))
         for (name, t), (_, r) in zip(params.named_tensors(), ref.named_tensors()):
             np.testing.assert_array_equal(t.data, r.data)
-            np.testing.assert_array_equal(state.m[name], ref_state.m[name])
-            np.testing.assert_array_equal(state.v[name], ref_state.v[name])
+            np.testing.assert_array_equal(m[name], ref_m[name])
+            np.testing.assert_array_equal(v[name], ref_v[name])
 
     @pytest.mark.parametrize("config", STATE_CONFIGS)
     @pytest.mark.parametrize("source", ["init", "checkpoint"])
@@ -204,10 +212,11 @@ class TestAdamStep:
             adam_step(params, grads, state, 1e-3)
             reference_ops.adam_step(ref, grads, ref_state, 1e-3)
         assert state.step == ref_state.step
+        (m, v), (ref_m, ref_v) = (moment_views(config, s) for s in (state, ref_state))
         for (name, t), (_, r) in zip(params.named_tensors(), ref.named_tensors()):
             assert t.data.tobytes() == r.data.tobytes()
-            assert state.m[name].tobytes() == ref_state.m[name].tobytes()
-            assert state.v[name].tobytes() == ref_state.v[name].tobytes()
+            assert m[name].tobytes() == ref_m[name].tobytes()
+            assert v[name].tobytes() == ref_v[name].tobytes()
         assert_views_of_vectors(params, state)
 
     def test_rejected_gradient_changes_nothing(self):
@@ -601,17 +610,19 @@ class TestCheckpoint:
         state = AdamState(params)
         state.step = 7
         rng = np.random.default_rng(3)
-        for name in state.m:
-            state.m[name] = rng.normal(size=state.m[name].shape)
+        m, v = moment_views(MODEL, state)
+        for name in m:
+            m[name][...] = rng.normal(size=m[name].shape)
         path = tmp_path / "ck.ckpt"
         save_checkpoint(params, state, 4, path)
         loaded, lstate, epoch, config = load_checkpoint(path)
         assert epoch == 4 and lstate.step == 7
         assert config == MODEL
         assert params_equal(params, loaded)
-        for name in state.m:
-            np.testing.assert_array_equal(state.m[name], lstate.m[name])
-            np.testing.assert_array_equal(state.v[name], lstate.v[name])
+        loaded_m, loaded_v = moment_views(MODEL, lstate)
+        for name in m:
+            np.testing.assert_array_equal(m[name], loaded_m[name])
+            np.testing.assert_array_equal(v[name], loaded_v[name])
 
     def test_loaded_arrays_are_aligned_writable(self, tmp_path):
         params = init_params(MODEL)
@@ -619,7 +630,7 @@ class TestCheckpoint:
         save_checkpoint(params, AdamState(params), 3, path)
         loaded, state, _, _ = load_checkpoint(path)
         leaves = {name: t.data for name, t in loaded.named_tensors()}
-        arrays = [a for views in (leaves, state.m, state.v)
+        arrays = [a for views in (leaves, *moment_views(MODEL, state))
                   for a in layout_tensors(views).values()]
         assert len(arrays) == 3 * len(param_layout(MODEL))
         for a in arrays:
