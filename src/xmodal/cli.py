@@ -1,7 +1,8 @@
 """Command-line front door: gen-data, train, evaluate, retrieve, gradcheck.
 
-Every command writes a run manifest next to its outputs recording the fully
-resolved configuration, seeds and paths. Exit codes: 0 success, 1 usage or
+gen-data, train and evaluate write a run manifest next to their outputs recording
+the fully resolved configuration, seeds, paths (and a resumed train's checkpoint
+digest) and the Python and NumPy versions. Exit codes: 0 success, 1 usage or
 config error, 2 runtime/numeric failure.
 """
 
@@ -10,6 +11,7 @@ import dataclasses
 import datetime
 import json
 import os
+import platform
 import re
 import sys
 
@@ -17,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from . import tensor as T
-from .data import SynthConfig, generate_synthetic, load_dataset, save_dataset, split, write_atomic
+from .data import (SynthConfig, file_sha256, generate_synthetic, load_dataset, save_dataset, split,
+                   write_atomic)
 from .errors import ContractError, DatasetFormatError, ShapeMismatchError, XmodalError
 from .losses import LossWeights, combined_loss, loss_mde, loss_mim, loss_msp, row_squares
 from .model import ModelConfig, embed
@@ -101,8 +104,9 @@ def typed_config(cls, values):
 
 def _write_manifest(out_dir, command, config, inputs, outputs, seed, started):
     manifest = {"command": command, "config": config, "inputs": inputs, "outputs": outputs,
-                "seed": seed, "tool_version": __version__, "started": started,
-                "finished": _now()}
+                "seed": seed, "tool_version": __version__,
+                "python_version": platform.python_version(), "numpy_version": np.__version__,
+                "started": started, "finished": _now()}
     path = os.path.join(out_dir, f"manifest_{command.replace('-', '_')}.json")
     write_atomic(path, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
     return path
@@ -174,11 +178,15 @@ def cmd_train(args):
     report.to_csv(csv_path)
     final = report.epochs[-1]
     ckpt = os.path.join(args.out_dir, f"checkpoint_epoch{final.epoch}.ckpt")
+    # a resumed run starts at the epoch after the checkpoint's
+    resumed = None if args.resume_from is None else {
+        "path": args.resume_from, "epoch": report.epochs[0].epoch - 1,
+        "sha256": file_sha256(args.resume_from)}
     _write_manifest(args.out_dir, "train",
                     {"model": dataclasses.asdict(model_config),
                      "train": dataclasses.asdict(train_config),
                      "split": args.split, "split_seed": args.split_seed},
-                    {"dataset": args.dataset},
+                    {"dataset": args.dataset, "resume_from": resumed},
                     {"report_csv": csv_path, "checkpoint": ckpt},
                     train_config.seed, started)
     print(f"epoch {final.epoch}: mim={final.mim:.6f} mde={final.mde:.6f} "
@@ -348,9 +356,13 @@ def main(argv=None):
         with np.errstate(all="ignore"):
             return args.func(args)
     except (XmodalError, OSError, ArithmeticError, MemoryError) as exc:
-        # a bare MemoryError, such as a list's, has no message
-        print(f"error: {str(exc) or f'{args.command}: out of memory'}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, USAGE_ERRORS) else EXIT_RUNTIME
+        failure = exc
+    # out of the handler, dropping the traceback frees the failed command's frames and
+    # what they hold: the report below needs memory, which a MemoryError's frames may hold
+    failure.__traceback__ = failure.__context__ = failure.__cause__ = None
+    # a bare MemoryError, such as a list's, has no message
+    print(f"error: {str(failure) or f'{args.command}: out of memory'}", file=sys.stderr)
+    return EXIT_USAGE if isinstance(failure, USAGE_ERRORS) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

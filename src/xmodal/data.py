@@ -282,6 +282,15 @@ def load_dataset(path) -> TupleDataset:
     return ds
 
 
+def file_sha256(path):
+    """The SHA-256 hex digest of a file, read in 64 KiB chunks into one reused buffer."""
+    digest, chunk = hashlib.sha256(), bytearray(1 << 16)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(chunk):
+            digest.update(memoryview(chunk)[:size])
+    return digest.hexdigest()
+
+
 def _load_columns(path):
     """The columns in the sidecar ``<path>.cols``, or None unless they are what
     the text parse of ``path`` returns. A container whose header holds the
@@ -294,15 +303,12 @@ def _load_columns(path):
         digests = header["text_sha256"], header["payload_sha256"]
         body = np.frombuffer(payload, "<i8")
         n, dim, labels, rows, count = body[:5].tolist()
-        text_digest, chunk = hashlib.sha256(), bytearray(1 << 16)
-        with open(path, "rb") as fh:
-            while size := fh.readinto(chunk):
-                text_digest.update(memoryview(chunk)[:size])
+        text_digest = file_sha256(path)
     except (OSError, ValueError, KeyError, TypeError):
         return None
     if (min(n, dim, rows) < 1 or count < 0
             or len(body) != 5 + rows * (2 + n * dim) + 1 + count
-            or digests != (text_digest.hexdigest(), hashlib.sha256(body).hexdigest())):
+            or digests != (text_digest, hashlib.sha256(body).hexdigest())):
         return None
     # save_dataset also writes columns that the text parse rejects; each fails a check
     _, ids, features, offsets, label_ids = np.split(

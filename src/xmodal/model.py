@@ -10,7 +10,7 @@ whose slice m is modality m's, so ``forward_backbone`` runs every backbone in
 one ``dense`` node per layer and ``forward_encoder`` the shared encoder in
 one. Every leaf is a view of the one parameter vector, each slice at its
 ``param_layout`` offset, so the checkpoint layout does not depend on the
-stacking. ``embed`` runs one modality's slices on a 2-D batch.
+stacking. ``embed`` runs one modality's slices on a 2-D batch, in row blocks.
 """
 
 import functools
@@ -21,6 +21,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, ShapeMismatchError, check_fields
+
+EMBED_BLOCK = 128   # at most this many rows per block of ``embed``
 
 
 @dataclass(frozen=True)
@@ -178,8 +180,13 @@ def embed(params: ModelParams, modality: int, x) -> T.Tensor:
     """Inference path used by retrieval: one modality's batch (N, input_dim) through its
     backbone, read from each stacked leaf's slice, and the encoder.
 
-    It runs on constant Tensors, so the embedding is a constant Tensor and no
-    graph is recorded."""
+    The rows go through in ``ceil(N / EMBED_BLOCK)`` blocks of near-equal size, each
+    block's z written into one (N, embedding_dim) array, so no layer output is N rows
+    tall. No block holds a single row unless N = 1: a one-row product is a
+    matrix-vector product that rounds differently, while blocks of 2 rows or more give
+    the bits of one call on the whole batch (``tests/test_model.py`` checks this). It
+    runs on constant Tensors, so the embedding is a constant Tensor and no graph is
+    recorded."""
     config = params.config
     if not 0 <= modality < config.num_modalities:
         raise IndexError(f"unknown modality {modality}")
@@ -189,4 +196,12 @@ def embed(params: ModelParams, modality: int, x) -> T.Tensor:
             f"backbone input must be batch x {config.input_dim}, got {x.data.shape}")
     layers = [(T.Tensor(w.data[modality]), T.Tensor(b.data[modality]))
               for w, b in params.backbone]
-    return forward_encoder(params.constants(), _layers(x, layers, config.activation))
+    constants = params.constants()
+    n = len(x.data)
+    blocks = max(1, -(-n // EMBED_BLOCK))
+    bounds = [n * i // blocks for i in range(blocks + 1)]
+    z = np.empty((n, config.embedding_dim))
+    for start, stop in zip(bounds, bounds[1:]):
+        z[start:stop] = forward_encoder(
+            constants, _layers(x.data[start:stop], layers, config.activation)).data
+    return T.Tensor(z)

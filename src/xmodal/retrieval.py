@@ -142,7 +142,7 @@ class MetricsReport:
 
 def build_index(params, ds, modalities=None) -> EmbeddingIndex:
     """The index of the dataset's ids and labels and of its modalities (all of them by
-    default), each embedded in one call and normalised in that call's array."""
+    default), each embedded by one ``embed`` call and normalised in the array it returns."""
     check_dataset(params.config, ds)
     embedded = range(ds.num_modalities) if modalities is None else modalities
     return EmbeddingIndex(params.config.embedding_dim, ds.ids, ds.label_offsets, ds.label_ids,

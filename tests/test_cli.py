@@ -1,12 +1,15 @@
 """CLI commands end to end: file outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import os
+import platform
 import re
 import resource
 import struct
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -127,6 +130,8 @@ class TestGenData:
         assert manifest["outputs"] == {"dataset": str(dataset_file),
                                        "columns": f"{dataset_file}.cols"}
         assert os.path.isfile(manifest["outputs"]["columns"])
+        assert (manifest["python_version"], manifest["numpy_version"]) == (
+            platform.python_version(), np.__version__)
 
 
 class TestTrainCommand:
@@ -141,6 +146,23 @@ class TestTrainCommand:
         assert len(csv) == 3  # header + one row per epoch
         assert (out / "checkpoint_epoch1.ckpt").exists()
         assert (out / "manifest_train.json").exists()
+
+    def test_resumed_manifest_names_its_checkpoint(self, dataset_file, tmp_path):
+        # the checkpoint's path, epoch and digest, and the versions that ran the run;
+        # a run that was not resumed records none, and the outputs do not change
+        every, resumed = tmp_path / "every", tmp_path / "resumed"
+        assert self._train(dataset_file, every, ("--set", "checkpoint_every=1")) == 0
+        ckpt = every / "checkpoint_epoch0.ckpt"
+        assert self._train(dataset_file, resumed, ("--resume-from", str(ckpt))) == 0
+        manifest = json.loads((resumed / "manifest_train.json").read_text())
+        assert manifest["inputs"]["resume_from"] == {
+            "path": str(ckpt), "epoch": 0, "sha256": hashlib.sha256(ckpt.read_bytes()).hexdigest()}
+        assert (manifest["python_version"], manifest["numpy_version"]) == (
+            platform.python_version(), np.__version__)
+        assert json.loads((every / "manifest_train.json").read_text())["inputs"][
+            "resume_from"] is None
+        assert (resumed / "checkpoint_epoch1.ckpt").read_bytes() == \
+            (every / "checkpoint_epoch1.ckpt").read_bytes()
 
     def test_zero_lr_checkpoint_equals_init(self, dataset_file, tmp_path):
         out = tmp_path / "run0"
@@ -204,6 +226,9 @@ class TestEvaluateCommand:
         assert "0->1" in stdout and "1->0" in stdout and "average" in stdout
         lines = metrics.read_text().splitlines()
         assert sum(1 for l in lines if l.startswith("summary,")) == 3
+        manifest = json.loads((tmp_path / "manifest_evaluate.json").read_text())
+        assert (manifest["python_version"], manifest["numpy_version"]) == (
+            platform.python_version(), np.__version__)
 
     def test_rerun_identical_csv(self, dataset_file, tmp_path):
         out = tmp_path / "run"
@@ -588,6 +613,45 @@ class TestBadInputOneLine:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists() or os.listdir(out) == []
+
+    def test_report_after_the_failed_commands_frames_are_gone(self, monkeypatch):
+        # what the failed command held is freed before the error line is written, so a
+        # MemoryError's report does not compete for memory with the frames that ran out
+        class Held:
+            pass
+
+        held, alive_at_report = [], []
+
+        def exhausted(args):
+            memory = Held()
+            held.append(weakref.ref(memory))
+            raise MemoryError
+
+        def report(*args, **kwargs):
+            alive_at_report.append(held[0]() is not None)
+        monkeypatch.setitem(cli.COMMANDS, "gradcheck", (exhausted, "", []))
+        monkeypatch.setattr("builtins.print", report)
+        assert run(["gradcheck"]) == 2
+        assert alive_at_report == [False]
+
+    def test_memory_filled_under_an_address_space_limit(self):
+        # a command fills a list until the limit the parent set stops it: one error line
+        src = os.path.dirname(os.path.dirname(os.path.abspath(xmodal.__file__)))
+        script = ("import sys\n"
+                  "from xmodal import cli\n"
+                  "def fill(args):\n"
+                  "    held = []\n"
+                  "    while True:\n"
+                  "        held.append(bytes(1 << 16))\n"
+                  "cli.COMMANDS['gradcheck'] = (fill, 'fill the address space', [])\n"
+                  "sys.exit(cli.main(['gradcheck']))\n")
+        limit = 256 << 20
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: gradcheck: out of memory"]
 
     def test_bare_memory_error_names_the_command(self, tmp_path, monkeypatch, capsys):
         def exhausted(config):

@@ -1,5 +1,7 @@
 """Model wiring: initialization, forward passes, parameter sharing, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,7 +128,45 @@ class TestForwardEncoder:
             forward_encoder(init_params(SMALL), np.ones((1, 9)))
 
 
+def _one_call(params, modality, x):
+    """``embed`` as one call on the whole batch: its layers, then the encoder."""
+    layers = [(T.Tensor(w.data[modality]), T.Tensor(b.data[modality]))
+              for w, b in params.backbone]
+    return forward_encoder(params.constants(),
+                           _layers(x, layers, params.config.activation)).data
+
+
 class TestEmbed:
+    @pytest.mark.parametrize("modalities", [2, 3])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 256, 257, 1200])
+    def test_row_blocks_equal_one_call(self, n, activation, modalities):
+        # blocks of 2 rows or more round as the whole batch does; a 1-row block, a
+        # matrix-vector product, would not
+        cfg = ModelConfig(num_modalities=modalities, backbone_hidden_dims=(48, 40),
+                          activation=activation, seed=3)
+        params = init_params(cfg)
+        rng = np.random.default_rng(n)
+        params.flat += rng.normal(scale=0.05, size=params.flat.shape)   # biases too
+        x = rng.normal(size=(n, cfg.input_dim))
+        for m in range(modalities):
+            z = embed(params, m, x)
+            assert z.data.shape == (n, cfg.embedding_dim) and not z.grad_enabled
+            assert np.array_equal(z.data, _one_call(params, m, x))
+
+    def test_peak_memory_is_the_output_and_one_block(self):
+        # the layer outputs are block-sized: the one N-sized array is the output
+        params = init_params(ModelConfig())
+        x = np.random.default_rng(9).normal(size=(1200, 32))
+        embed(params, 0, x[:300])   # caches and lazily built state, outside the count
+        tracemalloc.start()
+        try:
+            z = embed(params, 0, x).data
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.35 * z.nbytes
+
     def test_matches_composition_exactly(self):
         params = init_params(SMALL)
         x = np.random.default_rng(5).normal(size=(4, 6))
