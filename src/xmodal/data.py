@@ -243,31 +243,162 @@ def read_container(path, magic):
     return header, blob[end:]
 
 
+FIELD_WIDTH = 24   # the longest "%.17g" text, e.g. "-2.2250738585072014e-308"
+BLOCK_VALUES = 4096   # values formatted at once: the temporaries stay in cache
+# each number 0..9999 as its 4 ASCII digits in one 4-byte item, and its count of
+# trailing zero digits (4 for 0). Built from the 100 digit pairs in int64, as the
+# rest of the program computes: 10000 Python ints or a (10000, 4) temporary at import,
+# or NumPy loops of other types, kept up to 1 MB more of the process resident
+_DIGIT_PAIRS = np.frombuffer(("%02d" * 100 % tuple(range(100))).encode(), "<u2").astype(np.int64)
+_DIGIT_QUADS = (_DIGIT_PAIRS[:, None] + _DIGIT_PAIRS * 65536).astype("<u4").ravel()
+_PAIR_ZEROS = np.array([2] + [int(i % 10 == 0) for i in range(1, 100)])
+_QUAD_ZEROS = np.where(np.arange(100) == 0, _PAIR_ZEROS[:, None] + 2, _PAIR_ZEROS).ravel()
+# per exponent e in -4..15, the fixed-notation field without its sign and digits
+# ("0.", "0.0", ... or the point after e + 1 digits), and its length by trailing zeros
+_TEMPLATES = np.frombuffer(b"".join(
+    (b"\0" + (b"0." + b"0" * (-e - 1) if e < 0 else b"\0" * (e + 1) + b".")).ljust(
+        FIELD_WIDTH, b"\0") for e in range(-4, 16)), np.uint8).reshape(20, FIELD_WIDTH)
+_LENGTHS = np.array([19 - min(e, 0) - zeros if zeros < 16 - e else e + 2   # with the sign byte
+                     for e in range(-4, 16) for zeros in range(17)])
+# _KEEP[n]: the 3 int64 words of a field whose first n bytes are kept
+_KEEP = np.frombuffer(b"".join(b"\xff" * n + b"\0" * (FIELD_WIDTH - n)
+                               for n in range(FIELD_WIDTH + 1)), np.int64).reshape(
+                                   FIELD_WIDTH + 1, -1)
+
+
+def _split(a):
+    """Veltkamp's split: a == hi + lo, each with at most 26 significant bits."""
+    t = a * 134217729.0   # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10**k) for k in range(21)])   # exact doubles
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _g17_fields(x):
+    """(len(x), FIELD_WIDTH) uint8: each float64 of x as the bytes of ``"%.17g" % v``,
+    NUL-padded (a positive value's sign byte is NUL too).
+
+    1e-4 <= |v| < 1e16 is in fixed notation. With e = floor(log10|v|) and k = 16 - e
+    <= 20, 10**k is an exact double and Dekker's product p + err == |v| * 10**k
+    exactly. Where that sum is at least 1e16, p >= 2**53 is an even integer, so
+    D = p + rint(err) is the sum rounded half to even; where D < 1e17 too, D holds
+    the 17 significant digits, and the text is laid out per exponent. The range is
+    decided on the exact sum, so a log10 off by one only sends v to the slow path:
+    Python's % formats it, as every other value (0, tiny, huge, non-finite)."""
+    x = np.asarray(x, np.float64).ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)), -4, 15)
+    k = (16 - e).astype(np.intp)
+    ah, al = _split(a)
+    p = a * _POW10.take(k)
+    bh, bl = _POW10_HI.take(k), _POW10_LO.take(k)
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    fast &= (p > 1e16) | ((p == 1e16) & (err >= 0))
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    fast &= d < 10**17
+    # the fast values sorted by exponent (group e + 4), the slow ones last (group 20)
+    group = np.where(fast, e + 4, 20).astype(np.int8)
+    order = np.argsort(group, kind="stable")
+    group = group.take(order)
+    ends = np.searchsorted(group, np.arange(21), "right").tolist()
+    n_fast = ends[19]
+    rows = order[:n_fast]
+    d, group = d.take(rows), group[:n_fast].astype(np.intp)
+    quads = np.empty((n_fast, 5), np.int32)   # (000 d0)(d1..d4)(d5..d8)(d9..d12)(d13..d16)
+    hi = d // 10**8
+    lo = d - hi * 10**8
+    quads[:, 0] = hi // 10**8
+    hi -= quads[:, 0] * 10**8
+    quads[:, 1] = hi // 10**4
+    quads[:, 2] = hi - quads[:, 1] * 10**4
+    quads[:, 3] = lo // 10**4
+    quads[:, 4] = lo - quads[:, 3] * 10**4
+    zeros = _QUAD_ZEROS.take(quads[:, 4])   # trailing zero digits of D
+    for j in (3, 2, 1):
+        zeros += (zeros == 4 * (4 - j)) * _QUAD_ZEROS.take(quads[:, j])
+    digits = _DIGIT_QUADS.take(quads).view(np.uint8)[:, 3:]   # d0..d16
+    out = np.empty((len(x), FIELD_WIDTH), np.uint8)
+    for e in range(-4, 16):
+        start, end = ends[e + 3] if e > -4 else 0, ends[e + 4]
+        if start == end:
+            continue
+        out[start:end] = _TEMPLATES[e + 4]
+        if e >= 0:
+            out[start:end, 1:e + 2] = digits[start:end, :e + 1]
+            out[start:end, e + 3:19] = digits[start:end, e + 1:]
+        else:
+            out[start:end, 2 - e:19 - e] = digits[start:end]
+    out[:n_fast, 0] = np.where(x.take(rows) < 0, ord("-"), 0)
+    # the trailing zeros of the fraction stripped, and its point if nothing is left
+    words = out[:n_fast].view(np.int64)
+    words &= _KEEP.take(_LENGTHS.take(group * 17 + zeros), axis=0)
+    out[n_fast:] = 0
+    for i, v in enumerate(x.take(order[n_fast:]).tolist(), n_fast):
+        text = ("%.17g" % v).encode()
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    back = np.empty_like(order)
+    back[order] = np.arange(len(x))
+    return out.take(back, axis=0)
+
+
+def _padded(texts):
+    """(len(texts), width) uint8: each str's UTF-8 bytes, NUL-padded."""
+    column = np.array([text.encode() for text in texts], "S")
+    return column.view(np.uint8).reshape(len(texts), column.itemsize)
+
+
+def format_rows(prefixes, values, suffixes):
+    """The bytes of the rows ``prefixes[r] + ",".join("%.17g" % v for v in values[r])
+    + suffixes[r]`` of an (R, C) float64 array, the prefixes and suffixes str
+    without NUL; byte for byte, without a Python % per value (_g17_fields)."""
+    rows, cols = values.shape
+    slots = np.zeros((rows, cols, FIELD_WIDTH + 1), np.uint8)   # each field and its comma
+    slots[:, :, :FIELD_WIDTH] = _g17_fields(values).reshape(rows, cols, FIELD_WIDTH)
+    slots[:, :-1, FIELD_WIDTH] = ord(",")
+    lines = slots.reshape(rows, cols * (FIELD_WIDTH + 1))
+    padded = np.concatenate([_padded(prefixes), lines, _padded(suffixes)], axis=1)
+    return padded.tobytes().translate(None, b"\0")   # the padding dropped
+
+
 def save_dataset(ds: TupleDataset, path):
-    """Line-delimited text format, floats with 17 significant digits; then, if
-    the text parse would return these very columns, the sidecar ``<path>.cols``."""
-    row_format = ",".join(["%.17g"] * ds.input_dim)
+    """Line-delimited text format, floats as ``"%.17g"`` text (format_rows, in blocks
+    of about BLOCK_VALUES values); then, if the text parse would return these very
+    columns, the sidecar ``<path>.cols``."""
+    m, dim = ds.num_modalities, ds.input_dim
     text_digest = hashlib.sha256()   # of the text, taken as it is written
-    bounds, flat = ds.label_offsets.tolist(), ds.label_ids.tolist()
+    ids, bounds, flat = ds.ids.tolist(), ds.label_offsets.tolist(), ds.label_ids.tolist()
+    # a tuple per id, label offset pair and feature row, as zip() pairs them
+    count = min(len(ids), len(bounds) - 1, *map(len, ds.features)) if m else 0
+    step = max(1, BLOCK_VALUES // max(1, m * dim))
     def text():
-        yield f"{FORMAT_HEADER} N={ds.num_modalities} dim={ds.input_dim} labels={ds.num_labels}\n"
-        for tid, start, end, *rows in zip(ds.ids.tolist(), bounds, bounds[1:],
-                                          *(f.tolist() for f in ds.features)):
-            label_text = ",".join(map(str, flat[start:end]))
-            yield "".join(f"{tid}\t{m}\t{row_format % tuple(row)}\t{label_text}\n"
-                          for m, row in enumerate(rows))
-    write_atomic(path, (text_digest.update(blob) or blob for blob in map(str.encode, text())))
+        yield f"{FORMAT_HEADER} N={m} dim={dim} labels={ds.num_labels}\n".encode()
+        for start in range(0, count, step):
+            end = min(start + step, count)
+            labels = [",".join(map(str, flat[bounds[t]:bounds[t + 1]])) for t in range(start, end)]
+            yield format_rows([f"{tid}\t{j}\t" for tid in ids[start:end] for j in range(m)],
+                              ds.features[:, start:end].transpose(1, 0, 2).reshape(
+                                  (end - start) * m, dim),
+                              [f"\t{label_text}\n" for label_text in labels for _ in range(m)])
+    write_atomic(path, (text_digest.update(blob) or blob for blob in text()))
     if (type(ds.num_labels) is not int or not 0 <= ds.num_labels < 2**63
             or any(len(c) != len(ds) for c in (bounds[1:], *ds.features))):
         return   # the header's labels= would not be the int() of its text, or zip() cut it short
     counts = [ds.num_modalities, ds.input_dim, ds.num_labels, len(ds), len(flat)]
-    payload = b"".join([np.array(counts, "<i8").tobytes(), ds.ids.astype("<i8").tobytes(),
-                        ds.features.astype("<f8").tobytes(),
-                        ds.label_offsets.astype("<i8").tobytes(),
-                        ds.label_ids.astype("<i8").tobytes()])
+    # the payload's columns, hashed and written in place: no joined copy of them
+    columns = [(ds.ids, "<i8"), (ds.features, "<f8"), (ds.label_offsets, "<i8"),
+               (ds.label_ids, "<i8")]
+    payload = [np.array(counts, "<i8"), *(np.ascontiguousarray(c, dtype) for c, dtype in columns)]
+    payload_digest = hashlib.sha256()
+    for column in payload:
+        payload_digest.update(column)
     write_container(f"{path}.cols", COLUMNS_MAGIC,
-                    {"payload_sha256": hashlib.sha256(payload).hexdigest(),
-                     "text_sha256": text_digest.hexdigest()}, [payload])
+                    {"payload_sha256": payload_digest.hexdigest(),
+                     "text_sha256": text_digest.hexdigest()}, payload)
 
 
 def load_dataset(path) -> TupleDataset:

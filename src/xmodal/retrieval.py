@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_atomic
+from .data import format_rows, write_atomic
 from .errors import ContractError, DegenerateInputError
 from .model import check_dataset, embed
 from .tensor import NORM_EPS
@@ -352,15 +352,17 @@ def _summaries(reports):
 
 
 def metrics_to_csv(reports, path):
-    """Per-query rows for each direction, then one summary row per direction, in
-    one write (``"%.17g" % x`` is the text of ``f"{x:.17g}"``)."""
-    lines = ["query_id,direction,f1_at_k,ndcg_at_k\n"]
-    for rep in reports:
-        line = f"%d,{rep.direction},%.17g,%.17g\n"
-        lines += [line % row for row in
-                  zip(rep.query_ids.tolist(), rep.f1.tolist(), rep.ndcg.tolist())]
-    lines += [f"summary,{name},{f1:.17g},{ndcg:.17g}\n" for name, f1, ndcg in _summaries(reports)]
-    write_atomic(path, ["".join(lines)])
+    """Per-query rows for each direction, their scores formatted by data.format_rows,
+    then one summary row per direction (``f"{x:.17g}"``, the text of ``"%.17g" % x``),
+    each written as it is formed."""
+    def text():
+        yield b"query_id,direction,f1_at_k,ndcg_at_k\n"
+        for rep in reports:
+            yield format_rows([f"{query},{rep.direction}," for query in rep.query_ids.tolist()],
+                              np.stack([rep.f1, rep.ndcg], axis=1), ["\n"] * len(rep.f1))
+        yield "".join(f"summary,{name},{f1:.17g},{ndcg:.17g}\n"
+                      for name, f1, ndcg in _summaries(reports))
+    write_atomic(path, text())
 
 
 def summary_table(reports):

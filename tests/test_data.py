@@ -17,6 +17,7 @@ from xmodal.cli import read_kv, typed_config
 from xmodal.errors import ContractError, DatasetFormatError, DegenerateInputError
 
 from index_rows import label_layout, label_sets, with_labels
+from reference_archive import save_dataset_per_row
 from reference_synth import generate_per_tuple
 
 CFG = SynthConfig(num_classes=5, num_tuples=100, input_dim=12, latent_dim=6,
@@ -587,6 +588,51 @@ class TestSidecar:
         assert not os.path.exists(f"{path}.cols")
         with pytest.raises(DatasetFormatError, match=r"^line 1: header field 'labels=2.0'"):
             load_dataset(path)
+
+
+# save_dataset must write the bytes of the per-row writer: its text and its sidecar
+ARCHIVE_GRID = {
+    **{f"{m} modalities, dim {dim}": generate_synthetic(SynthConfig(
+        num_tuples=150, num_modalities=m, input_dim=dim, seed=dim + m))
+       for m in (2, 3) for dim in (1, 7, 32)},
+    "noiseless": generate_synthetic(SynthConfig(num_tuples=60, noise_sigma=0.0, seed=2)),
+    "multi-label, the benchmark's generator": generate_synthetic(SynthConfig(
+        num_tuples=300, multi_label=True, noise_sigma=0.5, num_classes=32, seed=5)),
+    **SIDECAR_EQUALS_TEXT,
+    "zero dim": TupleDataset([0, 1], [np.empty((2, 0))] * 2, [0, 0, 0], [], 1),
+    "NaN feature": _small(value=np.nan),
+    # columns that disagree in length: zip() pairs them, and no sidecar is written
+    "fewer ids than rows": TupleDataset([0, 1], _small().features, *label_layout([{0}] * 3), 2),
+    "fewer label offsets than rows": TupleDataset([0, 1, 2], _small().features,
+                                                  *label_layout([{0}, {1}]), 2),
+}
+
+
+class TestArchiveText:
+    @pytest.mark.parametrize("ds", ARCHIVE_GRID.values(), ids=ARCHIVE_GRID.keys())
+    def test_bytes_of_the_per_row_writer(self, tmp_path, ds):
+        save_dataset(ds, tmp_path / "ds.txt")
+        save_dataset_per_row(ds, tmp_path / "per_row.txt")
+        assert (tmp_path / "ds.txt").read_bytes() == (tmp_path / "per_row.txt").read_bytes()
+        sidecar, per_row = tmp_path / "ds.txt.cols", tmp_path / "per_row.txt.cols"
+        assert sidecar.exists() == per_row.exists()
+        if sidecar.exists():
+            assert sidecar.read_bytes() == per_row.read_bytes()
+
+    def test_peak_memory_is_under_half_the_per_row_writer(self, tmp_path):
+        # the per-row writer's peak is its .tolist() of every feature; the blocks of
+        # format_rows and the sidecar's columns written in place take far less
+        ds = generate_synthetic(SynthConfig(num_tuples=2000, multi_label=True, noise_sigma=0.5,
+                                            num_classes=32, seed=5))
+        peaks = []
+        for writer in (save_dataset, save_dataset_per_row):
+            tracemalloc.start()
+            try:
+                writer(ds, tmp_path / f"{writer.__name__}.txt")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1] / 2
 
 
 class TestContainer:

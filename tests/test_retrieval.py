@@ -16,6 +16,7 @@ from xmodal.retrieval import (_BLOCK, EmbeddingIndex, MetricsReport, _product_er
                               metrics_to_csv, retrieve, summary_table)
 
 from index_rows import entries, label_layout, label_sets, with_labels
+from reference_archive import metrics_to_csv_per_row
 from reference_metrics import jaccard, ndcg_at_k, pair_f1
 
 MODEL = ModelConfig(input_dim=12, backbone_hidden_dims=(8,), feature_dim=6,
@@ -584,3 +585,17 @@ class TestEvaluateCrossModal:
         assert sum(1 for l in lines if l.startswith("summary,")) == 3
         table = summary_table(reps)
         assert "average" in table and "0->1" in table
+
+    def test_csv_bytes_of_the_per_row_writer(self, small_ds, tmp_path):
+        params = init_params(MODEL)
+        tr, _, te = split(small_ds, (0.5, 0.25, 0.25), seed=0)
+        index = build_index(params, te)
+        reps = [evaluate_cross_modal(params, index, tr, 0, 1, k=4),
+                evaluate_cross_modal(params, index, tr, 1, 0, k=4),
+                # scores that Python's % writes itself: zeros, tiny, huge, non-finite
+                MetricsReport(1, 1, mean_f1=0.5, mean_ndcg=0.5, query_ids=np.arange(4) - 2,
+                              f1=np.array([0.0, -0.0, 1e-300, np.nan]),
+                              ndcg=np.array([1.0, 1e20, np.inf, 1 / 3]))]
+        metrics_to_csv(reps, tmp_path / "metrics.csv")
+        metrics_to_csv_per_row(reps, retrieval._summaries(reps), tmp_path / "per_row.csv")
+        assert (tmp_path / "metrics.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
