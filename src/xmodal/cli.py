@@ -9,6 +9,7 @@ config error, 2 runtime/numeric failure.
 import argparse
 import dataclasses
 import datetime
+import itertools
 import json
 import os
 import platform
@@ -24,8 +25,8 @@ from .data import (SynthConfig, file_sha256, generate_synthetic, load_dataset, s
 from .errors import ContractError, DatasetFormatError, ShapeMismatchError, XmodalError
 from .losses import LossWeights, combined_loss, loss_mde, loss_mim, loss_msp, row_squares
 from .model import ModelConfig, embed
-from .retrieval import (build_index, evaluate_cross_modal, metrics_to_csv,
-                        retrieve, summary_table)
+from .retrieval import (build_index, evaluate_cross_modal, metrics_to_csv, retrieve,
+                        summary_table, unit_query_rows)
 from .trainer import TrainConfig, load_checkpoint, train
 
 EXIT_OK = 0
@@ -171,7 +172,9 @@ def cmd_train(args):
     train_values.update((key, value) for key, value in flags.items() if value is not None)
     train_config = typed_config(TrainConfig, train_values)
 
-    ds_train, ds_val, _ = _split_dataset(ds, args.split, args.split_seed)
+    # only the train and val parts stay: the archive's columns and the test part go here
+    ds_train, ds_val = _split_dataset(ds, args.split, args.split_seed)[:2]
+    del ds
     params, report = train(ds_train, ds_val, model_config, train_config,
                            out_dir=args.out_dir, resume_from=args.resume_from)
     csv_path = os.path.join(args.out_dir, "train_report.csv")
@@ -210,18 +213,25 @@ def _parse_direction(text, num_modalities):
 
 
 def cmd_evaluate(args):
+    """Writes every direction's metrics, in ``_parse_direction`` order. The archive's
+    columns and the split part neither set reads are freed once the split is taken, and
+    each source modality's query rows are embedded once, for all of its directions, and
+    freed before the next source's are embedded."""
     started = _now()
     params, _, _, _ = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.dataset)
-    parts = _split_dataset(ds, args.split, args.split_seed)
+    parts = _split_dataset(load_dataset(args.dataset), args.split, args.split_seed)
     query_ds = parts[_SPLIT_INDEX[args.query_split]]
     index_ds = parts[_SPLIT_INDEX[args.index_split]]
+    del parts
     index = build_index(params, index_ds)
 
-    directions = _parse_direction(args.direction, index.num_modalities)
-    queries = {}   # each source modality's query rows, embedded once for all directions
-    reports = [evaluate_cross_modal(params, index, query_ds, src, tgt, k=args.k, queries=queries)
-               for src, tgt in directions]
+    reports = []
+    for src, group in itertools.groupby(_parse_direction(args.direction, index.num_modalities),
+                                        key=lambda direction: direction[0]):
+        queries = unit_query_rows(params, index, query_ds, src)
+        reports += [evaluate_cross_modal(params, index, query_ds, src, tgt, k=args.k,
+                                         queries=queries) for _, tgt in group]
+        del queries
     out_dir = _ensure_out_dir(args.out, args.mkdirs)
     metrics_to_csv(reports, args.out)
     _write_manifest(out_dir, "evaluate",

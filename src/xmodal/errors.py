@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the field check the configs share."""
 
+import dataclasses
 import math
+import numbers
 
 
 class XmodalError(Exception):
@@ -40,9 +42,13 @@ class TrainingDivergedError(XmodalError):
 
 
 def check_fields(config):
-    """ContractError for a float field that is not finite or a seed below 0."""
-    for name, value in vars(config).items():
+    """ContractError for a float that is not finite, a value of an int field that is not
+    an integer (such as 2.0 in a checkpoint header), or a seed below 0."""
+    for field in dataclasses.fields(config):
+        name, value = field.name, getattr(config, field.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ContractError(f"{type(config).__name__} {name}={value} must be finite")
+        if field.type is int and not isinstance(value, numbers.Integral):
+            raise ContractError(f"{type(config).__name__} {name}={value!r} is not an int")
         if name == "seed" and value < 0:
             raise ContractError(f"{type(config).__name__} seed={value} must be >= 0")

@@ -151,14 +151,17 @@ def build_index(params, ds, modalities=None) -> EmbeddingIndex:
 
 
 def _unit_queries(queries, dim):
-    """(Q, dim) query rows divided by their norms; a zero-norm row is an error."""
+    """(Q, dim) query rows divided by their norms; a zero-norm row is an error. Like
+    ``EmbeddingIndex``, it divides a float64 C-contiguous array in place: the caller
+    hands it over."""
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1:] != (dim,):
         raise ContractError(f"query embedding shape {queries.shape[1:]} != ({dim},)")
     norms = _norms(queries)
     if (norms <= NORM_EPS).any():
         raise DegenerateInputError("zero-norm query embedding")
-    return queries / norms[:, None]
+    queries /= norms[:, None]
+    return queries
 
 
 def _rank_block(scores, ids, width):
@@ -254,7 +257,7 @@ def retrieve(index: EmbeddingIndex, query_embedding, target_modality, k,
              exclude_tuple_id=None):
     """Exact top-k by cosine score, as [(tuple_id, score), ...]: scores non-increasing,
     ties ordered by ascending tuple_id."""
-    query = np.asarray(query_embedding, dtype=np.float64)[None]
+    query = np.array(query_embedding, dtype=np.float64)[None]   # a copy: the caller's array
     positions, scores, filled = _top_k(
         index, _unit_queries(query, index.embedding_dim), target_modality, k,
         None if exclude_tuple_id is None else [exclude_tuple_id])
@@ -303,6 +306,25 @@ def _score_rows(top, filled, queries, index):
     return f1, ndcg
 
 
+def _check_modality(index, m):
+    if not 0 <= m < index.num_modalities:
+        raise ContractError(f"modality {m} outside [0, {index.num_modalities})")
+
+
+def unit_query_rows(params, index: EmbeddingIndex, query_split, src_modality):
+    """The query split's src-modality rows as ``evaluate_cross_modal`` ranks them: one
+    ``embed`` call, each row divided by its norm in the array it returns. The split
+    must hold a query, and every query a label; a zero-norm row is an error."""
+    _check_modality(index, src_modality)
+    if not len(query_split):
+        raise ContractError("empty query set")
+    unlabelled = np.flatnonzero(np.diff(query_split.label_offsets) == 0)
+    if len(unlabelled):
+        raise ContractError(f"query tuple {query_split.ids[unlabelled[0]]} has no labels")
+    return _unit_queries(embed(params, src_modality, query_split.features[src_modality]).data,
+                         index.embedding_dim)
+
+
 def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
                          src_modality, tgt_modality, k=8, queries=None) -> MetricsReport:
     """Mean F1@K / NDCG@K over all queries of one retrieval direction.
@@ -311,28 +333,18 @@ def evaluate_cross_modal(params, index: EmbeddingIndex, query_split,
     block by block; candidates come from the prebuilt index (normally a
     different split). A query left with fewer than k candidates (an index of
     k rows or fewer) is scored over the candidates it has; a query left with
-    none is an error. ``queries``, a dict that a caller passes to each direction
-    of one query split, keeps each source modality's unit query rows, so that
-    each is embedded once.
+    none is an error. ``queries``, the rows ``unit_query_rows`` returns for this
+    split and source, lets a caller that runs several directions from one
+    source embed them once; by default they are embedded here.
     """
     for m in (src_modality, tgt_modality):
-        if not 0 <= m < index.num_modalities:
-            raise ContractError(
-                f"modality {m} outside [0, {index.num_modalities})")
+        _check_modality(index, m)
     if src_modality == tgt_modality:
         raise ContractError("cross-modal evaluation needs distinct modalities")
-    if not len(query_split):
-        raise ContractError("empty query set")
+    if queries is None:
+        queries = unit_query_rows(params, index, query_split, src_modality)
     ids = query_split.ids
-    unlabelled = np.flatnonzero(np.diff(query_split.label_offsets) == 0)
-    if len(unlabelled):
-        raise ContractError(f"query tuple {ids[unlabelled[0]]} has no labels")
-    queries = {} if queries is None else queries
-    if src_modality not in queries:
-        queries[src_modality] = _unit_queries(
-            embed(params, src_modality, query_split.features[src_modality]).data,
-            index.embedding_dim)
-    top, _, filled = _top_k(index, queries[src_modality], tgt_modality, k, query_split.ids)
+    top, _, filled = _top_k(index, queries, tgt_modality, k, ids)
     if not filled.all():
         raise ContractError(f"query tuple {ids[np.argmin(filled)]} has no candidate in "
                             f"the index of modality {tgt_modality}")

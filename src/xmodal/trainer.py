@@ -290,7 +290,7 @@ def load_checkpoint(path):
         manifest = header["tensors"]
     except KeyError as exc:
         raise CheckpointError(f"{path}: header lacks {exc.args[0]}") from None
-    except (TypeError, ValueError, ContractError) as exc:
+    except (TypeError, ValueError, OverflowError, ContractError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from None
     if completed < 0 or step < 0:
         raise CheckpointError(f"{path}: epoch {completed} and adam_step {step} must be >= 0")

@@ -9,6 +9,7 @@ import resource
 import struct
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -291,6 +292,68 @@ class TestEvaluateCommand:
                         for src in range(modalities) for tgt in range(modalities)
                         if src != tgt], tmp_path / "per_direction.csv")
         assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "per_direction.csv").read_bytes()
+
+    @pytest.mark.parametrize("query_split, index_split", [("train", "test"), ("test", "test")])
+    def test_three_modality_directions_in_order(self, tmp_path, capsys, query_split,
+                                                index_split):
+        # --direction both writes the six directions in _parse_direction order, each
+        # as a --direction S->T run of that pair alone writes it; with test/test one
+        # part is both the query set and the index
+        data, cfg, out = tmp_path / "tri.txt", tmp_path / "model.cfg", tmp_path / "run"
+        cfg.write_text("num_modalities = 3\n")
+        assert run(["gen-data", "--out", str(data), "--seed", "3", "--set", "num_tuples=100",
+                    "--set", "num_modalities=3"]) == 0
+        assert run(["train", "--dataset", str(data), "--out-dir", str(out),
+                    "--model-config", str(cfg), "--epochs", "1", "--batch-size", "8"]) == 0
+        capsys.readouterr()
+
+        def evaluate(direction):
+            metrics = tmp_path / "m.csv"
+            assert run(["evaluate", "--checkpoint", str(out / "checkpoint_epoch0.ckpt"),
+                        "--dataset", str(data), "--direction", direction,
+                        "--query-split", query_split, "--index-split", index_split,
+                        "--out", str(metrics)]) == 0
+            return metrics.read_text().splitlines()[1:], capsys.readouterr().out.splitlines()
+
+        directions = [f"{src}->{tgt}" for src, tgt in cli._parse_direction("both", 3)]
+        rows, table = evaluate("both")
+        per_query = [row.split(",")[1] for row in rows if not row.startswith("summary,")]
+        assert per_query == sorted(per_query, key=directions.index)   # one block each
+        assert [row.split(",")[1] for row in rows if row.startswith("summary,")] == [
+            *directions, "average"]
+        for i, direction in enumerate(directions):
+            alone, alone_table = evaluate(direction)
+            assert alone == [row for row in rows if row.split(",")[1] == direction]
+            assert alone_table[1:] == [table[1 + i]]
+
+    def test_peak_memory_is_what_it_must_hold(self, tmp_path):
+        # evaluate --direction both on an archive of the benchmark's eval_scan config must
+        # hold the checkpoint, the query and index parts' features, the index rows and
+        # one query set's rows (3.33 MB here); the ranking's blocks come on top (1.5
+        # times in all). Two copies of a query set, or both sources' at once, reach 2.2
+        data, out = tmp_path / "scan.txt", tmp_path / "run"
+        assert run(["gen-data", "--out", str(data), "--seed", "5", "--set", "num_tuples=2000",
+                    "--set", "multi_label=true", "--set", "noise_sigma=0.5",
+                    "--set", "num_classes=32"]) == 0
+        assert run(["train", "--dataset", str(data), "--out-dir", str(out),
+                    "--epochs", "2"]) == 0
+        ckpt = out / "checkpoint_epoch1.ckpt"
+        argv = ["evaluate", "--checkpoint", str(ckpt), "--dataset", str(data),
+                "--direction", "both", "--out", str(tmp_path / "m.csv")]
+        assert run(argv) == 0   # caches and lazily built state, outside the count
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        params = load_checkpoint(ckpt)[0]
+        query, _, index = split(load_dataset(data), (0.52, 0.24, 0.24), 0)
+        row = 8 * params.config.embedding_dim
+        held = (3 * params.flat.nbytes + query.features.nbytes + index.features.nbytes
+                + index.num_modalities * len(index) * row + len(query) * row)
+        assert 3.3e6 < held < 3.4e6
+        assert peak < 1.75 * held
 
     def test_query_without_candidates_one_line(self, tmp_path):
         # a 10-tuple archive splits 8/1/1: the one test query's only candidate
