@@ -255,7 +255,7 @@ def cmd_retrieve(args):
             raise ContractError(f"{flag} {m} outside [0, {ds.num_modalities})")
     # the target modality alone is indexed, once the modality count and input dim are checked
     index = build_index(params, ds, modalities=[args.tgt])
-    q = embed(params, args.src, ds.features[args.src][row]).data[0]
+    q = embed(params, args.src, ds.features[args.src][row])[0]
     items = retrieve(index, q, args.tgt, args.k, exclude_tuple_id=args.query_id)
     for rank, (tid, score) in enumerate(items, 1):
         print(f"{args.query_id},{rank},{tid},{score:.17g}")
@@ -333,20 +333,33 @@ COMMANDS = {
 }
 
 
+# Each parser built, by command (None: every command), with the COMMANDS items it was
+# built from: {command: (items, parser)}
+_PARSERS = {}
+
+
 def build_parser(command=None):
     """The parser of every command, or with ``command`` the same parser holding that
-    command's subparser alone (its usage line still names every command)."""
+    command's subparser alone (its usage line still names every command).
+
+    Each is built once per process and kept while COMMANDS holds the entries it was
+    built from: a replaced entry gets a fresh parser. The parser binds no command
+    function; ``main`` looks it up in COMMANDS when it dispatches."""
+    items = tuple(COMMANDS.items())
+    built = _PARSERS.get(command)
+    if built is not None and built[0] == items:
+        return built[1]
     parser = argparse.ArgumentParser(prog="xmodal",
                                      description="Self-supervised cross-modal retrieval pipeline")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, metavar=None if command is None
                                 else "{" + ",".join(COMMANDS) + "}")
     for name in COMMANDS if command is None else [command]:
-        func, help_line, arguments = COMMANDS[name]
+        _, help_line, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
-        p.set_defaults(func=func)
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
+    _PARSERS[command] = items, parser
     return parser
 
 
@@ -364,7 +377,7 @@ def main(argv=None):
     try:
         # overflow and NaN are reported by the checks on what they reach, never as warnings
         with np.errstate(all="ignore"):
-            return args.func(args)
+            return COMMANDS[args.command][0](args)
     except (XmodalError, OSError, ArithmeticError, MemoryError) as exc:
         failure = exc
     # out of the handler, dropping the traceback frees the failed command's frames and

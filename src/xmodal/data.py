@@ -347,7 +347,10 @@ def _g17_fields(x):
 
 
 def _padded(texts):
-    """(len(texts), width) uint8: each str's UTF-8 bytes, NUL-padded."""
+    """(len(texts), width) uint8: each str's UTF-8 bytes, NUL-padded; a uint8 matrix of
+    such rows is taken as it is."""
+    if isinstance(texts, np.ndarray):
+        return texts
     column = np.array([text.encode() for text in texts], "S")
     return column.view(np.uint8).reshape(len(texts), column.itemsize)
 
@@ -355,7 +358,8 @@ def _padded(texts):
 def format_rows(prefixes, values, suffixes):
     """The bytes of the rows ``prefixes[r] + ",".join("%.17g" % v for v in values[r])
     + suffixes[r]`` of an (R, C) float64 array, the prefixes and suffixes str
-    without NUL; byte for byte, without a Python % per value (_g17_fields)."""
+    without NUL, or (R, width) uint8 matrices of their bytes, NUL-padded; byte for
+    byte, without a Python % per value (_g17_fields)."""
     rows, cols = values.shape
     slots = np.zeros((rows, cols, FIELD_WIDTH + 1), np.uint8)   # each field and its comma
     slots[:, :, :FIELD_WIDTH] = _g17_fields(values).reshape(rows, cols, FIELD_WIDTH)

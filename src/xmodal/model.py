@@ -15,6 +15,7 @@ stacking. ``embed`` runs one modality's slices on a 2-D batch, in row blocks.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,12 +42,15 @@ class ModelConfig:
             raise ContractError("num_modalities must be >= 2")
         if self.input_dim <= 0 or self.feature_dim <= 0 or self.embedding_dim <= 0:
             raise ContractError("dimensions must be positive")
-        if any(d <= 0 for d in self.backbone_hidden_dims):
+        dims = tuple(self.backbone_hidden_dims)
+        if not all(isinstance(d, numbers.Integral) for d in dims):
+            raise ContractError(f"ModelConfig backbone_hidden_dims="
+                                f"{self.backbone_hidden_dims!r} holds a non-integer")
+        if any(d <= 0 for d in dims):
             raise ContractError("hidden dims must be positive")
         if self.activation not in ("tanh", "relu"):
             raise ContractError(f"unknown activation {self.activation!r}")
-        object.__setattr__(self, "backbone_hidden_dims",
-                           tuple(int(d) for d in self.backbone_hidden_dims))
+        object.__setattr__(self, "backbone_hidden_dims", tuple(int(d) for d in dims))
 
 
 @functools.cache
@@ -176,32 +180,38 @@ def forward_encoder(params: ModelParams, y) -> T.Tensor:
     return T.dense(y, *params.encoder)
 
 
-def embed(params: ModelParams, modality: int, x) -> T.Tensor:
+def embed(params: ModelParams, modality: int, x) -> np.ndarray:
     """Inference path used by retrieval: one modality's batch (N, input_dim) through its
-    backbone, read from each stacked leaf's slice, and the encoder.
+    backbone, read from each stacked leaf's slice, and the encoder, as an (N,
+    embedding_dim) array.
 
     The rows go through in ``ceil(N / EMBED_BLOCK)`` blocks of near-equal size, each
     block's z written into one (N, embedding_dim) array, so no layer output is N rows
     tall. No block holds a single row unless N = 1: a one-row product is a
     matrix-vector product that rounds differently, while blocks of 2 rows or more give
-    the bits of one call on the whole batch (``tests/test_model.py`` checks this). It
-    runs on constant Tensors, so the embedding is a constant Tensor and no graph is
-    recorded."""
+    the bits of one call on the whole batch (``tests/test_model.py`` checks this). Each
+    layer is the value arithmetic of ``tensor.dense`` on the leaf arrays, so z has the
+    bits of ``forward_backbone`` and ``forward_encoder``; no Tensor is made and no
+    graph is recorded."""
     config = params.config
     if not 0 <= modality < config.num_modalities:
         raise IndexError(f"unknown modality {modality}")
-    x = x if isinstance(x, T.Tensor) else T.Tensor(x)
-    if x.data.ndim != 2 or x.data.shape[1] != config.input_dim:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise ShapeMismatchError(
-            f"backbone input must be batch x {config.input_dim}, got {x.data.shape}")
-    layers = [(T.Tensor(w.data[modality]), T.Tensor(b.data[modality]))
-              for w, b in params.backbone]
-    constants = params.constants()
-    n = len(x.data)
+            f"backbone input must be batch x {config.input_dim}, got {x.shape}")
+    # each backbone layer's modality slice, then the encoder; as in ``_layers``, the
+    # activation follows every backbone layer but the last
+    layers = [(w.data[modality], b.data[modality]) for w, b in params.backbone]
+    layers.append((params.encoder[0].data, params.encoder[1].data))
+    activations = [config.activation] * (len(layers) - 2) + [None, None]
+    n = len(x)
     blocks = max(1, -(-n // EMBED_BLOCK))
     bounds = [n * i // blocks for i in range(blocks + 1)]
     z = np.empty((n, config.embedding_dim))
     for start, stop in zip(bounds, bounds[1:]):
-        z[start:stop] = forward_encoder(
-            constants, _layers(x.data[start:stop], layers, config.activation)).data
-    return T.Tensor(z)
+        h = x[start:stop]
+        for (w, b), activation in zip(layers, activations):
+            h, _ = T._dense_value(h, w, b, activation)
+        z[start:stop] = h
+    return z

@@ -146,7 +146,7 @@ def build_index(params, ds, modalities=None) -> EmbeddingIndex:
     check_dataset(params.config, ds)
     embedded = range(ds.num_modalities) if modalities is None else modalities
     return EmbeddingIndex(params.config.embedding_dim, ds.ids, ds.label_offsets, ds.label_ids,
-                          [embed(params, m, ds.features[m]).data if m in embedded else None
+                          [embed(params, m, ds.features[m]) if m in embedded else None
                            for m in range(ds.num_modalities)])
 
 
@@ -265,31 +265,33 @@ def retrieve(index: EmbeddingIndex, query_embedding, target_modality, k,
     return list(zip(index.ids[positions[0, :n]].tolist(), scores[0, :n].tolist()))
 
 
-def _membership(holder, held):
-    """(N, len(held)) bool matrix of the label layout of ``holder`` (a dataset or an
-    index): row i marks which of the ascending label ids ``held`` tuple i holds."""
+def _label_bits(holder, held):
+    """(N, ceil(len(held) / 64)) uint64 bitsets of the label layout of ``holder`` (a
+    dataset or an index): row i has bit j set if tuple i holds ``held[j]``, of the
+    ascending label ids ``held``."""
     offsets, label_ids = holder.label_offsets, holder.label_ids
     cols = np.searchsorted(held, label_ids)
     found = cols < len(held)
     found[found] = held[cols[found]] == label_ids[found]
-    members = np.zeros((len(offsets) - 1, len(held)), dtype=bool)
+    members = np.zeros((len(offsets) - 1, -(-len(held) // 64) * 64), dtype=bool)
     members[np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))[found], cols[found]] = True
-    return members
+    return np.packbits(members, axis=-1, bitorder="little").view(np.uint64)
 
 
 def _score_rows(top, filled, queries, index):
     """F1@k and NDCG@k of (Q, w) rankings whose row i fills its first ``filled[i]``
     places, _BLOCK queries at a time (see the module notes). Only the labels the
-    index holds get a column. No Jaccard union is empty: a query's label set is not."""
+    index holds get a bit. No Jaccard union is empty: a query's label set is not."""
     ordered = np.sort(index.label_ids)   # not np.unique, which would import numpy.ma
     held = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
-    items, query_members = _membership(index, held), _membership(queries, held)
+    items, query_bits = _label_bits(index, held), _label_bits(queries, held)
     item_sizes, query_sizes = np.diff(index.label_offsets), np.diff(queries.label_offsets)
     discounts = [math.log2(p + 1) for p in range(1, top.shape[1] + 1)]
     f1, ndcg = np.empty(len(top)), np.empty(len(top))
     for start in range(0, len(top), _BLOCK):
         block = slice(start, start + _BLOCK)
-        inter = np.count_nonzero(items[top[block]] & query_members[block, None, :], axis=-1)
+        inter = np.bitwise_count(items[top[block]] & query_bits[block, None, :]).sum(
+            axis=-1, dtype=np.intp)
         sizes = query_sizes[block, None] + item_sizes[top[block]]
         dice = 2.0 * inter / sizes
         # a set, not np.unique, which would import numpy.ma on first use
@@ -321,7 +323,7 @@ def unit_query_rows(params, index: EmbeddingIndex, query_split, src_modality):
     unlabelled = np.flatnonzero(np.diff(query_split.label_offsets) == 0)
     if len(unlabelled):
         raise ContractError(f"query tuple {query_split.ids[unlabelled[0]]} has no labels")
-    return _unit_queries(embed(params, src_modality, query_split.features[src_modality]).data,
+    return _unit_queries(embed(params, src_modality, query_split.features[src_modality]),
                          index.embedding_dim)
 
 
@@ -364,14 +366,20 @@ def _summaries(reports):
 
 
 def metrics_to_csv(reports, path):
-    """Per-query rows for each direction, their scores formatted by data.format_rows,
-    then one summary row per direction (``f"{x:.17g}"``, the text of ``"%.17g" % x``),
+    """Per-query rows for each direction, their scores formatted by data.format_rows
+    behind one byte matrix of their ``query_id,direction,`` prefixes, then one summary
+    row per direction (``f"{x:.17g}"``, the text of ``"%.17g" % x``),
     each written as it is formed."""
     def text():
         yield b"query_id,direction,f1_at_k,ndcg_at_k\n"
         for rep in reports:
-            yield format_rows([f"{query},{rep.direction}," for query in rep.query_ids.tolist()],
-                              np.stack([rep.f1, rep.ndcg], axis=1), ["\n"] * len(rep.f1))
+            ids = rep.query_ids.astype("S")   # each id's str(), NUL-padded
+            tail = np.frombuffer(f",{rep.direction},".encode(), np.uint8)
+            prefixes = np.empty((len(ids), ids.itemsize + len(tail)), np.uint8)
+            prefixes[:, :ids.itemsize] = ids.view(np.uint8).reshape(len(ids), ids.itemsize)
+            prefixes[:, ids.itemsize:] = tail
+            yield format_rows(prefixes, np.stack([rep.f1, rep.ndcg], axis=1),
+                              np.full((len(ids), 1), ord("\n"), np.uint8))
         yield "".join(f"summary,{name},{f1:.17g},{ndcg:.17g}\n"
                       for name, f1, ndcg in _summaries(reports))
     write_atomic(path, text())

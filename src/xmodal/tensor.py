@@ -143,6 +143,22 @@ def weighted_sum(terms):
     return _make(out, parents, backward)
 
 
+def _dense_value(x, w, b, activation):
+    """``dense``'s value on arrays, formed in the product's own array, and for "relu" the
+    mask of its positive entries (else None); ``model.embed`` runs its layers on this."""
+    out = np.matmul(x, w)   # each step below writes into this one array
+    out += b if w.ndim == 2 else b[:, None, :]
+    pos = None
+    if activation == "tanh":
+        np.tanh(out, out=out)
+    elif activation == "relu":
+        pos = out > 0
+        out[~pos] = 0.0   # a store, not a product, which would leave -0.0 and NaN
+    elif activation is not None:
+        raise ContractError(f"dense: unknown activation {activation!r}")
+    return out, pos
+
+
 def dense(x, w, b, activation=None):
     """One layer, ``activation(x @ w + b)``, as a single node.
 
@@ -165,19 +181,13 @@ def dense(x, w, b, activation=None):
             or b.data.ndim != w.data.ndim - 1 or xs[-1] != ws[-2] or ws[-1] != bs[-1]
             or (not shared and not xs[0] == ws[0] == bs[0])):
         raise ShapeMismatchError(f"dense: shapes {xs}, {ws} and {bs}")
-    out = np.matmul(x.data, w.data)   # each step below writes into this one array
-    out += b.data if shared else b.data[:, None, :]
+    out, pos = _dense_value(x.data, w.data, b.data, activation)
     if activation == "tanh":
-        np.tanh(out, out=out)
         local = lambda g: g * (1.0 - out * out)
     elif activation == "relu":
-        pos = out > 0
-        out[~pos] = 0.0   # a store, not a product, which would leave -0.0 and NaN
         local = lambda g: g * pos
-    elif activation is None:
-        local = lambda g: g
     else:
-        raise ContractError(f"dense: unknown activation {activation!r}")
+        local = lambda g: g
     summed = shared and x.data.ndim == 3   # one weight for every modality slice
 
     def backward(grad):

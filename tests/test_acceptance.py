@@ -190,7 +190,7 @@ def _neighbor_purity(params, ds, k=8):
     purities = []
     for m in range(ds.num_modalities):
         feats = ds.features[m]
-        z = embed(params, m, feats).data
+        z = embed(params, m, feats)
         z = z / np.linalg.norm(z, axis=1, keepdims=True)
         labels = label_sets(ds)
         sims = z @ z.T

@@ -1,5 +1,6 @@
 """CLI commands end to end: file outputs, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -615,6 +616,17 @@ class TestBadInputOneLine:
         assert err == [f"error: {bad}: malformed header: {message}"]
         assert not metrics.exists()
 
+    def test_checkpoint_hidden_dims_not_integer(self, trained, tmp_path):
+        # a width of 64.5 is refused, not read as the 64 the tensors are
+        dataset, ckpt = trained
+        bad = tmp_path / "bad.ckpt"
+        _edit_checkpoint_header(ckpt, bad, lambda header: header["model_config"].update(
+            backbone_hidden_dims=[64.5]))
+        assert run_process(["retrieve", "--checkpoint", str(bad), "--dataset", str(dataset),
+                            "--query-id", "5"]) == (2, [
+            f"error: {bad}: malformed header: ModelConfig backbone_hidden_dims=[64.5] "
+            "holds a non-integer"])
+
     def test_checkpoint_header_claims_a_huge_model(self, trained, tmp_path):
         # 466 TiB per encoder weight matrix: the payload size is checked first
         dataset, ckpt = trained
@@ -773,23 +785,28 @@ class TestRetrieveCommand:
                     "--k", "6"]) == 0
         params, _, _, _ = load_checkpoint(ckpt)
         ds = load_dataset(dataset)
-        query = embed(params, src, ds.features[src][ds.ids.tolist().index(17)][None]).data[0]
+        query = embed(params, src, ds.features[src][ds.ids.tolist().index(17)][None])[0]
         items = retrieve(build_index(params, ds), query, tgt, 6, exclude_tuple_id=17)
         assert capsys.readouterr().out.splitlines() == \
             [f"17,{rank},{tid},{score:.17g}" for rank, (tid, score) in enumerate(items, 1)]
 
     def test_embeddings_are_constants(self, trained, monkeypatch, tmp_path):
-        # evaluate and retrieve embed on constant parameters: no graph is recorded
+        # evaluate and retrieve embed on the leaf arrays: no graph node is made
         dataset, ckpt = trained
-        outputs = []
-        monkeypatch.setattr("xmodal.model.forward_encoder",
-                            lambda *args: outputs.append(forward_encoder(*args)) or outputs[-1])
+        nodes, embedded = [], []
+        monkeypatch.setattr("xmodal.tensor._make", lambda *args: nodes.append(args))
+        for module in ("xmodal.cli", "xmodal.retrieval"):
+            monkeypatch.setattr(f"{module}.embed",
+                                lambda *args: embedded.append(args[1]) or embed(*args))
         assert run(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(dataset),
                     "--out", str(tmp_path / "m.csv"), "--direction", "both"]) == 0
         assert run(["retrieve", "--checkpoint", str(ckpt), "--dataset", str(dataset),
                     "--query-id", "5", "--k", "3"]) == 0
-        assert len(outputs) == 6    # evaluate: 2 index + 2 query batches; retrieve: 1 + 1
-        assert all(not z.grad_enabled and not z._parents for z in outputs)
+        assert len(embedded) == 6    # evaluate: 2 index + 2 query batches; retrieve: 1 + 1
+        assert nodes == []
+        # the spy sees the node a forward pass makes
+        forward_encoder(load_checkpoint(ckpt)[0], np.ones((1, 64)))
+        assert len(nodes) == 1
 
     def test_label_sets_never_built(self, trained, monkeypatch):
         # a dataset holds its labels as the sidecar's offsets and ids, and nothing else
@@ -931,3 +948,67 @@ class TestLeanParser:
                             lambda command=None: calls.append(command) or build_parser(command))
         _exit(capsys, argv)
         assert calls == [built]
+
+
+class TestParserMemo:
+    """main builds each command's parser once per process, and a replaced COMMANDS
+    entry gets a fresh one."""
+
+    def test_repeated_calls_build_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *args, **kwargs: built.append(kwargs.get("prog"))
+                            or init(self, *args, **kwargs))
+        for _ in range(4):
+            assert run(["gradcheck", "--trials", "1"]) == 0
+        # the top-level parser and the gradcheck subparser
+        assert built == ["xmodal", "xmodal gradcheck"]
+
+    @pytest.mark.parametrize("sequence", [
+        [(["gradcheck", "--trials", "x"], 1), (["gradcheck", "--trials", "1"], 0),
+         (["gradcheck", "--bogus"], 1), (["gradcheck", "--help"], 0),
+         (["gradcheck", "--trials", "1"], 0)],
+        [(["nosuch"], 1), (["--help"], 0), (["-h", "retrieve"], 0), ([], 1)],
+    ], ids=["gradcheck", "every command"])
+    def test_cached_parser_prints_what_a_fresh_one_does(self, capsys, monkeypatch, sequence):
+        # a usage error leaves nothing behind in the parser that serves the next call
+        def outputs(fresh):
+            monkeypatch.setattr(cli, "_PARSERS", {})
+            results = []
+            for argv, _ in sequence:
+                if fresh:
+                    monkeypatch.setattr(cli, "_PARSERS", {})
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                results.append((code, *capsys.readouterr()))
+            return results
+
+        cached = outputs(fresh=False)
+        assert [code for code, _, _ in cached] == [code for _, code in sequence]
+        assert cached == outputs(fresh=True)
+
+    def test_replaced_entry_dispatches_and_leaves_no_stale_parser(self, capsys, monkeypatch):
+        calls = []
+        original = cli.COMMANDS["gradcheck"]
+        assert run(["gradcheck", "--trials", "1"]) == 0   # the parser is cached
+        # a new function under the same arguments is the one called
+        monkeypatch.setitem(cli.COMMANDS, "gradcheck",
+                            (lambda args: calls.append(args.trials) or 0, *original[1:]))
+        assert run(["gradcheck", "--trials", "3"]) == 0 and calls == [3]
+        # new arguments get a parser of their own
+        monkeypatch.setitem(cli.COMMANDS, "gradcheck",
+                            (lambda args: calls.append(args.depth) or 0, "", [
+                                ("--depth", {"type": int, "default": 2})]))
+        assert run(["gradcheck"]) == 0 and calls == [3, 2]
+        monkeypatch.undo()
+        capsys.readouterr()
+        # the restored entry parses and runs as before
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--depth", "2"])
+        assert exc.value.code == 1
+        assert run(["gradcheck", "--trials", "1"]) == 0
+        assert "gradcheck passed" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Model wiring: initialization, forward passes, parameter sharing, gradients."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -35,6 +36,18 @@ class TestInitParams:
         bound = np.sqrt(6 / (64 + 128))
         assert bound == pytest.approx(0.1768, abs=5e-4)
         assert np.all(np.abs(w.data) <= bound)
+
+    @pytest.mark.parametrize("dims", [(64.5,), [64.5], (64.0,), (8, 2.5), ("64",)],
+                             ids=["64.5", "[64.5]", "64.0", "8,2.5", "str"])
+    def test_hidden_dims_not_integers_rejected(self, dims):
+        # a width is never truncated: 64.5 is not read as 64
+        with pytest.raises(ContractError, match=re.escape(
+                f"ModelConfig backbone_hidden_dims={dims!r} holds a non-integer")):
+            ModelConfig(backbone_hidden_dims=dims)
+
+    def test_hidden_dims_integers_kept(self):
+        dims = ModelConfig(backbone_hidden_dims=[np.int64(8), 4]).backbone_hidden_dims
+        assert dims == (8, 4) and all(type(d) is int for d in dims)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ContractError):
@@ -151,8 +164,23 @@ class TestEmbed:
         x = rng.normal(size=(n, cfg.input_dim))
         for m in range(modalities):
             z = embed(params, m, x)
-            assert z.data.shape == (n, cfg.embedding_dim) and not z.grad_enabled
-            assert np.array_equal(z.data, _one_call(params, m, x))
+            assert z.shape == (n, cfg.embedding_dim)
+            assert np.array_equal(z, _one_call(params, m, x))
+
+    @pytest.mark.parametrize("modalities", [2, 3])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 256, 257, 1200])
+    def test_equals_the_forward_chain(self, n, activation, modalities):
+        # embed's plain arrays give the bits of training's graph-building forward pass
+        cfg = ModelConfig(num_modalities=modalities, backbone_hidden_dims=(48, 40),
+                          activation=activation, seed=3)
+        params = init_params(cfg)
+        rng = np.random.default_rng(n)
+        params.flat += rng.normal(scale=0.05, size=params.flat.shape)   # biases too
+        x = rng.normal(size=(modalities, n, cfg.input_dim))
+        chain = forward_encoder(params, forward_backbone(params, x)).data
+        for m in range(modalities):
+            assert np.array_equal(embed(params, m, x[m]), chain[m])
 
     def test_peak_memory_is_the_output_and_one_block(self):
         # the layer outputs are block-sized: the one N-sized array is the output
@@ -161,7 +189,7 @@ class TestEmbed:
         embed(params, 0, x[:300])   # caches and lazily built state, outside the count
         tracemalloc.start()
         try:
-            z = embed(params, 0, x).data
+            z = embed(params, 0, x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -170,14 +198,14 @@ class TestEmbed:
     def test_matches_composition_exactly(self):
         params = init_params(SMALL)
         x = np.random.default_rng(5).normal(size=(4, 6))
-        z = embed(params, 1, x).data
+        z = embed(params, 1, x)
         composed = forward_encoder(params, forward_backbone(params, np.stack([x, x]))).data
         np.testing.assert_array_equal(z, composed[1])
 
     def test_deterministic(self):
         params = init_params(SMALL)
         x = np.random.default_rng(6).normal(size=(4, 6))
-        np.testing.assert_array_equal(embed(params, 0, x).data, embed(params, 0, x).data)
+        np.testing.assert_array_equal(embed(params, 0, x), embed(params, 0, x))
 
 
 class TestParameterIsolation:

@@ -467,7 +467,7 @@ class TestEvaluateCrossModal:
         for src, tgt in ((0, 1), (1, 0)):
             rep = evaluate_cross_modal(params, index, ds, src, tgt, k=k)
             labels = {e.tuple_id: e.labels for e in entries(index, tgt)}
-            queries = embed(params, src, ds.features[src]).data
+            queries = embed(params, src, ds.features[src])
             f1, ndcg = [], []
             for tuple_id, query_labels, q in zip(ds.ids.tolist(), label_sets(ds), queries):
                 items = retrieve(index, q, tgt, k, exclude_tuple_id=tuple_id)
@@ -499,7 +499,7 @@ class TestEvaluateCrossModal:
         params = init_params(MODEL)
         held, queries = ds.take(np.arange(k)), ds.take(np.arange(3 * k))
         index = build_index(params, held)
-        assert len(retrieve(index, embed(params, 0, ds.features[0][:1]).data[0], 1, k,
+        assert len(retrieve(index, embed(params, 0, ds.features[0][:1])[0], 1, k,
                             exclude_tuple_id=int(ds.ids[0]))) < k
         self.assert_rows_equal_retrieve_loop(params, index, queries, k)
 
@@ -515,6 +515,20 @@ class TestEvaluateCrossModal:
         assert any(5 in s for s in label_sets(queries))
         index = build_index(params, held)
         assert 5 not in index.label_ids and index.label_offsets[1] == 0
+        self.assert_rows_equal_retrieve_loop(params, index, queries, k)
+
+    @pytest.mark.parametrize("k", [1, 8, 200])
+    def test_wide_vocabulary_equals_retrieve_loop(self, k):
+        # more than 64 labels held, so each tuple's label bitset takes two words or
+        # more; query labels the index never holds; and k = 200 above the index's 90 rows
+        ds = generate_synthetic(SynthConfig(num_classes=150, num_tuples=250, input_dim=12,
+                                            latent_dim=6, noise_sigma=0.3, multi_label=True,
+                                            seed=13))
+        params = init_params(MODEL)
+        held, queries = ds.take(np.arange(90)), ds.take(np.arange(90, 250))
+        index = build_index(params, held)
+        assert len(set(index.label_ids.tolist())) > 64
+        assert set(queries.label_ids.tolist()) - set(index.label_ids.tolist())
         self.assert_rows_equal_retrieve_loop(params, index, queries, k)
 
     def test_modality_out_of_range_rejected(self, small_ds):
@@ -595,7 +609,11 @@ class TestEvaluateCrossModal:
                 # scores that Python's % writes itself: zeros, tiny, huge, non-finite
                 MetricsReport(1, 1, mean_f1=0.5, mean_ndcg=0.5, query_ids=np.arange(4) - 2,
                               f1=np.array([0.0, -0.0, 1e-300, np.nan]),
-                              ndcg=np.array([1.0, 1e20, np.inf, 1 / 3]))]
+                              ndcg=np.array([1.0, 1e20, np.inf, 1 / 3])),
+                # ids of every width, the int64 extremes among them
+                MetricsReport(0, 2, mean_f1=0.5, mean_ndcg=0.5, query_ids=np.array(
+                    [-2**63, 2**63 - 1, -10**18, 10**18, -7, 0, 123456789]),
+                              f1=np.linspace(0, 1, 7), ndcg=np.linspace(1, 0, 7))]
         metrics_to_csv(reps, tmp_path / "metrics.csv")
         metrics_to_csv_per_row(reps, retrieval._summaries(reps), tmp_path / "per_row.csv")
         assert (tmp_path / "metrics.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
