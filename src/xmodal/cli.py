@@ -1,9 +1,9 @@
 """Command-line front door: gen-data, train, evaluate, retrieve, gradcheck.
 
 gen-data, train and evaluate write a run manifest next to their outputs recording
-the fully resolved configuration, seeds, paths (and a resumed train's checkpoint
-digest) and the Python and NumPy versions. Exit codes: 0 success, 1 usage or
-config error, 2 runtime/numeric failure.
+the fully resolved configuration, seeds, paths (with the archive's digest for train
+and evaluate, and a resumed train's checkpoint digest) and the Python and NumPy
+versions. Exit codes: 0 success, 1 usage or config error, 2 runtime/numeric failure.
 """
 
 import argparse
@@ -174,6 +174,7 @@ def cmd_train(args):
 
     # only the train and val parts stay: the archive's columns and the test part go here
     ds_train, ds_val = _split_dataset(ds, args.split, args.split_seed)[:2]
+    dataset_sha256 = ds.sha256   # proven by load_dataset: no second hash
     del ds
     params, report = train(ds_train, ds_val, model_config, train_config,
                            out_dir=args.out_dir, resume_from=args.resume_from)
@@ -189,7 +190,8 @@ def cmd_train(args):
                     {"model": dataclasses.asdict(model_config),
                      "train": dataclasses.asdict(train_config),
                      "split": args.split, "split_seed": args.split_seed},
-                    {"dataset": args.dataset, "resume_from": resumed},
+                    {"dataset": args.dataset, "dataset_sha256": dataset_sha256,
+                     "resume_from": resumed},
                     {"report_csv": csv_path, "checkpoint": ckpt},
                     train_config.seed, started)
     print(f"epoch {final.epoch}: mim={final.mim:.6f} mde={final.mde:.6f} "
@@ -219,10 +221,12 @@ def cmd_evaluate(args):
     freed before the next source's are embedded."""
     started = _now()
     params, _, _, _ = load_checkpoint(args.checkpoint)
-    parts = _split_dataset(load_dataset(args.dataset), args.split, args.split_seed)
+    ds = load_dataset(args.dataset)
+    dataset_sha256 = ds.sha256
+    parts = _split_dataset(ds, args.split, args.split_seed)
     query_ds = parts[_SPLIT_INDEX[args.query_split]]
     index_ds = parts[_SPLIT_INDEX[args.index_split]]
-    del parts
+    del ds, parts
     index = build_index(params, index_ds)
 
     reports = []
@@ -238,7 +242,8 @@ def cmd_evaluate(args):
                     {"k": args.k, "direction": args.direction,
                      "query_split": args.query_split, "index_split": args.index_split,
                      "split": args.split, "split_seed": args.split_seed},
-                    {"checkpoint": args.checkpoint, "dataset": args.dataset},
+                    {"checkpoint": args.checkpoint, "dataset": args.dataset,
+                     "dataset_sha256": dataset_sha256},
                     {"metrics_csv": args.out}, args.split_seed, started)
     print(summary_table(reports))
     return EXIT_OK

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import struct
+import time
 from dataclasses import dataclass
 from itertools import chain
 
@@ -24,6 +25,16 @@ LATENT_JITTER = 0.1
 COLUMNS_MAGIC = b"XMCOL1"
 CONTAINER_VERSION = 1
 CONTAINER_PREFIX = struct.Struct("<6sII")   # magic, version, header length
+# git's "racy clean" rule: a digest is reused only for a file whose ctime was older,
+# by more than this window, than the clock read before it was hashed. A write inside
+# the window may leave size, mtime and ctime as they were: FAT stamps mtime in 2 s
+# steps, and ext4, xfs and tmpfs stamp from the kernel's coarse clock, one jiffy
+# (<= 10 ms) behind the clock read here. A later write moves the ctime.
+RACY_WINDOW_NS = 2 * 10**9
+_clock = time.time_ns
+# (what was hashed: "file" or "payload", st_dev, st_ino) ->
+# (st_size, st_mtime_ns, st_ctime_ns, SHA-256 hex digest)
+_DIGESTS = {}
 
 
 class TupleDataset:
@@ -32,14 +43,17 @@ class TupleDataset:
     M (N, dim) matrices is stacked into it), and the label layout:
     tuple i's label ids, ascending and distinct, are
     ``label_ids[label_offsets[i]:label_offsets[i + 1]]`` (int64 arrays, N + 1
-    offsets from 0), each in ``[0, num_labels)``."""
+    offsets from 0), each in ``[0, num_labels)``. ``sha256`` is the SHA-256 hex digest
+    of the archive text a loaded dataset was read from (None for one built in memory or
+    taken from another)."""
 
-    def __init__(self, ids, features, label_offsets, label_ids, num_labels):
+    def __init__(self, ids, features, label_offsets, label_ids, num_labels, sha256=None):
         self.ids = np.asarray(ids, dtype=np.int64)
         self.features = np.ascontiguousarray(features, dtype=np.float64)
         self.label_offsets = np.asarray(label_offsets, dtype=np.int64)
         self.label_ids = np.asarray(label_ids, dtype=np.int64)
         self.num_labels = num_labels
+        self.sha256 = sha256
 
     def take(self, rows):
         """The dataset of these rows, in this order; the label layout is gathered
@@ -218,9 +232,10 @@ def write_container(path, magic, header, chunks):
 
 
 def read_container(path, magic):
-    """(header, payload) of a container with this magic, the payload a writable uint8
-    view, starting on an 8-byte boundary, of the one buffer the file is read into;
-    else a ValueError naming the fault."""
+    """(header, payload, stat) of a container with this magic, the payload a writable
+    uint8 view, starting on an 8-byte boundary, of the one buffer the file is read into,
+    and stat the ``os.fstat`` of the descriptor it is read from; else a ValueError
+    naming the fault."""
     with open(path, "rb") as fh:
         prefix = fh.read(CONTAINER_PREFIX.size)
         if len(prefix) < CONTAINER_PREFIX.size or not prefix.startswith(magic):
@@ -228,7 +243,8 @@ def read_container(path, magic):
         _, version, header_len = CONTAINER_PREFIX.unpack(prefix)
         if version != CONTAINER_VERSION:
             raise ValueError(f"unsupported version {version}")
-        end, size = CONTAINER_PREFIX.size + header_len, os.fstat(fh.fileno()).st_size
+        stat = os.fstat(fh.fileno())
+        end, size = CONTAINER_PREFIX.size + header_len, stat.st_size
         # sized by the file alone; a uint64 array starts on an 8-byte boundary, so
         # file byte i at buffer byte i + (-end % 8) puts the payload on one too
         blob = np.empty((size + 15) // 8, np.uint64).view(np.uint8)[-end % 8:][:size]
@@ -240,7 +256,7 @@ def read_container(path, magic):
         header = json.loads(blob[CONTAINER_PREFIX.size:end].tobytes().decode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"corrupt header: {exc}") from None
-    return header, blob[end:]
+    return header, blob[end:], stat
 
 
 FIELD_WIDTH = 24   # the longest "%.17g" text, e.g. "-2.2250738585072014e-308"
@@ -407,8 +423,9 @@ def save_dataset(ds: TupleDataset, path):
 
 def load_dataset(path) -> TupleDataset:
     """The sidecar's columns if they are provably the text's, else a strict
-    parse of the text, whose errors name the offending line. A record whose
-    features are all zero has no direction: DegenerateInputError."""
+    parse of the text, whose errors name the offending line; either way ``sha256``
+    holds the text's digest. A record whose features are all zero has no direction:
+    DegenerateInputError."""
     ds = _load_columns(os.fspath(path)) or _load(path)   # a sidecar has rows
     dead = ~ds.features.any(axis=-1)   # (M, N)
     if dead.any():
@@ -417,13 +434,39 @@ def load_dataset(path) -> TupleDataset:
     return ds
 
 
-def file_sha256(path):
-    """The SHA-256 hex digest of a file, read in 64 KiB chunks into one reused buffer."""
-    digest, chunk = hashlib.sha256(), bytearray(1 << 16)
-    with open(path, "rb") as fh:
+def _memo_sha256(part, stat, clock, digest):
+    """The SHA-256 hex digest of ``part`` of the file whose ``os.fstat`` is ``stat``:
+    the memo's, while it holds one under the file's (st_dev, st_ino) and equal
+    (st_size, st_mtime_ns, st_ctime_ns), else ``digest()``. That is kept only if the
+    ctime is more than RACY_WINDOW_NS older than ``clock``, read before the hash."""
+    key = part, stat.st_dev, stat.st_ino
+    stamp = stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns
+    held = _DIGESTS.get(key)
+    if held is not None and held[:3] == stamp:
+        return held[3]
+    hexdigest = digest()
+    if stat.st_ctime_ns < clock - RACY_WINDOW_NS:
+        _DIGESTS[key] = (*stamp, hexdigest)
+    return hexdigest
+
+
+def _open_file_sha256(fh):
+    """The SHA-256 hex digest of the open binary file ``fh`` (_memo_sha256 under the
+    fstat of its descriptor), read from its start in 64 KiB chunks into one reused
+    buffer."""
+    def digest():
+        hasher, chunk = hashlib.sha256(), bytearray(1 << 16)
         while size := fh.readinto(chunk):
-            digest.update(memoryview(chunk)[:size])
-    return digest.hexdigest()
+            hasher.update(memoryview(chunk)[:size])
+        return hasher.hexdigest()
+    clock = _clock()
+    return _memo_sha256("file", os.fstat(fh.fileno()), clock, digest)
+
+
+def file_sha256(path):
+    """The SHA-256 hex digest of the file at ``path`` (_open_file_sha256)."""
+    with open(path, "rb") as fh:
+        return _open_file_sha256(fh)
 
 
 def _load_columns(path):
@@ -432,9 +475,14 @@ def _load_columns(path):
     SHA-256 of the text and of the payload, and whose little-endian payload is:
     int64 counts (N, dim, labels, rows, label ids), the int64 ids, the (N, rows, dim)
     float64 features, modality-major, int64 label offsets and label ids. The features
-    are a view of the buffer the file is read into."""
+    are a view of the buffer the file is read into.
+
+    Both digests come through ``_memo_sha256``, so an archive loaded again in one
+    process is hashed again only if a file's stat changed, or if it had changed
+    within RACY_WINDOW_NS of the last hash; every other check runs on every load."""
+    clock = _clock()
     try:
-        header, payload = read_container(path + ".cols", COLUMNS_MAGIC)
+        header, payload, stat = read_container(path + ".cols", COLUMNS_MAGIC)
         digests = header["text_sha256"], header["payload_sha256"]
         body = np.frombuffer(payload, "<i8")
         n, dim, labels, rows, count = body[:5].tolist()
@@ -443,7 +491,8 @@ def _load_columns(path):
         return None
     if (min(n, dim, rows) < 1 or count < 0
             or len(body) != 5 + rows * (2 + n * dim) + 1 + count
-            or digests != (text_digest, hashlib.sha256(body).hexdigest())):
+            or digests != (text_digest, _memo_sha256(
+                "payload", stat, clock, lambda: hashlib.sha256(body).hexdigest()))):
         return None
     # save_dataset also writes columns that the text parse rejects; each fails a check
     _, ids, features, offsets, label_ids = np.split(
@@ -457,13 +506,15 @@ def _load_columns(path):
             and ((np.diff(label_ids) > 0)
                  | (np.diff(np.repeat(np.arange(rows), sizes)) > 0)).all()):
         return None
-    return TupleDataset(ids, features, offsets, label_ids, labels)
+    return TupleDataset(ids, features, offsets, label_ids, labels, text_digest)
 
 
 def _load(path):
     # a byte that is not UTF-8 reads as a lone surrogate, which no field's parse
     # accepts, so it is reported as a format error on its line
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text_digest = _open_file_sha256(fh.buffer)   # of the bytes parsed: one descriptor
+        fh.seek(0)
         header = fh.readline().rstrip("\n")
         if not header.startswith(FORMAT_HEADER):
             raise DatasetFormatError(f"bad header {header!r}", line_number=1)
@@ -532,4 +583,5 @@ def _load(path):
     order = np.array([[positions[t, m] for m in range(n)] for t in ids], np.intp).reshape(-1, n)
     rows = np.array(line_features).reshape(len(line_features), dim)
     return TupleDataset(ids, rows[order.T],
-                        *_label_layout([line_labels[p] for p in order[:, 0]]), meta["labels"])
+                        *_label_layout([line_labels[p] for p in order[:, 0]]), meta["labels"],
+                        text_digest)

@@ -281,7 +281,7 @@ def load_checkpoint(path):
     buffer the file was read into.
     """
     try:
-        header, payload = read_container(path, CHECKPOINT_MAGIC)
+        header, payload, _ = read_container(path, CHECKPOINT_MAGIC)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     try:

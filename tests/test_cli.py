@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -18,11 +19,14 @@ import pytest
 
 import xmodal
 from xmodal import cli
+from xmodal import data as data_module
+from xmodal import tensor as T
 from xmodal.cli import build_parser, main, typed_config
 from xmodal.data import SynthConfig, TupleDataset, load_dataset, save_dataset, split
 from xmodal.errors import ContractError
 from xmodal.trainer import TrainConfig, load_checkpoint, save_checkpoint
 from xmodal.model import ModelConfig, embed, forward_backbone, forward_encoder, init_params
+from xmodal.losses import combined_loss, loss_mde, loss_mim, loss_msp
 from xmodal.retrieval import build_index, evaluate_cross_modal, metrics_to_csv, retrieve
 
 
@@ -136,6 +140,45 @@ class TestGenData:
             platform.python_version(), np.__version__)
 
 
+@pytest.mark.parametrize("sidecar", ["kept", "removed"])
+def test_manifests_record_the_archive_digest(dataset_file, tmp_path, monkeypatch, sidecar):
+    # train and evaluate record the SHA-256 of the archive text that load_dataset hashed,
+    # once per command with the memo off; one changed byte changes it; retrieve writes none
+    if sidecar == "removed":
+        os.remove(f"{dataset_file}.cols")
+    hashes, sha256 = [], hashlib.sha256
+    monkeypatch.setattr(data_module, "_clock", lambda: 0)   # no digest is kept
+    monkeypatch.setattr(data_module, "hashlib", types.SimpleNamespace(
+        sha256=lambda *args: hashes.append("payload" if args else "file") or sha256(*args)))
+    recorded = []
+    # a sidecar proven stale is hashed, then the text is hashed as it is parsed
+    for name, expected_hashes in (
+            ("first", ["file", "payload"] if sidecar == "kept" else ["file"]),
+            ("changed", ["file", "payload", "file"] if sidecar == "kept" else ["file"])):
+        out = tmp_path / name
+        ckpt = out / "checkpoint_epoch0.ckpt"
+        for argv, manifest in (
+                (["train", "--out-dir", str(out), "--epochs", "1", "--batch-size", "16"],
+                 out / "manifest_train.json"),
+                (["evaluate", "--checkpoint", str(ckpt), "--out", str(out / "m.csv")],
+                 out / "manifest_evaluate.json")):
+            hashes.clear()
+            assert run([*argv, "--dataset", str(dataset_file)]) == 0
+            assert hashes == expected_hashes
+            inputs = json.loads(manifest.read_text())["inputs"]
+            assert inputs["dataset_sha256"] == sha256(dataset_file.read_bytes()).hexdigest()
+            recorded.append(inputs["dataset_sha256"])
+        assert run(["retrieve", "--checkpoint", str(ckpt), "--dataset", str(dataset_file),
+                    "--query-id", "5"]) == 0
+        # one digit 1-8 of the first feature, raised by one
+        text = dataset_file.read_bytes()
+        at = next(i for i in range(text.index(b"\t", text.index(b"\t") + 1), len(text))
+                  if text[i] in b"12345678")
+        dataset_file.write_bytes(text[:at] + bytes([text[at] + 1]) + text[at + 1:])
+    assert recorded[0] == recorded[1] != recorded[2] == recorded[3]
+    assert not list(tmp_path.rglob("manifest_retrieve*"))
+
+
 class TestTrainCommand:
     def _train(self, dataset_file, out_dir, extra=()):
         return run(["train", "--dataset", str(dataset_file), "--out-dir", str(out_dir),
@@ -165,6 +208,17 @@ class TestTrainCommand:
             "resume_from"] is None
         assert (resumed / "checkpoint_epoch1.ckpt").read_bytes() == \
             (every / "checkpoint_epoch1.ckpt").read_bytes()
+
+    def test_one_row_train_split_one_line(self, tmp_path):
+        # a 10-tuple archive splits 1/5/4: one row makes no batch of at least 2
+        data, out = tmp_path / "ten.txt", tmp_path / "run"
+        assert run(["gen-data", "--out", str(data), "--seed", "1",
+                    "--set", "num_tuples=10"]) == 0
+        code, err = run_process(["train", "--dataset", str(data), "--out-dir", str(out),
+                                 "--split", "0.05,0.5,0.45"])
+        assert code == 1
+        assert err == ["error: training set yields no batches at this batch size"]
+        assert not out.exists()
 
     def test_zero_lr_checkpoint_equals_init(self, dataset_file, tmp_path):
         out = tmp_path / "run0"
@@ -376,6 +430,7 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("direction, message", [
         ("0-1", "--direction expects 'both' or SRC->TGT, got '0-1'"),
         ("0->5", "modality 5 outside [0, 2)"),
+        ("5->0", "modality 5 outside [0, 2)"),
     ])
     def test_bad_direction_one_line(self, trained, tmp_path, direction, message):
         dataset, ckpt = trained
@@ -810,6 +865,7 @@ class TestRetrieveCommand:
 
     def test_label_sets_never_built(self, trained, monkeypatch):
         # a dataset holds its labels as the sidecar's offsets and ids, and nothing else
+        # (besides the columns and label count, only the digest of the text it came from)
         dataset, ckpt = trained
         loaded = []
         monkeypatch.setattr("xmodal.cli.load_dataset",
@@ -817,8 +873,16 @@ class TestRetrieveCommand:
         assert run(["retrieve", "--checkpoint", str(ckpt), "--dataset", str(dataset),
                     "--query-id", "5", "--k", "3"]) == 0
         assert len(loaded) == 1 and set(vars(loaded[0])) == {
-            "ids", "features", "label_offsets", "label_ids", "num_labels"}
+            "ids", "features", "label_offsets", "label_ids", "num_labels", "sha256"}
+        assert loaded[0].sha256 == hashlib.sha256(dataset.read_bytes()).hexdigest()
         assert loaded[0].label_offsets.dtype == loaded[0].label_ids.dtype == np.int64
+
+    def test_query_id_not_in_dataset_one_line(self, trained):
+        dataset, ckpt = trained
+        code, err = run_process(["retrieve", "--checkpoint", str(ckpt),
+                                 "--dataset", str(dataset), "--query-id", "99999"])
+        assert code == 1
+        assert err == ["error: tuple_id 99999 not in dataset"]
 
     def test_src_out_of_range_one_line(self, trained):
         dataset, ckpt = trained
@@ -834,6 +898,19 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "gradcheck passed" in out
         assert out.count("max rel error") == 4
+
+    @pytest.mark.parametrize("term, name, loss", [
+        ("mim", "loss_mim", loss_mim), ("mde", "loss_mde", loss_mde),
+        ("msp", "loss_msp", loss_msp), ("combined", "combined_loss", combined_loss)])
+    def test_each_term_is_measured(self, capsys, monkeypatch, term, name, loss):
+        # the term's loss, its value unchanged, hands its input a gradient off by one
+        def off_by_one(x, *rest):
+            return loss(T.node(x.data, (x,), lambda g: (g + 1.0,)), *rest)
+        monkeypatch.setattr(cli, name, off_by_one)
+        assert run(["gradcheck", "--trials", "1"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines if line.endswith("FAIL")] == [term]
+        assert lines[-1] == f"gradcheck FAILED for: {term}"
 
     @pytest.mark.parametrize("argv", [["--trials", "0"], ["--seed", "-1"], ["--dims", "0"],
                                       ["--dims", "-2"], ["--batch", "-3"], ["--batch", "1"]],
@@ -884,6 +961,23 @@ class TestExitCodes:
             assert len(err) == 1 and re.fullmatch(r"error: zero-norm embedding for tuple \d+",
                                                   err[0])
         assert os.listdir(out) == []
+
+
+    def test_zero_query_embedding_is_two(self, trained, tmp_path):
+        # modality 0's last backbone layer and the shared encoder bias zeroed: modality 0
+        # embeds to the zero vector and modality 1 does not, so retrieve's index of
+        # modality 1 passes its check and the query's check fires
+        dataset, ckpt = trained
+        params, state, epoch, _ = load_checkpoint(ckpt)
+        for t in params.backbone[-1]:
+            t.data[0] = 0.0
+        params.encoder[1].data[...] = 0.0
+        zero = tmp_path / "zero_query.ckpt"
+        save_checkpoint(params, state, epoch, zero)
+        code, err = run_process(["retrieve", "--checkpoint", str(zero), "--dataset",
+                                 str(dataset), "--query-id", "5", "--src", "0", "--tgt", "1"])
+        assert code == 2
+        assert err == ["error: zero-norm query embedding"]
 
 
 COMMAND_NAMES = ["gen-data", "train", "evaluate", "retrieve", "gradcheck"]

@@ -4,7 +4,9 @@ import hashlib
 import json
 import os
 import struct
+import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -590,6 +592,150 @@ class TestSidecar:
             load_dataset(path)
 
 
+def _digit_changed(text):
+    """The archive text with the first digit 1-8 of its first feature field raised by one:
+    the same size, another value."""
+    start = text.index(b"\t", text.index(b"\t", text.index(b"\n") + 1) + 1) + 1
+    at = next(i for i in range(start, len(text)) if text[i] in b"12345678")
+    return text[:at] + bytes([text[at] + 1]) + text[at + 1:]
+
+
+def _rewrite_in_place(path, blob):
+    with open(path, "r+b") as fh:
+        fh.write(blob)
+
+
+WINDOW = data_module.RACY_WINDOW_NS
+
+
+class TestDigestMemo:
+    """load_dataset hashes a file again only when its stat changed, or had changed within
+    RACY_WINDOW_NS of the clock read before it was last hashed (git's racy-clean rule).
+    No test waits: each sets the module's clock, and some the files' stamps."""
+
+    @pytest.fixture()
+    def memo(self, monkeypatch):
+        """(hashes, clock): a fresh memo, the module's clock reading ``clock[0]``, and
+        "file" or "payload" logged in ``hashes`` for each SHA-256 that data begins."""
+        hashes, clock = [], [time.time_ns()]
+        monkeypatch.setattr(data_module, "_DIGESTS", {})
+        monkeypatch.setattr(data_module, "_clock", lambda: clock[0])
+
+        def sha256(*args):
+            hashes.append("payload" if args else "file")
+            return hashlib.sha256(*args)
+        monkeypatch.setattr(data_module, "hashlib", types.SimpleNamespace(sha256=sha256))
+        return hashes, clock
+
+    @pytest.fixture()
+    def stamps(self, monkeypatch):
+        """``stamp``: every os.fstat reports ``stamp[0]`` as its file's mtime and ctime, as
+        a file system would whose timestamps are that coarse."""
+        fstat, stamp = os.fstat, [10**18]
+
+        def coarse(fd):
+            st = fstat(fd)
+            return types.SimpleNamespace(st_dev=st.st_dev, st_ino=st.st_ino, st_size=st.st_size,
+                                         st_mtime_ns=stamp[0], st_ctime_ns=stamp[0])
+        monkeypatch.setattr(os, "fstat", coarse)
+        return stamp
+
+    @staticmethod
+    def _archive(tmp_path, memo):
+        """An archive with its sidecar, and the outcome of its text with one digit changed."""
+        path, other = tmp_path / "ds.txt", tmp_path / "changed.txt"
+        save_dataset(generate_synthetic(CFG), path)
+        other.write_bytes(_digit_changed(path.read_bytes()))
+        changed = _outcome(other)
+        assert changed != _outcome(path)
+        memo[0].clear()
+        data_module._DIGESTS.clear()
+        return path, changed
+
+    def test_loads_of_an_unchanged_archive_hash_each_file_once(self, tmp_path, memo):
+        hashes, clock = memo
+        path, _ = self._archive(tmp_path, memo)
+        ctimes = sorted(os.stat(p).st_ctime_ns for p in (path, f"{path}.cols"))
+        # at one window after the older ctime each load hashes both files again; past the
+        # newer one's window, the first load's digests serve the rest, and the last load
+        # proves the text's digest
+        clock[0] = ctimes[0] + WINDOW
+        loaded = _outcome(path)
+        assert _outcome(path) == loaded and hashes == ["file", "payload"] * 2
+        hashes.clear()
+        clock[0] = ctimes[1] + WINDOW + 1
+        for _ in range(5):
+            assert _outcome(path) == loaded
+        assert hashes == ["file", "payload"]
+        assert load_dataset(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert hashes == ["file", "payload"]
+
+    def test_a_sidecar_holds_its_payload_digest_apart_from_its_file_digest(self, tmp_path,
+                                                                            memo):
+        _, clock = memo
+        path, _ = self._archive(tmp_path, memo)
+        cols = f"{path}.cols"
+        clock[0] = os.stat(cols).st_ctime_ns + WINDOW + 1
+        for _ in range(2):   # the second time from the memo
+            assert _load_columns(str(path)) is not None
+            assert data_module.file_sha256(cols) == hashlib.sha256(
+                open(cols, "rb").read()).hexdigest()
+
+    def test_rewrite_in_place_with_its_mtime_restored_is_hashed_again(self, tmp_path, memo):
+        # size and mtime are those the memo holds: only the ctime tells
+        hashes, clock = memo
+        path, changed = self._archive(tmp_path, memo)
+        before = os.stat(path)
+        clock[0] = os.stat(f"{path}.cols").st_ctime_ns + WINDOW + 1
+        assert _load_columns(str(path)) is not None
+        blob, deadline = _digit_changed(path.read_bytes()), time.monotonic() + 1
+        # rewritten until the kernel's coarse clock has moved off the ctime the memo holds
+        while os.stat(path).st_ctime_ns == before.st_ctime_ns and time.monotonic() < deadline:
+            _rewrite_in_place(path, blob)
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert after.st_ctime_ns != before.st_ctime_ns
+        clock[0] = after.st_ctime_ns + WINDOW + 1   # the window has passed since the rewrite
+        hashes.clear()
+        assert _load_columns(str(path)) is None and "file" in hashes
+        assert _outcome(path) == changed   # the stale sidecar refused, as without a memo
+
+    def test_rewrite_inside_the_window_is_caught(self, tmp_path, memo, stamps):
+        # a rewrite of the same size within one timestamp tick leaves the stat as it was
+        _, clock = memo
+        path, changed = self._archive(tmp_path, memo)
+        clock[0] = stamps[0] + WINDOW   # the stamp is not older than the clock by a window
+        assert _load_columns(str(path)) is not None
+        _rewrite_in_place(path, _digit_changed(path.read_bytes()))
+        assert _load_columns(str(path)) is None
+        assert _outcome(path) == changed
+
+    def test_file_replaced_by_rename_is_hashed_again(self, tmp_path, memo, stamps):
+        # a new inode of the same size and stamps, past the window
+        hashes, clock = memo
+        path, changed = self._archive(tmp_path, memo)
+        clock[0] = stamps[0] + WINDOW + 1
+        assert _load_columns(str(path)) is not None
+        (tmp_path / "new.txt").write_bytes(_digit_changed(path.read_bytes()))
+        os.replace(tmp_path / "new.txt", path)
+        hashes.clear()
+        assert _load_columns(str(path)) is None and hashes == ["file"]
+        assert _outcome(path) == changed
+
+    def test_file_rewritten_many_times_leaves_one_entry(self, tmp_path, memo, stamps):
+        # one entry per file: the text's, and the sidecar payload's
+        _, clock = memo
+        path, changed = self._archive(tmp_path, memo)
+        text, sidecar = path.read_bytes(), _outcome(path)
+        clock[0] = stamps[0] + 100 * WINDOW
+        for k in range(6):
+            stamps[0] += 1   # each rewrite on its own tick, each trusted past the window
+            _rewrite_in_place(path, _digit_changed(text) if k % 2 else text)
+            assert _outcome(path) == (changed if k % 2 else sidecar)
+        assert len(data_module._DIGESTS) == 2
+
+
 # save_dataset must write the bytes of the per-row writer: its text and its sidecar
 ARCHIVE_GRID = {
     **{f"{m} modalities, dim {dim}": generate_synthetic(SynthConfig(
@@ -641,7 +787,7 @@ class TestContainer:
         # headers of every length modulo 8
         path, payload = tmp_path / "c.bin", np.arange(5, dtype="<f8").tobytes()
         write_container(path, b"XTEST1", {"pad": "x" * pad}, [payload])
-        header, got = read_container(path, b"XTEST1")
+        header, got, _ = read_container(path, b"XTEST1")
         assert header == {"pad": "x" * pad} and got.tobytes() == payload
         assert got.flags.writeable and got.__array_interface__["data"][0] % 8 == 0
 
