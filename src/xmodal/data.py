@@ -424,9 +424,16 @@ def save_dataset(ds: TupleDataset, path):
 def load_dataset(path) -> TupleDataset:
     """The sidecar's columns if they are provably the text's, else a strict
     parse of the text, whose errors name the offending line; either way ``sha256``
-    holds the text's digest. A record whose features are all zero has no direction:
-    DegenerateInputError."""
-    ds = _load_columns(os.fspath(path)) or _load(path)   # a sidecar has rows
+    holds the text's digest, hashed once. A record whose features are all zero has no
+    direction: DegenerateInputError."""
+    # a byte that is not UTF-8 reads as a lone surrogate, which no field's parse
+    # accepts, so it is reported as a format error on its line
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text_digest = _open_file_sha256(fh.buffer)
+        ds = _load_columns(os.fspath(path), text_digest)
+        if ds is None:
+            fh.seek(0)
+            ds = _parse(fh, text_digest)
     dead = ~ds.features.any(axis=-1)   # (M, N)
     if dead.any():
         row, m = np.argwhere(dead.T)[0]   # the first by tuple, then by modality
@@ -469,30 +476,32 @@ def file_sha256(path):
         return _open_file_sha256(fh)
 
 
-def _load_columns(path):
+def _load_columns(path, text_digest):
     """The columns in the sidecar ``<path>.cols``, or None unless they are what
-    the text parse of ``path`` returns. A container whose header holds the
-    SHA-256 of the text and of the payload, and whose little-endian payload is:
+    the text parse of ``path``, of SHA-256 ``text_digest``, returns. A container
+    whose header holds the SHA-256 of the text and of the payload, and whose
+    little-endian payload is:
     int64 counts (N, dim, labels, rows, label ids), the int64 ids, the (N, rows, dim)
     float64 features, modality-major, int64 label offsets and label ids. The features
     are a view of the buffer the file is read into.
 
     Both digests come through ``_memo_sha256``, so an archive loaded again in one
     process is hashed again only if a file's stat changed, or if it had changed
-    within RACY_WINDOW_NS of the last hash; every other check runs on every load."""
+    within RACY_WINDOW_NS of the last hash; every other check runs on every load.
+    A sidecar of another text is refused before its payload is hashed."""
     clock = _clock()
     try:
         header, payload, stat = read_container(path + ".cols", COLUMNS_MAGIC)
         digests = header["text_sha256"], header["payload_sha256"]
         body = np.frombuffer(payload, "<i8")
         n, dim, labels, rows, count = body[:5].tolist()
-        text_digest = file_sha256(path)
     except (OSError, ValueError, KeyError, TypeError):
         return None
     if (min(n, dim, rows) < 1 or count < 0
             or len(body) != 5 + rows * (2 + n * dim) + 1 + count
-            or digests != (text_digest, _memo_sha256(
-                "payload", stat, clock, lambda: hashlib.sha256(body).hexdigest()))):
+            or digests[0] != text_digest
+            or digests[1] != _memo_sha256(
+                "payload", stat, clock, lambda: hashlib.sha256(body).hexdigest())):
         return None
     # save_dataset also writes columns that the text parse rejects; each fails a check
     _, ids, features, offsets, label_ids = np.split(
@@ -509,69 +518,65 @@ def _load_columns(path):
     return TupleDataset(ids, features, offsets, label_ids, labels, text_digest)
 
 
-def _load(path):
-    # a byte that is not UTF-8 reads as a lone surrogate, which no field's parse
-    # accepts, so it is reported as a format error on its line
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        text_digest = _open_file_sha256(fh.buffer)   # of the bytes parsed: one descriptor
-        fh.seek(0)
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(FORMAT_HEADER):
-            raise DatasetFormatError(f"bad header {header!r}", line_number=1)
-        meta = {}
-        for tokenfield in header[len(FORMAT_HEADER):].split():
-            key, _, value = tokenfield.partition("=")
-            try:
-                meta[key] = int(value)
-            except ValueError:
-                raise DatasetFormatError(f"header field {tokenfield!r} is not key=integer",
-                                         line_number=1) from None
-        for key in ("N", "dim", "labels"):
-            if key not in meta:
-                raise DatasetFormatError(f"header missing {key}=", line_number=1)
-        for key in ("N", "dim"):
-            if meta[key] < 1:
-                raise DatasetFormatError(f"header field {key}={meta[key]} must be >= 1",
-                                         line_number=1)
-        n, dim = meta["N"], meta["dim"]
-        positions, counts = {}, {}   # (tuple id, modality) -> line position; tuple id -> lines
-        line_labels, line_features = [], []
-        last_good = 1
-        for lineno, raw in enumerate(fh, 2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DatasetFormatError(
-                    f"expected 4 tab-separated fields, got {len(parts)} "
-                    f"(last good line {last_good})", line_number=lineno)
-            try:
-                tid = int(parts[0])
-                modality = int(parts[1])
-                feats = np.array([float(v) for v in parts[2].split(",")])
-                labels = tuple(sorted({int(v) for v in parts[3].split(",")})) if parts[3] else ()
-            except ValueError as exc:
-                raise DatasetFormatError(
-                    f"{exc} (last good line {last_good})", line_number=lineno) from None
-            if not 0 <= modality < n:
-                raise DatasetFormatError(f"modality {modality} " + (
-                    f">= N={n}" if modality >= 0 else "< 0"), line_number=lineno)
-            if len(feats) != dim:
-                raise DatasetFormatError(f"feature length {len(feats)} != dim={dim}",
-                                         line_number=lineno)
-            if any(not 0 <= l < meta["labels"] for l in labels):
-                raise DatasetFormatError("label id outside vocabulary", line_number=lineno)
-            if (tid, modality) in positions:
-                raise DatasetFormatError(f"tuple {tid} modality {modality} given twice",
-                                         line_number=lineno)
-            if not np.isfinite(feats).all():
-                raise ContractError(f"tuple {tid}: non-finite features")
-            positions[tid, modality] = len(line_labels)
-            counts[tid] = counts.get(tid, 0) + 1
-            line_labels.append(labels)
-            last_good = lineno
-            line_features.append(feats)
+def _parse(fh, text_digest):
+    """The dataset in the archive text open as ``fh``, of SHA-256 ``text_digest``."""
+    header = fh.readline().rstrip("\n")
+    if not header.startswith(FORMAT_HEADER):
+        raise DatasetFormatError(f"bad header {header!r}", line_number=1)
+    meta = {}
+    for tokenfield in header[len(FORMAT_HEADER):].split():
+        key, _, value = tokenfield.partition("=")
+        try:
+            meta[key] = int(value)
+        except ValueError:
+            raise DatasetFormatError(f"header field {tokenfield!r} is not key=integer",
+                                     line_number=1) from None
+    for key in ("N", "dim", "labels"):
+        if key not in meta:
+            raise DatasetFormatError(f"header missing {key}=", line_number=1)
+    for key in ("N", "dim"):
+        if meta[key] < 1:
+            raise DatasetFormatError(f"header field {key}={meta[key]} must be >= 1",
+                                     line_number=1)
+    n, dim = meta["N"], meta["dim"]
+    positions, counts = {}, {}   # (tuple id, modality) -> line position; tuple id -> lines
+    line_labels, line_features = [], []
+    last_good = 1
+    for lineno, raw in enumerate(fh, 2):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise DatasetFormatError(
+                f"expected 4 tab-separated fields, got {len(parts)} "
+                f"(last good line {last_good})", line_number=lineno)
+        try:
+            tid = int(parts[0])
+            modality = int(parts[1])
+            feats = np.array([float(v) for v in parts[2].split(",")])
+            labels = tuple(sorted({int(v) for v in parts[3].split(",")})) if parts[3] else ()
+        except ValueError as exc:
+            raise DatasetFormatError(
+                f"{exc} (last good line {last_good})", line_number=lineno) from None
+        if not 0 <= modality < n:
+            raise DatasetFormatError(f"modality {modality} " + (
+                f">= N={n}" if modality >= 0 else "< 0"), line_number=lineno)
+        if len(feats) != dim:
+            raise DatasetFormatError(f"feature length {len(feats)} != dim={dim}",
+                                     line_number=lineno)
+        if any(not 0 <= l < meta["labels"] for l in labels):
+            raise DatasetFormatError("label id outside vocabulary", line_number=lineno)
+        if (tid, modality) in positions:
+            raise DatasetFormatError(f"tuple {tid} modality {modality} given twice",
+                                     line_number=lineno)
+        if not np.isfinite(feats).all():
+            raise ContractError(f"tuple {tid}: non-finite features")
+        positions[tid, modality] = len(line_labels)
+        counts[tid] = counts.get(tid, 0) + 1
+        line_labels.append(labels)
+        last_good = lineno
+        line_features.append(feats)
     if not counts:
         raise DatasetFormatError("no tuple lines after the header")
     ids = sorted(counts)

@@ -284,8 +284,6 @@ def schedule_weight(epoch, total_epochs, initial):
     e=E-1, as IEEE pow gives x**1.0 == x and x**0.0 == 1. A single-epoch run
     uses weight 1.
     """
-    if total_epochs < 1:
-        raise ContractError("schedule_weight: total_epochs must be >= 1")
     if not 0 <= epoch < total_epochs:
         raise ContractError(f"schedule_weight: epoch {epoch} outside [0, {total_epochs})")
     if not 0 < initial <= 1:

@@ -10,7 +10,8 @@ whose slice m is modality m's, so ``forward_backbone`` runs every backbone in
 one ``dense`` node per layer and ``forward_encoder`` the shared encoder in
 one. Every leaf is a view of the one parameter vector, each slice at its
 ``param_layout`` offset, so the checkpoint layout does not depend on the
-stacking. ``embed`` runs one modality's slices on a 2-D batch, in row blocks.
+stacking. Validation and ``embed`` need no gradient: they run ``forward_values``, the
+value arithmetic of the same layers on the leaf arrays, and make no Tensor.
 """
 
 import functools
@@ -118,10 +119,6 @@ class ModelParams:
         tensors = [t for pair in (*self.backbone, self.encoder) for t in pair]
         return list(zip(_leaf_names(self.config), tensors, strict=True))
 
-    def constants(self):
-        """The same vector as constant Tensors: a forward pass over them records no graph."""
-        return init_params(self.config, self.flat, grad_enabled=False)
-
 
 @functools.cache
 def _leaf_names(config: ModelConfig):
@@ -133,20 +130,17 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-s, s, size=(fan_in, fan_out))
 
 
-def init_params(config: ModelConfig, flat=None, grad_enabled=True) -> ModelParams:
+def init_params(config: ModelConfig, flat=None) -> ModelParams:
     """The model's tensors as views of ``flat``, a float64 vector of ``param_count(config)``
     values in ``param_layout(config)`` order; by default a new vector of Glorot-uniform
-    weights and zero biases, deterministic in config.seed.
-
-    With ``grad_enabled=False`` the tensors are constants: a forward pass over
-    them records no graph."""
+    weights and zero biases, deterministic in config.seed."""
     if flat is None:
         flat = np.zeros(param_count(config))
         rng = np.random.default_rng(config.seed)
         for _, shape, start, stop in param_layout(config):
             if len(shape) == 2:
                 flat[start:stop] = _glorot(rng, *shape).ravel()
-    tensors = [T.Tensor(a, grad_enabled=grad_enabled) for a in leaf_views(config, flat).values()]
+    tensors = [T.Tensor(a, grad_enabled=True) for a in leaf_views(config, flat).values()]
     pairs = list(zip(tensors[0::2], tensors[1::2]))   # (W, b) of each layer
     return ModelParams(config, pairs[:-1], pairs[-1], flat)
 
@@ -161,57 +155,45 @@ def _layers(h, layers, activation):
 def forward_backbone(params: ModelParams, x) -> T.Tensor:
     """Map a stack of raw input batches, one per modality, (M, T, input_dim), through
     each modality's backbone to y features (M, T, feature_dim)."""
-    x = x if isinstance(x, T.Tensor) else T.Tensor(x)
-    config = params.config
-    if x.data.ndim != 3 or x.data.shape[::2] != (config.num_modalities, config.input_dim):
-        raise ShapeMismatchError(f"backbone input must be {config.num_modalities} x batch x "
-                                 f"{config.input_dim}, got {x.data.shape}")
-    return _layers(x, params.backbone, config.activation)
+    return _layers(x, params.backbone, params.config.activation)
 
 
 def forward_encoder(params: ModelParams, y) -> T.Tensor:
-    """Shared affine encoder: y features -> z embeddings, same weights for all modalities.
-
-    ``y`` is one batch (T, feature_dim) or a stack of them (M, T, feature_dim)."""
-    y = y if isinstance(y, T.Tensor) else T.Tensor(y)
-    if y.data.ndim not in (2, 3) or y.data.shape[-1] != params.config.feature_dim:
-        raise ShapeMismatchError(
-            f"encoder input must be batch x {params.config.feature_dim}, got {y.data.shape}")
+    """Shared affine encoder: the y stack (M, T, feature_dim) -> z embeddings (M, T,
+    embedding_dim), the same weights for every modality."""
     return T.dense(y, *params.encoder)
 
 
+def forward_values(params: ModelParams, x, modality=None):
+    """(y, z) of ``x`` as arrays: the stack (M, T, input_dim) through the stacked leaves,
+    or with ``modality`` one modality's batch (N, input_dim) through its slice of each
+    backbone leaf, then the encoder. Each layer is the value arithmetic of
+    ``tensor.dense`` on the leaf arrays, so y and z have the bits of ``forward_backbone``
+    and ``forward_encoder``; no Tensor is made and no graph is recorded."""
+    last = len(params.backbone) - 1   # as in ``_layers``, the activation after all but it
+    for i, (w, b) in enumerate(params.backbone):
+        w, b = (w.data, b.data) if modality is None else (w.data[modality], b.data[modality])
+        x, _ = T._dense_value(x, w, b, params.config.activation if i < last else None)
+    return x, T._dense_value(x, params.encoder[0].data, params.encoder[1].data, None)[0]
+
+
 def embed(params: ModelParams, modality: int, x) -> np.ndarray:
-    """Inference path used by retrieval: one modality's batch (N, input_dim) through its
-    backbone, read from each stacked leaf's slice, and the encoder, as an (N,
-    embedding_dim) array.
+    """Inference path used by retrieval: one modality's batch (N, input_dim) through
+    ``forward_values``, as an (N, embedding_dim) array.
 
     The rows go through in ``ceil(N / EMBED_BLOCK)`` blocks of near-equal size, each
     block's z written into one (N, embedding_dim) array, so no layer output is N rows
     tall. No block holds a single row unless N = 1: a one-row product is a
     matrix-vector product that rounds differently, while blocks of 2 rows or more give
-    the bits of one call on the whole batch (``tests/test_model.py`` checks this). Each
-    layer is the value arithmetic of ``tensor.dense`` on the leaf arrays, so z has the
-    bits of ``forward_backbone`` and ``forward_encoder``; no Tensor is made and no
-    graph is recorded."""
+    the bits of one call on the whole batch (``tests/test_model.py`` checks this)."""
     config = params.config
-    if not 0 <= modality < config.num_modalities:
-        raise IndexError(f"unknown modality {modality}")
-    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise ShapeMismatchError(
             f"backbone input must be batch x {config.input_dim}, got {x.shape}")
-    # each backbone layer's modality slice, then the encoder; as in ``_layers``, the
-    # activation follows every backbone layer but the last
-    layers = [(w.data[modality], b.data[modality]) for w, b in params.backbone]
-    layers.append((params.encoder[0].data, params.encoder[1].data))
-    activations = [config.activation] * (len(layers) - 2) + [None, None]
     n = len(x)
     blocks = max(1, -(-n // EMBED_BLOCK))
     bounds = [n * i // blocks for i in range(blocks + 1)]
     z = np.empty((n, config.embedding_dim))
     for start, stop in zip(bounds, bounds[1:]):
-        h = x[start:stop]
-        for (w, b), activation in zip(layers, activations):
-            h, _ = T._dense_value(h, w, b, activation)
-        z[start:stop] = h
+        z[start:stop] = forward_values(params, x[start:stop], modality)[1]
     return z

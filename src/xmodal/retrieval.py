@@ -216,8 +216,6 @@ def _score_block(queries, vectors, ids, width, delta, vectors32):
         order = _rank_block(block, ids[cols], width)
         top[filtered] = np.take_along_axis(cols, order, axis=-1)
         scores[filtered] = np.take_along_axis(block, order, axis=-1)
-        if filtered.all():
-            return top, scores
         whole = ~filtered
     block = np.vecdot(queries[whole, None, :], vectors[None, :, :])
     order = _rank_block(block, ids, width)

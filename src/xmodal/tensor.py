@@ -84,8 +84,7 @@ def _require_same_shape(a, b, op):
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape(a, b, "add")
+    """``a + b`` of two Tensors of one shape."""
     return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
@@ -100,7 +99,6 @@ def _sum_slices(a):
 def mean(a):
     """The mean of a vector as one node: its elements added left to right, the sum times
     ``1 / len``; the backward hands every element ``grad / len`` the same way."""
-    a = _as_tensor(a)
     if a.data.ndim != 1 or not a.data.size:
         raise ShapeMismatchError(f"mean: need a non-empty vector, got shape {a.data.shape}")
     c = 1.0 / a.data.size
@@ -145,7 +143,8 @@ def weighted_sum(terms):
 
 def _dense_value(x, w, b, activation):
     """``dense``'s value on arrays, formed in the product's own array, and for "relu" the
-    mask of its positive entries (else None); ``model.embed`` runs its layers on this."""
+    mask of its positive entries (else None); ``model.forward_values`` runs its layers
+    on this."""
     out = np.matmul(x, w)   # each step below writes into this one array
     out += b if w.ndim == 2 else b[:, None, :]
     pos = None
@@ -233,6 +232,9 @@ def backward(loss):
             order.append(node)
             continue
         if node in seen:
+            # not a fast path: a node can be pushed twice before it is expanded (a
+            # parent in two slots of weighted_sum, one per term), and a second
+            # expansion would hand on its gradient twice
             continue
         seen.add(node)
         stack.append((node, True))

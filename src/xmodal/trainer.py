@@ -16,7 +16,7 @@ from .data import batch_iter, read_container, stack_features, write_atomic, writ
 from .errors import CheckpointError, ContractError, TrainingDivergedError, check_fields
 from .losses import LossWeights, combined_loss, schedule_weight
 from .model import (ModelConfig, ModelParams, check_dataset, forward_backbone, forward_encoder,
-                    init_params, leaf_views, param_count, param_layout)
+                    forward_values, init_params, leaf_views, param_count, param_layout)
 
 CHECKPOINT_MAGIC = b"XMSSL1"
 KINDS = ("param", "adam_m", "adam_v")   # the checkpoint's roles, in payload order
@@ -140,16 +140,15 @@ def _validation_loss(params, ds_val, train_config):
     """Mean batch loss on the validation set at alpha = beta = 1.
 
     Fixed weights keep the number comparable across epochs; batch order is a
-    fixed permutation of the validation set (epoch key 0). The model runs on
-    constant Tensors over the parameters' arrays, so no graph is recorded and
-    no parameter's ``.grad`` changes.
+    fixed permutation of the validation set (epoch key 0). The model runs
+    ``forward_values`` on the parameters' arrays, so no graph is recorded and no
+    parameter's ``.grad`` changes.
     """
     weights = LossWeights(alpha=1.0, beta=1.0, tau=train_config.tau)
-    constants = params.constants()
     totals, count = 0.0, 0
     for rows in batch_iter(ds_val, train_config.batch_size, train_config.seed, 0):
-        breakdown = _batch_loss(constants, ds_val, rows, weights)
-        totals += breakdown.total
+        y, z = forward_values(params, stack_features(ds_val, rows))
+        totals += combined_loss(z, y, weights).total
         count += 1
     return totals / count if count else float("nan")
 

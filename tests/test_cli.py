@@ -151,10 +151,10 @@ def test_manifests_record_the_archive_digest(dataset_file, tmp_path, monkeypatch
     monkeypatch.setattr(data_module, "hashlib", types.SimpleNamespace(
         sha256=lambda *args: hashes.append("payload" if args else "file") or sha256(*args)))
     recorded = []
-    # a sidecar proven stale is hashed, then the text is hashed as it is parsed
+    # the text is hashed once, and a stale sidecar is refused before its payload is hashed
     for name, expected_hashes in (
             ("first", ["file", "payload"] if sidecar == "kept" else ["file"]),
-            ("changed", ["file", "payload", "file"] if sidecar == "kept" else ["file"])):
+            ("changed", ["file"])):
         out = tmp_path / name
         ckpt = out / "checkpoint_epoch0.ckpt"
         for argv, manifest in (
@@ -498,6 +498,9 @@ class TestBadInputOneLine:
         (["train", "--set", "tau=nan"], "TrainConfig tau=nan must be finite"),
         (["train", "--set", "fixed_alpha=nan"], "TrainConfig fixed_alpha=nan must be finite"),
         (["train", "--set", "checkpoint_every=-1"], "checkpoint_every must be >= 0"),
+        # each of these ran, exiting 0 or failing in schedule_weight, with its check removed
+        (["train", "--epochs", "0"], "epochs must be >= 1"),
+        (["train", "--set", "alpha0=0"], "alpha0 must be in (0, 1]"),
         # a NaN fraction used to end in "cannot convert float NaN to integer"
         (["train", "--split", "0.5,nan,0.5"], "split: all fractions must be positive"),
         (["evaluate", "--split", "0.25,0.25,nan"], "split: all fractions must be positive"),

@@ -13,8 +13,9 @@ import pytest
 
 from xmodal import data as data_module
 from xmodal.data import (FORMAT_HEADER, SynthConfig, TupleDataset, _load_columns,
-                         batch_iter, generate_synthetic, load_dataset, read_container,
-                         save_dataset, split, stack_features, write_container)
+                         batch_iter, file_sha256, generate_synthetic, load_dataset,
+                         read_container, save_dataset, split, stack_features,
+                         write_container)
 from xmodal.cli import read_kv, typed_config
 from xmodal.errors import ContractError, DatasetFormatError, DegenerateInputError
 
@@ -173,13 +174,22 @@ class TestBatchIter:
             list(batch_iter(ds, 1, 0, 0))
 
 
+def _columns(path):
+    """``_load_columns`` of the archive at ``path``, given its text's digest; None, as
+    load_dataset reads no sidecar, if the text cannot be opened."""
+    try:
+        return _load_columns(str(path), file_sha256(path))
+    except FileNotFoundError:
+        return None
+
+
 def _save(ds, path, sidecar):
     """save_dataset, then the sidecar kept (and trusted) or removed, so that a
     round trip tests the sidecar or the text parse."""
     save_dataset(ds, path)
     if sidecar == "removed":
         os.remove(f"{path}.cols")
-    assert (_load_columns(str(path)) is not None) == (sidecar == "kept")
+    assert (_columns(path) is not None) == (sidecar == "kept")
 
 
 SIDECAR = pytest.mark.parametrize("sidecar", ["kept", "removed"])
@@ -542,7 +552,7 @@ class TestSidecar:
     def test_sidecar_loads_as_the_text(self, tmp_path, ds):
         path = tmp_path / "ds.txt"
         save_dataset(ds, path)
-        assert _load_columns(str(path)) is not None
+        assert _columns(path) is not None
         assert all(f.flags.writeable for f in load_dataset(path).features)
         from_sidecar = _outcome(path)
         os.remove(f"{path}.cols")
@@ -555,7 +565,7 @@ class TestSidecar:
         assert os.path.isfile(f"{path}.cols")
         if mutate:
             mutate(path)
-        assert _load_columns(str(path)) is None
+        assert _columns(path) is None
         with_sidecar = _outcome(path)
         os.remove(f"{path}.cols")
         assert with_sidecar == _outcome(path)
@@ -563,7 +573,7 @@ class TestSidecar:
     def test_columns_are_aligned_writable_views(self, tmp_path):
         path = tmp_path / "ds.txt"
         save_dataset(generate_synthetic(CFG), path)
-        ds = _load_columns(str(path))
+        ds = _columns(path)
         for column in (ds.ids, *ds.features, ds.label_offsets, ds.label_ids):
             assert column.flags.aligned and column.flags.writeable   # 8-byte items
 
@@ -574,12 +584,12 @@ class TestSidecar:
         save_dataset(generate_synthetic(SynthConfig(num_tuples=1200, input_dim=48, seed=5)),
                      path)
         text = path.read_bytes()
-        assert len(text) > 2 << 20 and _load_columns(str(path)) is not None
+        assert len(text) > 2 << 20 and _columns(path) is not None
         for at in (1 << 20, (2 << 20) + 1, len(text) - 2):
             path.write_bytes(text[:at] + bytes([text[at] ^ 1]) + text[at + 1:])
-            assert _load_columns(str(path)) is None
+            assert _columns(path) is None
         path.write_bytes(text)
-        assert _load_columns(str(path)) is not None
+        assert _columns(path) is not None
 
     def test_no_sidecar_for_a_label_whose_text_is_not_its_int(self, tmp_path):
         # the header's "labels=2.0" fails the text parse; an int64 count would read it as 2
@@ -677,7 +687,7 @@ class TestDigestMemo:
         cols = f"{path}.cols"
         clock[0] = os.stat(cols).st_ctime_ns + WINDOW + 1
         for _ in range(2):   # the second time from the memo
-            assert _load_columns(str(path)) is not None
+            assert _columns(path) is not None
             assert data_module.file_sha256(cols) == hashlib.sha256(
                 open(cols, "rb").read()).hexdigest()
 
@@ -687,7 +697,7 @@ class TestDigestMemo:
         path, changed = self._archive(tmp_path, memo)
         before = os.stat(path)
         clock[0] = os.stat(f"{path}.cols").st_ctime_ns + WINDOW + 1
-        assert _load_columns(str(path)) is not None
+        assert _columns(path) is not None
         blob, deadline = _digit_changed(path.read_bytes()), time.monotonic() + 1
         # rewritten until the kernel's coarse clock has moved off the ctime the memo holds
         while os.stat(path).st_ctime_ns == before.st_ctime_ns and time.monotonic() < deadline:
@@ -698,7 +708,7 @@ class TestDigestMemo:
         assert after.st_ctime_ns != before.st_ctime_ns
         clock[0] = after.st_ctime_ns + WINDOW + 1   # the window has passed since the rewrite
         hashes.clear()
-        assert _load_columns(str(path)) is None and "file" in hashes
+        assert _columns(path) is None and "file" in hashes
         assert _outcome(path) == changed   # the stale sidecar refused, as without a memo
 
     def test_rewrite_inside_the_window_is_caught(self, tmp_path, memo, stamps):
@@ -706,9 +716,9 @@ class TestDigestMemo:
         _, clock = memo
         path, changed = self._archive(tmp_path, memo)
         clock[0] = stamps[0] + WINDOW   # the stamp is not older than the clock by a window
-        assert _load_columns(str(path)) is not None
+        assert _columns(path) is not None
         _rewrite_in_place(path, _digit_changed(path.read_bytes()))
-        assert _load_columns(str(path)) is None
+        assert _columns(path) is None
         assert _outcome(path) == changed
 
     def test_file_replaced_by_rename_is_hashed_again(self, tmp_path, memo, stamps):
@@ -716,11 +726,11 @@ class TestDigestMemo:
         hashes, clock = memo
         path, changed = self._archive(tmp_path, memo)
         clock[0] = stamps[0] + WINDOW + 1
-        assert _load_columns(str(path)) is not None
+        assert _columns(path) is not None
         (tmp_path / "new.txt").write_bytes(_digit_changed(path.read_bytes()))
         os.replace(tmp_path / "new.txt", path)
         hashes.clear()
-        assert _load_columns(str(path)) is None and hashes == ["file"]
+        assert _columns(path) is None and hashes == ["file"]
         assert _outcome(path) == changed
 
     def test_file_rewritten_many_times_leaves_one_entry(self, tmp_path, memo, stamps):
@@ -816,7 +826,7 @@ class TestDeferredLabels:
         path = tmp_path / "ds.txt"
         save_dataset(ds, path)
         loaded = load_dataset(path)
-        assert _load_columns(str(path)) is not None and _layout(loaded) == _layout(ds)
+        assert _columns(path) is not None and _layout(loaded) == _layout(ds)
         os.remove(f"{path}.cols")
         assert _layout(load_dataset(path)) == _layout(loaded)
         assert _layout(split(loaded, (0.5, 0.25, 0.25), 1)[2]) == \
@@ -826,8 +836,9 @@ class TestDeferredLabels:
         path = tmp_path / "ds.txt"
         save_dataset(_small(), path)
         _forge(_set_words(24, 2))(path)
-        parsed, parse = [], data_module._load
-        monkeypatch.setattr(data_module, "_load", lambda p: parsed.append(parse(p)) or parsed[-1])
+        parsed, parse = [], data_module._parse
+        monkeypatch.setattr(data_module, "_parse",
+                            lambda *args: parsed.append(parse(*args)) or parsed[-1])
         loaded = load_dataset(path)
         assert parsed == [loaded]
         assert _layout(loaded) == _layout(_small())

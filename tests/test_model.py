@@ -145,8 +145,7 @@ def _one_call(params, modality, x):
     """``embed`` as one call on the whole batch: its layers, then the encoder."""
     layers = [(T.Tensor(w.data[modality]), T.Tensor(b.data[modality]))
               for w, b in params.backbone]
-    return forward_encoder(params.constants(),
-                           _layers(x, layers, params.config.activation)).data
+    return forward_encoder(params, _layers(x, layers, params.config.activation)).data
 
 
 class TestEmbed:
