@@ -187,6 +187,9 @@ def embed(params: ModelParams, modality: int, x) -> np.ndarray:
     matrix-vector product that rounds differently, while blocks of 2 rows or more give
     the bits of one call on the whole batch (``tests/test_model.py`` checks this)."""
     config = params.config
+    if not 0 <= modality < config.num_modalities:
+        raise IndexError(f"unknown modality {modality}")
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise ShapeMismatchError(
             f"backbone input must be batch x {config.input_dim}, got {x.shape}")

@@ -85,6 +85,7 @@ def _require_same_shape(a, b, op):
 
 def add(a, b):
     """``a + b`` of two Tensors of one shape."""
+    _require_same_shape(a, b, "add")
     return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 

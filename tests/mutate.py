@@ -5,11 +5,11 @@ is replaced by ``pass`` in a copy of the repository. The copy then runs the modu
 own tests (``tests/test_<module>.py``) and, if they pass, the whole tier-1 suite, each
 with ``-x``. A mutant that passes both survived: no test noticed the statement gone.
 Sites are drawn per module from every statement inside a function (docstrings and
-nested definitions excepted) by ``random.Random(f"{seed}/{module}")``, so a run of one
+nested definitions excepted) by ``random.Random(f"{SEED}/{module}")``, so a run of one
 module draws the sites that module draws in a run of all.
 
     python tests/mutate.py --out mutants.json [--modules model,tensor] [--sites 40]
-                           [--seed 0] [--module-tests-only]
+                           [--module-tests-only]
 
 The JSON record holds the seed, the sites per module, each sampled site with its
 outcome ("module", "tier1": the run that failed; "timeout"; "survived") and the
@@ -32,6 +32,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = ("data", "trainer", "retrieval", "losses", "cli", "model", "tensor")
 TIMEOUT_S = 300          # per pytest run, about 6 times tier-1's: a mutant may loop
 MEMORY_LIMIT = 4 << 30   # address space of each pytest run: a mutant may over-allocate
+SEED = 0                 # of the site draw, written to the record
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -97,10 +98,9 @@ def main(argv=None):
     parser.add_argument("--out", required=True)
     parser.add_argument("--modules", default=",".join(MODULES))
     parser.add_argument("--sites", type=int, default=40)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--module-tests-only", action="store_true")
     args = parser.parse_args(argv)
-    record = {"seed": args.seed, "sites_per_module": args.sites, "modules": {},
+    record = {"seed": SEED, "sites_per_module": args.sites, "modules": {},
               "survivors": []}
     with tempfile.TemporaryDirectory() as tmp:
         copy = pathlib.Path(tmp) / "repo"
@@ -115,7 +115,7 @@ def main(argv=None):
             path = copy / "src" / "xmodal" / f"{module}.py"
             source = path.read_text(encoding="utf-8")
             found = sites(source)
-            picked = sorted(random.Random(f"{args.seed}/{module}").sample(
+            picked = sorted(random.Random(f"{SEED}/{module}").sample(
                 range(len(found)), min(args.sites, len(found))))
             runs = [("module", [f"tests/test_{module}.py"])]
             if not args.module_tests_only:

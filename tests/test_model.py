@@ -79,9 +79,15 @@ class TestForwardBackbone:
         full = forward_backbone(params, np.stack([x0, x[1]])).data
         np.testing.assert_array_equal(full[0, 2:3], single)
 
-    def test_unknown_modality(self):
+    @pytest.mark.parametrize("modality", [5, 2, -1])
+    def test_unknown_modality(self, modality):
+        # a negative index would read another modality's slice of each stacked leaf
         with pytest.raises(IndexError):
-            embed(init_params(SMALL), 5, np.ones((1, 6)))
+            embed(init_params(SMALL), modality, np.ones((1, 6)))
+
+    def test_list_input(self):
+        params, rows = init_params(SMALL), [[0.5] * 6, [-1.0] * 6]
+        np.testing.assert_array_equal(embed(params, 1, rows), embed(params, 1, np.array(rows)))
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeMismatchError):

@@ -237,6 +237,11 @@ class TestAuxiliaryPrimitives:
         f_b = lambda b: tsum(tanh(add_rowvec(T.Tensor(x0), b)))
         assert T.rel_error(grad_of(f_b, b0), fd_of(f_b, b0)) < 1e-6
 
+    def test_add_rejects_broadcasting_shapes(self):
+        # a broadcast sum would hand the smaller operand a gradient of the larger shape
+        with pytest.raises(ShapeMismatchError):
+            T.add(T.Tensor(np.ones(3), grad_enabled=True), T.Tensor(np.ones(1)))
+
 
 def _chain(x, w, b, activation):
     """The layer as the primitive chain that ``dense`` fuses."""
