@@ -88,10 +88,12 @@ class EmbeddingIndex:
     """One int64 id array and one label layout (see ``data.TupleDataset``) shared by
     every modality, and per embedded modality an (N, D) matrix of unit-norm rows."""
 
-    def __init__(self, embedding_dim, ids, label_offsets, label_ids, embeddings):
+    def __init__(self, embedding_dim, ids, label_offsets, label_ids, embeddings, unit=False):
         """``embeddings[m]`` holds modality m's rows, one per id, or None where m is
         not embedded. Like the ids and labels, a float64 C-contiguous matrix is kept by
-        reference: the index owns it, and divides each row by its norm in place."""
+        reference: the index owns it, and divides each row by its norm in place. With
+        ``unit``, the rows are another index's unit rows, which may be read-only: they
+        are kept as they are, shape checked but not divided again."""
         self.embedding_dim = embedding_dim
         self.num_modalities = len(embeddings)
         self.ids = np.asarray(ids, dtype=np.int64)
@@ -105,13 +107,16 @@ class EmbeddingIndex:
             repeated = ordered[1:][ordered[1:] == ordered[:-1]]
             if len(repeated):
                 raise ContractError(f"duplicate tuple_id {repeated[0]}")
-        self._vectors = [None if rows is None else self._unit_rows(rows) for rows in embeddings]
+        self._vectors = [None if rows is None else self._unit_rows(rows, unit)
+                         for rows in embeddings]
 
-    def _unit_rows(self, rows):
+    def _unit_rows(self, rows, unit):
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         if rows.shape != (len(self.ids), self.embedding_dim):
             raise ContractError(f"embedding shape {rows.shape} != "
                                 f"({len(self.ids)}, {self.embedding_dim})")
+        if unit:
+            return rows
         norms = _norms(rows)
         zero = np.flatnonzero(norms <= NORM_EPS)
         if len(zero):

@@ -42,10 +42,6 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self):
         return float(self.data)
 

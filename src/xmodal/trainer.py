@@ -126,7 +126,6 @@ def adam_step(params: ModelParams, grads, state: AdamState,
     step *= lr
     step /= scratch
     params.flat -= step
-    return params, state
 
 
 def _batch_loss(params, ds, rows, weights):

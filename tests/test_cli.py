@@ -1,6 +1,9 @@
 """CLI commands end to end: file outputs, determinism, exit codes."""
 
 import argparse
+import dataclasses
+import datetime
+import gc
 import hashlib
 import json
 import os
@@ -108,6 +111,12 @@ class TestGenData:
         ds = load_dataset(dataset_file)
         assert len(ds) == 120 and ds.num_modalities == 2
 
+    def test_summary_line(self, tmp_path, capsys):
+        out = tmp_path / "ds.txt"
+        assert run(["gen-data", "--out", str(out), "--set", "num_tuples=30",
+                    "--set", "num_modalities=3"]) == 0
+        assert capsys.readouterr().out == f"wrote 30 tuples x 3 modalities to {out}\n"
+
     def test_seed_reproducible_bytes(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         for path in (a, b):
@@ -179,10 +188,40 @@ def test_manifests_record_the_archive_digest(dataset_file, tmp_path, monkeypatch
     assert not list(tmp_path.rglob("manifest_retrieve*"))
 
 
+def test_manifest_times_are_ordered_utc(dataset_file, tmp_path):
+    # each command's manifest: started and finished in UTC ISO-8601, started first
+    out = tmp_path / "run"
+    assert run(["train", "--dataset", str(dataset_file), "--out-dir", str(out),
+                "--epochs", "1", "--batch-size", "16"]) == 0
+    assert run(["evaluate", "--checkpoint", str(out / "checkpoint_epoch0.ckpt"),
+                "--dataset", str(dataset_file), "--out", str(out / "m.csv")]) == 0
+    for manifest in (dataset_file.parent / "manifest_gen_data.json",
+                     out / "manifest_train.json", out / "manifest_evaluate.json"):
+        record = json.loads(manifest.read_text())
+        started, finished = (datetime.datetime.fromisoformat(record[key])
+                             for key in ("started", "finished"))
+        assert started.utcoffset() == finished.utcoffset() == datetime.timedelta(0)
+        assert started <= finished
+
+
 class TestTrainCommand:
     def _train(self, dataset_file, out_dir, extra=()):
         return run(["train", "--dataset", str(dataset_file), "--out-dir", str(out_dir),
                     "--epochs", "2", "--batch-size", "16", *extra])
+
+    def test_summary_line(self, dataset_file, tmp_path, capsys):
+        # the last epoch's losses and weights, as the report holds them
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert self._train(dataset_file, out) == 0
+        header, *rows = (out / "train_report.csv").read_text().splitlines()
+        last = dict(zip(header.split(","), rows[-1].split(",")))
+        f = {key: float(value) for key, value in last.items()}
+        assert capsys.readouterr().out == (
+            f"epoch {last['epoch']}: mim={f['mim']:.6f} mde={f['mde']:.6f} "
+            f"msp={f['msp']:.6f} total={f['total']:.6f} "
+            f"alpha={f['alpha']:.6g} beta={f['beta']:.6g}\n")
+        assert last["epoch"] == "1"
 
     def test_outputs_and_csv_rows(self, dataset_file, tmp_path):
         out = tmp_path / "run"
@@ -893,6 +932,181 @@ class TestRetrieveCommand:
                                  "--dataset", str(dataset), "--query-id", "5", "--src", "5"])
         assert code == 1
         assert err == ["error: --src 5 outside [0, 2)"]
+
+
+def _stdout(args, threads):
+    """stdout of `python -m xmodal.cli ARGS` in a fresh interpreter at this many BLAS
+    threads; the command must succeed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xmodal.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads))
+    return subprocess.run([sys.executable, "-m", "xmodal.cli", *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+class TestRetrieveMemo:
+    """retrieve keeps the unit rows it indexed for the next retrieve of the process, under
+    the archive's digest, the model config and the parameter bytes; any other command
+    drops them."""
+
+    @staticmethod
+    def _retrieve(capsys, ckpt, dataset, src=0, tgt=1, expect=0):
+        capsys.readouterr()
+        assert run(["retrieve", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                    "--query-id", "17", "--src", str(src), "--tgt", str(tgt),
+                    "--k", "6"]) == expect
+        return capsys.readouterr().out
+
+    @pytest.fixture()
+    def index_embeds(self, monkeypatch):
+        """The modality of each embed call that builds an index."""
+        calls = []
+        monkeypatch.setattr("xmodal.retrieval.embed",
+                            lambda params, m, x: calls.append(m) or embed(params, m, x))
+        return calls
+
+    @pytest.mark.parametrize("src, tgt", [(0, 1), (1, 0)])
+    def test_hit_equals_a_cold_build_and_a_fresh_process(self, trained, capsys, index_embeds,
+                                                         src, tgt):
+        dataset, ckpt = trained
+        cold = self._retrieve(capsys, ckpt, dataset, src, tgt)
+        other = self._retrieve(capsys, ckpt, dataset, tgt, src)
+        assert index_embeds == [tgt, src]
+        hit = self._retrieve(capsys, ckpt, dataset, src, tgt)
+        assert index_embeds == [tgt, src]   # served from the memo
+        assert hit == cold == _stdout(["retrieve", "--checkpoint", str(ckpt), "--dataset",
+                                       str(dataset), "--query-id", "17", "--src", str(src),
+                                       "--tgt", str(tgt), "--k", "6"], 1)
+        assert self._retrieve(capsys, ckpt, dataset, tgt, src) == other
+        params = load_checkpoint(ckpt)[0]
+        rows = cli._UNIT_ROWS[1]
+        for m in (0, 1):
+            built = build_index(params, load_dataset(dataset), modalities=[m])._vectors[m]
+            assert rows[m].tobytes() == built.tobytes()
+
+    def test_hit_still_checks_the_dataset_against_the_model(self, trained, capsys,
+                                                          monkeypatch):
+        dataset, ckpt = trained
+        self._retrieve(capsys, ckpt, dataset)
+        checked = []
+        monkeypatch.setattr(cli, "check_dataset", lambda config, ds: checked.append(ds))
+        self._retrieve(capsys, ckpt, dataset)
+        assert len(checked) == 1
+
+    def test_one_flipped_parameter_bit_misses(self, trained, capsys, index_embeds, tmp_path):
+        dataset, ckpt = trained
+        blob = bytearray(ckpt.read_bytes())
+        n = load_checkpoint(ckpt)[0].flat.size
+        blob[len(blob) - 24 * n] ^= 1   # the lowest mantissa bit of the first parameter
+        flipped = tmp_path / "flipped.ckpt"
+        flipped.write_bytes(blob)
+        assert load_checkpoint(flipped)[0].flat.tobytes() != \
+            load_checkpoint(ckpt)[0].flat.tobytes()
+        self._retrieve(capsys, ckpt, dataset)
+        self._retrieve(capsys, flipped, dataset)
+        assert index_embeds == [1, 1]
+        assert cli._UNIT_ROWS[0][2] == load_checkpoint(flipped)[0].flat.tobytes()
+
+    def test_another_config_with_equal_parameter_bytes_misses(self, trained, capsys,
+                                                             index_embeds, tmp_path):
+        dataset, ckpt = trained
+        params, state, epoch, config = load_checkpoint(ckpt)
+        relu = init_params(dataclasses.replace(config, activation="relu"), params.flat.copy())
+        relu_ckpt = tmp_path / "relu.ckpt"
+        save_checkpoint(relu, state, epoch, relu_ckpt)
+        assert load_checkpoint(relu_ckpt)[0].flat.tobytes() == params.flat.tobytes()
+        self._retrieve(capsys, ckpt, dataset)
+        out = self._retrieve(capsys, relu_ckpt, dataset)
+        assert index_embeds == [1, 1] and cli._UNIT_ROWS[0][1].activation == "relu"
+        assert out == _stdout(["retrieve", "--checkpoint", str(relu_ckpt), "--dataset",
+                               str(dataset), "--query-id", "17", "--k", "6"], 1)
+
+    def test_archive_rewritten_inside_the_racy_window_misses(self, trained, capsys,
+                                                             index_embeds, monkeypatch):
+        # a same-size rewrite whose stat stays as it was: the digest memo hashes it again,
+        # since the stamp is not a window older than the clock, and so the rows memo misses
+        dataset, ckpt = trained
+        fstat, stamp = os.fstat, 10**18
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
+            **{k: getattr(fstat(fd), k) for k in ("st_dev", "st_ino", "st_size")},
+            st_mtime_ns=stamp, st_ctime_ns=stamp))
+        monkeypatch.setattr(data_module, "_clock", lambda: stamp + data_module.RACY_WINDOW_NS)
+        self._retrieve(capsys, ckpt, dataset)
+        text = dataset.read_bytes()
+        at = next(i for i in range(text.index(b"\t", text.index(b"\t") + 1), len(text))
+                  if text[i] in b"12345678")   # a digit of the first feature
+        with open(dataset, "r+b") as fh:
+            fh.write(text[:at] + bytes([text[at] + 1]) + text[at + 1:])
+        out = self._retrieve(capsys, ckpt, dataset)
+        assert index_embeds == [1, 1]
+        assert cli._UNIT_ROWS[0][0] == hashlib.sha256(dataset.read_bytes()).hexdigest()
+        monkeypatch.undo()
+        assert out == _stdout(["retrieve", "--checkpoint", str(ckpt), "--dataset",
+                               str(dataset), "--query-id", "17", "--k", "6"], 1)
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "evaluate", "gradcheck"])
+    def test_any_other_command_empties_the_memo(self, trained, capsys, tmp_path, command):
+        dataset, ckpt = trained
+        self._retrieve(capsys, ckpt, dataset)
+        assert cli._UNIT_ROWS is not None
+        argv = {"gen-data": ["--out", str(tmp_path / "g.txt"), "--set", "num_tuples=20"],
+                "train": ["--dataset", str(dataset), "--out-dir", str(tmp_path / "t"),
+                          "--epochs", "1"],
+                "evaluate": ["--checkpoint", str(ckpt), "--dataset", str(dataset),
+                             "--out", str(tmp_path / "m.csv")],
+                "gradcheck": ["--trials", "1"]}[command]
+        assert run([command, *argv]) == 0
+        assert cli._UNIT_ROWS is None
+
+    def test_stored_rows_are_read_only(self, trained, capsys):
+        dataset, ckpt = trained
+        self._retrieve(capsys, ckpt, dataset, 0, 1)
+        self._retrieve(capsys, ckpt, dataset, 1, 0)
+        rows = cli._UNIT_ROWS[1]
+        assert sorted(rows) == [0, 1]
+        for m in rows:
+            assert not rows[m].flags.writeable
+            with pytest.raises(ValueError):
+                rows[m][0, 0] = 1.0
+
+    def test_holds_neither_the_sidecar_payload_nor_the_checkpoint_buffer(
+            self, trained, capsys, monkeypatch):
+        # ds.ids and params.flat are views of the buffers the files were read into: once
+        # the command returns, nothing holds those buffers
+        dataset, ckpt = trained
+        buffers = []
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: buffers.append(
+            weakref.ref(load_checkpoint(path)[0].flat.base)) or load_checkpoint(path))
+        monkeypatch.setattr(cli, "load_dataset", lambda path: buffers.append(
+            weakref.ref(load_dataset(path).ids.base)) or load_dataset(path))
+        self._retrieve(capsys, ckpt, dataset)
+        gc.collect()
+        assert cli._UNIT_ROWS is not None and len(buffers) == 2
+        assert [ref() for ref in buffers] == [None, None]
+        for rows in cli._UNIT_ROWS[1].values():
+            assert rows.base is None   # each row matrix owns its memory
+
+    def test_failing_build_stores_nothing(self, trained, capsys, tmp_path):
+        # the checkpoint of test_zero_embedding_is_two, after a retrieve that stored rows
+        dataset, ckpt = trained
+        params, state, epoch, _ = load_checkpoint(ckpt)
+        for t in params.encoder:
+            t.data[...] = 0.0
+        zero = tmp_path / "zero.ckpt"
+        save_checkpoint(params, state, epoch, zero)
+        self._retrieve(capsys, ckpt, dataset)
+        assert cli._UNIT_ROWS is not None
+        self._retrieve(capsys, zero, dataset, expect=2)
+        assert cli._UNIT_ROWS is None
+
+    def test_dataset_without_a_digest_is_not_memoised(self, trained):
+        dataset, ckpt = trained
+        params, ds = load_checkpoint(ckpt)[0], load_dataset(dataset)
+        taken = ds.take(np.arange(len(ds)))
+        assert taken.sha256 is None
+        index = cli._target_index(params, taken, 1)
+        assert cli._UNIT_ROWS is None
+        assert index._vectors[1].tobytes() == \
+            build_index(params, ds, modalities=[1])._vectors[1].tobytes()
 
 
 class TestGradcheckCommand:

@@ -873,3 +873,9 @@ class TestSynthConfig:
                 SynthConfig(**bad)
         # the label range only bounds multi-label draws
         assert SynthConfig(num_classes=2).labels_per_tuple == (1, 3)
+
+    def test_labels_per_tuple_list_is_kept_as_a_tuple(self):
+        # a frozen config built from a list hashes and compares as one built from a tuple
+        cfg = SynthConfig(labels_per_tuple=[2, 4])
+        assert cfg.labels_per_tuple == (2, 4)
+        assert {cfg: 1}[SynthConfig(labels_per_tuple=(2, 4))] == 1

@@ -86,3 +86,21 @@ class TestFormatRows:
     def test_no_rows(self):
         assert format_rows([], np.empty((0, 3)), []) == b""
 
+
+
+def test_only_the_exponents_present_are_laid_out(monkeypatch):
+    # the per-exponent layout skips an exponent no value has: values of two exponents
+    # read two of the 20 templates
+    from xmodal import data
+
+    reads = []
+
+    class Reads(np.ndarray):
+        def __getitem__(self, key):
+            reads.append(key)
+            return np.ndarray.__getitem__(self, key)
+
+    monkeypatch.setattr(data, "_TEMPLATES", data._TEMPLATES.view(Reads))
+    values = [1.5, -2.25, 31.0, 47.125]
+    assert_percent_text(values)
+    assert sorted(reads) == [4, 5]   # e = 0 and e = 1

@@ -1,6 +1,7 @@
 """Loss functions against independent scalar-loop oracles and closed forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,21 @@ class TestLossMim:
 
 
 class TestLossMde:
+    @pytest.mark.parametrize("shape, problem", [
+        ((4, 6), "need a stack of 2 or more modality batches, got shape (4, 6)"),
+        ((1, 4, 6), "need a stack of 2 or more modality batches, got shape (1, 4, 6)"),
+        ((2, 0, 6), "need batch size >= 1")])
+    def test_library_caller_bad_stack_rejected(self, shape, problem):
+        y = np.ones(shape)
+        with pytest.raises(ContractError, match=f"^loss_mde: {re.escape(problem)}$"):
+            losses.loss_mde(y, losses.row_squares(y))
+
+    def test_array_input_equals_tensor_input(self):
+        y = np.random.default_rng(9).normal(size=(2, 4, 6))
+        sq = losses.row_squares(y)
+        assert losses.loss_mde(y, sq).data.tobytes() == \
+            losses.loss_mde(T.Tensor(y), sq).data.tobytes()
+
     def test_identical_rows_lower_bound(self):
         y = np.random.default_rng(10).normal(size=(4, 6))
         assert loss_mde(T.Tensor(y), T.Tensor(y)).item() == \

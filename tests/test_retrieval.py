@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,16 @@ class TestBuildIndex:
         index = build_index(init_params(MODEL), small_ds)
         assert index.size(0) == len(small_ds)
         assert index.size(1) == len(small_ds)
+
+    def test_unit_rows_kept_as_given(self):
+        # another index's unit rows, read-only: kept by reference, not divided again,
+        # and still shape checked
+        rows = np.random.default_rng(5).normal(size=(4, 3))
+        rows.flags.writeable = False
+        index = EmbeddingIndex(3, np.arange(4), *label_layout([{0}] * 4), [rows], unit=True)
+        assert index._vectors[0] is rows
+        with pytest.raises(ContractError, match=r"^embedding shape \(4, 3\) != \(5, 3\)$"):
+            EmbeddingIndex(3, np.arange(5), *label_layout([{0}] * 5), [rows], unit=True)
 
     def test_rebuild_identical(self, small_ds):
         params = init_params(MODEL)
@@ -96,6 +107,13 @@ class TestBuildIndex:
 
 
 class TestRetrieve:
+    @pytest.mark.parametrize("shape", [(5,), (7,), (2, 6)])
+    def test_query_of_another_shape_rejected(self, shape):
+        index = random_index(np.random.default_rng(3), 10)   # embedding_dim 6
+        with pytest.raises(ContractError, match=rf"^query embedding shape "
+                                                rf"{re.escape(str(shape))} != \(6,\)$"):
+            retrieve(index, np.ones(shape), 1, 3)
+
     def test_stored_embedding_ranks_first(self):
         rng = np.random.default_rng(2)
         index = random_index(rng, 20)
