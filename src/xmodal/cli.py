@@ -25,8 +25,8 @@ from .data import (SynthConfig, file_sha256, generate_synthetic, load_dataset, s
 from .errors import ContractError, DatasetFormatError, ShapeMismatchError, XmodalError
 from .losses import LossWeights, combined_loss, loss_mde, loss_mim, loss_msp, row_squares
 from .model import ModelConfig, check_dataset, embed
-from .retrieval import (EmbeddingIndex, build_index, evaluate_cross_modal, metrics_to_csv,
-                        retrieve, summary_table, unit_query_rows)
+from .retrieval import (build_index, evaluate_cross_modal, metrics_to_csv, retrieve,
+                        summary_table, unit_query_rows)
 from .trainer import TrainConfig, load_checkpoint, train
 
 EXIT_OK = 0
@@ -162,9 +162,10 @@ def cmd_gen_data(args):
 def cmd_train(args):
     started = _now()
     ds = load_dataset(args.dataset)
-    # the --model-config file overrides the dataset's input_dim, so train
-    # rejects a mismatch; typed flags override --set, which overrides the file
+    # the --model-config file overrides the dataset's input_dim and num_modalities, so
+    # train rejects a mismatch; typed flags override --set, which overrides the file
     model_config = typed_config(ModelConfig, {"input_dim": ds.input_dim,
+                                              "num_modalities": ds.num_modalities,
                                               **read_kv(args.model_config, None)})
     train_values = read_kv(args.train_config, args.set)
     flags = {"epochs": args.epochs, "batch_size": args.batch_size,
@@ -249,33 +250,30 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-# The unit rows retrieve indexed, kept for the next retrieve of this process: (identity,
-# {target modality: read-only (N, embedding_dim) rows}), the identity being the archive's
-# proven SHA-256, the ModelConfig and the parameter vector's bytes. main drops it before
-# any other command.
-_UNIT_ROWS = None
+# The index retrieve built for each target modality, kept for the next retrieve of this
+# process: (identity, {target modality: EmbeddingIndex with read-only rows}), the
+# identity being the archive's proven SHA-256, the ModelConfig and the parameter vector's
+# bytes. main drops it before any other command.
+_INDEXES = None
 
 
 def _target_index(params, ds, tgt):
-    """``build_index(params, ds, [tgt])``, its rows taken from ``_UNIT_ROWS`` when they
-    are held for this identity (bit-identical: the same inputs embed to the same bytes),
-    and kept there after a build. A dataset with no digest is never memoised; another
-    identity replaces the memo, dropped before the build."""
-    global _UNIT_ROWS
+    """``build_index(params, ds, [tgt])``, taken from ``_INDEXES`` when it is held for
+    this identity (bit-identical: the same inputs embed to the same bytes), and kept
+    there after a build. A dataset with no digest is never memoised; another identity
+    replaces the memo, dropped before the build."""
+    global _INDEXES
     identity = ds.sha256 and (ds.sha256, params.config, params.flat.tobytes())
-    held = _UNIT_ROWS[1] if _UNIT_ROWS is not None and _UNIT_ROWS[0] == identity else {}
+    held = _INDEXES[1] if _INDEXES is not None and _INDEXES[0] == identity else {}
     if tgt in held:
         check_dataset(params.config, ds)
-        return EmbeddingIndex(params.config.embedding_dim, ds.ids, ds.label_offsets,
-                              ds.label_ids, [held[tgt] if m == tgt else None
-                                             for m in range(ds.num_modalities)], unit=True)
+        return held[tgt]
     if not held:
-        _UNIT_ROWS = None   # another identity's rows go before this build
+        _INDEXES = None   # another identity's indexes go before this build
     index = build_index(params, ds, modalities=[tgt])
     if identity:
-        rows = index._vectors[tgt]
-        rows.flags.writeable = False
-        _UNIT_ROWS = identity, {**held, tgt: rows}
+        index._vectors[tgt].flags.writeable = False
+        _INDEXES = identity, {**held, tgt: index}
     return index
 
 
@@ -399,7 +397,7 @@ def build_parser(command=None):
 
 
 def main(argv=None):
-    global _UNIT_ROWS
+    global _INDEXES
     argv = sys.argv[1:] if argv is None else argv
     # the command's subparser alone serves an argv that opens with the command (--version
     # prints and exits before it is read); help or any other word first needs every command
@@ -411,7 +409,7 @@ def main(argv=None):
         # argparse uses exit code 2 for usage errors; remap to the documented 1
         raise SystemExit(EXIT_USAGE if exc.code else EXIT_OK) from None
     if args.command != "retrieve":
-        _UNIT_ROWS = None   # the memo's pages go back before a command that needs more
+        _INDEXES = None   # the memo's pages go back before a command that needs more
     try:
         # overflow and NaN are reported by the checks on what they reach, never as warnings
         with np.errstate(all="ignore"):

@@ -88,17 +88,16 @@ class EmbeddingIndex:
     """One int64 id array and one label layout (see ``data.TupleDataset``) shared by
     every modality, and per embedded modality an (N, D) matrix of unit-norm rows."""
 
-    def __init__(self, embedding_dim, ids, label_offsets, label_ids, embeddings, unit=False):
+    def __init__(self, embedding_dim, ids, label_offsets, label_ids, embeddings):
         """``embeddings[m]`` holds modality m's rows, one per id, or None where m is
-        not embedded. Like the ids and labels, a float64 C-contiguous matrix is kept by
-        reference: the index owns it, and divides each row by its norm in place. With
-        ``unit``, the rows are another index's unit rows, which may be read-only: they
-        are kept as they are, shape checked but not divided again."""
+        not embedded. The ids and labels are copied, so an index holds no view of the
+        buffer they were read into; a float64 C-contiguous matrix is kept by reference:
+        the index owns it, and divides each row by its norm in place."""
         self.embedding_dim = embedding_dim
         self.num_modalities = len(embeddings)
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.label_offsets = np.asarray(label_offsets, dtype=np.int64)
-        self.label_ids = np.asarray(label_ids, dtype=np.int64)
+        self.ids = np.array(ids, dtype=np.int64)
+        self.label_offsets = np.array(label_offsets, dtype=np.int64)
+        self.label_ids = np.array(label_ids, dtype=np.int64)
         if len(self.label_offsets) != len(self.ids) + 1:
             raise ContractError(f"{len(self.ids)} tuple ids and "
                                 f"{len(self.label_offsets) - 1} label sets")
@@ -107,16 +106,13 @@ class EmbeddingIndex:
             repeated = ordered[1:][ordered[1:] == ordered[:-1]]
             if len(repeated):
                 raise ContractError(f"duplicate tuple_id {repeated[0]}")
-        self._vectors = [None if rows is None else self._unit_rows(rows, unit)
-                         for rows in embeddings]
+        self._vectors = [None if rows is None else self._unit_rows(rows) for rows in embeddings]
 
-    def _unit_rows(self, rows, unit):
+    def _unit_rows(self, rows):
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         if rows.shape != (len(self.ids), self.embedding_dim):
             raise ContractError(f"embedding shape {rows.shape} != "
                                 f"({len(self.ids)}, {self.embedding_dim})")
-        if unit:
-            return rows
         norms = _norms(rows)
         zero = np.flatnonzero(norms <= NORM_EPS)
         if len(zero):

@@ -5,6 +5,6 @@ from xmodal import cli
 
 @pytest.fixture(autouse=True)
 def _empty_retrieve_memo(monkeypatch):
-    """Each test starts with no unit rows kept by an earlier test's retrieve, which would
+    """Each test starts with no index kept by an earlier test's retrieve, which would
     spare the embed calls some tests count."""
-    monkeypatch.setattr(cli, "_UNIT_ROWS", None)
+    monkeypatch.setattr(cli, "_INDEXES", None)

@@ -259,6 +259,31 @@ class TestTrainCommand:
         assert err == ["error: training set yields no batches at this batch size"]
         assert not out.exists()
 
+    def test_modality_count_taken_from_the_archive(self, tmp_path):
+        # a three-modality archive needs no --model-config: the checkpoint is the one a
+        # config repeating the archive's count trains
+        data, cfg = tmp_path / "tri.txt", tmp_path / "model.cfg"
+        cfg.write_text("num_modalities = 3\n")
+        assert run(["gen-data", "--out", str(data), "--seed", "3",
+                    "--set", "num_tuples=60", "--set", "num_modalities=3"]) == 0
+        for out, extra in (("plain", []), ("config", ["--model-config", str(cfg)])):
+            assert run(["train", "--dataset", str(data), "--out-dir", str(tmp_path / out),
+                        "--epochs", "2", "--batch-size", "8", *extra]) == 0
+        assert (tmp_path / "plain" / "checkpoint_epoch1.ckpt").read_bytes() == \
+            (tmp_path / "config" / "checkpoint_epoch1.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("archive, config", [(3, 2), (2, 3)])
+    def test_config_modality_count_mismatch_one_line(self, tmp_path, archive, config):
+        data, cfg, out = tmp_path / "ds.txt", tmp_path / "model.cfg", tmp_path / "run"
+        cfg.write_text(f"num_modalities = {config}\n")
+        assert run(["gen-data", "--out", str(data), "--set", "num_tuples=40",
+                    "--set", f"num_modalities={archive}"]) == 0
+        code, err = run_process(["train", "--dataset", str(data), "--out-dir", str(out),
+                                 "--model-config", str(cfg)])
+        assert code == 1
+        assert err == ["error: dataset and model disagree on modality count"]
+        assert not out.exists()
+
     def test_zero_lr_checkpoint_equals_init(self, dataset_file, tmp_path):
         out = tmp_path / "run0"
         assert self._train(dataset_file, out, ("--lr", "0", "--epochs", "1")) == 0
@@ -944,9 +969,9 @@ def _stdout(args, threads):
 
 
 class TestRetrieveMemo:
-    """retrieve keeps the unit rows it indexed for the next retrieve of the process, under
-    the archive's digest, the model config and the parameter bytes; any other command
-    drops them."""
+    """retrieve keeps the index it built for the next retrieve of the process, under the
+    archive's digest, the model config and the parameter bytes; any other command drops
+    it."""
 
     @staticmethod
     def _retrieve(capsys, ckpt, dataset, src=0, tgt=1, expect=0):
@@ -978,10 +1003,10 @@ class TestRetrieveMemo:
                                        "--tgt", str(tgt), "--k", "6"], 1)
         assert self._retrieve(capsys, ckpt, dataset, tgt, src) == other
         params = load_checkpoint(ckpt)[0]
-        rows = cli._UNIT_ROWS[1]
+        held = cli._INDEXES[1]
         for m in (0, 1):
             built = build_index(params, load_dataset(dataset), modalities=[m])._vectors[m]
-            assert rows[m].tobytes() == built.tobytes()
+            assert held[m]._vectors[m].tobytes() == built.tobytes()
 
     def test_hit_still_checks_the_dataset_against_the_model(self, trained, capsys,
                                                           monkeypatch):
@@ -1004,7 +1029,7 @@ class TestRetrieveMemo:
         self._retrieve(capsys, ckpt, dataset)
         self._retrieve(capsys, flipped, dataset)
         assert index_embeds == [1, 1]
-        assert cli._UNIT_ROWS[0][2] == load_checkpoint(flipped)[0].flat.tobytes()
+        assert cli._INDEXES[0][2] == load_checkpoint(flipped)[0].flat.tobytes()
 
     def test_another_config_with_equal_parameter_bytes_misses(self, trained, capsys,
                                                              index_embeds, tmp_path):
@@ -1016,7 +1041,7 @@ class TestRetrieveMemo:
         assert load_checkpoint(relu_ckpt)[0].flat.tobytes() == params.flat.tobytes()
         self._retrieve(capsys, ckpt, dataset)
         out = self._retrieve(capsys, relu_ckpt, dataset)
-        assert index_embeds == [1, 1] and cli._UNIT_ROWS[0][1].activation == "relu"
+        assert index_embeds == [1, 1] and cli._INDEXES[0][1].activation == "relu"
         assert out == _stdout(["retrieve", "--checkpoint", str(relu_ckpt), "--dataset",
                                str(dataset), "--query-id", "17", "--k", "6"], 1)
 
@@ -1038,7 +1063,7 @@ class TestRetrieveMemo:
             fh.write(text[:at] + bytes([text[at] + 1]) + text[at + 1:])
         out = self._retrieve(capsys, ckpt, dataset)
         assert index_embeds == [1, 1]
-        assert cli._UNIT_ROWS[0][0] == hashlib.sha256(dataset.read_bytes()).hexdigest()
+        assert cli._INDEXES[0][0] == hashlib.sha256(dataset.read_bytes()).hexdigest()
         monkeypatch.undo()
         assert out == _stdout(["retrieve", "--checkpoint", str(ckpt), "--dataset",
                                str(dataset), "--query-id", "17", "--k", "6"], 1)
@@ -1047,7 +1072,7 @@ class TestRetrieveMemo:
     def test_any_other_command_empties_the_memo(self, trained, capsys, tmp_path, command):
         dataset, ckpt = trained
         self._retrieve(capsys, ckpt, dataset)
-        assert cli._UNIT_ROWS is not None
+        assert cli._INDEXES is not None
         argv = {"gen-data": ["--out", str(tmp_path / "g.txt"), "--set", "num_tuples=20"],
                 "train": ["--dataset", str(dataset), "--out-dir", str(tmp_path / "t"),
                           "--epochs", "1"],
@@ -1055,18 +1080,18 @@ class TestRetrieveMemo:
                              "--out", str(tmp_path / "m.csv")],
                 "gradcheck": ["--trials", "1"]}[command]
         assert run([command, *argv]) == 0
-        assert cli._UNIT_ROWS is None
+        assert cli._INDEXES is None
 
     def test_stored_rows_are_read_only(self, trained, capsys):
         dataset, ckpt = trained
         self._retrieve(capsys, ckpt, dataset, 0, 1)
         self._retrieve(capsys, ckpt, dataset, 1, 0)
-        rows = cli._UNIT_ROWS[1]
-        assert sorted(rows) == [0, 1]
-        for m in rows:
-            assert not rows[m].flags.writeable
+        held = cli._INDEXES[1]
+        assert sorted(held) == [0, 1]
+        for m, index in held.items():
+            assert not index._vectors[m].flags.writeable
             with pytest.raises(ValueError):
-                rows[m][0, 0] = 1.0
+                index._vectors[m][0, 0] = 1.0
 
     def test_holds_neither_the_sidecar_payload_nor_the_checkpoint_buffer(
             self, trained, capsys, monkeypatch):
@@ -1080,10 +1105,11 @@ class TestRetrieveMemo:
             weakref.ref(load_dataset(path).ids.base)) or load_dataset(path))
         self._retrieve(capsys, ckpt, dataset)
         gc.collect()
-        assert cli._UNIT_ROWS is not None and len(buffers) == 2
+        assert cli._INDEXES is not None and len(buffers) == 2
         assert [ref() for ref in buffers] == [None, None]
-        for rows in cli._UNIT_ROWS[1].values():
-            assert rows.base is None   # each row matrix owns its memory
+        for m, index in cli._INDEXES[1].items():   # each array owns its memory
+            for array in (index._vectors[m], index.ids, index.label_offsets, index.label_ids):
+                assert array.base is None
 
     def test_failing_build_stores_nothing(self, trained, capsys, tmp_path):
         # the checkpoint of test_zero_embedding_is_two, after a retrieve that stored rows
@@ -1094,9 +1120,9 @@ class TestRetrieveMemo:
         zero = tmp_path / "zero.ckpt"
         save_checkpoint(params, state, epoch, zero)
         self._retrieve(capsys, ckpt, dataset)
-        assert cli._UNIT_ROWS is not None
+        assert cli._INDEXES is not None
         self._retrieve(capsys, zero, dataset, expect=2)
-        assert cli._UNIT_ROWS is None
+        assert cli._INDEXES is None
 
     def test_dataset_without_a_digest_is_not_memoised(self, trained):
         dataset, ckpt = trained
@@ -1104,7 +1130,7 @@ class TestRetrieveMemo:
         taken = ds.take(np.arange(len(ds)))
         assert taken.sha256 is None
         index = cli._target_index(params, taken, 1)
-        assert cli._UNIT_ROWS is None
+        assert cli._INDEXES is None
         assert index._vectors[1].tobytes() == \
             build_index(params, ds, modalities=[1])._vectors[1].tobytes()
 

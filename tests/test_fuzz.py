@@ -1,4 +1,5 @@
-"""Mutated sidecars and checkpoint headers, run through evaluate and retrieve in process.
+"""Mutated sidecars and checkpoint headers, and drawn argument values, run through
+evaluate and retrieve in process.
 
 A mutated ``.cols`` sidecar no longer proves itself the text's, so the loader falls
 back to the text: the run exits 0 with exactly the unmutated outputs, or fails with
@@ -21,9 +22,11 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xmodal import cli
 from xmodal.cli import main
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+FUZZ_ARGUMENTS = settings(FUZZ, max_examples=100)
 HEADROOM = 1 << 29
 PREFIX = struct.Struct("<6sII")   # the container's magic, version and header length
 
@@ -208,3 +211,57 @@ class TestCheckpointHeaderMutations:
     def test_every_field_deleted_or_retyped(self, files, path, value):
         # mutations the random draws rarely meet, such as 2.0 for num_modalities
         check_mutated_checkpoint(files, mutate_header(files["ckpt_bytes"], path, value))
+
+
+# ints in and around the archive's modalities, and past int64
+MODALITY_INTS = st.one_of(st.integers(-1, 2), st.integers(-2**70, 2**70))
+# --direction text: both, the archive's directions with leading zeros, SRC->TGT of any
+# such ints, and any text
+DIRECTIONS = st.one_of(st.just("both"), st.from_regex(r"0*[01]->0*[01]", fullmatch=True),
+                       st.builds("{}->{}".format, MODALITY_INTS, MODALITY_INTS),
+                       st.text(max_size=8))
+# retrieve's --query-id, --src and --tgt: the archive's ids 0 to 59 with its modalities,
+# or any three ints
+RETRIEVE_INTS = st.one_of(st.tuples(st.integers(0, 59), st.integers(0, 1), st.integers(0, 1)),
+                          st.tuples(st.integers(-2, 61), MODALITY_INTS, MODALITY_INTS),
+                          st.tuples(*[st.integers(-2**70, 2**70)] * 3))
+
+
+def alone(argv):
+    """``run(argv)`` with no index kept by an earlier retrieve of the process."""
+    cli._INDEXES = None
+    return run(argv)
+
+
+class TestArgumentValues:
+    """evaluate's --direction and retrieve's --query-id, --src and --tgt, one example after
+    another in one process: exit 0 with the outputs of the same argv run alone, or exit 1
+    or 2 with one stderr line and no --out file."""
+
+    @FUZZ_ARGUMENTS
+    @given(direction=DIRECTIONS)
+    def test_evaluate_direction(self, files, direction):
+        metrics = files["root"] / "direction.csv"
+        argv = ["evaluate", "--checkpoint", files["ckpt"], "--dataset", files["archive"],
+                f"--direction={direction}", "--k", "5", "--out", metrics]
+        code, stdout, err = run(argv)
+        if code:
+            assert_one_line_failure(code, err)
+            assert not metrics.exists()
+            return
+        first = metrics.read_bytes()
+        metrics.unlink()
+        assert (code, stdout, err) == alone(argv) and metrics.read_bytes() == first
+        metrics.unlink()
+
+    @FUZZ_ARGUMENTS
+    @given(ints=RETRIEVE_INTS)
+    def test_retrieve_ints(self, files, ints):
+        query_id, src, tgt = ints
+        argv = ["retrieve", "--checkpoint", files["ckpt"], "--dataset", files["archive"],
+                f"--query-id={query_id}", f"--src={src}", f"--tgt={tgt}", "--k", "5"]
+        code, stdout, err = run(argv)
+        if code:
+            assert_one_line_failure(code, err)
+        else:
+            assert (code, stdout, err) == alone(argv)

@@ -50,16 +50,6 @@ class TestBuildIndex:
         assert index.size(0) == len(small_ds)
         assert index.size(1) == len(small_ds)
 
-    def test_unit_rows_kept_as_given(self):
-        # another index's unit rows, read-only: kept by reference, not divided again,
-        # and still shape checked
-        rows = np.random.default_rng(5).normal(size=(4, 3))
-        rows.flags.writeable = False
-        index = EmbeddingIndex(3, np.arange(4), *label_layout([{0}] * 4), [rows], unit=True)
-        assert index._vectors[0] is rows
-        with pytest.raises(ContractError, match=r"^embedding shape \(4, 3\) != \(5, 3\)$"):
-            EmbeddingIndex(3, np.arange(5), *label_layout([{0}] * 5), [rows], unit=True)
-
     def test_rebuild_identical(self, small_ds):
         params = init_params(MODEL)
         i1, i2 = build_index(params, small_ds), build_index(params, small_ds)
