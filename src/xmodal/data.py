@@ -25,16 +25,18 @@ LATENT_JITTER = 0.1
 COLUMNS_MAGIC = b"XMCOL1"
 CONTAINER_VERSION = 1
 CONTAINER_PREFIX = struct.Struct("<6sII")   # magic, version, header length
-# git's "racy clean" rule: a digest is reused only for a file whose ctime was older,
-# by more than this window, than the clock read before it was hashed. A write inside
-# the window may leave size, mtime and ctime as they were: FAT stamps mtime in 2 s
-# steps, and ext4, xfs and tmpfs stamp from the kernel's coarse clock, one jiffy
-# (<= 10 ms) behind the clock read here. A later write moves the ctime.
+# git's "racy clean" rule: a digest, or an archive's columns, is reused only for files
+# whose ctime was older, by more than this window, than the clock read before they were
+# read. A write inside the window may leave size, mtime and ctime as they were: FAT
+# stamps mtime in 2 s steps, and ext4, xfs and tmpfs stamp from the kernel's coarse
+# clock, one jiffy (<= 10 ms) behind the clock read here. A later write moves the ctime.
 RACY_WINDOW_NS = 2 * 10**9
 _clock = time.time_ns
-# (what was hashed: "file" or "payload", st_dev, st_ino) ->
-# (st_size, st_mtime_ns, st_ctime_ns, SHA-256 hex digest)
+# (st_dev, st_ino) of a file -> (st_size, st_mtime_ns, st_ctime_ns, SHA-256 hex digest)
 _DIGESTS = {}
+# the last archive load_dataset proved through its sidecar, for the loads after it:
+# ((the text's _stamp, the sidecar's _stamp), TupleDataset over read-only arrays)
+_HELD = None
 
 
 class TupleDataset:
@@ -425,28 +427,74 @@ def load_dataset(path) -> TupleDataset:
     """The sidecar's columns if they are provably the text's, else a strict
     parse of the text, whose errors name the offending line; either way ``sha256``
     holds the text's digest, hashed once. A record whose features are all zero has no
-    direction: DegenerateInputError."""
+    direction: DegenerateInputError.
+
+    The last archive proved through its sidecar is held for the rest of the process,
+    its arrays made read-only, under the fstat stamps of both files; it is kept only
+    if both ctimes were more than RACY_WINDOW_NS older than the clock read before the
+    first read (git's racy-clean rule, as _memo_sha256). A load that finds both stamps
+    unchanged returns a new TupleDataset over the held arrays and reads, hashes and
+    checks nothing more."""
+    global _HELD
+    path = os.fspath(path)
     # a byte that is not UTF-8 reads as a lone surrogate, which no field's parse
     # accepts, so it is reported as a format error on its line
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        text_digest = _open_file_sha256(fh.buffer)
-        ds = _load_columns(os.fspath(path), text_digest)
-        if ds is None:
+        clock, stat = _clock(), os.fstat(fh.fileno())
+        held = _held_dataset(path, stat)
+        if held is not None:
+            return held
+        text_digest = _open_file_sha256(fh.buffer, stat, clock)
+        proved = _load_columns(path, text_digest)
+        if proved is None:
             fh.seek(0)
             ds = _parse(fh, text_digest)
+        else:
+            ds, cols_stat = proved
     dead = ~ds.features.any(axis=-1)   # (M, N)
     if dead.any():
         row, m = np.argwhere(dead.T)[0]   # the first by tuple, then by modality
         raise DegenerateInputError(f"tuple {ds.ids[row]} modality {m}: zero-norm features")
-    return ds
+    if proved is None or max(stat.st_ctime_ns, cols_stat.st_ctime_ns) >= clock - RACY_WINDOW_NS:
+        return ds
+    for column in (ds.ids, ds.features, ds.label_offsets, ds.label_ids):
+        column.flags.writeable = False
+    _HELD = (_stamp(stat), _stamp(cols_stat)), ds
+    return _view(ds)
 
 
-def _memo_sha256(part, stat, clock, digest):
-    """The SHA-256 hex digest of ``part`` of the file whose ``os.fstat`` is ``stat``:
-    the memo's, while it holds one under the file's (st_dev, st_ino) and equal
-    (st_size, st_mtime_ns, st_ctime_ns), else ``digest()``. That is kept only if the
-    ctime is more than RACY_WINDOW_NS older than ``clock``, read before the hash."""
-    key = part, stat.st_dev, stat.st_ino
+def _stamp(stat):
+    """(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns) of an ``os.fstat``."""
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns
+
+
+def _view(ds):
+    """A new TupleDataset over the arrays and digest of ``ds``."""
+    return TupleDataset(ds.ids, ds.features, ds.label_offsets, ds.label_ids, ds.num_labels,
+                        ds.sha256)
+
+
+def _held_dataset(path, stat):
+    """A new TupleDataset over the held archive's arrays if ``stat``, the fstat of the
+    text at ``path``, and the fstat of its sidecar, opened now, are the stamps it is
+    held under; else None."""
+    if _HELD is None or _HELD[0][0] != _stamp(stat):
+        return None
+    try:
+        with open(path + ".cols", "rb") as cols:
+            if _stamp(os.fstat(cols.fileno())) != _HELD[0][1]:
+                return None
+    except OSError:
+        return None
+    return _view(_HELD[1])
+
+
+def _memo_sha256(stat, clock, digest):
+    """The SHA-256 hex digest of the file whose ``os.fstat`` is ``stat``: the memo's,
+    while it holds one under the file's (st_dev, st_ino) and equal (st_size,
+    st_mtime_ns, st_ctime_ns), else ``digest()``. That is kept only if the ctime is
+    more than RACY_WINDOW_NS older than ``clock``, read before the hash."""
+    key = stat.st_dev, stat.st_ino
     stamp = stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns
     held = _DIGESTS.get(key)
     if held is not None and held[:3] == stamp:
@@ -457,39 +505,34 @@ def _memo_sha256(part, stat, clock, digest):
     return hexdigest
 
 
-def _open_file_sha256(fh):
-    """The SHA-256 hex digest of the open binary file ``fh`` (_memo_sha256 under the
-    fstat of its descriptor), read from its start in 64 KiB chunks into one reused
-    buffer."""
+def _open_file_sha256(fh, stat, clock):
+    """The SHA-256 hex digest of the open binary file ``fh`` (_memo_sha256 under
+    ``stat``, the fstat of its descriptor, and ``clock``), read from its start in
+    64 KiB chunks into one reused buffer."""
     def digest():
         hasher, chunk = hashlib.sha256(), bytearray(1 << 16)
         while size := fh.readinto(chunk):
             hasher.update(memoryview(chunk)[:size])
         return hasher.hexdigest()
-    clock = _clock()
-    return _memo_sha256("file", os.fstat(fh.fileno()), clock, digest)
+    return _memo_sha256(stat, clock, digest)
 
 
 def file_sha256(path):
     """The SHA-256 hex digest of the file at ``path`` (_open_file_sha256)."""
     with open(path, "rb") as fh:
-        return _open_file_sha256(fh)
+        clock = _clock()
+        return _open_file_sha256(fh, os.fstat(fh.fileno()), clock)
 
 
 def _load_columns(path, text_digest):
-    """The columns in the sidecar ``<path>.cols``, or None unless they are what
-    the text parse of ``path``, of SHA-256 ``text_digest``, returns. A container
-    whose header holds the SHA-256 of the text and of the payload, and whose
-    little-endian payload is:
+    """(columns, fstat of the sidecar read) of the sidecar ``<path>.cols``, or None
+    unless they are what the text parse of ``path``, of SHA-256 ``text_digest``,
+    returns. A container whose header holds the SHA-256 of the text and of the
+    payload, and whose little-endian payload is:
     int64 counts (N, dim, labels, rows, label ids), the int64 ids, the (N, rows, dim)
     float64 features, modality-major, int64 label offsets and label ids. The features
-    are a view of the buffer the file is read into.
-
-    Both digests come through ``_memo_sha256``, so an archive loaded again in one
-    process is hashed again only if a file's stat changed, or if it had changed
-    within RACY_WINDOW_NS of the last hash; every other check runs on every load.
-    A sidecar of another text is refused before its payload is hashed."""
-    clock = _clock()
+    are a view of the buffer the file is read into. A sidecar of another text is
+    refused before its payload is hashed."""
     try:
         header, payload, stat = read_container(path + ".cols", COLUMNS_MAGIC)
         digests = header["text_sha256"], header["payload_sha256"]
@@ -500,8 +543,7 @@ def _load_columns(path, text_digest):
     if (min(n, dim, rows) < 1 or count < 0
             or len(body) != 5 + rows * (2 + n * dim) + 1 + count
             or digests[0] != text_digest
-            or digests[1] != _memo_sha256(
-                "payload", stat, clock, lambda: hashlib.sha256(body).hexdigest())):
+            or digests[1] != hashlib.sha256(body).hexdigest()):
         return None
     # save_dataset also writes columns that the text parse rejects; each fails a check
     _, ids, features, offsets, label_ids = np.split(
@@ -515,7 +557,7 @@ def _load_columns(path, text_digest):
             and ((np.diff(label_ids) > 0)
                  | (np.diff(np.repeat(np.arange(rows), sizes)) > 0)).all()):
         return None
-    return TupleDataset(ids, features, offsets, label_ids, labels, text_digest)
+    return TupleDataset(ids, features, offsets, label_ids, labels, text_digest), stat
 
 
 def _parse(fh, text_digest):

@@ -149,7 +149,7 @@ def _validation_loss(params, ds_val, train_config):
         y, z = forward_values(params, stack_features(ds_val, rows))
         totals += combined_loss(z, y, weights).total
         count += 1
-    return totals / count if count else float("nan")
+    return totals / count
 
 
 def _vectors(params: ModelParams, adam_state: AdamState):
@@ -192,6 +192,9 @@ def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig
           out_dir=None, resume_from=None):
     """Full training run; returns the final parameters and the per-epoch report."""
     check_dataset(model_config, ds_train)
+    for name, part in (("training", ds_train), ("validation", ds_val)):
+        if part is not None and len(part) < 2:   # batch_iter drops a batch of 1 row
+            raise ContractError(f"{name} set yields no batches at this batch size")
 
     start_epoch = 0
     if resume_from is not None:
@@ -230,8 +233,6 @@ def train(ds_train, ds_val, model_config: ModelConfig, train_config: TrainConfig
                               adam_state, cfg.learning_rate)
                 sums += (breakdown.mim, breakdown.mde, breakdown.msp, breakdown.total)
                 count += 1
-            if count == 0:
-                raise ContractError("training set yields no batches at this batch size")
             means = sums / count
             bad = _nonfinite_tensor(params.config, _vectors(params, adam_state))
             if bad:

@@ -267,18 +267,25 @@ fails 2 xmodal evaluate --checkpoint cut.ckpt --dataset data/ds.txt --out cut.cs
 xmodal gen-data --out div.txt --seed 3 --set num_tuples=60
 fails 2 xmodal train --dataset div.txt --out-dir div --epochs 2 --set tau=1e-300
 fails 2 xmodal train --dataset div.txt --out-dir div --epochs 2 --set learning_rate=1e300
-# an archive loaded again in one process is hashed again after its text is rewritten in
-# place with the same size and its mtime restored: only the ctime, which this file system
-# must move on every write, tells the digest memo
+# an archive loaded again in one process is served from the held archive while it is
+# unchanged, and hashed and read again after its text is rewritten in place with the same
+# size and its mtime restored: only the ctime, which this file system must move on every
+# write, tells the digest memo and the held archive
 python3 - <<'EOF'
 import os, time
 from xmodal import data
 from xmodal.cli import main
 if main(["gen-data", "--out", "racy.txt", "--seed", "6", "--set", "num_tuples=60"]):
     raise SystemExit("gen-data failed")
-time.sleep(2.5)   # past the window: the first load keeps its digests
+columns = lambda ds: [ds.ids.tobytes(), ds.features.tobytes(),
+                      ds.label_offsets.tobytes(), ds.label_ids.tobytes()]
+time.sleep(2.5)   # past the window: the first load keeps its digest and the archive
 first = data.load_dataset("racy.txt")
 assert data._DIGESTS, "the first load kept no digest"
+again = data.load_dataset("racy.txt")
+assert not any(c.flags.writeable for c in (again.ids, again.features, again.label_offsets,
+                                           again.label_ids)), "not served by the held archive"
+assert again is not first and columns(again) == columns(first)
 before, text = os.stat("racy.txt"), open("racy.txt", "rb").read()
 at = next(i for i in range(text.index(b"\t", text.index(b"\t") + 1), len(text))
           if text[i] in b"12345678")   # a digit of the first feature
@@ -292,8 +299,6 @@ second = data.load_dataset("racy.txt")
 with open("racy_text.txt", "wb") as fh:   # the same text with no sidecar
     fh.write(open("racy.txt", "rb").read())
 text_only = data.load_dataset("racy_text.txt")
-columns = lambda ds: [ds.ids.tobytes(), ds.features.tobytes(),
-                      ds.label_offsets.tobytes(), ds.label_ids.tobytes()]
 assert columns(second) == columns(text_only) != columns(first)
 assert second.sha256 == text_only.sha256 != first.sha256
 EOF

@@ -259,6 +259,19 @@ class TestTrainCommand:
         assert err == ["error: training set yields no batches at this batch size"]
         assert not out.exists()
 
+    def test_one_row_validation_split_one_line(self, tmp_path):
+        # a 10-tuple archive splits 5/1/4: the validation part makes no batch either, and
+        # is refused before the first epoch
+        data, out = tmp_path / "ten.txt", tmp_path / "run"
+        assert run(["gen-data", "--out", str(data), "--seed", "0",
+                    "--set", "num_tuples=10"]) == 0
+        code, err = run_process(["train", "--dataset", str(data), "--out-dir", str(out),
+                                 "--epochs", "2", "--batch-size", "4",
+                                 "--split", "0.5,0.1,0.4"])
+        assert code == 1
+        assert err == ["error: validation set yields no batches at this batch size"]
+        assert not out.exists()
+
     def test_modality_count_taken_from_the_archive(self, tmp_path):
         # a three-modality archive needs no --model-config: the checkpoint is the one a
         # config repeating the archive's count trains
@@ -1096,8 +1109,11 @@ class TestRetrieveMemo:
     def test_holds_neither_the_sidecar_payload_nor_the_checkpoint_buffer(
             self, trained, capsys, monkeypatch):
         # ds.ids and params.flat are views of the buffers the files were read into: once
-        # the command returns, nothing holds those buffers
+        # the command returns, nothing holds those buffers. The clock reads 0, so that
+        # load_dataset holds no archive whatever the files' age (TestHeldArchive in
+        # test_data.py covers what it holds)
         dataset, ckpt = trained
+        monkeypatch.setattr(data_module, "_clock", lambda: 0)
         buffers = []
         monkeypatch.setattr(cli, "load_checkpoint", lambda path: buffers.append(
             weakref.ref(load_checkpoint(path)[0].flat.base)) or load_checkpoint(path))

@@ -1,5 +1,6 @@
 """Synthetic generation, splits, batching and the dataset file format."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -175,12 +176,14 @@ class TestBatchIter:
 
 
 def _columns(path):
-    """``_load_columns`` of the archive at ``path``, given its text's digest; None, as
-    load_dataset reads no sidecar, if the text cannot be opened."""
+    """The columns ``_load_columns`` proves for the archive at ``path``, given its
+    text's digest; None, as load_dataset reads no sidecar, if the text cannot be
+    opened."""
     try:
-        return _load_columns(str(path), file_sha256(path))
+        proved = _load_columns(str(path), file_sha256(path))
     except FileNotFoundError:
         return None
+    return proved and proved[0]
 
 
 def _save(ds, path, sidecar):
@@ -447,6 +450,11 @@ def _outcome(path):
         ds = load_dataset(path)
     except Exception as exc:
         return type(exc), str(exc)
+    return _values(ds)
+
+
+def _values(ds):
+    """The bytes of a dataset's columns, its label layout and label count."""
     return ds.ids.tobytes(), [f.tobytes() for f in ds.features], _layout(ds), ds.num_labels
 
 
@@ -618,57 +626,62 @@ def _rewrite_in_place(path, blob):
 WINDOW = data_module.RACY_WINDOW_NS
 
 
+@pytest.fixture()
+def memo(monkeypatch):
+    """(hashes, clock): a fresh digest memo and no archive held, the data module's clock
+    reading ``clock[0]``, and "file" or "payload" logged in ``hashes`` for each SHA-256
+    that data begins."""
+    hashes, clock = [], [time.time_ns()]
+    monkeypatch.setattr(data_module, "_DIGESTS", {})
+    monkeypatch.setattr(data_module, "_clock", lambda: clock[0])
+
+    def sha256(*args):
+        hashes.append("payload" if args else "file")
+        return hashlib.sha256(*args)
+    monkeypatch.setattr(data_module, "hashlib", types.SimpleNamespace(sha256=sha256))
+    return hashes, clock
+
+
+@pytest.fixture()
+def stamps(monkeypatch):
+    """``stamp``: every os.fstat reports ``stamp[0]`` as its file's mtime and ctime, as
+    a file system would whose timestamps are that coarse."""
+    fstat, stamp = os.fstat, [10**18]
+
+    def coarse(fd):
+        st = fstat(fd)
+        return types.SimpleNamespace(st_dev=st.st_dev, st_ino=st.st_ino, st_size=st.st_size,
+                                     st_mtime_ns=stamp[0], st_ctime_ns=stamp[0])
+    monkeypatch.setattr(os, "fstat", coarse)
+    return stamp
+
+
+def _archive(tmp_path, memo, name="ds.txt", cfg=CFG):
+    """An archive with its sidecar, and the outcome of its text with one digit changed;
+    the loads that find it leave no digest or archive held."""
+    path, other = tmp_path / name, tmp_path / f"changed_{name}"
+    save_dataset(generate_synthetic(cfg), path)
+    other.write_bytes(_digit_changed(path.read_bytes()))
+    changed = _outcome(other)
+    assert changed != _outcome(path)
+    memo[0].clear()
+    data_module._DIGESTS.clear()
+    data_module._HELD = None
+    return path, changed
+
+
 class TestDigestMemo:
     """load_dataset hashes a file again only when its stat changed, or had changed within
     RACY_WINDOW_NS of the clock read before it was last hashed (git's racy-clean rule).
     No test waits: each sets the module's clock, and some the files' stamps."""
 
-    @pytest.fixture()
-    def memo(self, monkeypatch):
-        """(hashes, clock): a fresh memo, the module's clock reading ``clock[0]``, and
-        "file" or "payload" logged in ``hashes`` for each SHA-256 that data begins."""
-        hashes, clock = [], [time.time_ns()]
-        monkeypatch.setattr(data_module, "_DIGESTS", {})
-        monkeypatch.setattr(data_module, "_clock", lambda: clock[0])
-
-        def sha256(*args):
-            hashes.append("payload" if args else "file")
-            return hashlib.sha256(*args)
-        monkeypatch.setattr(data_module, "hashlib", types.SimpleNamespace(sha256=sha256))
-        return hashes, clock
-
-    @pytest.fixture()
-    def stamps(self, monkeypatch):
-        """``stamp``: every os.fstat reports ``stamp[0]`` as its file's mtime and ctime, as
-        a file system would whose timestamps are that coarse."""
-        fstat, stamp = os.fstat, [10**18]
-
-        def coarse(fd):
-            st = fstat(fd)
-            return types.SimpleNamespace(st_dev=st.st_dev, st_ino=st.st_ino, st_size=st.st_size,
-                                         st_mtime_ns=stamp[0], st_ctime_ns=stamp[0])
-        monkeypatch.setattr(os, "fstat", coarse)
-        return stamp
-
-    @staticmethod
-    def _archive(tmp_path, memo):
-        """An archive with its sidecar, and the outcome of its text with one digit changed."""
-        path, other = tmp_path / "ds.txt", tmp_path / "changed.txt"
-        save_dataset(generate_synthetic(CFG), path)
-        other.write_bytes(_digit_changed(path.read_bytes()))
-        changed = _outcome(other)
-        assert changed != _outcome(path)
-        memo[0].clear()
-        data_module._DIGESTS.clear()
-        return path, changed
-
     def test_loads_of_an_unchanged_archive_hash_each_file_once(self, tmp_path, memo):
         hashes, clock = memo
-        path, _ = self._archive(tmp_path, memo)
+        path, _ = _archive(tmp_path, memo)
         ctimes = sorted(os.stat(p).st_ctime_ns for p in (path, f"{path}.cols"))
         # at one window after the older ctime each load hashes both files again; past the
-        # newer one's window, the first load's digests serve the rest, and the last load
-        # proves the text's digest
+        # newer one's window, the first load keeps the archive, which serves the rest, and
+        # the last load proves the text's digest
         clock[0] = ctimes[0] + WINDOW
         loaded = _outcome(path)
         assert _outcome(path) == loaded and hashes == ["file", "payload"] * 2
@@ -680,21 +693,10 @@ class TestDigestMemo:
         assert load_dataset(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
         assert hashes == ["file", "payload"]
 
-    def test_a_sidecar_holds_its_payload_digest_apart_from_its_file_digest(self, tmp_path,
-                                                                            memo):
-        _, clock = memo
-        path, _ = self._archive(tmp_path, memo)
-        cols = f"{path}.cols"
-        clock[0] = os.stat(cols).st_ctime_ns + WINDOW + 1
-        for _ in range(2):   # the second time from the memo
-            assert _columns(path) is not None
-            assert data_module.file_sha256(cols) == hashlib.sha256(
-                open(cols, "rb").read()).hexdigest()
-
     def test_rewrite_in_place_with_its_mtime_restored_is_hashed_again(self, tmp_path, memo):
         # size and mtime are those the memo holds: only the ctime tells
         hashes, clock = memo
-        path, changed = self._archive(tmp_path, memo)
+        path, changed = _archive(tmp_path, memo)
         before = os.stat(path)
         clock[0] = os.stat(f"{path}.cols").st_ctime_ns + WINDOW + 1
         assert _columns(path) is not None
@@ -714,7 +716,7 @@ class TestDigestMemo:
     def test_rewrite_inside_the_window_is_caught(self, tmp_path, memo, stamps):
         # a rewrite of the same size within one timestamp tick leaves the stat as it was
         _, clock = memo
-        path, changed = self._archive(tmp_path, memo)
+        path, changed = _archive(tmp_path, memo)
         clock[0] = stamps[0] + WINDOW   # the stamp is not older than the clock by a window
         assert _columns(path) is not None
         _rewrite_in_place(path, _digit_changed(path.read_bytes()))
@@ -724,7 +726,7 @@ class TestDigestMemo:
     def test_file_replaced_by_rename_is_hashed_again(self, tmp_path, memo, stamps):
         # a new inode of the same size and stamps, past the window
         hashes, clock = memo
-        path, changed = self._archive(tmp_path, memo)
+        path, changed = _archive(tmp_path, memo)
         clock[0] = stamps[0] + WINDOW + 1
         assert _columns(path) is not None
         (tmp_path / "new.txt").write_bytes(_digit_changed(path.read_bytes()))
@@ -734,16 +736,214 @@ class TestDigestMemo:
         assert _outcome(path) == changed
 
     def test_file_rewritten_many_times_leaves_one_entry(self, tmp_path, memo, stamps):
-        # one entry per file: the text's, and the sidecar payload's
+        # one entry per file: the text's (a sidecar's payload is hashed, not memoised)
         _, clock = memo
-        path, changed = self._archive(tmp_path, memo)
+        path, changed = _archive(tmp_path, memo)
         text, sidecar = path.read_bytes(), _outcome(path)
         clock[0] = stamps[0] + 100 * WINDOW
         for k in range(6):
             stamps[0] += 1   # each rewrite on its own tick, each trusted past the window
             _rewrite_in_place(path, _digit_changed(text) if k % 2 else text)
             assert _outcome(path) == (changed if k % 2 else sidecar)
-        assert len(data_module._DIGESTS) == 2
+        assert len(data_module._DIGESTS) == 1
+
+
+
+FORGED = 0.25   # the first feature of a forged sidecar of CFG's archive (_forged)
+
+
+def _forged(path):
+    """Rewrites the sidecar of CFG's archive at ``path`` in place with its first feature
+    FORGED and its payload's digest to match: a sidecar that proves itself and whose
+    columns are not the text's."""
+    _forge(_set_words(5 + CFG.num_tuples, np.float64(FORGED).view(np.int64)))(path)
+
+
+def _until_ctime_moves(path, write):
+    """Repeats ``write()`` until the ctime of ``path`` has moved off the one it had
+    (a coarse kernel clock stamps writes within one tick alike); its new stat."""
+    before, deadline = os.stat(path).st_ctime_ns, time.monotonic() + 1
+    while os.stat(path).st_ctime_ns == before and time.monotonic() < deadline:
+        write()
+    after = os.stat(path)
+    assert after.st_ctime_ns != before
+    return after
+
+
+class TestHeldArchive:
+    """load_dataset holds the last archive it proved through its sidecar, its arrays
+    read-only, under the stamps of both files, and serves a load that finds both unchanged
+    from it; what is kept follows the racy rule of TestDigestMemo. No test waits."""
+
+    @pytest.fixture()
+    def reads(self, monkeypatch):
+        """The path of each container that data reads."""
+        paths, read = [], data_module.read_container
+        monkeypatch.setattr(data_module, "read_container",
+                            lambda path, magic: paths.append(path) or read(path, magic))
+        return paths
+
+    @pytest.fixture()
+    def ctimes(self, monkeypatch):
+        """``ctime``: os.fstat reports ``ctime[st_ino]`` as the ctime of a file listed there."""
+        fstat, ctime = os.fstat, {}
+
+        def stamped(fd):
+            st = fstat(fd)
+            return types.SimpleNamespace(st_dev=st.st_dev, st_ino=st.st_ino, st_size=st.st_size,
+                                         st_mtime_ns=st.st_mtime_ns,
+                                         st_ctime_ns=ctime.get(st.st_ino, st.st_ctime_ns))
+        monkeypatch.setattr(os, "fstat", stamped)
+        return ctime
+
+    @staticmethod
+    def _past_the_window(clock, *paths):
+        clock[0] = max(os.stat(p).st_ctime_ns for p in paths) + WINDOW + 1
+
+    def test_unchanged_archive_reads_its_sidecar_once(self, tmp_path, memo, reads):
+        hashes, clock = memo
+        path, _ = _archive(tmp_path, memo)
+        self._past_the_window(clock, path, f"{path}.cols")
+        reads.clear()
+        loads = [load_dataset(path) for _ in range(5)]
+        assert reads == [f"{path}.cols"] and hashes == ["file", "payload"]
+        held = data_module._HELD[1]
+        assert len({id(ds) for ds in (held, *loads)}) == 6   # a new TupleDataset each load
+        os.remove(f"{path}.cols")
+        parsed = load_dataset(path)
+        for ds in loads:
+            assert _values(ds) == _values(parsed) and ds.sha256 == parsed.sha256
+            for column in (ds.ids, ds.features, ds.label_offsets, ds.label_ids):
+                assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            loads[-1].features[0, 0, 0] = 1.0
+        loads[0].num_labels = 99   # one load's attributes are its own
+        assert load_dataset(path).num_labels == held.num_labels == CFG.num_classes
+
+    @pytest.mark.parametrize("recent", ["text", "sidecar"])
+    def test_nothing_held_within_one_window_of_either_ctime(self, tmp_path, memo, reads,
+                                                            ctimes, recent):
+        _, clock = memo
+        path, _ = _archive(tmp_path, memo)
+        files = {"text": path, "sidecar": f"{path}.cols"}
+        inodes = {name: os.stat(file).st_ino for name, file in files.items()}
+        clock[0] = 10**18
+        reads.clear()
+        ctimes[inodes["text" if recent == "sidecar" else "sidecar"]] = clock[0] - 3 * WINDOW
+        ctimes[inodes[recent]] = clock[0] - WINDOW   # not older than the clock by a window
+        for _ in range(2):
+            assert all(column.flags.writeable for column in load_dataset(path).features)
+        assert len(reads) == 2 and data_module._HELD is None
+        ctimes[inodes[recent]] -= 1   # a nanosecond more than a window old: kept
+        load_dataset(path)
+        load_dataset(path)
+        assert len(reads) == 3 and data_module._HELD is not None
+
+    def test_rewrite_in_place_with_its_mtime_restored_is_loaded(self, tmp_path, memo):
+        # size and mtime are those the entry holds: only the ctime tells
+        _, clock = memo
+        path, changed = _archive(tmp_path, memo)
+        before = os.stat(path)
+        self._past_the_window(clock, path, f"{path}.cols")
+        load_dataset(path)
+        assert data_module._HELD is not None
+        blob = _digit_changed(path.read_bytes())
+
+        def rewrite():
+            _rewrite_in_place(path, blob)
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = _until_ctime_moves(path, rewrite)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        self._past_the_window(clock, path)
+        assert _outcome(path) == changed
+
+    def test_rewrite_inside_the_window_is_loaded(self, tmp_path, memo, stamps):
+        # a rewrite of the same size within one timestamp tick leaves the stat as it was
+        _, clock = memo
+        path, changed = _archive(tmp_path, memo)
+        clock[0] = stamps[0] + WINDOW   # the stamp is not older than the clock by a window
+        load_dataset(path)
+        assert data_module._HELD is None
+        _rewrite_in_place(path, _digit_changed(path.read_bytes()))
+        assert _outcome(path) == changed
+
+    @pytest.mark.parametrize("renamed", ["text", "sidecar"])
+    def test_file_renamed_onto_either_path_is_loaded(self, tmp_path, memo, stamps, renamed):
+        # a new inode of the same size and stamps, past the window
+        _, clock = memo
+        path, changed = _archive(tmp_path, memo)
+        clock[0] = stamps[0] + WINDOW + 1
+        load_dataset(path)
+        assert data_module._HELD is not None
+        new = tmp_path / "new.txt"
+        if renamed == "text":
+            new.write_bytes(_digit_changed(path.read_bytes()))
+            os.replace(new, path)
+            assert _outcome(path) == changed
+        else:
+            (tmp_path / "new.txt.cols").write_bytes((tmp_path / "ds.txt.cols").read_bytes())
+            _forged(new)
+            os.replace(tmp_path / "new.txt.cols", f"{path}.cols")
+            assert load_dataset(path).features[0, 0, 0] == FORGED
+
+    def test_sidecar_rewritten_alone_is_loaded(self, tmp_path, memo, reads):
+        _, clock = memo
+        path, _ = _archive(tmp_path, memo)
+        text = data_module._stamp(os.stat(path))
+        self._past_the_window(clock, path, f"{path}.cols")
+        reads.clear()
+        assert load_dataset(path).features[0, 0, 0] != FORGED
+        _until_ctime_moves(f"{path}.cols", lambda: _forged(path))
+        assert data_module._stamp(os.stat(path)) == text
+        self._past_the_window(clock, f"{path}.cols")
+        assert load_dataset(path).features[0, 0, 0] == FORGED and len(reads) == 2
+
+    def test_a_load_that_raises_keeps_nothing(self, tmp_path, memo, reads):
+        _, clock = memo
+        path, _ = _archive(tmp_path, memo)
+        dead = _small()
+        dead.features[1, 2] = 0.0
+        save_dataset(dead, tmp_path / "dead.txt")
+        self._past_the_window(clock, path, f"{path}.cols", tmp_path / "dead.txt",
+                              tmp_path / "dead.txt.cols")
+        reads.clear()
+        load_dataset(path)
+        held = data_module._HELD
+        for _ in range(2):
+            with pytest.raises(DegenerateInputError, match="^tuple 2 modality 1: zero-norm"):
+                load_dataset(tmp_path / "dead.txt")
+        assert data_module._HELD is held and len(reads) == 3
+
+    @pytest.mark.parametrize("sidecar", ["removed", "stale"])
+    def test_a_text_parse_keeps_nothing(self, tmp_path, memo, sidecar):
+        _, clock = memo
+        path, changed = _archive(tmp_path, memo)
+        other, _ = _archive(tmp_path, memo, "other.txt", dataclasses.replace(CFG, seed=4))
+        if sidecar == "removed":
+            os.remove(f"{path}.cols")
+        else:   # a new text beside the old sidecar
+            (tmp_path / "new.txt").write_bytes(_digit_changed(path.read_bytes()))
+            os.replace(tmp_path / "new.txt", path)
+        self._past_the_window(clock, *tmp_path.iterdir())
+        parsed = load_dataset(path)
+        assert data_module._HELD is None
+        assert all(column.flags.writeable for column in parsed.features)
+        assert sidecar == "removed" or _values(parsed) == changed
+        load_dataset(other)
+        held = data_module._HELD
+        load_dataset(path)   # another text parse leaves the held archive as it is
+        assert held is not None and data_module._HELD is held
+
+    def test_a_second_archive_replaces_the_entry(self, tmp_path, memo, reads):
+        _, clock = memo
+        first, _ = _archive(tmp_path, memo)
+        second, _ = _archive(tmp_path, memo, "second.txt", dataclasses.replace(CFG, seed=4))
+        self._past_the_window(clock, *tmp_path.iterdir())
+        reads.clear()
+        loads = [load_dataset(p) for p in (first, second, second, first, first)]
+        assert reads == [f"{first}.cols", f"{second}.cols", f"{first}.cols"]
+        assert data_module._HELD[1].sha256 == loads[0].sha256 != loads[1].sha256
+        assert _values(loads[3]) == _values(loads[0]) != _values(loads[1])
 
 
 # save_dataset must write the bytes of the per-row writer: its text and its sidecar

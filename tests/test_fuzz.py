@@ -1,13 +1,15 @@
-"""Mutated sidecars and checkpoint headers, and drawn argument values, run through
-evaluate and retrieve in process.
+"""Mutated sidecars, archive texts and checkpoint headers, and drawn argument values,
+run through evaluate and retrieve in process.
 
 A mutated ``.cols`` sidecar no longer proves itself the text's, so the loader falls
 back to the text: the run exits 0 with exactly the unmutated outputs, or fails with
-one stderr line. A mutated checkpoint header ends in exit 0, 1 or 2; a failure prints
-one stderr line and leaves no ``--out`` file. Nothing ends in a traceback or a
-warning. The examples are derandomized and bounded in number (a few seconds in all),
-and each run holds at most ``HEADROOM`` bytes of address space past what the process
-maps before it, so that an amplification fails the test rather than the machine.
+one stderr line. With the unmutated archive held by ``load_dataset`` first, a mutated
+sidecar or text ends as it does with none held. A mutated checkpoint header ends in
+exit 0, 1 or 2; a failure prints one stderr line and leaves no ``--out`` file. Nothing
+ends in a traceback or a warning. The examples are derandomized and bounded in number
+(a few seconds in all), and each run holds at most ``HEADROOM`` bytes of address space
+past what the process maps before it, so that an amplification fails the test rather
+than the machine.
 """
 
 import contextlib
@@ -17,16 +19,18 @@ import os
 import resource
 import shutil
 import struct
+import time
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xmodal import cli
+from xmodal import cli, data as data_module
 from xmodal.cli import main
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 FUZZ_ARGUMENTS = settings(FUZZ, max_examples=100)
+FUZZ_HELD = settings(FUZZ, max_examples=100)
 HEADROOM = 1 << 29
 PREFIX = struct.Struct("<6sII")   # the container's magic, version and header length
 
@@ -117,6 +121,20 @@ def sidecar_mutations(draw, data):
     return data + draw(st.binary(min_size=1, max_size=16))
 
 
+@st.composite
+def text_mutations(draw, text):
+    """``text`` mutated as a sidecar is, or with one digit replaced by another: a text
+    that mostly still loads, to other columns."""
+    if draw(st.booleans()):
+        return draw(sidecar_mutations(text))
+    at = draw(st.sampled_from([i for i, byte in enumerate(text) if byte in DIGITS]))
+    digit = draw(st.sampled_from([d for d in DIGITS if d != text[at]]))
+    return text[:at] + bytes([digit]) + text[at + 1:]
+
+
+DIGITS = b"0123456789"
+
+
 def header_paths(value, path=()):
     """Every key path into a JSON value, parents before their children."""
     paths = [path] if path else []
@@ -172,6 +190,38 @@ def check_mutated_checkpoint(files, blob):
     assert written == ([] if evaluate[0] else ["m.csv", "manifest_evaluate.json"])
 
 
+def hold(archive):
+    """Loads ``archive`` with data's clock two windows ahead, so that its files read as
+    older than the racy window and ``load_dataset`` holds it; its stamps as held."""
+    clock = data_module._clock
+    data_module._clock = lambda: clock() + 2 * data_module.RACY_WINDOW_NS
+    try:
+        data_module.load_dataset(archive)
+    finally:
+        data_module._clock = clock
+    assert data_module._HELD is not None
+    return data_module._HELD[0]
+
+
+def write_in_place(path, blob):
+    """Writes ``blob`` over the file at ``path`` until its ctime has moved off the one
+    it had: a coarse kernel clock stamps writes within one tick alike, which is why
+    nothing written within a window is held."""
+    before, deadline = os.stat(path).st_ctime_ns, time.monotonic() + 1
+    path.write_bytes(blob)
+    while os.stat(path).st_ctime_ns == before and time.monotonic() < deadline:
+        path.write_bytes(blob)
+    assert os.stat(path).st_ctime_ns != before
+
+
+def assert_unmutated_or_one_line(files, evaluate, retrieve):
+    for got, expected in zip((evaluate, retrieve), files["expected"]):
+        if got[0] == 0:
+            assert got == expected
+        else:
+            assert_one_line_failure(got[0], got[2])
+
+
 class TestSidecarMutations:
     @FUZZ
     @given(data=st.data())
@@ -182,12 +232,31 @@ class TestSidecarMutations:
             evaluate, retrieve, _ = outputs(files, files["ckpt"])
         finally:
             sidecar.write_bytes(files["sidecar"])
-        expected_evaluate, expected_retrieve = files["expected"]
-        for got, expected in ((evaluate, expected_evaluate), (retrieve, expected_retrieve)):
-            if got[0] == 0:
-                assert got == expected
-            else:
-                assert_one_line_failure(got[0], got[2])
+        assert_unmutated_or_one_line(files, evaluate, retrieve)
+
+    @pytest.mark.parametrize("target", ["sidecar", "text"])
+    @FUZZ_HELD
+    @given(data=st.data())
+    def test_through_the_held_archive_as_with_none_held(self, files, target, data):
+        # a run is compared with the run that follows it with no archive held
+        path = files["archive"] if target == "text" else files["root"] / "ds.txt.cols"
+        original = path.read_bytes()
+        stamps = hold(files["archive"])
+        write_in_place(path, data.draw((text_mutations if target == "text"
+                                        else sidecar_mutations)(original)))
+        try:
+            held = outputs(files, files["ckpt"])
+            assert data_module._HELD[0] == stamps   # still held: the runs missed it
+            data_module._HELD = cli._INDEXES = None
+            assert held == outputs(files, files["ckpt"])
+        finally:
+            path.write_bytes(original)
+        for command in held[:2]:
+            if command[0]:
+                assert_one_line_failure(command[0], command[2])
+        assert held[2] == ([] if held[0][0] else ["m.csv", "manifest_evaluate.json"])
+        if target == "sidecar":
+            assert_unmutated_or_one_line(files, *held[:2])
 
 
 # every model_config field, then the epoch and Adam step counts
