@@ -177,6 +177,8 @@ def cmd_train(args):
     ds_train, ds_val = _split_dataset(ds, args.split, args.split_seed)[:2]
     dataset_sha256 = ds.sha256   # proven by load_dataset: no second hash
     del ds
+    # hashed before train, which may write a checkpoint over the one it resumes from
+    resume_sha256 = None if args.resume_from is None else file_sha256(args.resume_from)
     params, report = train(ds_train, ds_val, model_config, train_config,
                            out_dir=args.out_dir, resume_from=args.resume_from)
     csv_path = os.path.join(args.out_dir, "train_report.csv")
@@ -186,7 +188,7 @@ def cmd_train(args):
     # a resumed run starts at the epoch after the checkpoint's
     resumed = None if args.resume_from is None else {
         "path": args.resume_from, "epoch": report.epochs[0].epoch - 1,
-        "sha256": file_sha256(args.resume_from)}
+        "sha256": resume_sha256}
     _write_manifest(args.out_dir, "train",
                     {"model": dataclasses.asdict(model_config),
                      "train": dataclasses.asdict(train_config),

@@ -25,15 +25,13 @@ LATENT_JITTER = 0.1
 COLUMNS_MAGIC = b"XMCOL1"
 CONTAINER_VERSION = 1
 CONTAINER_PREFIX = struct.Struct("<6sII")   # magic, version, header length
-# git's "racy clean" rule: a digest, or an archive's columns, is reused only for files
-# whose ctime was older, by more than this window, than the clock read before they were
-# read. A write inside the window may leave size, mtime and ctime as they were: FAT
-# stamps mtime in 2 s steps, and ext4, xfs and tmpfs stamp from the kernel's coarse
-# clock, one jiffy (<= 10 ms) behind the clock read here. A later write moves the ctime.
+# git's "racy clean" rule: an archive's columns are reused only for files whose ctime
+# was older, by more than this window, than the clock read before they were read. A
+# write inside the window may leave size, mtime and ctime as they were: FAT stamps
+# mtime in 2 s steps, and ext4, xfs and tmpfs stamp from the kernel's coarse clock, one
+# jiffy (<= 10 ms) behind the clock read here. A later write moves the ctime.
 RACY_WINDOW_NS = 2 * 10**9
 _clock = time.time_ns
-# (st_dev, st_ino) of a file -> (st_size, st_mtime_ns, st_ctime_ns, SHA-256 hex digest)
-_DIGESTS = {}
 # the last archive load_dataset proved through its sidecar, for the loads after it:
 # ((the text's _stamp, the sidecar's _stamp), TupleDataset over read-only arrays)
 _HELD = None
@@ -432,9 +430,9 @@ def load_dataset(path) -> TupleDataset:
     The last archive proved through its sidecar is held for the rest of the process,
     its arrays made read-only, under the fstat stamps of both files; it is kept only
     if both ctimes were more than RACY_WINDOW_NS older than the clock read before the
-    first read (git's racy-clean rule, as _memo_sha256). A load that finds both stamps
-    unchanged returns a new TupleDataset over the held arrays and reads, hashes and
-    checks nothing more."""
+    first read (git's racy-clean rule: a write inside the window may leave a file's
+    stamps as they were). A load that finds both stamps unchanged returns a new
+    TupleDataset over the held arrays and reads, hashes and checks nothing more."""
     global _HELD
     path = os.fspath(path)
     # a byte that is not UTF-8 reads as a lone surrogate, which no field's parse
@@ -444,7 +442,7 @@ def load_dataset(path) -> TupleDataset:
         held = _held_dataset(path, stat)
         if held is not None:
             return held
-        text_digest = _open_file_sha256(fh.buffer, stat, clock)
+        text_digest = _sha256(fh.buffer)
         proved = _load_columns(path, text_digest)
         if proved is None:
             fh.seek(0)
@@ -489,39 +487,19 @@ def _held_dataset(path, stat):
     return _view(_HELD[1])
 
 
-def _memo_sha256(stat, clock, digest):
-    """The SHA-256 hex digest of the file whose ``os.fstat`` is ``stat``: the memo's,
-    while it holds one under the file's (st_dev, st_ino) and equal (st_size,
-    st_mtime_ns, st_ctime_ns), else ``digest()``. That is kept only if the ctime is
-    more than RACY_WINDOW_NS older than ``clock``, read before the hash."""
-    key = stat.st_dev, stat.st_ino
-    stamp = stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns
-    held = _DIGESTS.get(key)
-    if held is not None and held[:3] == stamp:
-        return held[3]
-    hexdigest = digest()
-    if stat.st_ctime_ns < clock - RACY_WINDOW_NS:
-        _DIGESTS[key] = (*stamp, hexdigest)
-    return hexdigest
-
-
-def _open_file_sha256(fh, stat, clock):
-    """The SHA-256 hex digest of the open binary file ``fh`` (_memo_sha256 under
-    ``stat``, the fstat of its descriptor, and ``clock``), read from its start in
+def _sha256(fh):
+    """The SHA-256 hex digest of the open binary file ``fh``, read from its position in
     64 KiB chunks into one reused buffer."""
-    def digest():
-        hasher, chunk = hashlib.sha256(), bytearray(1 << 16)
-        while size := fh.readinto(chunk):
-            hasher.update(memoryview(chunk)[:size])
-        return hasher.hexdigest()
-    return _memo_sha256(stat, clock, digest)
+    hasher, chunk = hashlib.sha256(), bytearray(1 << 16)
+    while size := fh.readinto(chunk):
+        hasher.update(memoryview(chunk)[:size])
+    return hasher.hexdigest()
 
 
 def file_sha256(path):
-    """The SHA-256 hex digest of the file at ``path`` (_open_file_sha256)."""
+    """The SHA-256 hex digest of the file at ``path``."""
     with open(path, "rb") as fh:
-        clock = _clock()
-        return _open_file_sha256(fh, os.fstat(fh.fileno()), clock)
+        return _sha256(fh)
 
 
 def _load_columns(path, text_digest):

@@ -270,7 +270,7 @@ fails 2 xmodal train --dataset div.txt --out-dir div --epochs 2 --set learning_r
 # an archive loaded again in one process is served from the held archive while it is
 # unchanged, and hashed and read again after its text is rewritten in place with the same
 # size and its mtime restored: only the ctime, which this file system must move on every
-# write, tells the digest memo and the held archive
+# write, tells the held archive
 python3 - <<'EOF'
 import os, time
 from xmodal import data
@@ -279,9 +279,9 @@ if main(["gen-data", "--out", "racy.txt", "--seed", "6", "--set", "num_tuples=60
     raise SystemExit("gen-data failed")
 columns = lambda ds: [ds.ids.tobytes(), ds.features.tobytes(),
                       ds.label_offsets.tobytes(), ds.label_ids.tobytes()]
-time.sleep(2.5)   # past the window: the first load keeps its digest and the archive
+time.sleep(2.5)   # past the window: the first load keeps the archive
 first = data.load_dataset("racy.txt")
-assert data._DIGESTS, "the first load kept no digest"
+assert data._HELD is not None, "the first load kept no archive"
 again = data.load_dataset("racy.txt")
 assert not any(c.flags.writeable for c in (again.ids, again.features, again.label_offsets,
                                            again.label_ids)), "not served by the held archive"

@@ -152,11 +152,11 @@ class TestGenData:
 @pytest.mark.parametrize("sidecar", ["kept", "removed"])
 def test_manifests_record_the_archive_digest(dataset_file, tmp_path, monkeypatch, sidecar):
     # train and evaluate record the SHA-256 of the archive text that load_dataset hashed,
-    # once per command with the memo off; one changed byte changes it; retrieve writes none
+    # once per command with no archive held; one changed byte changes it; retrieve writes none
     if sidecar == "removed":
         os.remove(f"{dataset_file}.cols")
     hashes, sha256 = [], hashlib.sha256
-    monkeypatch.setattr(data_module, "_clock", lambda: 0)   # no digest is kept
+    monkeypatch.setattr(data_module, "_clock", lambda: 0)   # no archive is held
     monkeypatch.setattr(data_module, "hashlib", types.SimpleNamespace(
         sha256=lambda *args: hashes.append("payload" if args else "file") or sha256(*args)))
     recorded = []
@@ -247,6 +247,22 @@ class TestTrainCommand:
             "resume_from"] is None
         assert (resumed / "checkpoint_epoch1.ckpt").read_bytes() == \
             (every / "checkpoint_epoch1.ckpt").read_bytes()
+
+    def test_resume_digest_is_of_the_checkpoint_read(self, dataset_file, tmp_path):
+        # a run that writes a checkpoint over the one it resumed from records the digest
+        # of the bytes it resumed from, not of the file it left there
+        first, out = tmp_path / "first", tmp_path / "out"
+        assert self._train(dataset_file, first, ("--set", "checkpoint_every=1")) == 0
+        out.mkdir()
+        source = out / "checkpoint_epoch2.ckpt"
+        source.write_bytes((first / "checkpoint_epoch0.ckpt").read_bytes())
+        digest = hashlib.sha256(source.read_bytes()).hexdigest()
+        assert self._train(dataset_file, out, ("--resume-from", str(source),
+                                               "--epochs", "3")) == 0
+        assert hashlib.sha256(source.read_bytes()).hexdigest() != digest
+        manifest = json.loads((out / "manifest_train.json").read_text())
+        assert manifest["inputs"]["resume_from"] == {
+            "path": str(source), "epoch": 0, "sha256": digest}
 
     def test_one_row_train_split_one_line(self, tmp_path):
         # a 10-tuple archive splits 1/5/4: one row makes no batch of at least 2
@@ -1060,8 +1076,9 @@ class TestRetrieveMemo:
 
     def test_archive_rewritten_inside_the_racy_window_misses(self, trained, capsys,
                                                              index_embeds, monkeypatch):
-        # a same-size rewrite whose stat stays as it was: the digest memo hashes it again,
-        # since the stamp is not a window older than the clock, and so the rows memo misses
+        # a same-size rewrite whose stat stays as it was: no archive was held, since the
+        # stamp is not a window older than the clock, so the load hashes the rewritten
+        # text and the rows memo misses
         dataset, ckpt = trained
         fstat, stamp = os.fstat, 10**18
         monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(

@@ -628,11 +628,9 @@ WINDOW = data_module.RACY_WINDOW_NS
 
 @pytest.fixture()
 def memo(monkeypatch):
-    """(hashes, clock): a fresh digest memo and no archive held, the data module's clock
-    reading ``clock[0]``, and "file" or "payload" logged in ``hashes`` for each SHA-256
-    that data begins."""
+    """(hashes, clock): the data module's clock reading ``clock[0]``, and "file" or
+    "payload" logged in ``hashes`` for each SHA-256 that data begins."""
     hashes, clock = [], [time.time_ns()]
-    monkeypatch.setattr(data_module, "_DIGESTS", {})
     monkeypatch.setattr(data_module, "_clock", lambda: clock[0])
 
     def sha256(*args):
@@ -658,95 +656,110 @@ def stamps(monkeypatch):
 
 def _archive(tmp_path, memo, name="ds.txt", cfg=CFG):
     """An archive with its sidecar, and the outcome of its text with one digit changed;
-    the loads that find it leave no digest or archive held."""
+    the loads that find it leave no archive held."""
     path, other = tmp_path / name, tmp_path / f"changed_{name}"
     save_dataset(generate_synthetic(cfg), path)
     other.write_bytes(_digit_changed(path.read_bytes()))
     changed = _outcome(other)
     assert changed != _outcome(path)
     memo[0].clear()
-    data_module._DIGESTS.clear()
     data_module._HELD = None
     return path, changed
 
 
-class TestDigestMemo:
-    """load_dataset hashes a file again only when its stat changed, or had changed within
-    RACY_WINDOW_NS of the clock read before it was last hashed (git's racy-clean rule).
-    No test waits: each sets the module's clock, and some the files' stamps."""
+def _sha(blob):
+    return hashlib.sha256(blob).hexdigest()
+
+
+class TestArchiveDigest:
+    """A load that the held archive does not serve hashes the text once, on the
+    descriptor it reads, so ``sha256`` is the digest of the bytes loaded after any
+    rewrite or rename; a sidecar of another text is refused before its payload is
+    hashed. No test waits: each sets the module's clock, and some the files' stamps."""
 
     def test_loads_of_an_unchanged_archive_hash_each_file_once(self, tmp_path, memo):
         hashes, clock = memo
         path, _ = _archive(tmp_path, memo)
-        ctimes = sorted(os.stat(p).st_ctime_ns for p in (path, f"{path}.cols"))
-        # at one window after the older ctime each load hashes both files again; past the
-        # newer one's window, the first load keeps the archive, which serves the rest, and
-        # the last load proves the text's digest
-        clock[0] = ctimes[0] + WINDOW
-        loaded = _outcome(path)
-        assert _outcome(path) == loaded and hashes == ["file", "payload"] * 2
+        digest = _sha(path.read_bytes())
+        newer = max(os.stat(p).st_ctime_ns for p in (path, f"{path}.cols"))
+        # inside the newer ctime's window each load hashes both files again; past it, the
+        # first load keeps the archive, which serves the rest without a hash
+        clock[0] = newer + WINDOW
+        assert [load_dataset(path).sha256 for _ in range(2)] == [digest] * 2
+        assert hashes == ["file", "payload"] * 2
         hashes.clear()
-        clock[0] = ctimes[1] + WINDOW + 1
-        for _ in range(5):
-            assert _outcome(path) == loaded
+        clock[0] = newer + WINDOW + 1
+        assert [load_dataset(path).sha256 for _ in range(5)] == [digest] * 5
         assert hashes == ["file", "payload"]
-        assert load_dataset(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert hashes == ["file", "payload"]
+        os.remove(f"{path}.cols")   # a text parse hashes only the text, once
+        hashes.clear()
+        assert load_dataset(path).sha256 == digest and hashes == ["file"]
 
     def test_rewrite_in_place_with_its_mtime_restored_is_hashed_again(self, tmp_path, memo):
-        # size and mtime are those the memo holds: only the ctime tells
+        # size and mtime are those the archive is held under: only the ctime tells
         hashes, clock = memo
         path, changed = _archive(tmp_path, memo)
         before = os.stat(path)
-        clock[0] = os.stat(f"{path}.cols").st_ctime_ns + WINDOW + 1
-        assert _columns(path) is not None
-        blob, deadline = _digit_changed(path.read_bytes()), time.monotonic() + 1
-        # rewritten until the kernel's coarse clock has moved off the ctime the memo holds
-        while os.stat(path).st_ctime_ns == before.st_ctime_ns and time.monotonic() < deadline:
+        clock[0] = max(os.stat(p).st_ctime_ns for p in (path, f"{path}.cols")) + WINDOW + 1
+        load_dataset(path)
+        assert data_module._HELD is not None
+        blob = _digit_changed(path.read_bytes())
+
+        def rewrite():
             _rewrite_in_place(path, blob)
             os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-        after = os.stat(path)
-        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
-        assert after.st_ctime_ns != before.st_ctime_ns
-        clock[0] = after.st_ctime_ns + WINDOW + 1   # the window has passed since the rewrite
+        after = _until_ctime_moves(path, rewrite)
+        clock[0] = after.st_ctime_ns + WINDOW + 1
         hashes.clear()
-        assert _columns(path) is None and "file" in hashes
-        assert _outcome(path) == changed   # the stale sidecar refused, as without a memo
+        ds = load_dataset(path)
+        assert ds.sha256 == _sha(blob) and hashes == ["file"]   # the stale sidecar refused
+        assert _values(ds) == changed
 
     def test_rewrite_inside_the_window_is_caught(self, tmp_path, memo, stamps):
         # a rewrite of the same size within one timestamp tick leaves the stat as it was
-        _, clock = memo
+        hashes, clock = memo
         path, changed = _archive(tmp_path, memo)
         clock[0] = stamps[0] + WINDOW   # the stamp is not older than the clock by a window
-        assert _columns(path) is not None
-        _rewrite_in_place(path, _digit_changed(path.read_bytes()))
-        assert _columns(path) is None
-        assert _outcome(path) == changed
+        assert load_dataset(path).sha256 == _sha(path.read_bytes())
+        blob = _digit_changed(path.read_bytes())
+        _rewrite_in_place(path, blob)
+        hashes.clear()
+        ds = load_dataset(path)
+        assert ds.sha256 == _sha(blob) and hashes == ["file"]
+        assert _values(ds) == changed
 
     def test_file_replaced_by_rename_is_hashed_again(self, tmp_path, memo, stamps):
         # a new inode of the same size and stamps, past the window
         hashes, clock = memo
         path, changed = _archive(tmp_path, memo)
         clock[0] = stamps[0] + WINDOW + 1
-        assert _columns(path) is not None
-        (tmp_path / "new.txt").write_bytes(_digit_changed(path.read_bytes()))
+        load_dataset(path)
+        assert data_module._HELD is not None
+        blob = _digit_changed(path.read_bytes())
+        (tmp_path / "new.txt").write_bytes(blob)
         os.replace(tmp_path / "new.txt", path)
         hashes.clear()
-        assert _columns(path) is None and hashes == ["file"]
-        assert _outcome(path) == changed
+        ds = load_dataset(path)
+        assert ds.sha256 == _sha(blob) and hashes == ["file"]
+        assert _values(ds) == changed
 
-    def test_file_rewritten_many_times_leaves_one_entry(self, tmp_path, memo, stamps):
-        # one entry per file: the text's (a sidecar's payload is hashed, not memoised)
-        _, clock = memo
+    def test_file_rewritten_many_times_records_each_digest(self, tmp_path, memo, stamps):
+        # each rewrite on its own tick, past the window: a text that its sidecar proves is
+        # held again, and another one is parsed and leaves that archive held
+        hashes, clock = memo
         path, changed = _archive(tmp_path, memo)
-        text, sidecar = path.read_bytes(), _outcome(path)
+        text, other = path.read_bytes(), _digit_changed(path.read_bytes())
         clock[0] = stamps[0] + 100 * WINDOW
         for k in range(6):
-            stamps[0] += 1   # each rewrite on its own tick, each trusted past the window
-            _rewrite_in_place(path, _digit_changed(text) if k % 2 else text)
-            assert _outcome(path) == (changed if k % 2 else sidecar)
-        assert len(data_module._DIGESTS) == 1
-
+            stamps[0] += 1
+            blob = other if k % 2 else text
+            _rewrite_in_place(path, blob)
+            hashes.clear()
+            ds = load_dataset(path)
+            assert ds.sha256 == _sha(blob)
+            assert hashes == (["file"] if k % 2 else ["file", "payload"])
+            assert k % 2 == 0 or _values(ds) == changed
+            assert data_module._HELD[1].sha256 == _sha(text)
 
 
 FORGED = 0.25   # the first feature of a forged sidecar of CFG's archive (_forged)
@@ -773,7 +786,9 @@ def _until_ctime_moves(path, write):
 class TestHeldArchive:
     """load_dataset holds the last archive it proved through its sidecar, its arrays
     read-only, under the stamps of both files, and serves a load that finds both unchanged
-    from it; what is kept follows the racy rule of TestDigestMemo. No test waits."""
+    from it; it keeps only files whose ctimes were more than RACY_WINDOW_NS older than the
+    clock read before the load (git's racy-clean rule). No test waits: each sets the
+    module's clock, and some the files' stamps."""
 
     @pytest.fixture()
     def reads(self, monkeypatch):
